@@ -2,22 +2,27 @@
 //!
 //! Where [`crate::pipeline`] prices CPU cycles and the memory bus to
 //! *model* Fig. 5a/5b throughput, this module actually runs the
-//! datapath: the byte-accurate trace from [`crate::pipeline::TraceGen`]
-//! is sharded with the real Toeplitz [`RssHasher`] and fed — in
-//! batches — to one [`CoreEngine`] worker per core. Two modes share
-//! every byte of sharding/batching/processing logic:
+//! datapath, in the shape RSS hardware gives the paper's DPDK gateway:
+//! the byte-accurate trace is sharded once with the real Toeplitz
+//! [`RssHasher`] into one flat, arrival-ordered `(timestamp, packet)`
+//! queue per core, and each core's [`CoreEngine`] worker **owns its
+//! shard and runs it to completion** — `for burst in shard.chunks(n)
+//! { recv → translate → send }`, then an end-of-stream idle tick, the
+//! drain, and one hand-off to the [`StatsRegistry`]. Nothing sits
+//! between the shard and the worker: no dispatcher, no queue, no
+//! per-burst allocation. Two modes drive that one per-core function
+//! (`run_core`):
 //!
-//! * [`EngineMode::Parallel`] — one OS thread per core, connected to
-//!   the dispatcher by bounded SPSC channels. Wall-clock time over the
-//!   dispatch/process/join region gives a *measured* forwarding rate
-//!   for this host, reported next to the modelled bound.
-//! * [`EngineMode::Deterministic`] — the same per-core batch streams
-//!   executed on the calling thread, one batch per core per round-robin
-//!   turn. Because RSS pins a flow to one core and every hold-timer
-//!   poll happens at a packet arrival timestamp taken from the global
-//!   trace, the per-flow output byte streams are **bit-identical for a
-//!   fixed seed regardless of core count** — the property the
-//!   `engine_equivalence` integration test proves.
+//! * [`EngineMode::Parallel`] — one OS thread per core. Wall-clock
+//!   time over the spawn → process → join region gives a *measured*
+//!   forwarding rate for this host, reported next to the modelled bound.
+//! * [`EngineMode::Deterministic`] — the same shards walked on the
+//!   calling thread, core by core. Workers share nothing, RSS pins a
+//!   flow to one core and every hold-timer poll happens at a packet
+//!   arrival timestamp taken from the global trace, so the per-flow
+//!   output byte streams are **bit-identical for a fixed seed
+//!   regardless of core count or mode** — the property the
+//!   `engine_equivalence` and `digest_pin` integration tests prove.
 //!
 //! Workers keep private [`CoreCounters`] (nothing shared on the hot
 //! path) and merge them into a [`StatsRegistry`] when they finish.
@@ -33,7 +38,6 @@ use crate::baseline::BaselineGateway;
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::merge::{MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
-use crossbeam::channel;
 use px_faults::{
     FaultInjector, FaultPlan, FaultSpec, Heartbeats, IngressStats, PlannedFaults, StallDetector,
 };
@@ -366,11 +370,11 @@ impl CoreEngine {
 /// How the engine schedules its per-core workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Real OS threads fed over bounded channels; wall-clock throughput
-    /// is measured.
+    /// One OS thread per core, each running its own shard to
+    /// completion; wall-clock throughput is measured.
     Parallel,
-    /// Single-threaded round-robin over the identical per-core batch
-    /// streams; bit-identical output for a fixed seed, any core count.
+    /// The identical per-core shards walked on the calling thread, core
+    /// by core; bit-identical output for a fixed seed, any core count.
     Deterministic,
 }
 
@@ -381,10 +385,8 @@ pub struct EngineConfig {
     pub pipe: PipelineConfig,
     /// Scheduling mode.
     pub mode: EngineMode,
-    /// Packets per batch handed to a worker (DPDK-style burst).
+    /// Packets per burst a worker takes off its shard (DPDK-style).
     pub batch_pkts: usize,
-    /// Channel capacity in batches (Parallel mode back-pressure).
-    pub channel_batches: usize,
     /// Observability: flight recorder, histograms, mid-run publishing,
     /// and the Parallel-mode sampler thread. On by default — the
     /// deterministic digests are pinned *with* recording enabled, which
@@ -420,13 +422,12 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Default batching (32-packet bursts, 8 in flight per core).
+    /// Default batching (32-packet bursts).
     pub fn new(pipe: PipelineConfig, mode: EngineMode) -> Self {
         EngineConfig {
             pipe,
             mode,
             batch_pkts: 32,
-            channel_batches: 8,
             obs: ObsConfig::default(),
             faults: FaultSpec::off(),
             capture_output: false,
@@ -502,7 +503,7 @@ pub struct EngineReport {
     pub mode: EngineMode,
     /// Core count.
     pub cores: usize,
-    /// Wall-clock nanoseconds over the dispatch/process/join region
+    /// Wall-clock nanoseconds over the spawn/process/join region
     /// (trace generation excluded).
     pub wall_ns: u64,
     /// Measured forwarding rate: input bits / wall seconds. Meaningful
@@ -553,13 +554,12 @@ struct Worker {
     core: usize,
     /// Per-batch fault verdicts (the inert injector in production).
     faults: PlannedFaults,
-    /// Whether injected stalls really sleep. True only in Parallel
-    /// mode — Deterministic mode has no wall clock to stall against,
-    /// and a stall must never change what the flows carry.
-    wall_stalls: bool,
-    /// Rebuild parameters for a post-panic engine restart.
-    pipe: PipelineConfig,
-    obs_cfg: ObsConfig,
+    /// The run's configuration: the post-panic engine rebuild, the
+    /// digest / batch-parse / capture switches, and the mode. Only
+    /// Parallel mode has a wall clock, so only there do injected stalls
+    /// really sleep and the SLO watchdog read the wall-clock p99 — a
+    /// stall must never change what the flows carry.
+    cfg: EngineConfig,
     /// Flight-recorder contents rescued from pre-restart engines, so a
     /// restart loses telemetry no more than it loses flow state.
     events_carry: Vec<Event>,
@@ -576,12 +576,6 @@ struct Worker {
     /// ([`EngineConfig::capture_output`]); `None` keeps the hot path
     /// allocation-free.
     captured: Option<Vec<Vec<u8>>>,
-    /// Whether per-flow digests are maintained
-    /// ([`EngineConfig::digests`]).
-    digests_on: bool,
-    /// Whether batches are classified up front
-    /// ([`EngineConfig::batch_parse`]).
-    batch_parse: bool,
     /// Reused per-batch [`ParsedMeta`] array — sized once, then the
     /// batch-parse pass is allocation-free.
     parse_scratch: Vec<ParsedMeta>,
@@ -661,52 +655,72 @@ impl PacketSink for Accountant<'_> {
 }
 
 impl Worker {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        cfg: &PipelineConfig,
-        obs: ObsConfig,
-        core: usize,
-        faults: FaultSpec,
-        wall_stalls: bool,
-        capture: bool,
-        digests_on: bool,
-        batch_parse: bool,
-    ) -> Self {
-        let mut engine = CoreEngine::for_pipe(cfg);
-        if obs.enabled {
-            engine.enable_obs(obs);
-        }
-        engine.set_faults(faults);
-        // Causal span links: core c's emissions get link ids in the
-        // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
-        engine.set_span_link_base(((core as u64) + 1) << 48);
-        let obs_on = engine.obs_mut().is_some_and(|r| r.is_enabled());
+    fn new(cfg: &EngineConfig, core: usize) -> Self {
+        let mut engine = Self::build_engine(cfg, core);
         Worker {
+            obs_on: engine.obs_mut().is_some_and(|r| r.is_enabled()),
             engine,
             counters: CoreCounters::default(),
             digests: BTreeMap::new(),
             // Same threshold the pipeline model uses: an output packet
             // "reached iMTU" when one more eMTU payload would not fit.
-            jumbo_at: cfg.imtu - (cfg.emtu - 40) + 1,
-            obs_on,
+            jumbo_at: cfg.pipe.imtu - (cfg.pipe.emtu - 40) + 1,
             core,
-            faults: PlannedFaults::new(faults),
-            wall_stalls,
-            pipe: *cfg,
-            obs_cfg: obs,
+            faults: PlannedFaults::new(cfg.faults),
+            cfg: *cfg,
             events_carry: Vec::new(),
             hists_carry: HistSet::default(),
             spans_carry: Vec::new(),
             // Sized like the live profiler: a default-constructed
             // accumulator would have k = 0 and silently drop every
             // sketch entry folded into it across restarts.
-            profile_carry: Profiler::new(obs.profile_topk, obs.profile_ring),
-            slo: SloWatchdog::new(obs.slo),
-            captured: if capture { Some(Vec::new()) } else { None },
-            digests_on,
-            batch_parse,
+            profile_carry: Profiler::new(cfg.obs.profile_topk, cfg.obs.profile_ring),
+            slo: SloWatchdog::new(cfg.obs.slo),
+            captured: cfg.capture_output.then(Vec::new),
             parse_scratch: Vec::new(),
         }
+    }
+
+    /// The engine core `core` runs — at start, and again after every
+    /// injected panic.
+    fn build_engine(cfg: &EngineConfig, core: usize) -> CoreEngine {
+        let mut engine = CoreEngine::for_pipe(&cfg.pipe);
+        if cfg.obs.enabled {
+            engine.enable_obs(cfg.obs);
+        }
+        engine.set_faults(cfg.faults);
+        // Causal span links: core c's emissions get link ids in the
+        // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
+        engine.set_span_link_base(((core as u64) + 1) << 48);
+        engine
+    }
+
+    /// The run-to-completion loop: `batch_pkts`-sized bursts off the
+    /// shard until it is exhausted (the tail burst may be short), each
+    /// packet buffer released as it is consumed; a heartbeat per burst
+    /// and a registry publish every `publish_every_batches`; then
+    /// exactly one idle tick — no more packets will ever arrive on this
+    /// shard, so every held flow flushes now rather than at the drain.
+    fn run_shard(
+        &mut self,
+        shard: &mut [(u64, Vec<u8>)],
+        registry: &StatsRegistry,
+        heartbeats: &Heartbeats,
+    ) {
+        let publish_every = if self.cfg.obs.enabled {
+            self.cfg.obs.publish_every_batches
+        } else {
+            0
+        };
+        for burst in shard.chunks_mut(self.cfg.batch_pkts) {
+            // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry and restart_worker an R6 entry, so R6 need not re-walk the datapath from here")
+            self.run_batch(burst);
+            heartbeats.beat(self.core);
+            if publish_every > 0 && self.counters.batches.is_multiple_of(publish_every) {
+                self.publish_progress(registry);
+            }
+        }
+        self.quiesce();
     }
 
     /// One batch through the engine, with worker-fault injection at the
@@ -714,13 +728,13 @@ impl Worker {
     /// monitor), an injected panic unwinds and is caught right here —
     /// after which the worker rescues its flow state, restarts its
     /// engine in place, and reprocesses the batch it was handed.
-    fn run_batch(&mut self, batch: Batch) {
+    fn run_batch(&mut self, batch: &mut [(u64, Vec<u8>)]) {
         if !self.faults.spec.enabled {
             self.process_batch(batch);
             return;
         }
         let idx = self.counters.batches;
-        if self.wall_stalls {
+        if self.cfg.mode == EngineMode::Parallel {
             let stall_ns = self.faults.batch_stall_ns(self.core, idx);
             if stall_ns > 0 {
                 std::thread::sleep(Duration::from_nanos(stall_ns));
@@ -749,7 +763,7 @@ impl Worker {
         let out_before = self.counters.pkts_out;
         let mut acct = Accountant {
             counters: &mut self.counters,
-            digests: self.digests_on.then_some(&mut self.digests),
+            digests: self.cfg.digests.then_some(&mut self.digests),
             jumbo_at: self.jumbo_at,
             // Rescued packets are out-of-band, like the end-of-run
             // drain: the flows still see every byte, but steady-state
@@ -770,15 +784,8 @@ impl Worker {
         let profile = self.engine.take_profiler();
         self.profile_carry.merge(&profile);
         self.counters.worker_restarts += 1;
-        // px-analyze: allow(R6, R8, reason = "standing up the replacement engine allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
-        let mut engine = CoreEngine::for_pipe(&self.pipe);
-        if self.obs_cfg.enabled {
-            // px-analyze: allow(R6, reason = "re-arming the flight recorder allocates its ring up front, once per restart, not per packet")
-            engine.enable_obs(self.obs_cfg);
-        }
-        engine.set_faults(self.faults.spec);
-        engine.set_span_link_base(((self.core as u64) + 1) << 48);
-        self.engine = engine;
+        // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its flight recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
+        self.engine = Self::build_engine(&self.cfg, self.core);
         if let Some(rec) = self.engine.obs_mut() {
             rec.record(EventKind::WorkerRestart, now, batch_idx as u32, 0, rescued);
             // A Restart crossing in the trace: aux carries the number of
@@ -808,14 +815,13 @@ impl Worker {
         self.counters.steered_mice_pkts += steered;
     }
 
-    /// The dispatcher saw this core's input stream end: flush every
-    /// held aggregate on its now-unreachable hold deadline instead of
-    /// parking it until the global end-of-run drain. Out-of-band
-    /// accounting, like the drain itself.
+    /// This core's shard is exhausted: flush every held aggregate on
+    /// its now-unreachable hold deadline instead of parking it until
+    /// the drain. Out-of-band accounting, like the drain itself.
     fn quiesce(&mut self) {
         let mut acct = Accountant {
             counters: &mut self.counters,
-            digests: self.digests_on.then_some(&mut self.digests),
+            digests: self.cfg.digests.then_some(&mut self.digests),
             jumbo_at: self.jumbo_at,
             inband: false,
             capture: self.captured.as_mut(),
@@ -823,7 +829,7 @@ impl Worker {
         self.engine.idle_tick_into(&mut acct);
     }
 
-    fn process_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) {
+    fn process_batch(&mut self, batch: &mut [(u64, Vec<u8>)]) {
         self.counters.batches += 1;
         let batch_start = if self.obs_on {
             // px-analyze: allow(R8, reason = "wall clock feeds the batch-latency histogram only; digests and every forwarding decision derive from the simulated event clock, so replays stay bit-identical")
@@ -836,8 +842,8 @@ impl Worker {
         // `push_parsed_into`. Only the merge engine has a parsed fast
         // path; for the rest the scratch stays empty and the per-packet
         // loop parses as before.
-        if self.batch_parse && matches!(self.engine, CoreEngine::Merge(_)) {
-            batchparse::parse_batch_with(&batch, |(_, p)| p.as_slice(), &mut self.parse_scratch);
+        if self.cfg.batch_parse && matches!(self.engine, CoreEngine::Merge(_)) {
+            batchparse::parse_batch_with(batch, |(_, p)| p.as_slice(), &mut self.parse_scratch);
         } else {
             self.parse_scratch.clear();
         }
@@ -852,11 +858,15 @@ impl Worker {
             digests,
             jumbo_at,
             captured,
-            digests_on,
+            cfg,
             parse_scratch,
             ..
         } = self;
-        for (i, (now, pkt)) in batch.into_iter().enumerate() {
+        for (i, (now, pkt)) in batch.iter_mut().enumerate() {
+            // The packet leaves the shard here and is freed as soon as
+            // the engine has read it, while its lines are still in
+            // this core's cache.
+            let (now, pkt) = (*now, std::mem::take(pkt));
             counters.pkts_in += 1;
             counters.bytes_in += pkt.len() as u64;
             if let Some(rec) = engine.obs_mut() {
@@ -865,11 +875,7 @@ impl Worker {
             last_now = now;
             let mut acct = Accountant {
                 counters: &mut *counters,
-                digests: if *digests_on {
-                    Some(&mut *digests)
-                } else {
-                    None
-                },
+                digests: cfg.digests.then_some(&mut *digests),
                 jumbo_at: *jumbo_at,
                 inband: true,
                 capture: captured.as_mut(),
@@ -903,7 +909,7 @@ impl Worker {
     /// Batch-boundary SLO evaluation. Every input except `p99_pkt_ns`
     /// is a logical counter, so Deterministic-mode alerts replay
     /// bit-identically; the wall-clock p99 is consulted only in
-    /// Parallel mode (`wall_stalls` doubles as the mode marker). A
+    /// Parallel mode. A
     /// rising-edge breach is recorded as one `Slo` span in the trace
     /// stream (aux = breach mask).
     fn check_slo(&mut self, logical_now: u64, n_pkts: u64) {
@@ -911,7 +917,7 @@ impl Worker {
             return;
         }
         let evicted_pressure = self.counters.flows_evicted_pressure + self.engine.flow_stats().2;
-        let p99_pkt_ns = if self.wall_stalls {
+        let p99_pkt_ns = if self.cfg.mode == EngineMode::Parallel {
             self.engine.obs_mut().map(|r| r.hists().pkt_ns.p99())
         } else {
             None
@@ -944,7 +950,7 @@ impl Worker {
     fn finish(&mut self) {
         let mut acct = Accountant {
             counters: &mut self.counters,
-            digests: self.digests_on.then_some(&mut self.digests),
+            digests: self.cfg.digests.then_some(&mut self.digests),
             jumbo_at: self.jumbo_at,
             inband: false,
             capture: self.captured.as_mut(),
@@ -966,24 +972,43 @@ impl Worker {
         );
     }
 
+    /// Mid-run publish, every `publish_every_batches` bursts: the
+    /// cumulative counters overwrite this core's registry slot (one
+    /// writer per slot) so snapshots and the sampler see progress, and —
+    /// only when a live endpoint was asked for, `/trace` being the one
+    /// reader — the recent span window is copied out for it.
+    fn publish_progress(&mut self, registry: &StatsRegistry) {
+        registry.set_core(self.core, &self.counters);
+        if self.cfg.serve_port.is_some() {
+            if let Some(rec) = self.engine.obs_mut() {
+                if rec.spans_recorded() > 0 {
+                    // px-analyze: allow(R6, reason = "live-endpoint branch only (serve_port set): /trace needs a copy of the recent span window, once per publish interval, never per packet")
+                    registry.publish_core_spans(self.core, rec.recent_spans(64));
+                }
+            }
+        }
+    }
+
     /// Publishes counters, merges histograms, and extracts the flight
     /// recorder — the worker's end-of-run handoff to the registry.
     /// Events rescued from pre-restart engines come first (they are
     /// chronologically earlier).
-    fn publish_final(mut self, core: usize, registry: &StatsRegistry) -> WorkerOutput {
-        registry.set_core(core, &self.counters);
+    fn publish_final(mut self, registry: &StatsRegistry) -> WorkerOutput {
+        registry.set_core(self.core, &self.counters);
         let (events, hists) = self.engine.take_obs();
         self.hists_carry.merge(&hists);
-        registry.merge_core_hists(core, &self.hists_carry);
+        registry.merge_core_hists(self.core, &self.hists_carry);
         let mut all_events = self.events_carry;
         all_events.extend(events);
         let mut all_spans = self.spans_carry;
         all_spans.extend(self.engine.take_spans());
         let mut profiler = self.profile_carry;
         profiler.merge(&self.engine.take_profiler());
-        // Final span publish so a live endpoint outliving the run keeps
-        // serving the complete window.
-        registry.publish_core_spans(core, all_spans.clone());
+        if self.cfg.serve_port.is_some() {
+            // A live endpoint outliving the run keeps serving the
+            // complete window.
+            registry.publish_core_spans(self.core, all_spans.clone());
+        }
         WorkerOutput {
             digests: self.digests,
             events: all_events,
@@ -1010,26 +1035,20 @@ impl CoreDriver {
     /// Builds the driver for one core of `pipe` (no observability, no
     /// faults — the soak measures the production hot path).
     pub fn new(pipe: &PipelineConfig, core: usize) -> Self {
+        // Digests on (the soak asserts conservation through them),
+        // batch parse off: the soak's frozen per-packet cost window
+        // measures the historical single-packet path.
+        let mut cfg = EngineConfig::new(*pipe, EngineMode::Deterministic);
+        cfg.obs = ObsConfig::disabled();
+        cfg.batch_parse = false;
         CoreDriver {
-            // Digests on (the soak asserts conservation through them),
-            // batch parse off: the soak's frozen per-packet cost window
-            // measures the historical single-packet path.
-            worker: Worker::new(
-                pipe,
-                ObsConfig::disabled(),
-                core,
-                FaultSpec::off(),
-                false,
-                false,
-                true,
-                false,
-            ),
+            worker: Worker::new(&cfg, core),
         }
     }
 
     /// Processes one batch of `(arrival_ns, packet)` pairs in order.
-    pub fn run_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) {
-        self.worker.run_batch(batch);
+    pub fn run_batch(&mut self, mut batch: Vec<(u64, Vec<u8>)>) {
+        self.worker.run_batch(&mut batch);
     }
 
     /// Drains every held aggregate and folds the engine's counters in.
@@ -1079,35 +1098,45 @@ struct WorkerOutput {
     captured: Vec<Vec<u8>>,
 }
 
-/// A batch of (arrival-time, packet) pairs bound for one core.
-type Batch = Vec<(u64, Vec<u8>)>;
+/// One core's input: `(arrival-time, packet)` pairs in arrival order.
+type Shard = Vec<(u64, Vec<u8>)>;
 
-/// Shards the trace per core into `batch_pkts`-sized batches, in
-/// arrival order, with arrival timestamps derived from the offered
-/// load — the single sharding path both modes consume.
-fn shard_batches(cfg: &EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) -> Vec<Vec<Batch>> {
+/// Shards the trace per core, in arrival order, with arrival timestamps
+/// derived from the offered load — the single sharding path both modes
+/// consume. What RSS does in the NIC: after this pass every packet
+/// already sits in the queue of the one core that will ever touch it.
+fn shard_trace(cfg: &EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) -> Vec<Shard> {
     let rss = RssHasher::symmetric();
     let cores = cfg.pipe.cores;
     let inter_arrival_ns = 1e9 / cfg.pipe.offered_pps;
-    let mut per_core: Vec<Vec<Batch>> = vec![Vec::new(); cores];
-    let mut open: Vec<Batch> = vec![Vec::with_capacity(cfg.batch_pkts); cores];
+    // RSS spreads flows, not packets, so a shard can run over an even
+    // share; the slack keeps most runs to one allocation per shard.
+    let share = trace.len() / cores + trace.len() / (8 * cores) + 1;
+    let mut shards: Vec<Shard> = (0..cores)
+        .map(|_| Vec::with_capacity(share.min(trace.len())))
+        .collect();
     for (i, (key, pkt)) in trace.into_iter().enumerate() {
-        let core = rss.queue_for(&key, cores);
         let now = (i as f64 * inter_arrival_ns) as u64;
-        open[core].push((now, pkt));
-        if open[core].len() >= cfg.batch_pkts {
-            per_core[core].push(std::mem::replace(
-                &mut open[core],
-                Vec::with_capacity(cfg.batch_pkts),
-            ));
-        }
+        shards[rss.queue_for(&key, cores)].push((now, pkt));
     }
-    for (core, tail) in open.into_iter().enumerate() {
-        if !tail.is_empty() {
-            per_core[core].push(tail);
-        }
-    }
-    per_core
+    shards
+}
+
+/// One core, run to completion on the shard it owns: build the worker,
+/// [run the shard](Worker::run_shard), drain, and hand the results to
+/// the registry. Both modes run exactly this, and nothing in it reads
+/// another core's state.
+fn run_core(
+    cfg: &EngineConfig,
+    core: usize,
+    mut shard: Shard,
+    registry: &StatsRegistry,
+    heartbeats: &Heartbeats,
+) -> WorkerOutput {
+    let mut w = Worker::new(cfg, core);
+    w.run_shard(&mut shard, registry, heartbeats);
+    w.finish();
+    w.publish_final(registry)
 }
 
 /// What a mode runner hands back: timing, per-worker outputs, and the
@@ -1298,19 +1327,8 @@ pub fn serve_endpoint(
     )
 }
 
-/// What the dispatcher sends a Parallel-mode worker.
-#[derive(Debug)]
-enum WorkerMsg {
-    /// A burst of (arrival-ts, packet) pairs to process.
-    Batch(Batch),
-    /// This core's input stream has ended: idle-tick the hold timers so
-    /// expired flows flush now rather than at the global drain. Sent
-    /// exactly once per core.
-    Quiesce,
-}
-
-/// Parallel mode: spawn one worker thread per core, stream batches over
-/// bounded channels, join, and merge results. Only the dispatch →
+/// Parallel mode: one worker thread per core, each running its own
+/// shard to completion; join and merge results. Only the spawn →
 /// process → join region is timed.
 fn run_parallel(
     cfg: &EngineConfig,
@@ -1318,7 +1336,7 @@ fn run_parallel(
     registry: &Arc<StatsRegistry>,
 ) -> ModeOutput {
     let cores = cfg.pipe.cores;
-    let batches = shard_batches(cfg, trace);
+    let shards = shard_trace(cfg, trace);
     // Live endpoint before the clock starts: serving runs on its own
     // thread against the shared registry, so scrapes never touch the
     // timed region's threads.
@@ -1326,165 +1344,71 @@ fn run_parallel(
         .serve_port
         .and_then(|port| serve_endpoint(port, Arc::clone(registry), cfg.obs.slo).ok());
     let start = Instant::now();
+    let stop = AtomicBool::new(false);
+    let heartbeats = Heartbeats::new(cores);
 
-    // In-run sampler: while workers publish periodic counter snapshots,
-    // this thread turns them into a throughput/yield time series.
-    let stop = Arc::new(AtomicBool::new(false));
-    let sampler = if cfg.obs.enabled && cfg.obs.sample_interval_us > 0 {
-        let registry = Arc::clone(registry);
-        let stop = Arc::clone(&stop);
-        let interval = Duration::from_micros(cfg.obs.sample_interval_us);
-        Some(std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let mut series = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                let agg = registry.aggregate();
-                series.push(sample_at(t0.elapsed().as_nanos() as u64, &agg));
-            }
-            series
-        }))
-    } else {
-        None
-    };
-
-    // Supervisor: workers beat a shared heartbeat once per batch; a
-    // monitor thread strike-counts the heartbeats and flags stalls.
-    // Only spawned when stall injection is armed — production runs pay
-    // nothing.
-    let heartbeats = Arc::new(Heartbeats::new(cores));
-    let monitor = if cfg.faults.enabled && cfg.faults.stall_every_batches > 0 {
-        let hb = Arc::clone(&heartbeats);
-        let stop = Arc::clone(&stop);
-        Some(std::thread::spawn(move || {
-            let mut det = StallDetector::new(hb.cores(), 3);
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(50));
-                for core in det.scan(&hb) {
-                    // Detection is advisory here: the worker restarts
-                    // itself on the injected-panic path, so the monitor
-                    // just forgives the core and counts the episode.
-                    det.clear(core);
+    let (outputs, wall_ns, series, stalls_detected) = std::thread::scope(|scope| {
+        // In-run sampler: while workers publish periodic counter
+        // snapshots, this thread turns them into a throughput/yield
+        // time series.
+        let sampler = (cfg.obs.enabled && cfg.obs.sample_interval_us > 0).then(|| {
+            scope.spawn(|| {
+                let interval = Duration::from_micros(cfg.obs.sample_interval_us);
+                let t0 = Instant::now();
+                let mut series = Vec::new();
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(interval);
+                    let agg = registry.aggregate();
+                    series.push(sample_at(t0.elapsed().as_nanos() as u64, &agg));
                 }
-            }
-            det.stalls_detected
-        }))
-    } else {
-        None
-    };
+                series
+            })
+        });
 
-    let publish_every = if cfg.obs.enabled {
-        cfg.obs.publish_every_batches
-    } else {
-        0
-    };
-    let mut senders = Vec::with_capacity(cores);
-    let mut handles = Vec::with_capacity(cores);
-    for core in 0..cores {
-        let (tx, rx) = channel::bounded::<WorkerMsg>(cfg.channel_batches);
-        senders.push(tx);
-        let registry = Arc::clone(registry);
-        let hb = Arc::clone(&heartbeats);
-        let pipe = cfg.pipe;
-        let obs = cfg.obs;
-        let faults = cfg.faults;
-        let capture = cfg.capture_output;
-        let digests = cfg.digests;
-        let batch_parse = cfg.batch_parse;
-        handles.push(std::thread::spawn(move || {
-            let mut w = Worker::new(
-                &pipe,
-                obs,
-                core,
-                faults,
-                true,
-                capture,
-                digests,
-                batch_parse,
-            );
-            for msg in rx.iter() {
-                match msg {
-                    WorkerMsg::Batch(batch) => {
-                        w.run_batch(batch);
-                        hb.beat(core);
-                        // Periodic counter publish so mid-run snapshots
-                        // and the sampler see progress (overwrite:
-                        // counters are cumulative and this slot has one
-                        // writer).
-                        if publish_every > 0 && w.counters.batches.is_multiple_of(publish_every) {
-                            registry.set_core(core, &w.counters);
-                            // Publish the recent span window for live
-                            // `/trace` serving (cold path: every
-                            // `publish_every` batches, off the per-packet
-                            // loop).
-                            if let Some(rec) = w.engine.obs_mut() {
-                                if rec.spans_recorded() > 0 {
-                                    registry.publish_core_spans(core, rec.recent_spans(64));
-                                }
-                            }
-                        }
+        // Supervisor: workers beat a shared heartbeat once per burst; a
+        // monitor thread strike-counts the heartbeats and flags stalls.
+        // Only spawned when stall injection is armed — production runs
+        // pay nothing.
+        let monitor = (cfg.faults.enabled && cfg.faults.stall_every_batches > 0).then(|| {
+            scope.spawn(|| {
+                let mut det = StallDetector::new(heartbeats.cores(), 3);
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_micros(50));
+                    for core in det.scan(&heartbeats) {
+                        // Detection is advisory here: the worker restarts
+                        // itself on the injected-panic path, so the monitor
+                        // just forgives the core and counts the episode.
+                        det.clear(core);
                     }
-                    WorkerMsg::Quiesce => w.quiesce(),
                 }
-            }
-            w.finish();
-            w.publish_final(core, &registry)
-        }));
-    }
-    // Round-robin dispatch in arrival order; bounded channels apply
-    // back-pressure when a core falls behind. The first time a core's
-    // queue runs dry it gets one Quiesce so its held flows flush on
-    // deadline even though no more packets will arrive on its shard.
-    let max_rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
-    let mut queues: Vec<std::vec::IntoIter<Batch>> =
-        batches.into_iter().map(Vec::into_iter).collect();
-    let mut quiesced = vec![false; cores];
-    for _ in 0..max_rounds {
-        for (core, q) in queues.iter_mut().enumerate() {
-            let msg = match q.next() {
-                Some(batch) => WorkerMsg::Batch(batch),
-                None if !quiesced[core] => {
-                    quiesced[core] = true;
-                    WorkerMsg::Quiesce
-                }
-                None => continue,
-            };
-            // px-analyze: allow(R1, reason = "run orchestration, not datapath: a send can only fail if a worker thread already panicked")
-            #[allow(clippy::expect_used)]
-            senders[core].send(msg).expect("worker alive");
-        }
-    }
-    for (core, was_quiesced) in quiesced.into_iter().enumerate() {
-        if !was_quiesced {
-            // Streams that ran to the final round still get their
-            // end-of-stream tick, for symmetry with Deterministic mode.
-            let msg = WorkerMsg::Quiesce;
-            // px-analyze: allow(R1, reason = "run orchestration, not datapath: a send can only fail if a worker thread already panicked")
-            #[allow(clippy::expect_used)]
-            senders[core].send(msg).expect("worker alive");
-        }
-    }
-    drop(senders);
-    #[allow(clippy::expect_used)]
-    let outputs: Vec<_> = handles
-        .into_iter()
-        // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a worker panic to the harness")
-        .map(|h| h.join().expect("worker must not panic"))
-        .collect();
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    stop.store(true, Ordering::Relaxed);
-    let series = match sampler {
+                det.stalls_detected
+            })
+        });
+
+        let workers: Vec<_> = shards
+            .into_iter()
+            .enumerate()
+            .map(|(core, shard)| {
+                let heartbeats = &heartbeats;
+                scope.spawn(move || run_core(cfg, core, shard, registry, heartbeats))
+            })
+            .collect();
+        #[allow(clippy::expect_used)]
+        let outputs: Vec<_> = workers
+            .into_iter()
+            // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a worker panic to the harness")
+            .map(|h| h.join().expect("worker must not panic"))
+            .collect();
+        let wall_ns = start.elapsed().as_nanos() as u64;
+        stop.store(true, Ordering::Relaxed);
         // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a sampler panic to the harness")
         #[allow(clippy::expect_used)]
-        Some(h) => h.join().expect("sampler must not panic"),
-        None => Vec::new(),
-    };
-    let stalls_detected = match monitor {
+        let series = sampler.map_or_else(Vec::new, |h| h.join().expect("sampler must not panic"));
         // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a monitor panic to the harness")
         #[allow(clippy::expect_used)]
-        Some(h) => h.join().expect("monitor must not panic"),
-        None => 0,
-    };
+        let stalls = monitor.map_or(0, |h| h.join().expect("monitor must not panic"));
+        (outputs, wall_ns, series, stalls)
+    });
     ModeOutput {
         wall_ns,
         outputs,
@@ -1494,62 +1418,22 @@ fn run_parallel(
     }
 }
 
-/// Deterministic mode: the identical batch streams, executed inline —
-/// one batch per core per round, cores in index order, then a drain in
-/// core order. No sampler thread runs (nothing else may touch the
-/// schedule); the time series is the single final sample `run_engine`
-/// appends.
+/// Deterministic mode: the identical shards, each run to completion on
+/// the calling thread, cores in index order. No sampler thread runs
+/// (nothing else may touch the schedule); the time series is the single
+/// final sample `run_engine` appends.
 fn run_deterministic(
     cfg: &EngineConfig,
     trace: Vec<(FlowKey, Vec<u8>)>,
-    registry: &Arc<StatsRegistry>,
+    registry: &StatsRegistry,
 ) -> ModeOutput {
-    let cores = cfg.pipe.cores;
-    let batches = shard_batches(cfg, trace);
+    let shards = shard_trace(cfg, trace);
     let start = Instant::now();
-    let mut workers: Vec<Worker> = (0..cores)
-        .map(|core| {
-            Worker::new(
-                &cfg.pipe,
-                cfg.obs,
-                core,
-                cfg.faults,
-                false,
-                cfg.capture_output,
-                cfg.digests,
-                cfg.batch_parse,
-            )
-        })
-        .collect();
-    let max_rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
-    let mut queues: Vec<std::vec::IntoIter<Batch>> =
-        batches.into_iter().map(Vec::into_iter).collect();
-    let mut quiesced = vec![false; cores];
-    for _ in 0..max_rounds {
-        for (core, q) in queues.iter_mut().enumerate() {
-            match q.next() {
-                Some(batch) => workers[core].run_batch(batch),
-                // First end-of-stream on this shard: idle-tick so held
-                // flows flush on deadline (the dead-shard fix), exactly
-                // where Parallel mode sends its Quiesce message.
-                None if !quiesced[core] => {
-                    quiesced[core] = true;
-                    workers[core].quiesce();
-                }
-                None => {}
-            }
-        }
-    }
-    let outputs = workers
+    let heartbeats = Heartbeats::new(shards.len());
+    let outputs = shards
         .into_iter()
         .enumerate()
-        .map(|(core, mut w)| {
-            if !quiesced[core] {
-                w.quiesce();
-            }
-            w.finish();
-            w.publish_final(core, registry)
-        })
+        .map(|(core, shard)| run_core(cfg, core, shard, registry, &heartbeats))
         .collect();
     ModeOutput {
         wall_ns: start.elapsed().as_nanos() as u64,
@@ -1569,6 +1453,17 @@ mod tests {
         pipe.trace_pkts = 4_000;
         pipe.n_flows = 64;
         run_engine(EngineConfig::new(pipe, mode))
+    }
+
+    /// `pkts` packets of `flows` flows, one microsecond apart, as the
+    /// single shard of a one-core run.
+    fn one_shard(pipe: &PipelineConfig, flows: usize, pkts: usize, seed: u64) -> Shard {
+        TraceGen::new(pipe.workload, flows, pipe.emtu, pipe.mean_run, seed)
+            .generate(pkts)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, pkt))| (i as u64 * 1_000, pkt))
+            .collect()
     }
 
     #[test]
@@ -1655,24 +1550,11 @@ mod tests {
         // polled only on packet arrival, so a shard whose input stream
         // ended kept its expired flows parked until the global drain.
         let pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
-        let mut w = Worker::new(
-            &pipe,
-            ObsConfig::disabled(),
-            0,
-            FaultSpec::off(),
-            false,
-            false,
-            true,
-            true,
-        );
-        let mut tracer = TraceGen::new(pipe.workload, 2, pipe.emtu, pipe.mean_run, 7);
-        let batch: Batch = tracer
-            .generate(50)
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, pkt))| (i as u64 * 1_000, pkt))
-            .collect();
-        w.run_batch(batch);
+        let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+        cfg.obs = ObsConfig::disabled();
+        let mut w = Worker::new(&cfg, 0);
+        let mut batch = one_shard(&pipe, 2, 50, 7);
+        w.run_batch(&mut batch);
         w.quiesce();
         // The idle tick emptied the engine: the drain has nothing left.
         let after_quiesce = w.counters.pkts_out;
@@ -1685,6 +1567,98 @@ mod tests {
         // Quiesce accounts out-of-band, exactly like the drain would
         // have: inband counters only reflect packet-arrival emissions.
         assert!(w.counters.pkts_out_inband < w.counters.pkts_out);
+    }
+
+    #[test]
+    fn empty_shards_run_to_completion_like_any_other() {
+        // One flow on four cores: RSS leaves three shards empty. Every
+        // core still builds its worker, idle-ticks once, drains, and
+        // publishes — the report has four slots, three of them blank.
+        for mode in [EngineMode::Deterministic, EngineMode::Parallel] {
+            let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 4);
+            pipe.trace_pkts = 1_000;
+            pipe.n_flows = 1;
+            let r = run_engine(EngineConfig::new(pipe, mode));
+            assert_eq!(r.per_core.len(), 4);
+            let busy: Vec<_> = r.per_core.iter().filter(|c| c.pkts_in > 0).collect();
+            assert_eq!(busy.len(), 1, "{mode:?}: one flow lands on one core");
+            assert_eq!(busy[0].pkts_in, 1_000);
+            for idle in r.per_core.iter().filter(|c| c.pkts_in == 0) {
+                assert_eq!(*idle, CoreCounters::default(), "{mode:?}");
+            }
+            // The single flow's tail left the engine at its one idle
+            // tick, out of band; `finish`'s debug assertion has already
+            // checked every pool buffer came home on all four cores.
+            assert!(busy[0].pkts_out > busy[0].pkts_out_inband);
+            assert_eq!(r.flow_digests.len(), 1);
+            assert_eq!(r.obs.per_core_events.len(), 4);
+        }
+    }
+
+    #[test]
+    fn run_shard_idle_ticks_exactly_at_end_of_stream() {
+        let pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Udp, 1);
+        let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+        cfg.obs = ObsConfig::disabled();
+        let registry = StatsRegistry::new(1);
+        let heartbeats = Heartbeats::new(1);
+        // An empty shard: no burst, no heartbeat, nothing emitted.
+        let mut w = Worker::new(&cfg, 0);
+        w.run_shard(&mut [], &registry, &heartbeats);
+        assert_eq!((w.counters.batches, heartbeats.read(0)), (0, 0));
+        w.finish();
+        assert_eq!(w.counters, CoreCounters::default());
+        // A loaded one: held bundles leave at the idle tick, so the
+        // drain after it has nothing left and the pool is whole.
+        let mut shard = one_shard(&pipe, 3, 70, 11);
+        let mut w = Worker::new(&cfg, 0);
+        w.run_shard(&mut shard, &registry, &heartbeats);
+        assert_eq!((w.counters.batches, heartbeats.read(0)), (3, 3));
+        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
+        let after_tick = w.counters.pkts_out;
+        assert!(after_tick > w.counters.pkts_out_inband);
+        assert_eq!(w.engine.pool_outstanding(), 0);
+        w.finish();
+        assert_eq!(w.counters.pkts_out, after_tick);
+    }
+
+    #[test]
+    fn span_windows_are_published_only_for_a_live_endpoint() {
+        // `/trace` is the one reader of the registry's span windows, so
+        // a run nobody can scrape must not pay for the copies.
+        let pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
+        for serve_port in [None, Some(0)] {
+            let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+            cfg.serve_port = serve_port;
+            let shard = one_shard(&pipe, 8, 2_000, 3);
+            let registry = StatsRegistry::new(1);
+            let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1));
+            assert!(!out.spans.is_empty(), "the report always gets the spans");
+            let published = registry.spans_snapshot();
+            assert_eq!(published[0].is_empty(), serve_port.is_none());
+        }
+    }
+
+    #[test]
+    fn tail_burst_shorter_than_a_batch_is_processed() {
+        for (mode, cores) in [
+            (EngineMode::Deterministic, 1),
+            (EngineMode::Parallel, 1),
+            (EngineMode::Parallel, 3),
+        ] {
+            let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, cores);
+            pipe.trace_pkts = 32 * 40 + 7;
+            pipe.n_flows = 64;
+            let r = run_engine(EngineConfig::new(pipe, mode));
+            assert_eq!(r.totals.pkts_in, 32 * 40 + 7, "{mode:?} @{cores}");
+            // Every core's shard splits into full bursts plus at most
+            // one short tail.
+            for c in &r.per_core {
+                assert_eq!(c.batches, c.pkts_in.div_ceil(32));
+            }
+            let digest_pkts: u64 = r.flow_digests.values().map(|d| d.pkts).sum();
+            assert_eq!(digest_pkts, r.totals.pkts_out);
+        }
     }
 
     #[test]

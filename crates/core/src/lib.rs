@@ -22,8 +22,8 @@
 //! * **multi-core scaling** — [`pipeline`] models the RSS-sharded,
 //!   memory-bus-constrained datapath of Fig. 5a/5b, including the
 //!   header-only-DMA variant, and [`engine`] *runs* it: one worker
-//!   thread per core over bounded channels (or a deterministic
-//!   single-threaded schedule with bit-identical output);
+//!   thread per core, each running its own RSS shard to completion (or
+//!   the same shards on one thread, with bit-identical output);
 //! * **iMTU advertisement** — [`advert`] implements §4.2's explicit
 //!   per-network iMTU exchange so adjacent b-networks skip translation.
 //!

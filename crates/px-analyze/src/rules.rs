@@ -261,18 +261,25 @@ impl Default for Config {
             // `on_report` is the F-PMTUD guard's spoof-classification
             // path — both run precisely when an adversary is pushing,
             // so they get the degraded-path panic/alloc discipline.
+            // `run_shard` is the worker's run-to-completion loop: it is
+            // where a worker catches an injected panic and heals in
+            // place, and nothing stands behind it (no dispatcher to
+            // re-feed a core that died), so the whole loop is held to
+            // the recovery bar.
             r6_fn_prefixes: vec![
                 "degrade",
                 "on_fault",
                 "restart_worker",
+                "run_shard",
                 "forward_stash_leftovers",
                 "on_report",
             ],
             r7_modules: vec!["crates/core/src/split.rs"],
             r8_modules: vec!["crates/px-faults/src/attack.rs"],
-            // process_batch drains a whole batch: it is where per-batch
-            // bookkeeping (and its locks) legitimately lives.
-            r9_boundary_fns: vec!["process_batch"],
+            // process_batch drains a whole batch, and run_shard walks
+            // the bursts: between bursts is where per-batch bookkeeping
+            // (the registry publish and its lock) legitimately lives.
+            r9_boundary_fns: vec!["process_batch", "run_shard"],
             transitive_exempt: vec![
                 // Models rte_gro's allocation churn as the comparison
                 // point; its callees are the baseline's business.

@@ -119,16 +119,48 @@ pub const MICROSOFT_RSS_KEY: [u8; 40] = [
 /// uplink and downlink of one connection meet on one core.
 pub const SYMMETRIC_RSS_KEY: [u8; 40] = [0x6d; 40];
 
+/// Bytes of Toeplitz input the IPv4 4-tuple makes (src, dst, ports).
+const TUPLE_BYTES: usize = 12;
+
+/// The 4-tuple in the byte order the NDIS specification hashes it.
+fn tuple_bytes(key: &FlowKey) -> [u8; TUPLE_BYTES] {
+    let mut input = [0u8; TUPLE_BYTES];
+    input[0..4].copy_from_slice(&key.src_ip.octets());
+    input[4..8].copy_from_slice(&key.dst_ip.octets());
+    input[8..10].copy_from_slice(&key.src_port.to_be_bytes());
+    input[10..12].copy_from_slice(&key.dst_port.to_be_bytes());
+    input
+}
+
 /// Toeplitz hasher over the standard IPv4 4-tuple input.
+///
+/// The hash is linear over GF(2), so the contribution of input byte `i`
+/// with value `v` depends on nothing else: [`new`](Self::new) tabulates
+/// it for every `(i, v)` and [`hash`](Self::hash) XORs twelve lookups.
+/// [`hash_bytes`](Self::hash_bytes) stays the bit-serial definition the
+/// tables are tested against.
 #[derive(Debug, Clone)]
 pub struct RssHasher {
     key: [u8; 40],
+    tables: Box<[[u32; 256]; TUPLE_BYTES]>,
 }
 
 impl RssHasher {
     /// Creates a hasher with the given 40-byte secret key.
     pub fn new(key: [u8; 40]) -> Self {
-        RssHasher { key }
+        let mut tables = Box::new([[0u32; 256]; TUPLE_BYTES]);
+        for (i, table) in tables.iter_mut().enumerate() {
+            // The eight 32-bit key windows input byte `i` can select,
+            // MSB first: window `bit` starts at key bit `8 * i + bit`.
+            let wide = u64::from(crate::bytes::be32(&key, i)) << 32
+                | u64::from(crate::bytes::be32(&key, i + 4));
+            for v in 1..256usize {
+                let low = v.trailing_zeros();
+                let window = ((wide << (7 - low)) >> 32) as u32;
+                table[v] = table[v & (v - 1)] ^ window;
+            }
+        }
+        RssHasher { key, tables }
     }
 
     /// Creates a hasher with the Microsoft default key.
@@ -145,12 +177,10 @@ impl RssHasher {
     /// Computes the Toeplitz hash of the IPv4 src/dst/ports tuple, exactly
     /// as the NDIS specification defines it.
     pub fn hash(&self, key: &FlowKey) -> u32 {
-        let mut input = [0u8; 12];
-        input[0..4].copy_from_slice(&key.src_ip.octets());
-        input[4..8].copy_from_slice(&key.dst_ip.octets());
-        input[8..10].copy_from_slice(&key.src_port.to_be_bytes());
-        input[10..12].copy_from_slice(&key.dst_port.to_be_bytes());
-        self.hash_bytes(&input)
+        tuple_bytes(key)
+            .iter()
+            .zip(self.tables.iter())
+            .fold(0, |h, (&byte, table)| h ^ table[usize::from(byte)])
     }
 
     /// Toeplitz hash over arbitrary input bytes.
@@ -213,6 +243,24 @@ mod tests {
             4739,
         );
         assert_eq!(h.hash(&k2), 0xc626b0ea);
+    }
+
+    /// `hash` reads the lookup tables; `hash_bytes` is the bit-serial
+    /// definition. (`tests/proptests.rs` repeats this over random keys.)
+    #[test]
+    fn table_hash_equals_the_bit_serial_oracle() {
+        for h in [RssHasher::microsoft(), RssHasher::symmetric()] {
+            for i in 0..2_000u32 {
+                let x = i.wrapping_mul(0x9e37_79b9);
+                let k = FlowKey::udp(
+                    Ipv4Addr::from(x),
+                    (x >> 7) as u16,
+                    Ipv4Addr::from(x.rotate_left(13) ^ 0xa5a5_5a5a),
+                    (x >> 19) as u16,
+                );
+                assert_eq!(h.hash(&k), h.hash_bytes(&tuple_bytes(&k)));
+            }
+        }
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //!   streams and counter totals for a fixed seed across core counts**
 //!   (1, 2, 4, 8) — RSS pins each flow to one core and hold-timer polls
 //!   happen at trace timestamps, so scheduling cannot leak into output;
-//! * Parallel mode (real OS threads, bounded channels) produces the
-//!   same content as Deterministic mode;
+//! * Parallel mode (one OS thread per core, each running its own shard
+//!   to completion) produces the same content as Deterministic mode —
+//!   with the chaos fault schedule armed too, whose worker restarts and
+//!   stalls are keyed by per-core batch ordinal;
 //! * the engine's steady-state conversion-yield accounting matches the
 //!   legacy modeled pipeline exactly, packet for packet.
 
 use packet_express::core::engine::{run_engine, EngineConfig, EngineMode};
 use packet_express::core::pipeline::{run_pipeline, PipelineConfig, SystemVariant, WorkloadKind};
+use packet_express::faults::FaultSpec;
 
 /// A fixed-seed config whose seed does NOT depend on the core count
 /// (unlike `PipelineConfig::fig5`, which varies the seed per sweep
@@ -92,6 +95,41 @@ fn parallel_threads_match_deterministic_content() {
             );
             assert!(par.wall_ns > 0);
             assert!(par.throughput_bps > 0.0);
+        }
+    }
+}
+
+#[test]
+fn parallel_matches_deterministic_under_chaos_faults() {
+    // A chaos schedule that both restarts and stalls workers. Both are
+    // keyed by (core, per-core batch ordinal), so a driver that shifted
+    // burst boundaries between modes would restart different engines
+    // at different packets and the captured bytes would diverge.
+    let faults = (0..)
+        .map(FaultSpec::chaos)
+        .find(|f| f.panic_every_batches > 0 && f.stall_every_batches > 0)
+        .expect("some chaos seed arms both worker faults");
+    for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
+        for cores in [1usize, 2, 4] {
+            let run = |mode| {
+                let mut cfg = EngineConfig::new(pinned(workload, cores), mode);
+                cfg.faults = faults;
+                cfg.capture_output = true;
+                run_engine(cfg)
+            };
+            let det = run(EngineMode::Deterministic);
+            let par = run(EngineMode::Parallel);
+            let context = format!("{workload:?} @{cores} under chaos");
+            assert!(det.totals.worker_restarts > 0, "{context}: no restart");
+            assert_digests_match(&det, &par, &context);
+            assert_eq!(det.totals, par.totals, "{context}: counters diverged");
+            assert_eq!(det.per_core, par.per_core, "{context}: per-core split");
+            assert_eq!(det.ingress_faults, par.ingress_faults, "{context}");
+            assert!(
+                det.captured_output == par.captured_output,
+                "{context}: captured output bytes diverged"
+            );
+            assert!(!par.captured_output.is_empty());
         }
     }
 }

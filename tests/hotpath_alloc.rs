@@ -15,9 +15,18 @@
 //! claim is about the hot loop: the test harness's own service threads
 //! occasionally allocate at unpredictable times, and those events say
 //! nothing about whether merge/split/caravan touch the allocator.
+//!
+//! The last region widens the claim from the engines to the whole
+//! run-to-completion driver: one Parallel `run_engine_on_trace` call —
+//! sharding, worker start, every burst, telemetry, drain, report — is
+//! counted on *every* thread (the worker is not the calling thread) and
+//! must stay within a fixed set-up budget, far below one allocation per
+//! burst.
 
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
+use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode};
 use packet_express::core::merge::{MergeConfig, MergeEngine};
+use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use packet_express::core::split::SplitEngine;
 use packet_express::obs::ObsConfig;
 use packet_express::wire::batchparse::{self, ParsedMeta, Verdict};
@@ -28,11 +37,14 @@ use packet_express::wire::{IpProtocol, PacketBuf, UdpRepr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Set around the whole-engine region only: count every thread, because
+/// the engine's worker is a thread of its own.
+static ALL_THREADS: AtomicBool = AtomicBool::new(false);
 static TRACE: [AtomicU64; 8] = [
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -52,7 +64,7 @@ std::thread_local! {
 }
 
 fn count(layout_size: usize) {
-    if ENGINE_THREAD.with(Cell::get) {
+    if ENGINE_THREAD.with(Cell::get) || ALL_THREADS.load(Ordering::Relaxed) {
         let n = ALLOCS.fetch_add(1, Ordering::Relaxed);
         TRACE[(n % 8) as usize].store(layout_size as u64, Ordering::Relaxed);
     }
@@ -332,5 +344,34 @@ fn steady_state_hot_loops_do_not_allocate() {
     assert!(
         caravan.obs.spans_recorded() > 0,
         "caravan span tracer was idle"
+    );
+
+    // ---- the whole engine, run to completion: one worker thread owns
+    // the single shard and walks it in 32-packet bursts. What may
+    // allocate is set-up (shard, worker, flow table, recorder rings,
+    // pool warm-up) and the final report — a fixed ~500 allocations
+    // whatever the trace length, so over 128 k packets the per-packet
+    // figure sits far below the 1/32 a `Vec` per burst would cost
+    // (0.035 before the dispatcher was removed).
+    const ENGINE_PKTS: usize = 128_000;
+    let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
+    pipe.trace_pkts = ENGINE_PKTS;
+    let trace = TraceGen::new(pipe.workload, pipe.n_flows, pipe.emtu, pipe.mean_run, 7)
+        .generate(ENGINE_PKTS);
+    let mut cfg = EngineConfig::new(pipe, EngineMode::Parallel);
+    cfg.digests = false;
+    assert!(cfg.obs.enabled, "the shipped telemetry stays on");
+    let before = allocs();
+    ALL_THREADS.store(true, Ordering::Relaxed);
+    let report = run_engine_on_trace(cfg, trace);
+    ALL_THREADS.store(false, Ordering::Relaxed);
+    let engine_allocs = allocs() - before;
+    assert_eq!(report.totals.pkts_in, ENGINE_PKTS as u64);
+    assert!(report.totals.batches >= (ENGINE_PKTS / 32) as u64);
+    let per_pkt = engine_allocs as f64 / ENGINE_PKTS as f64;
+    eprintln!("whole engine: {engine_allocs} allocations, {per_pkt:.5} per packet");
+    assert!(
+        per_pkt <= 0.005,
+        "whole-engine run made {engine_allocs} allocations ({per_pkt:.5}/pkt)"
     );
 }

@@ -6,7 +6,7 @@
 //! * caravan bundle ∘ unbundle ≡ identity on datagram sequences;
 //! * incremental checksum update ≡ full recomputation;
 //! * Toeplitz RSS keeps both directions of a flow on one queue
-//!   (symmetric key);
+//!   (symmetric key), and its lookup tables equal the bit-serial hash;
 //! * fragmentation never emits oversize or misaligned fragments.
 
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
@@ -319,6 +319,28 @@ proptest! {
         let h = RssHasher::symmetric();
         let k = FlowKey::tcp(Ipv4Addr::from(a), pa, Ipv4Addr::from(b), pb);
         prop_assert_eq!(h.queue_for(&k, queues), h.queue_for(&k.reversed(), queues));
+    }
+
+    /// The table-driven 4-tuple hash is the bit-serial Toeplitz
+    /// definition (`hash_bytes`), for any key and any tuple.
+    #[test]
+    fn table_toeplitz_matches_the_bit_serial_oracle(
+        key in proptest::collection::vec(any::<u8>(), 40..41),
+        a in any::<u32>(),
+        b in any::<u32>(),
+        pa in any::<u16>(),
+        pb in any::<u16>(),
+    ) {
+        let mut secret = [0u8; 40];
+        secret.copy_from_slice(&key);
+        let h = RssHasher::new(secret);
+        let k = FlowKey::udp(Ipv4Addr::from(a), pa, Ipv4Addr::from(b), pb);
+        let mut tuple = [0u8; 12];
+        tuple[0..4].copy_from_slice(&a.to_be_bytes());
+        tuple[4..8].copy_from_slice(&b.to_be_bytes());
+        tuple[8..10].copy_from_slice(&pa.to_be_bytes());
+        tuple[10..12].copy_from_slice(&pb.to_be_bytes());
+        prop_assert_eq!(h.hash(&k), h.hash_bytes(&tuple));
     }
 }
 
