@@ -8,74 +8,7 @@
 //! fig1c fig1d table1 fig5a fig5b fig5c sender fpmtud survey summary.
 
 use px_bench::Scale;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Counts every allocation so the `json` experiment can report
-/// steady-state allocations-per-packet for the gateway hot loops. One
-/// relaxed atomic increment per alloc — negligible next to the
-/// allocation itself, so the other experiments are unaffected.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: pure pass-through to `System`; the only extra work is a
-// relaxed atomic increment, which cannot violate any allocator invariant.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards the caller's layout to `System` unchanged.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr` was produced by `System.alloc` above with the same
-    // layout, so handing it back to `System.dealloc` is sound.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: same provenance argument as `dealloc`; `System.realloc`
-    // upholds the GlobalAlloc contract for the returned pointer.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-fn allocs_so_far() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Runs the machine-readable benchmark record and writes
-/// `BENCH_engine.json` into the current directory.
-fn run_json(scale: Scale) -> String {
-    let hot = px_bench::json_report::measure_hot_loops(scale, allocs_so_far);
-    let engine = px_bench::json_report::measure_engine(scale);
-    let flow_scale = px_bench::flow_scale::run(scale);
-    let single_core = px_bench::single_core::run(scale);
-    let obs = px_bench::json_report::measure_observability(scale);
-    let tracing = px_bench::json_report::measure_tracing(scale);
-    let robust = px_bench::json_report::measure_robustness(scale);
-    let adversarial = px_bench::json_report::measure_adversarial(scale);
-    let json = px_bench::json_report::render(
-        scale,
-        &hot,
-        &engine,
-        &flow_scale,
-        &single_core,
-        &obs,
-        &tracing,
-        &robust,
-        &adversarial,
-    );
-    let path = "BENCH_engine.json";
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    format!("{json}  [written to {path}]")
-}
 
 /// Runs the flow-lifecycle trace sample and writes the Perfetto JSON to
 /// `TRACE_sample.json` in the current directory.
@@ -135,7 +68,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "figures — regenerate the paper's tables and figures\n\n             USAGE: figures [--quick] [EXPERIMENT ...]\n\n             EXPERIMENTS:\n               fig1a    5G UPF throughput vs MTU\n               fig1b    single-flow RX offload matrix\n               fig1c    RX throughput vs concurrent flows\n               fig1d    WAN single-flow TCP (full simulation)\n               table1   server CPU: 1x9000B vs 6x1500B connections\n               fig5a    PXGW TCP throughput / conversion yield\n               fig5b    PXGW UDP (PX-caravan)\n               fig5c    b-network receiver throughput\n               engine   modeled PXGW vs real threaded datapath\n               single_core  checksum kernels, batch parse, SG split (1-core raw speed)\n               json     machine-readable engine + hot-path record (writes BENCH_engine.json)\n               metrics  Prometheus/JSON metrics export from a live engine run (--format prometheus|json)\n               trace    flow-lifecycle span trace, Perfetto JSON (writes TRACE_sample.json)\n               serve    live HTTP endpoint (/metrics /healthz /trace) from a Parallel run; PX_SERVE_SECS holds it open\n               sender   §5.2 sender-only upgrade over the WAN\n               fpmtud   §5.3 F-PMTUD vs PLPMTUD pairwise probing\n               survey   §5.3 fragment-delivery survey\n               fairness extension: MTU-mix bottleneck sharing (§6)\n               summary  every headline number, paper vs measured\n\n             With no experiment names, everything runs. --quick shrinks\n             workloads for CI."
+            "figures — regenerate the paper's tables and figures\n\n             USAGE: figures [--quick] [EXPERIMENT ...]\n\n             EXPERIMENTS:\n               fig1a    5G UPF throughput vs MTU\n               fig1b    single-flow RX offload matrix\n               fig1c    RX throughput vs concurrent flows\n               fig1d    WAN single-flow TCP (full simulation)\n               table1   server CPU: 1x9000B vs 6x1500B connections\n               fig5a    PXGW TCP throughput / conversion yield\n               fig5b    PXGW UDP (PX-caravan)\n               fig5c    b-network receiver throughput\n               engine   modeled PXGW vs real threaded datapath\n               metrics  Prometheus/JSON metrics export from a live engine run (--format prometheus|json)\n               trace    flow-lifecycle span trace, Perfetto JSON (writes TRACE_sample.json)\n               serve    live HTTP endpoint (/metrics /healthz /trace) from a Parallel run; PX_SERVE_SECS holds it open\n               sender   §5.2 sender-only upgrade over the WAN\n               fpmtud   §5.3 F-PMTUD vs PLPMTUD pairwise probing\n               survey   §5.3 fragment-delivery survey\n               fairness extension: MTU-mix bottleneck sharing (§6)\n               summary  every headline number, paper vs measured\n\n             With no experiment names, everything runs. --quick shrinks\n             workloads for CI."
         );
         return;
     }
@@ -165,21 +98,8 @@ fn main() {
     }
     let selected = positional;
     let all = [
-        "fig1a",
-        "fig1b",
-        "fig1c",
-        "fig1d",
-        "table1",
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "engine",
-        "single_core",
-        "sender",
-        "fpmtud",
-        "survey",
-        "fairness",
-        "summary",
+        "fig1a", "fig1b", "fig1c", "fig1d", "table1", "fig5a", "fig5b", "fig5c", "engine",
+        "sender", "fpmtud", "survey", "fairness", "summary",
     ];
     let run_list: Vec<&str> = if selected.is_empty() {
         all.to_vec()
@@ -203,8 +123,6 @@ fn main() {
                 px_bench::fig5c::render(&rows, &udp)
             }
             "engine" => px_bench::engine_cmp::render(&px_bench::engine_cmp::run(scale)),
-            "single_core" => px_bench::single_core::render(&px_bench::single_core::run(scale)),
-            "json" => run_json(scale),
             "metrics" => px_bench::metrics::render(&px_bench::metrics::run(scale), format),
             "trace" => run_trace(scale),
             "serve" => run_serve(scale),

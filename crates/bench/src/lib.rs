@@ -26,12 +26,9 @@ pub mod fig1d;
 pub mod fig5a;
 pub mod fig5b;
 pub mod fig5c;
-pub mod flow_scale;
 pub mod fpmtud;
-pub mod json_report;
 pub mod metrics;
 pub mod sender;
-pub mod single_core;
 pub mod summary;
 pub mod survey;
 pub mod table1;

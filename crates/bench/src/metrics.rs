@@ -276,6 +276,12 @@ mod tests {
         cfg.obs.slo = px_obs::SloSpec::demo();
         cfg.serve_port = Some(0);
         let report = run_engine(cfg);
+        // The armed run profiled its batches and hot flows and
+        // evaluated its objectives, and a healthy run stays green.
+        assert!(report.obs.profile.batches > 0);
+        assert!(!report.obs.profile.topk.is_empty());
+        assert!(report.obs.slo.evaluated() > 0);
+        assert_eq!(report.obs.slo.level(), 0);
         let handle = report.serve.as_ref().expect("endpoint must bind port 0");
         let addr = handle.addr();
 

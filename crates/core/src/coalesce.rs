@@ -257,7 +257,7 @@ impl SegStash {
             if !keep(rel) {
                 continue;
             }
-            if best.map_or(true, |(_, r, t)| (rel, *stamp) < (r, t)) {
+            if best.is_none_or(|(_, r, t)| (rel, *stamp) < (r, t)) {
                 best = Some((i, rel, *stamp));
             }
         }
@@ -310,7 +310,10 @@ mod tests {
         let held = b"abcdefgh";
         // Fully contained, identical: duplicate.
         assert_eq!(classify(held, 100, 102, b"cde"), OverlapVerdict::Duplicate);
-        assert_eq!(classify(held, 100, 100, b"abcdefgh"), OverlapVerdict::Duplicate);
+        assert_eq!(
+            classify(held, 100, 100, b"abcdefgh"),
+            OverlapVerdict::Duplicate
+        );
         // Straddling retransmit with a new tail: append the tail only.
         assert_eq!(
             classify(held, 100, 106, b"ghIJ"),
@@ -337,7 +340,10 @@ mod tests {
     fn classify_below_and_evasion() {
         let held = b"abcdefgh";
         // Entirely before the base: old data, not an attack.
-        assert_eq!(classify(held, 100, 90, b"0123456789"), OverlapVerdict::Below);
+        assert_eq!(
+            classify(held, 100, 90, b"0123456789"),
+            OverlapVerdict::Below
+        );
         // Straddles the base with a matching attestable part: evasion
         // (the head cannot be verified).
         assert_eq!(classify(held, 100, 98, b"??abcd"), OverlapVerdict::Evasion);
@@ -386,7 +392,10 @@ mod tests {
         assert_eq!(got.as_ref().map(|s| s.seq), Some(100));
         let got = st.take_actionable(&key(1), 0, 200);
         assert_eq!(got.as_ref().map(|s| s.seq), Some(200));
-        assert!(st.take_actionable(&key(1), 0, 200).is_none(), "300 is future");
+        assert!(
+            st.take_actionable(&key(1), 0, 200).is_none(),
+            "300 is future"
+        );
         // Drain order ignores the edge.
         assert_eq!(st.take_min(&key(1), 0).map(|s| s.seq), Some(300));
         assert_eq!(st.take_min(&key(2), 0).map(|s| s.seq), Some(50));

@@ -378,15 +378,15 @@ pub enum EngineMode {
     Deterministic,
 }
 
-/// Engine run configuration: a pipeline workload plus batching knobs.
+/// Engine run configuration: a pipeline workload plus what the run
+/// audits, observes and injects. Workers take
+/// [`BATCH_PKTS`](batchparse::BATCH_PKTS)-packet bursts off their shards.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The workload/variant/core-count setup (shared with the model).
     pub pipe: PipelineConfig,
     /// Scheduling mode.
     pub mode: EngineMode,
-    /// Packets per burst a worker takes off its shard (DPDK-style).
-    pub batch_pkts: usize,
     /// Observability: flight recorder, histograms, mid-run publishing,
     /// and the Parallel-mode sampler thread. On by default — the
     /// deterministic digests are pinned *with* recording enabled, which
@@ -407,12 +407,6 @@ pub struct EngineConfig {
     /// costs more than the whole merge step and measures the harness,
     /// not the datapath.
     pub digests: bool,
-    /// Classify each RX batch up front with
-    /// [`px_wire::batchparse::parse_batch_with`] (software prefetch +
-    /// one header walk per packet) instead of parsing inside
-    /// [`MergeEngine::push_into`]. Output is bit-identical either way —
-    /// the pinned digests are recorded with this on.
-    pub batch_parse: bool,
     /// Serve the live observability endpoint (`/metrics`, `/healthz`,
     /// `/trace`) from the control thread while the run is in flight.
     /// Parallel mode only (Deterministic runs own the calling thread);
@@ -422,17 +416,16 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Default batching (32-packet bursts).
+    /// The shipped configuration: telemetry and digests on, faults,
+    /// capture and the live endpoint off.
     pub fn new(pipe: PipelineConfig, mode: EngineMode) -> Self {
         EngineConfig {
             pipe,
             mode,
-            batch_pkts: 32,
             obs: ObsConfig::default(),
             faults: FaultSpec::off(),
             capture_output: false,
             digests: true,
-            batch_parse: true,
             serve_port: None,
         }
     }
@@ -695,7 +688,7 @@ impl Worker {
         engine
     }
 
-    /// The run-to-completion loop: `batch_pkts`-sized bursts off the
+    /// The run-to-completion loop: `BATCH_PKTS`-sized bursts off the
     /// shard until it is exhausted (the tail burst may be short), each
     /// packet buffer released as it is consumed; a heartbeat per burst
     /// and a registry publish every `publish_every_batches`; then
@@ -712,7 +705,7 @@ impl Worker {
         } else {
             0
         };
-        for burst in shard.chunks_mut(self.cfg.batch_pkts) {
+        for burst in shard.chunks_mut(batchparse::BATCH_PKTS) {
             // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry and restart_worker an R6 entry, so R6 need not re-walk the datapath from here")
             self.run_batch(burst);
             heartbeats.beat(self.core);
@@ -841,11 +834,9 @@ impl Worker {
         // packet, cached in `parse_scratch` and consumed below via
         // `push_parsed_into`. Only the merge engine has a parsed fast
         // path; for the rest the scratch stays empty and the per-packet
-        // loop parses as before.
-        if self.cfg.batch_parse && matches!(self.engine, CoreEngine::Merge(_)) {
+        // loop parses for itself.
+        if matches!(self.engine, CoreEngine::Merge(_)) {
             batchparse::parse_batch_with(batch, |(_, p)| p.as_slice(), &mut self.parse_scratch);
-        } else {
-            self.parse_scratch.clear();
         }
         // Stage attribution for the continuous profiler: everything up
         // to here is the parse/classify stage.
@@ -1035,12 +1026,9 @@ impl CoreDriver {
     /// Builds the driver for one core of `pipe` (no observability, no
     /// faults — the soak measures the production hot path).
     pub fn new(pipe: &PipelineConfig, core: usize) -> Self {
-        // Digests on (the soak asserts conservation through them),
-        // batch parse off: the soak's frozen per-packet cost window
-        // measures the historical single-packet path.
+        // Digests stay on: the soak asserts conservation through them.
         let mut cfg = EngineConfig::new(*pipe, EngineMode::Deterministic);
         cfg.obs = ObsConfig::disabled();
-        cfg.batch_parse = false;
         CoreDriver {
             worker: Worker::new(&cfg, core),
         }
@@ -1185,7 +1173,6 @@ pub fn run_engine(cfg: EngineConfig) -> EngineReport {
 /// injection, and accounting are byte-identical to `run_engine`.
 pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) -> EngineReport {
     assert!(cfg.pipe.cores > 0, "need at least one core");
-    assert!(cfg.batch_pkts > 0, "batches must hold packets");
     let pipe = cfg.pipe;
     // Ingress faults are applied to the *global* trace, before RSS
     // sharding, so the faulted input is a pure function of (seed,
@@ -1781,21 +1768,18 @@ mod tests {
             r.totals.backpressure_drops, 0,
             "spare buffer always recycled"
         );
+        // Passthroughs are never jumbo, so yield must fall.
+        let clean = small(EngineMode::Deterministic, 2, WorkloadKind::Tcp);
+        assert!(r.conversion_yield < clean.conversion_yield);
     }
 
     #[test]
-    fn batch_parse_and_digest_knobs_do_not_change_the_stream() {
+    fn turning_digests_off_does_not_change_the_stream() {
         let base = small(EngineMode::Deterministic, 4, WorkloadKind::Tcp);
         let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 4);
         pipe.trace_pkts = 4_000;
         pipe.n_flows = 64;
-        // Per-packet parsing (batch parse off) is bit-identical.
-        let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
-        cfg.batch_parse = false;
-        let single = run_engine(cfg);
-        assert_eq!(single.flow_digests, base.flow_digests);
-        assert_eq!(single.totals, base.totals);
-        // Digests off: same counters, no digest map, bytes untouched.
+        // Same counters, no digest map, bytes untouched.
         let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
         cfg.digests = false;
         let nodig = run_engine(cfg);

@@ -51,7 +51,6 @@
 use crate::coalesce::{self, OverlapVerdict, SegStash, StashedSeg};
 use crate::flowtable::{FlowTable, FlowTableConfig};
 use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
-use px_wire::FlowKey;
 use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
 use px_obs::{flow_id, EventKind, ObsConfig, Recorder, SpanCat};
 use px_sim::stats::SizeHistogram;
@@ -61,6 +60,7 @@ use px_wire::checksum;
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::pool::{BufPool, PacketSink, PoolStats, VecSink};
 use px_wire::tcp::options_layout_compatible;
+use px_wire::FlowKey;
 use px_wire::{IpProtocol, PacketBuf};
 
 /// Merge-engine configuration.
@@ -717,9 +717,9 @@ impl MergeEngine {
                     // A stashed segment was `Future` (strictly above the
                     // edge) when parked and the base never moves down,
                     // so these are unreachable; drop defensively.
-                    OverlapVerdict::Evasion
-                    | OverlapVerdict::Below
-                    | OverlapVerdict::Future => Act::Unreachable,
+                    OverlapVerdict::Evasion | OverlapVerdict::Below | OverlapVerdict::Future => {
+                        Act::Unreachable
+                    }
                 }
             };
             match act {

@@ -135,9 +135,10 @@ pub fn tcp_clean_trace(seed: u64, flows: usize, segs_per_flow: usize) -> Vec<(Fl
         for f in 0..flows {
             let plan = flow_plan(seed, f);
             let off = (seg * SEG_PAYLOAD) as u64;
-            out.push((plan.key, tcp_pkt(&plan, off, SEG_PAYLOAD, |o| {
-                pattern_byte(plan.salt, o)
-            })));
+            out.push((
+                plan.key,
+                tcp_pkt(&plan, off, SEG_PAYLOAD, |o| pattern_byte(plan.salt, o)),
+            ));
         }
     }
     out
@@ -166,9 +167,10 @@ pub fn tcp_attack_trace(seed: u64, flows: usize, segs_per_flow: usize) -> TcpAtt
             0 if sent > 0 => {
                 let victim = (rng.next_u64() % sent as u64) as usize;
                 let off = (victim * SEG_PAYLOAD) as u64;
-                trace.pkts.push((plan.key, tcp_pkt(&plan, off, SEG_PAYLOAD, |o| {
-                    evil_byte(plan.salt, o)
-                })));
+                trace.pkts.push((
+                    plan.key,
+                    tcp_pkt(&plan, off, SEG_PAYLOAD, |o| evil_byte(plan.salt, o)),
+                ));
                 trace.attack_pkts += 1;
             }
             // Tiny inconsistent stab inside the last sent segment. The
@@ -179,26 +181,29 @@ pub fn tcp_attack_trace(seed: u64, flows: usize, segs_per_flow: usize) -> TcpAtt
             1 if sent > 0 => {
                 let base = ((sent - 1) * SEG_PAYLOAD) as u64;
                 let jitter = 1 + rng.next_u64() % (SEG_PAYLOAD as u64 - 9);
-                trace.pkts.push((plan.key, tcp_pkt(&plan, base + jitter, 8, |o| {
-                    evil_byte(plan.salt, o)
-                })));
+                trace.pkts.push((
+                    plan.key,
+                    tcp_pkt(&plan, base + jitter, 8, |o| evil_byte(plan.salt, o)),
+                ));
                 trace.attack_pkts += 1;
             }
             // Bit-identical duplicate of the last sent segment.
             2 if sent > 0 => {
                 let off = ((sent - 1) * SEG_PAYLOAD) as u64;
-                trace.pkts.push((plan.key, tcp_pkt(&plan, off, SEG_PAYLOAD, |o| {
-                    pattern_byte(plan.salt, o)
-                })));
+                trace.pkts.push((
+                    plan.key,
+                    tcp_pkt(&plan, off, SEG_PAYLOAD, |o| pattern_byte(plan.salt, o)),
+                ));
                 trace.benign_dups += 1;
             }
             // A reversed legitimate run: next two segments swapped.
             3 if sent + 2 <= segs_per_flow => {
                 for seg in [sent + 1, sent] {
                     let off = (seg * SEG_PAYLOAD) as u64;
-                    trace.pkts.push((plan.key, tcp_pkt(&plan, off, SEG_PAYLOAD, |o| {
-                        pattern_byte(plan.salt, o)
-                    })));
+                    trace.pkts.push((
+                        plan.key,
+                        tcp_pkt(&plan, off, SEG_PAYLOAD, |o| pattern_byte(plan.salt, o)),
+                    ));
                 }
                 next_seg[f] = sent + 2;
                 trace.reordered += 1;
@@ -207,9 +212,10 @@ pub fn tcp_attack_trace(seed: u64, flows: usize, segs_per_flow: usize) -> TcpAtt
             _ => {
                 if sent < segs_per_flow {
                     let off = (sent * SEG_PAYLOAD) as u64;
-                    trace.pkts.push((plan.key, tcp_pkt(&plan, off, SEG_PAYLOAD, |o| {
-                        pattern_byte(plan.salt, o)
-                    })));
+                    trace.pkts.push((
+                        plan.key,
+                        tcp_pkt(&plan, off, SEG_PAYLOAD, |o| pattern_byte(plan.salt, o)),
+                    ));
                     next_seg[f] = sent + 1;
                 }
             }
@@ -371,12 +377,7 @@ mod tests {
         let mut seen: HashSet<(u16, u32)> = HashSet::new();
         for (key, pkt) in &t.pkts {
             let ihl = usize::from(pkt[0] & 0xF) * 4;
-            let seq = u32::from_be_bytes([
-                pkt[ihl + 4],
-                pkt[ihl + 5],
-                pkt[ihl + 6],
-                pkt[ihl + 7],
-            ]);
+            let seq = u32::from_be_bytes([pkt[ihl + 4], pkt[ihl + 5], pkt[ihl + 6], pkt[ihl + 7]]);
             seen.insert((key.src_port, seq));
         }
         for f in 0..4 {
@@ -398,8 +399,7 @@ mod tests {
         for (_, pkt) in &t.pkts {
             let ip = px_wire::ipv4::Ipv4Packet::new_checked(&pkt[..]).expect("parses");
             assert!(ip.verify_checksum(), "bad IP checksum");
-            let seg =
-                px_wire::tcp::TcpSegment::new_checked(ip.payload()).expect("tcp parses");
+            let seg = px_wire::tcp::TcpSegment::new_checked(ip.payload()).expect("tcp parses");
             assert!(
                 seg.verify_checksum(ip.src(), ip.dst()),
                 "bad TCP checksum — attacks must not be droppable as malformed"

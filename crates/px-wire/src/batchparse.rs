@@ -31,7 +31,8 @@ use crate::ipv4::Ipv4Packet;
 use crate::tcp::TcpSegment;
 use crate::udp::UdpDatagram;
 
-/// Recommended RX batch size: matches the engine's channel batch.
+/// Packets per burst a worker takes off its shard (DPDK-style) and
+/// parses up front.
 pub const BATCH_PKTS: usize = 32;
 
 /// How many packets ahead of the parse cursor the prefetcher runs.

@@ -4,23 +4,22 @@
 //!
 //! # Kernels
 //!
-//! [`ones_complement_sum`] dispatches to the fastest checksum kernel the
-//! host supports, decided once per process: AVX2 → SSE2 → the portable
-//! `u64` wide path. The decision is cached in an atomic; set
-//! `PX_CHECKSUM_FORCE=scalar|u64|sse2|avx2` before the first checksum to
-//! pin a kernel (CI runs the whole test suite under each value), or call
-//! [`force_kernel`] to switch in-process (benches). Every kernel is held
-//! bit-for-bit equal to [`ones_complement_sum_scalar`] — the trivially
-//! auditable RFC 1071 oracle — by exhaustive property tests over every
-//! length 0..=9216 and alignment offset 0..=63.
+//! [`ones_complement_sum`] has one fast path per platform, chosen from
+//! what the CPU reports: the AVX2 kernel where
+//! `is_x86_feature_detected!("avx2")` holds (std caches the probe), the
+//! portable `u64` wide path everywhere else. There is no override —
+//! every kernel is held bit-for-bit equal to
+//! [`ones_complement_sum_scalar`], the trivially auditable RFC 1071
+//! oracle, by exhaustive property tests over every length 0..=9216 and
+//! alignment offset 0..=63, which address each kernel directly through
+//! [`ones_complement_sum_with`].
 //!
-//! The SIMD kernels sum 16-bit words in *little-endian* lane order and
-//! byte-swap the folded result: RFC 1071 §2(B) ("byte order
+//! The AVX2 kernel sums 16-bit words in *little-endian* lane order and
+//! byte-swaps the folded result: RFC 1071 §2(B) ("byte order
 //! independence") makes the two conventions equal, and native-order
 //! lanes keep the vector inner loop free of shuffles.
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// One `ones_complement_sum` implementation. All kernels return
 /// bit-identical results; they differ only in speed.
@@ -28,153 +27,55 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Kernel {
     /// 16 bits per iteration — the RFC 1071 oracle.
     Scalar,
-    /// 8 bytes per iteration in a `u64` with end-around carry.
+    /// 8 bytes per iteration in a `u64` with end-around carry — the fast
+    /// path off x86_64 and on x86_64 CPUs without AVX2.
     U64,
-    /// 16 bytes per iteration in SSE2 registers (x86_64 baseline).
-    Sse2,
     /// 32 bytes per iteration in AVX2 registers.
     Avx2,
 }
 
 impl Kernel {
-    /// Every kernel, for property tests and the bench matrix.
-    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::U64, Kernel::Sse2, Kernel::Avx2];
+    /// Every kernel, for the property tests.
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::U64, Kernel::Avx2];
 
-    /// Stable lowercase label (the `PX_CHECKSUM_FORCE` vocabulary).
+    /// Stable lowercase label.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::U64 => "u64",
-            Kernel::Sse2 => "sse2",
             Kernel::Avx2 => "avx2",
         }
-    }
-
-    /// Parses a `PX_CHECKSUM_FORCE` value (case-insensitive). Unknown
-    /// values yield `None`, which the dispatcher treats as "auto".
-    pub fn parse(s: &str) -> Option<Kernel> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(Kernel::Scalar),
-            "u64" => Some(Kernel::U64),
-            "sse2" => Some(Kernel::Sse2),
-            "avx2" => Some(Kernel::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Whether this kernel can run on the current CPU. The portable
-    /// kernels always can; SSE2 is part of the x86_64 baseline; AVX2 is
-    /// runtime-detected. A forced-but-unavailable kernel degrades to the
-    /// best available one instead of faulting.
-    pub fn available(self) -> bool {
-        match self {
-            Kernel::Scalar | Kernel::U64 => true,
-            Kernel::Sse2 => cfg!(target_arch = "x86_64"),
-            Kernel::Avx2 => avx2_detected(),
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Kernel::Scalar => 1,
-            Kernel::U64 => 2,
-            Kernel::Sse2 => 3,
-            Kernel::Avx2 => 4,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Kernel> {
-        match code {
-            1 => Some(Kernel::Scalar),
-            2 => Some(Kernel::U64),
-            3 => Some(Kernel::Sse2),
-            4 => Some(Kernel::Avx2),
-            _ => None,
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn avx2_detected() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn avx2_detected() -> bool {
-    false
-}
-
-/// Cached dispatch decision: 0 = undecided, else `Kernel::code`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn best_available() -> Kernel {
-    if Kernel::Avx2.available() {
-        Kernel::Avx2
-    } else if Kernel::Sse2.available() {
-        Kernel::Sse2
-    } else {
-        Kernel::U64
-    }
-}
-
-fn resolve_kernel() -> Kernel {
-    // px-analyze: allow(R8, reason = "PX_CHECKSUM_FORCE is read once and cached in the process-global ACTIVE selector; it picks among bit-identical kernels (gated by kernel-matrix CI), so replay output never varies")
-    if let Ok(v) = std::env::var("PX_CHECKSUM_FORCE") {
-        if let Some(k) = Kernel::parse(&v) {
-            if k.available() {
-                return k;
-            }
-        }
-    }
-    best_available()
-}
-
-/// The kernel [`ones_complement_sum`] will use, resolving and caching
-/// the decision (env override, then feature detection) on first call.
-pub fn active_kernel() -> Kernel {
-    if let Some(k) = Kernel::from_code(ACTIVE.load(Ordering::Relaxed)) {
-        return k;
-    }
-    let k = resolve_kernel();
-    ACTIVE.store(k.code(), Ordering::Relaxed);
-    k
-}
-
-/// Overrides the cached kernel choice for this process: `Some(k)` pins
-/// `k` (degraded to the best available kernel if the CPU lacks it),
-/// `None` clears the cache so the next checksum re-resolves from the
-/// environment and CPU features. Benches use this to sweep the kernel
-/// matrix in one process; results are identical either way, so a racing
-/// checksum on another thread is never incorrect, only differently fast.
-pub fn force_kernel(kernel: Option<Kernel>) {
-    match kernel {
-        Some(k) if k.available() => ACTIVE.store(k.code(), Ordering::Relaxed),
-        Some(_) => ACTIVE.store(best_available().code(), Ordering::Relaxed),
-        None => ACTIVE.store(0, Ordering::Relaxed),
     }
 }
 
 /// Computes the one's-complement sum of `data` folded to 16 bits, without
 /// the final negation. Odd trailing bytes are padded with zero per RFC 1071.
 ///
-/// Dispatches to the fastest available [`Kernel`] (see module docs);
-/// [`ones_complement_sum_scalar`] is the proven 16-bit-at-a-time
-/// implementation kept as the property-test oracle (all kernels agree
-/// bit-for-bit, including the 0x0000/0xFFFF representative: every kernel
-/// returns 0 only for all-zero input).
+/// Runs the AVX2 kernel where the CPU has it and the `u64` kernel
+/// otherwise (see module docs); [`ones_complement_sum_scalar`] is the
+/// proven 16-bit-at-a-time implementation kept as the property-test
+/// oracle (all kernels agree bit-for-bit, including the 0x0000/0xFFFF
+/// representative: every kernel returns 0 only for all-zero input).
+#[allow(unsafe_code)]
 pub fn ones_complement_sum(data: &[u8]) -> u16 {
-    ones_complement_sum_with(active_kernel(), data)
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 target-feature precondition was just checked.
+        let wide = unsafe { simd::sum16_le_avx2(data) };
+        let body = data.len() & !31;
+        return finish_le(wide, crate::bytes::range_from(data, body));
+    }
+    ones_complement_sum_u64(data)
 }
 
-/// [`ones_complement_sum`] through an explicitly chosen kernel —
-/// property tests and benches address each implementation directly.
-/// A kernel the CPU cannot run falls back to the best it can.
+/// [`ones_complement_sum`] through an explicitly chosen kernel, so the
+/// property tests can hold each one to the oracle. On a CPU without
+/// AVX2, [`Kernel::Avx2`] runs the `u64` kernel, as the dispatcher does.
 pub fn ones_complement_sum_with(kernel: Kernel, data: &[u8]) -> u16 {
     match kernel {
         Kernel::Scalar => ones_complement_sum_scalar(data),
         Kernel::U64 => ones_complement_sum_u64(data),
-        Kernel::Sse2 => sum_sse2(data),
-        Kernel::Avx2 => sum_avx2(data),
+        Kernel::Avx2 => ones_complement_sum(data),
     }
 }
 
@@ -215,6 +116,7 @@ pub fn ones_complement_sum_u64(data: &[u8]) -> u16 {
 /// byte-order-faithful sum; an odd final byte is the low half of its
 /// little-endian word, so it contributes its plain value here and the
 /// closing swap restores the oracle's `b << 8`.
+#[cfg(target_arch = "x86_64")]
 fn finish_le(mut wide: u64, rest: &[u8]) -> u16 {
     let mut tail = rest.chunks_exact(2);
     for c in &mut tail {
@@ -228,42 +130,7 @@ fn finish_le(mut wide: u64, rest: &[u8]) -> u16 {
     fold(sum as u32).swap_bytes()
 }
 
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-fn sum_sse2(data: &[u8]) -> u16 {
-    let body = data.len() & !15;
-    // SAFETY: SSE2 is part of the x86_64 baseline ABI, so the
-    // target-feature precondition always holds here.
-    let wide = unsafe { simd::sum16_le_sse2(data) };
-    finish_le(wide, bytes::range_from(data, body))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn sum_sse2(data: &[u8]) -> u16 {
-    ones_complement_sum_u64(data)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-fn sum_avx2(data: &[u8]) -> u16 {
-    if !avx2_detected() {
-        return sum_sse2(data);
-    }
-    let body = data.len() & !31;
-    // SAFETY: the AVX2 target-feature precondition was just checked.
-    let wide = unsafe { simd::sum16_le_avx2(data) };
-    finish_le(wide, bytes::range_from(data, body))
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn sum_avx2(data: &[u8]) -> u16 {
-    ones_complement_sum_u64(data)
-}
-
-#[cfg(target_arch = "x86_64")]
-use crate::bytes;
-
-/// The raw vector inner loops. Lanes hold little-endian 16-bit words
+/// The raw vector inner loop. Lanes hold little-endian 16-bit words
 /// widened to u32; [`finish_le`] converts the drained total back to the
 /// RFC's byte order. The crate denies `unsafe_code` globally — this
 /// module is the scoped exception, and every unsafe operation is spelled
@@ -273,10 +140,8 @@ use crate::bytes;
 #[deny(unsafe_op_in_unsafe_fn)]
 mod simd {
     use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_setzero_si256,
-        _mm256_storeu_si256, _mm256_unpackhi_epi16, _mm256_unpacklo_epi16, _mm_add_epi32,
-        _mm_loadu_si128, _mm_setzero_si128, _mm_storeu_si128, _mm_unpackhi_epi16,
-        _mm_unpacklo_epi16,
+        __m256i, _mm256_add_epi32, _mm256_loadu_si256, _mm256_setzero_si256, _mm256_storeu_si256,
+        _mm256_unpackhi_epi16, _mm256_unpacklo_epi16,
     };
 
     /// Vector iterations per u32-lane drain. Each iteration adds one
@@ -284,53 +149,9 @@ mod simd {
     /// grows a lane by at most 16384 · 0xFFFF < 2³⁰ — far from wrapping.
     const BLOCK_ITERS: usize = 16_384;
 
-    /// Sums the longest 16-byte-multiple prefix of `data` as
-    /// little-endian 16-bit words into a `u64`.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2 is available (always true on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sum16_le_sse2(data: &[u8]) -> u64 {
-        // Register-only intrinsics are safe inside a matching
-        // #[target_feature] fn; only the pointer loads/stores stay unsafe.
-        let zero = _mm_setzero_si128();
-        let mut acc_lo = zero;
-        let mut acc_hi = zero;
-        let mut total = 0u64;
-        let mut iters = 0usize;
-        for c in data.chunks_exact(16) {
-            // SAFETY: `c` is exactly 16 readable bytes; `loadu` carries
-            // no alignment requirement.
-            let v = unsafe { _mm_loadu_si128(c.as_ptr().cast()) };
-            // Widen u16 lanes to u32 by interleaving with zero, then add.
-            acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(v, zero));
-            acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(v, zero));
-            iters += 1;
-            if iters == BLOCK_ITERS {
-                // SAFETY: SSE2 precondition inherited from this fn.
-                total += unsafe { drain_sse2(acc_lo) + drain_sse2(acc_hi) };
-                acc_lo = zero;
-                acc_hi = zero;
-                iters = 0;
-            }
-        }
-        // SAFETY: SSE2 precondition inherited from this fn.
-        total + unsafe { drain_sse2(acc_lo) + drain_sse2(acc_hi) }
-    }
-
-    /// Sums a vector's four u32 lanes.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2 is available.
-    #[target_feature(enable = "sse2")]
-    unsafe fn drain_sse2(v: __m128i) -> u64 {
-        let mut out = [0u32; 4];
-        // SAFETY: `out` is 16 writable bytes; `storeu` is unaligned-safe.
-        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) };
-        out.iter().map(|&x| u64::from(x)).sum()
-    }
-
-    /// AVX2 variant of [`sum16_le_sse2`]: 32 bytes per iteration. The
+    /// Sums the longest 32-byte-multiple prefix of `data` as
+    /// little-endian 16-bit words into a `u64`. Each 16-bit lane is
+    /// widened to u32 by interleaving with zero, then added; the
     /// in-lane unpack order of `_mm256_unpacklo/hi_epi16` scrambles word
     /// positions across lanes, which is irrelevant — every lane is
     /// summed into one scalar total.
@@ -339,6 +160,8 @@ mod simd {
     /// Caller must ensure AVX2 is available (runtime-detected).
     #[target_feature(enable = "avx2")]
     pub unsafe fn sum16_le_avx2(data: &[u8]) -> u64 {
+        // Register-only intrinsics are safe inside a matching
+        // #[target_feature] fn; only the pointer loads/stores stay unsafe.
         let zero = _mm256_setzero_si256();
         let mut acc_lo = zero;
         let mut acc_hi = zero;
@@ -525,28 +348,6 @@ mod tests {
                 kernel.name()
             );
         }
-    }
-
-    #[test]
-    fn forced_kernel_is_reported_and_reversible() {
-        force_kernel(Some(Kernel::U64));
-        assert_eq!(active_kernel(), Kernel::U64);
-        assert_eq!(ones_complement_sum(&[0xAB]), 0xAB00);
-        // Unavailable requests degrade instead of faulting; on x86_64
-        // AVX2 may genuinely be available, so only check membership.
-        force_kernel(Some(Kernel::Avx2));
-        assert!(active_kernel().available());
-        force_kernel(None);
-        assert!(active_kernel().available());
-    }
-
-    #[test]
-    fn kernel_names_round_trip_through_parse() {
-        for kernel in Kernel::ALL {
-            assert_eq!(Kernel::parse(kernel.name()), Some(kernel));
-        }
-        assert_eq!(Kernel::parse("SSE2"), Some(Kernel::Sse2));
-        assert_eq!(Kernel::parse("nope"), None);
     }
 
     #[test]

@@ -25,18 +25,14 @@
 //!
 //! Seed count: `ATTACK_SEEDS` (default 10 in-tree; CI runs 200).
 
-use packet_express::core::engine::{
-    run_engine_on_trace, EngineConfig, EngineMode, EngineReport,
-};
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
+use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode, EngineReport};
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
-use packet_express::faults::attack::{
-    self, SpoofReport, TcpAttackTrace, SEG_PAYLOAD,
-};
+use packet_express::faults::attack::{self, SpoofReport, TcpAttackTrace, SEG_PAYLOAD};
 use packet_express::pmtud::{GuardConfig, PmtudGuard, ReportVerdict};
 use packet_express::wire::ipv4::{Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
-use packet_express::wire::tcp::TcpSegment;
 use packet_express::wire::pool::PacketSink;
+use packet_express::wire::tcp::TcpSegment;
 use packet_express::wire::{FlowKey, IpProtocol, PacketBuf, UdpRepr};
 use std::collections::BTreeMap;
 
@@ -108,7 +104,10 @@ fn oracle_maps(trace: &TcpAttackTrace, seed: u64) -> BTreeMap<(u16, u16), BTreeM
         let isn = trace.flow_isn(seed, f);
         let mut map = BTreeMap::new();
         for off in 0..(trace.segs_per_flow * SEG_PAYLOAD) as u64 {
-            map.insert(isn.wrapping_add(off as u32), trace.oracle_byte(seed, f, off));
+            map.insert(
+                isn.wrapping_add(off as u32),
+                trace.oracle_byte(seed, f, off),
+            );
         }
         maps.insert((key.src_port, key.dst_port), map);
     }
@@ -143,7 +142,10 @@ fn tcp_injection_never_reaches_the_receiver() {
     let mut dup_attacks = 0u64;
     for seed in 0..seeds {
         let trace = attack::tcp_attack_trace(seed, FLOWS, SEGS_PER_FLOW);
-        assert!(trace.attack_pkts > 0, "seed {seed}: generator sent no attacks");
+        assert!(
+            trace.attack_pkts > 0,
+            "seed {seed}: generator sent no attacks"
+        );
         dup_attacks += trace.benign_dups;
         let oracle = oracle_maps(&trace, seed);
         let oracle_print = fingerprint(&oracle);
@@ -233,7 +235,10 @@ fn caravan_unpacker_survives_malformed_bundles() {
         assert_eq!(eng.stats.dropped_malformed, invalid);
         assert_eq!(eng.stats.inner_out, valid_inner);
         assert_eq!(eng.pool_outstanding(), 0, "seed {seed}: pool leak");
-        assert!(valid_inner > 0 && invalid > 0, "seed {seed}: degenerate mix");
+        assert!(
+            valid_inner > 0 && invalid > 0,
+            "seed {seed}: degenerate mix"
+        );
     }
 }
 
@@ -257,13 +262,33 @@ fn pmtud_guard_holds_the_floor_under_spoof_streams() {
             g.on_report(s.probe_id, s.nonce, &s.sizes);
             assert!(g.pmtu() >= 576, "seed {seed}: floor breached");
         }
-        assert_eq!(g.pmtu(), 9000, "seed {seed}: a forged report moved the estimate");
-        assert_eq!(g.stats.spoof_rejected, 500, "seed {seed}: spoof not counted");
+        assert_eq!(
+            g.pmtu(),
+            9000,
+            "seed {seed}: a forged report moved the estimate"
+        );
+        assert_eq!(
+            g.stats.spoof_rejected, 500,
+            "seed {seed}: spoof not counted"
+        );
         // Genuine reports still work after the storm.
         let (id, nonce) = live[0];
         assert!(matches!(
             g.on_report(id, nonce, &[9000]),
             ReportVerdict::Accepted { pmtu: 9000 }
         ));
+        // Attested-but-absurd shrink claims are each clamped at the
+        // floor and walk the estimate down half a step at a time…
+        for _ in 0..4 {
+            let (id, nonce) = g.next_probe();
+            g.on_report(id, nonce, &[64]);
+            assert!(g.pmtu() >= 576, "seed {seed}: floor breached");
+        }
+        assert_eq!(g.stats.floor_clamps, 4, "seed {seed}: clamp not counted");
+        assert!(g.pmtu() < 9000, "seed {seed}: confirmed shrink not applied");
+        // …and one genuine attested report restores the true estimate.
+        let (id, nonce) = g.next_probe();
+        g.on_report(id, nonce, &[9000]);
+        assert_eq!(g.pmtu(), 9000, "seed {seed}: no recovery after the episode");
     }
 }

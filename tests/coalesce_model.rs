@@ -65,7 +65,7 @@ fn reference_classify(held: &[u8], base: u32, seq: u32, seg: &[u8]) -> OverlapVe
     if any_new {
         return OverlapVerdict::Append {
             trim: (held_len - rel) as usize,
-        }
+        };
     }
     OverlapVerdict::Duplicate
 }

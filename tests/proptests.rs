@@ -555,11 +555,12 @@ proptest! {
         }
     }
 
-    /// The scatter-gather TSO splitter and the copying splitter are the
-    /// same function: byte-identical wire packets, identical counters,
-    /// for arbitrary payload sizes and path MTUs.
+    /// The split engine's scatter-gather TSO path and the NIC model's
+    /// flat `tso_split` reference are the same function: byte-identical
+    /// wire packets and the counters the reference implies, for
+    /// arbitrary payload sizes and path MTUs.
     #[test]
-    fn sg_split_flatten_matches_legacy_split(
+    fn sg_split_flatten_matches_flat_reference_split(
         payload_len in 1usize..9000,
         mtu in 576usize..1600,
         seed in any::<u64>(),
@@ -582,18 +583,19 @@ proptest! {
             .unwrap();
 
         let mut sg_engine = SplitEngine::new(1500);
-        let mut flat_engine = SplitEngine::new(1500);
-        flat_engine.set_sg(false);
         let mut sg_sink = VecSink::new();
-        let mut flat_sink = VecSink::new();
         sg_engine.push_to_into(&pkt, mtu, &mut sg_sink);
-        flat_engine.push_to_into(&pkt, mtu, &mut flat_sink);
+        let flat = nic::tso_split(&pkt, mtu).unwrap();
 
-        prop_assert_eq!(&sg_sink.pkts, &flat_sink.pkts);
-        prop_assert_eq!(sg_engine.stats.split, flat_engine.stats.split);
-        prop_assert_eq!(sg_engine.stats.segments_out, flat_engine.stats.segments_out);
-        prop_assert_eq!(sg_engine.stats.dropped_df, flat_engine.stats.dropped_df);
-        prop_assert_eq!(sg_engine.stats.dropped_malformed, flat_engine.stats.dropped_malformed);
+        prop_assert_eq!(&sg_sink.pkts, &flat);
+        let was_split = pkt.len() > mtu;
+        prop_assert_eq!(sg_engine.stats.split, u64::from(was_split));
+        prop_assert_eq!(
+            sg_engine.stats.segments_out,
+            if was_split { flat.len() as u64 } else { 0 }
+        );
+        prop_assert_eq!(sg_engine.stats.dropped_df, 0);
+        prop_assert_eq!(sg_engine.stats.dropped_malformed, 0);
         // Every wire packet re-verifies both checksums after reassembly
         // from scattered segments.
         for w in &sg_sink.pkts {
@@ -604,9 +606,7 @@ proptest! {
             prop_assert!(tcp.verify_checksum(SRC, DST));
         }
         // The SG engine recycles every pooled header buffer (the sink
-        // hands each one back after its single copy). The flat path's
-        // VecSink consumes buffers into Vecs by contract, so only the
-        // SG side is required to balance.
+        // hands each one back after its single copy).
         let sp = sg_engine.pool_stats();
         prop_assert_eq!(sp.gets, sp.puts + sp.dropped);
     }
