@@ -1,7 +1,7 @@
 //! `figures trace` — a Perfetto-loadable flow-lifecycle trace sample.
 //!
 //! Runs the Deterministic engine over the Fig. 5 TCP and UDP workloads
-//! with span tracing armed, replays every captured merge emission
+//! with the span recorder armed, replays every captured merge emission
 //! through egress split engines (stamping the producing span's causal
 //! link onto the consuming `Split` spans), and renders the combined
 //! per-lane span streams as chrome://tracing JSON via
@@ -104,7 +104,8 @@ pub fn run(scale: Scale) -> TraceRun {
     );
     lanes.extend(split_lanes);
 
-    // Leg 2 — UDP: caravan-side spans (classify + bundle fill windows).
+    // Leg 2 — UDP: caravan-side spans (classify, bundle fill windows,
+    // batch boundaries).
     let udp = leg(WorkloadKind::Udp, trace_pkts, false);
     lanes.extend(udp.obs.per_core_spans.clone());
 
@@ -124,18 +125,7 @@ pub fn run(scale: Scale) -> TraceRun {
         .flatten()
         .filter(|s| s.cat == SpanCat::Split && merge_links.contains(&s.link))
         .count();
-    let all_cats = [
-        SpanCat::Classify,
-        SpanCat::Steer,
-        SpanCat::Merge,
-        SpanCat::Caravan,
-        SpanCat::Split,
-        SpanCat::Evict,
-        SpanCat::Degrade,
-        SpanCat::Restart,
-        SpanCat::Slo,
-    ];
-    let categories: Vec<&'static str> = all_cats
+    let categories: Vec<&'static str> = SpanCat::ALL
         .iter()
         .filter(|c| count(**c) > 0)
         .map(|c| c.name())
@@ -187,7 +177,7 @@ mod tests {
             "expected ≥4 span categories, got {:?}",
             t.categories
         );
-        for want in ["classify", "merge", "caravan", "split"] {
+        for want in ["classify", "merge", "caravan", "split", "batch"] {
             assert!(
                 t.categories.contains(&want),
                 "missing {want}: {:?}",

@@ -19,7 +19,7 @@
 
 use crate::flowtable::FlowTable;
 use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
-use px_obs::{flow_id, EventKind, ObsConfig, Recorder, SpanCat};
+use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::stats::SizeHistogram;
 use px_wire::bytes;
 use px_wire::caravan::{iter_bundle, MAX_INNER};
@@ -140,10 +140,10 @@ pub struct CaravanEngine {
     out_ident: u16,
     /// Counters.
     pub stats: CaravanStats,
-    /// Flight recorder + histograms (disabled by default — zero cost).
+    /// Span recorder + histograms (disabled by default — zero cost).
     pub obs: Recorder,
     /// Logical time of the most recent inbound push/poll, used to stamp
-    /// emission events deterministically.
+    /// emission spans deterministically.
     last_now: u64,
     /// Resource-fault injector ([`PlannedFaults::off`] in production).
     faults: PlannedFaults,
@@ -170,7 +170,7 @@ impl CaravanEngine {
             pool,
             out_ident: 1,
             stats: CaravanStats::default(),
-            obs: Recorder::off(),
+            obs: Recorder::default(),
             last_now: 0,
             faults: PlannedFaults::off(),
             spare: Some(spare),
@@ -247,7 +247,7 @@ impl CaravanEngine {
         self.emit_seq
     }
 
-    /// Switches the flight recorder + histograms on.
+    /// Switches the span recorder + histograms on.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         self.obs = Recorder::new(cfg);
     }
@@ -284,6 +284,13 @@ impl CaravanEngine {
         }
     }
 
+    /// Records a malformed-packet drop (the counter is the caller's).
+    fn record_malformed(&mut self, len: usize, flow: u32) {
+        let (now, reason) = (self.last_now, drop_reason::MALFORMED);
+        self.obs
+            .record(Span::instant(SpanCat::Drop, now, len, flow, reason));
+    }
+
     /// Degraded passthrough: a pending bundle could not be created
     /// ([`cause::POOL`] = pool dry, [`cause::TABLE`] = table denial), so
     /// the datagram is forwarded unbundled through the pool-independent
@@ -298,27 +305,17 @@ impl CaravanEngine {
         cause_code: u64,
         sink: &mut impl PacketSink,
     ) {
-        if !self.degraded {
-            self.degraded = true;
-            self.obs.record(
-                EventKind::DegradeEnter,
-                now,
-                pkt.len() as u32,
-                0,
-                cause_code,
-            );
-        }
         // One span per degraded packet: the conservation law pins
         // count(Degrade) == degraded_pkts + backpressure_drops.
-        self.obs.record_span(
-            SpanCat::Degrade,
-            now,
-            0,
-            pkt.len() as u32,
-            flow,
-            cause_code,
-            0,
-        );
+        let span = Span::instant(SpanCat::Degrade, now, pkt.len(), flow, cause_code);
+        if !self.degraded {
+            self.degraded = true;
+            self.obs.record(Span {
+                cat: SpanCat::DegradeEnter,
+                ..span
+            });
+        }
+        self.obs.record(span);
         if cause_code == cause::POOL {
             self.stats.pool_exhausted += 1;
         }
@@ -343,7 +340,38 @@ impl CaravanEngine {
     fn degrade_exit(&mut self, now: u64) {
         if self.degraded {
             self.degraded = false;
-            self.obs.record(EventKind::DegradeExit, now, 0, 0, 0);
+            self.obs
+                .record(Span::instant(SpanCat::DegradeExit, now, 0, 0, 0));
+        }
+    }
+
+    /// Accounts one emission of `p` (a bundle, or its lone datagram
+    /// forwarded untouched): output size, and when observability is on
+    /// the `Caravan` span (born → emitted, aux = inner datagrams, a
+    /// fresh causal link), the flow's profile, and — for real bundles —
+    /// the dwell histogram.
+    fn record_emit(&mut self, p: &PendingBundle) {
+        let len = p.buf.len();
+        self.stats.out_sizes.record(len);
+        if self.obs.is_enabled() {
+            let flow = flow_id(p.src_port, p.dst_port);
+            let dwell = self.last_now.saturating_sub(p.born);
+            let count = p.count as u64;
+            if count > 1 {
+                self.obs.observe_dwell(dwell);
+            }
+            self.obs.observe_out_size(len as u64);
+            self.emit_seq += 1;
+            self.obs.record(Span {
+                cat: SpanCat::Caravan,
+                start_ns: p.born,
+                dur_ns: dwell,
+                len: len as u32,
+                flow,
+                aux: count,
+                link: self.link_base | self.emit_seq,
+            });
+            self.obs.observe_flow(flow, count, len as u64, dwell);
         }
     }
 
@@ -351,23 +379,7 @@ impl CaravanEngine {
         if p.count == 1 {
             // Single datagram: forward the original packet untouched.
             self.stats.passthrough += 1;
-            self.stats.out_sizes.record(p.buf.len());
-            if self.obs.is_enabled() {
-                self.obs.observe_out_size(p.buf.len() as u64);
-                let flow = flow_id(p.src_port, p.dst_port);
-                let dwell = self.last_now.saturating_sub(p.born);
-                self.emit_seq += 1;
-                self.obs.record_span(
-                    SpanCat::Caravan,
-                    p.born,
-                    dwell,
-                    p.buf.len() as u32,
-                    flow,
-                    1,
-                    self.link_base | self.emit_seq,
-                );
-                self.obs.observe_flow(flow, 1, p.buf.len() as u64, dwell);
-            }
+            self.record_emit(&p);
             if let Some(b) = sink.accept(p.buf) {
                 self.pool.put(b);
             }
@@ -404,43 +416,13 @@ impl CaravanEngine {
             // A bundle the outer header cannot describe (cannot happen
             // for bundles within the iMTU budget): drop and account.
             self.stats.dropped_malformed += 1;
-            self.obs.record(
-                EventKind::DropMalformed,
-                self.last_now,
-                p.buf.len() as u32,
-                flow_id(p.src_port, p.dst_port),
-                0,
-            );
+            let flow = flow_id(p.src_port, p.dst_port);
+            self.record_malformed(p.buf.len(), flow);
             self.pool.put(p.buf);
             return;
         }
         self.stats.caravans_out += 1;
-        self.stats.out_sizes.record(p.buf.len());
-        if self.obs.is_enabled() {
-            let flow = flow_id(p.src_port, p.dst_port);
-            let dwell = self.last_now.saturating_sub(p.born);
-            self.obs.record(
-                EventKind::CaravanPack,
-                self.last_now,
-                p.buf.len() as u32,
-                flow,
-                p.count as u64,
-            );
-            self.obs.observe_dwell(dwell);
-            self.obs.observe_out_size(p.buf.len() as u64);
-            self.emit_seq += 1;
-            self.obs.record_span(
-                SpanCat::Caravan,
-                p.born,
-                dwell,
-                p.buf.len() as u32,
-                flow,
-                p.count as u64,
-                self.link_base | self.emit_seq,
-            );
-            self.obs
-                .observe_flow(flow, p.count as u64, p.buf.len() as u64, dwell);
-        }
+        self.record_emit(&p);
         if let Some(b) = sink.accept(p.buf) {
             self.pool.put(b);
         }
@@ -481,28 +463,22 @@ impl CaravanEngine {
                 Some((_, _, _, _, sp, dp, _, _)) => (flow_id(*sp, *dp), 1),
                 None => (0, 0),
             };
-            self.obs
-                .record_span(SpanCat::Classify, now, 0, pkt.len() as u32, flow, keyed, 0);
+            let span = Span::instant(SpanCat::Classify, now, pkt.len(), flow, keyed);
+            self.obs.record(span);
         }
         let Some((key, ip_id, src, dst, sport, dport, ip_hlen, dgram)) = parsed else {
             // aux 2 = passthrough (probe, non-UDP, fragment, caravan ToS).
             self.obs
-                .record_span(SpanCat::Steer, now, 0, pkt.len() as u32, 0, 2, 0);
+                .record(Span::instant(SpanCat::Steer, now, pkt.len(), 0, 2));
             self.forward_recorded(pkt, sink);
             return;
         };
 
         if dgram.len() > self.bundle_budget() {
             // Too large to bundle with anything.
-            self.obs.record_span(
-                SpanCat::Steer,
-                now,
-                0,
-                pkt.len() as u32,
-                flow_id(sport, dport),
-                2,
-                0,
-            );
+            let flow = flow_id(sport, dport);
+            self.obs
+                .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 2));
             self.forward_recorded(pkt, sink);
             return;
         }
@@ -598,10 +574,9 @@ impl CaravanEngine {
             // aux 2 = pressure: the bundle held unflushed datagrams and
             // is rescue-flushed below.
             let vflow = flow_id(victim_key.src_port, victim_key.dst_port);
+            let held = victim.buf.len();
             self.obs
-                .record(EventKind::FlowEvict, now, victim.buf.len() as u32, vflow, 2);
-            self.obs
-                .record_span(SpanCat::Evict, now, 0, victim.buf.len() as u32, vflow, 2, 0);
+                .record(Span::instant(SpanCat::Evict, now, held, vflow, 2));
             self.emit_pending(victim, sink);
         }
     }
@@ -638,13 +613,7 @@ impl CaravanEngine {
         // over-claim bytes (overlapping-claim smuggling).
         if px_wire::caravan::validate_bundle(bundle).is_err() {
             self.stats.dropped_malformed += 1;
-            self.obs.record(
-                EventKind::DropMalformed,
-                self.last_now,
-                pkt.len() as u32,
-                0,
-                0,
-            );
+            self.record_malformed(pkt.len(), 0);
             return;
         }
         self.stats.unbundled += 1;
@@ -666,13 +635,7 @@ impl CaravanEngine {
                 }
             } else {
                 self.stats.dropped_malformed += 1;
-                self.obs.record(
-                    EventKind::DropMalformed,
-                    self.last_now,
-                    buf.len() as u32,
-                    0,
-                    0,
-                );
+                self.record_malformed(buf.len(), 0);
                 self.pool.put(buf);
             }
         }
@@ -682,7 +645,7 @@ impl CaravanEngine {
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
         // The end-of-run drain polls with a `u64::MAX` sentinel to
         // expire every hold timer; keep the last *real* timestamp for
-        // dwell/event accounting so drained bundles don't report
+        // dwell/span accounting so drained bundles don't report
         // astronomical dwells (which also overflow the profiler's
         // per-flow sums in debug builds).
         if now != u64::MAX {
@@ -867,7 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_caravan_packing() {
+    fn recorder_captures_caravan_packing() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
         let mut out = Vec::new();
@@ -875,14 +838,18 @@ mod tests {
             out.extend(eng.push_inbound(u64::from(i) * 100, udp_pkt(5000, 1172, i)));
         }
         assert_eq!(out.len(), 1);
-        let events = eng.obs.recent(64);
-        let pack = events
+        let spans = eng.obs.recent_spans(64);
+        let pack = spans
             .iter()
-            .find(|e| e.kind == EventKind::CaravanPack)
-            .expect("CaravanPack recorded");
+            .find(|s| s.cat == SpanCat::Caravan)
+            .expect("Caravan span recorded");
         assert_eq!(pack.flow, flow_id(5000, 4433));
         assert_eq!(pack.aux, 7, "inner datagram count in aux");
-        assert_eq!(pack.ts, 600, "stamped with the emitting push's time");
+        assert_eq!(
+            pack.start_ns + pack.dur_ns,
+            600,
+            "ends at the emitting push's time"
+        );
         assert_eq!(eng.obs.hists().dwell_ns.max(), 600);
     }
 
@@ -918,9 +885,9 @@ mod tests {
         eng.poll_into(u64::MAX, &mut sink);
         eng.push_inbound_into(20, &udp_pkt(6000, 500, 1), &mut sink);
         assert!(!eng.is_degraded(), "recovered on next successful creation");
-        let kinds: Vec<EventKind> = eng.obs.recent(16).iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::DegradeEnter), "{kinds:?}");
-        assert!(kinds.contains(&EventKind::DegradeExit), "{kinds:?}");
+        let cats: Vec<SpanCat> = eng.obs.recent_spans(16).iter().map(|s| s.cat).collect();
+        assert!(cats.contains(&SpanCat::DegradeEnter), "{cats:?}");
+        assert!(cats.contains(&SpanCat::DegradeExit), "{cats:?}");
         eng.flush_all_into(&mut sink);
         assert_eq!(eng.pool.outstanding(), 0, "no leaked buffers");
     }

@@ -42,9 +42,9 @@ use px_faults::{
     FaultInjector, FaultPlan, FaultSpec, Heartbeats, IngressStats, PlannedFaults, StallDetector,
 };
 use px_obs::{
-    evaluate_snapshot, perfetto_json, serve, BatchObs, BatchProfile, Event, EventKind, HistSet,
-    ObsConfig, ObsReport, Profiler, Recorder, Response, ServeHandle, SloSpec, SloWatchdog, Span,
-    SpanCat, TimeSample,
+    evaluate_snapshot, perfetto_json, serve, BatchObs, BatchProfile, ObsConfig, ObsReport,
+    Profiler, Recorder, Response, ServeHandle, SloSpec, SloWatchdog, Span, SpanCat, Telemetry,
+    TimeSample,
 };
 use px_sim::stats::{CoreCounters, StatsRegistry};
 use px_wire::batchparse::{self, ParsedMeta};
@@ -219,7 +219,7 @@ impl CoreEngine {
         }
     }
 
-    /// Switches the inner engine's flight recorder + histograms on. The
+    /// Switches the inner engine's span recorder + histograms on. The
     /// baseline gateway has no recorder (it exists to be compared
     /// against, not debugged), so this is a no-op for it.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
@@ -239,24 +239,11 @@ impl CoreEngine {
         }
     }
 
-    /// Drains the recorder for report assembly: held events (oldest
-    /// first) plus histograms. Empty for the baseline or when disabled.
-    pub fn take_obs(&mut self) -> (Vec<Event>, HistSet) {
+    /// Detaches everything the recorder holds — spans (oldest first),
+    /// histograms, profiler — leaving it disabled. Empty for the
+    /// baseline or when observability is off.
+    pub fn take_obs(&mut self) -> Telemetry {
         self.obs_mut().map(Recorder::take).unwrap_or_default()
-    }
-
-    /// Drains the recorder's span ring (oldest first; empty for the
-    /// baseline or when disabled).
-    pub fn take_spans(&mut self) -> Vec<Span> {
-        self.obs_mut().map(Recorder::take_spans).unwrap_or_default()
-    }
-
-    /// Drains the recorder's continuous profiler (default-empty for the
-    /// baseline or when disabled).
-    pub fn take_profiler(&mut self) -> Profiler {
-        self.obs_mut()
-            .map(Recorder::take_profiler)
-            .unwrap_or_default()
     }
 
     /// Sets the high bits of this engine's span link ids so causal
@@ -387,7 +374,7 @@ pub struct EngineConfig {
     pub pipe: PipelineConfig,
     /// Scheduling mode.
     pub mode: EngineMode,
-    /// Observability: flight recorder, histograms, mid-run publishing,
+    /// Observability: span recorder, histograms, mid-run publishing,
     /// and the Parallel-mode sampler thread. On by default — the
     /// deterministic digests are pinned *with* recording enabled, which
     /// is what proves recording never perturbs the datapath.
@@ -548,19 +535,16 @@ struct Worker {
     /// Per-batch fault verdicts (the inert injector in production).
     faults: PlannedFaults,
     /// The run's configuration: the post-panic engine rebuild, the
-    /// digest / batch-parse / capture switches, and the mode. Only
+    /// digest / capture switches, and the mode. Only
     /// Parallel mode has a wall clock, so only there do injected stalls
     /// really sleep and the SLO watchdog read the wall-clock p99 — a
     /// stall must never change what the flows carry.
     cfg: EngineConfig,
-    /// Flight-recorder contents rescued from pre-restart engines, so a
-    /// restart loses telemetry no more than it loses flow state.
-    events_carry: Vec<Event>,
-    hists_carry: HistSet,
-    /// Span-tracer and profiler contents rescued across restarts, for
-    /// the same reason.
-    spans_carry: Vec<Span>,
-    profile_carry: Profiler,
+    /// Telemetry rescued from pre-restart engines, so a restart loses
+    /// spans, histograms and profiles no more than it loses flow state.
+    /// `None` until the first restart: the first rescued [`Telemetry`]
+    /// brings the profiler's shape with it.
+    salvage: Option<Telemetry>,
     /// The per-core SLO watchdog, evaluated at every batch boundary.
     /// Lives on the worker (not the engine) so alert edge state and
     /// tallies survive engine restarts.
@@ -661,13 +645,7 @@ impl Worker {
             core,
             faults: PlannedFaults::new(cfg.faults),
             cfg: *cfg,
-            events_carry: Vec::new(),
-            hists_carry: HistSet::default(),
-            spans_carry: Vec::new(),
-            // Sized like the live profiler: a default-constructed
-            // accumulator would have k = 0 and silently drop every
-            // sketch entry folded into it across restarts.
-            profile_carry: Profiler::new(cfg.obs.profile_topk, cfg.obs.profile_ring),
+            salvage: None,
             slo: SloWatchdog::new(cfg.obs.slo),
             captured: cfg.capture_output.then(Vec::new),
             parse_scratch: Vec::new(),
@@ -749,7 +727,7 @@ impl Worker {
 
     /// Post-panic self-healing: flushes (rescues) every held aggregate
     /// out of the wedged engine so no flow loses bytes, absorbs its
-    /// counters and flight recorder, then stands up a fresh engine in
+    /// counters and telemetry, then stands up a fresh engine in
     /// place — the worker never leaves the RSS shard map. Panic- and
     /// alloc-free on its own tokens (px-analyze R6).
     fn restart_worker(&mut self, batch_idx: u64, now: u64) {
@@ -767,23 +745,26 @@ impl Worker {
         self.engine.finish_into(&mut acct);
         let rescued = self.counters.pkts_out - out_before;
         self.absorb_engine_stats();
-        let (events, hists) = self.engine.take_obs();
-        self.events_carry.extend(events);
-        // px-analyze: allow(R6, reason = "salvage fold once per restart, not per packet: the unqualified merge also resolves to the profiler's fold, whose ring drain allocates a scratch snapshot")
-        self.hists_carry.merge(&hists);
-        // px-analyze: allow(R6, reason = "draining the span ring re-arms it with one fresh allocation per restart, not per packet")
-        self.spans_carry.extend(self.engine.take_spans());
-        // px-analyze: allow(R6, reason = "detaching the profiler re-arms the sketch and ring with one fresh allocation per restart, not per packet")
-        let profile = self.engine.take_profiler();
-        self.profile_carry.merge(&profile);
+        // px-analyze: allow(R6, reason = "salvage hand-off once per restart, not per packet: copying the span ring out and folding it into the carried telemetry allocates")
+        self.salvage_obs();
         self.counters.worker_restarts += 1;
-        // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its flight recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
+        // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
         self.engine = Self::build_engine(&self.cfg, self.core);
         if let Some(rec) = self.engine.obs_mut() {
-            rec.record(EventKind::WorkerRestart, now, batch_idx as u32, 0, rescued);
             // A Restart crossing in the trace: aux carries the number of
             // rescue-flushed packets, len the batch ordinal.
-            rec.record_span(SpanCat::Restart, now, 0, batch_idx as u32, 0, rescued, 0);
+            let at_batch = batch_idx as usize;
+            rec.record(Span::instant(SpanCat::Restart, now, at_batch, 0, rescued));
+        }
+    }
+
+    /// Detaches the engine's telemetry and folds it behind whatever
+    /// earlier engine instances left — at a restart and at the end.
+    fn salvage_obs(&mut self) {
+        let held = self.engine.take_obs();
+        match &mut self.salvage {
+            Some(earlier) => earlier.merge(held),
+            None => self.salvage = Some(held),
         }
     }
 
@@ -860,9 +841,6 @@ impl Worker {
             let (now, pkt) = (*now, std::mem::take(pkt));
             counters.pkts_in += 1;
             counters.bytes_in += pkt.len() as u64;
-            if let Some(rec) = engine.obs_mut() {
-                rec.record(EventKind::PktIn, now, pkt.len() as u32, 0, 0);
-            }
             last_now = now;
             let mut acct = Accountant {
                 counters: &mut *counters,
@@ -877,14 +855,14 @@ impl Worker {
             }
         }
         if let Some(t0) = batch_start {
-            // The BatchDone *event* carries only logical facts (last
-            // arrival ts, packet count) so the event stream stays
+            // The Batch *span* carries only logical facts (last
+            // arrival ts, packet count) so the span stream stays
             // deterministic; the batch's wall time goes to histograms
             // and batch profiles, which are measurement-only.
             let wall = t0.elapsed().as_nanos() as u64;
             let batch_idx = self.counters.batches;
             if let Some(rec) = self.engine.obs_mut() {
-                rec.record(EventKind::BatchDone, last_now, n_pkts as u32, 0, 0);
+                rec.record(Span::instant(SpanCat::Batch, last_now, batch.len(), 0, 0));
                 rec.observe_batch(wall, n_pkts);
                 rec.observe_batch_profile(BatchProfile {
                     batch: batch_idx,
@@ -925,15 +903,8 @@ impl Worker {
         let mask = self.slo.evaluate(&obs);
         if mask != 0 {
             if let Some(rec) = self.engine.obs_mut() {
-                rec.record_span(
-                    SpanCat::Slo,
-                    logical_now,
-                    0,
-                    n_pkts as u32,
-                    0,
-                    u64::from(mask),
-                    0,
-                );
+                let (pkts, breach) = (n_pkts as usize, u64::from(mask));
+                rec.record(Span::instant(SpanCat::Slo, logical_now, pkts, 0, breach));
             }
         }
     }
@@ -980,31 +951,23 @@ impl Worker {
         }
     }
 
-    /// Publishes counters, merges histograms, and extracts the flight
+    /// Publishes counters, merges histograms, and detaches the
     /// recorder — the worker's end-of-run handoff to the registry.
-    /// Events rescued from pre-restart engines come first (they are
+    /// Spans rescued from pre-restart engines come first (they are
     /// chronologically earlier).
     fn publish_final(mut self, registry: &StatsRegistry) -> WorkerOutput {
         registry.set_core(self.core, &self.counters);
-        let (events, hists) = self.engine.take_obs();
-        self.hists_carry.merge(&hists);
-        registry.merge_core_hists(self.core, &self.hists_carry);
-        let mut all_events = self.events_carry;
-        all_events.extend(events);
-        let mut all_spans = self.spans_carry;
-        all_spans.extend(self.engine.take_spans());
-        let mut profiler = self.profile_carry;
-        profiler.merge(&self.engine.take_profiler());
+        self.salvage_obs();
+        let obs = self.salvage.unwrap_or_default();
+        registry.merge_core_hists(self.core, &obs.hists);
         if self.cfg.serve_port.is_some() {
             // A live endpoint outliving the run keeps serving the
             // complete window.
-            registry.publish_core_spans(self.core, all_spans.clone());
+            registry.publish_core_spans(self.core, obs.spans.clone());
         }
         WorkerOutput {
             digests: self.digests,
-            events: all_events,
-            spans: all_spans,
-            profiler,
+            obs,
             slo: self.slo,
             captured: self.captured.unwrap_or_default(),
         }
@@ -1075,11 +1038,9 @@ impl CoreDriver {
 /// What each worker hands back at the end of a run.
 struct WorkerOutput {
     digests: BTreeMap<FlowKey, FlowDigest>,
-    events: Vec<Event>,
-    /// Span-tracer contents (oldest first; restarts' spans first).
-    spans: Vec<Span>,
-    /// The core's continuous profiler, restarts folded in.
-    profiler: Profiler,
+    /// The core's spans (oldest first), histograms and profiler, with
+    /// what pre-restart engines held folded in first.
+    obs: Telemetry,
     /// The core's SLO watchdog tallies.
     slo: SloWatchdog,
     /// Emitted-packet copies (empty unless capture was on).
@@ -1188,7 +1149,6 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
     };
 
     let mut flow_digests: BTreeMap<FlowKey, FlowDigest> = BTreeMap::new();
-    let mut per_core_events = Vec::with_capacity(out.outputs.len());
     let mut per_core_spans = Vec::with_capacity(out.outputs.len());
     // The merged profiler needs real capacities: a default-constructed
     // one (k = 0, ring 0) would silently drop every per-core entry.
@@ -1196,9 +1156,8 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
     let mut slo = SloWatchdog::new(cfg.obs.slo);
     let mut captured_output = Vec::new();
     for worker_out in out.outputs.drain(..) {
-        per_core_events.push(worker_out.events);
-        per_core_spans.push(worker_out.spans);
-        profile.merge(&worker_out.profiler);
+        profile.merge(&worker_out.obs.profile);
+        per_core_spans.push(worker_out.obs.spans);
         slo.merge(&worker_out.slo);
         captured_output.extend(worker_out.captured);
         for (key, d) in worker_out.digests {
@@ -1227,7 +1186,6 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
         ObsReport {
             enabled: true,
             hists: registry.hist_aggregate(),
-            per_core_events,
             per_core_spans,
             profile,
             slo,
@@ -1496,9 +1454,9 @@ mod tests {
     fn observability_report_is_populated_and_inert() {
         let r = small(EngineMode::Deterministic, 2, WorkloadKind::Tcp);
         assert!(r.obs.enabled);
-        // Every core recorded events and they drained into the report.
-        assert_eq!(r.obs.per_core_events.len(), 2);
-        assert!(r.obs.per_core_events.iter().all(|e| !e.is_empty()));
+        // Every core recorded spans and they drained into the report.
+        assert_eq!(r.obs.per_core_spans.len(), 2);
+        assert!(r.obs.per_core_spans.iter().all(|s| !s.is_empty()));
         // Each batch contributed one histogram observation.
         // batch_ns gets one sample per batch; pkt_ns one per-packet
         // average per non-empty batch.
@@ -1519,16 +1477,16 @@ mod tests {
         cfg.obs = ObsConfig::disabled();
         let off = run_engine(cfg);
         assert!(!off.obs.enabled);
-        assert!(off.obs.per_core_events.is_empty());
+        assert!(off.obs.per_core_spans.is_empty());
         assert_eq!(off.flow_digests, r.flow_digests);
         assert_eq!(off.totals, r.totals);
     }
 
     #[test]
-    fn event_streams_are_deterministic_across_reruns() {
+    fn span_streams_are_deterministic_across_reruns() {
         let a = small(EngineMode::Deterministic, 4, WorkloadKind::Udp);
         let b = small(EngineMode::Deterministic, 4, WorkloadKind::Udp);
-        assert_eq!(a.obs.per_core_events, b.obs.per_core_events);
+        assert_eq!(a.obs.per_core_spans, b.obs.per_core_spans);
     }
 
     #[test]
@@ -1578,7 +1536,7 @@ mod tests {
             // checked every pool buffer came home on all four cores.
             assert!(busy[0].pkts_out > busy[0].pkts_out_inband);
             assert_eq!(r.flow_digests.len(), 1);
-            assert_eq!(r.obs.per_core_events.len(), 4);
+            assert_eq!(r.obs.per_core_spans.len(), 4);
         }
     }
 
@@ -1619,7 +1577,7 @@ mod tests {
             cfg.serve_port = serve_port;
             let shard = one_shard(&pipe, 8, 2_000, 3);
             let registry = StatsRegistry::new(1);
-            let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1));
+            let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1)).obs;
             assert!(!out.spans.is_empty(), "the report always gets the spans");
             let published = registry.spans_snapshot();
             assert_eq!(published[0].is_empty(), serve_port.is_none());
@@ -1679,16 +1637,19 @@ mod tests {
         // reaches the output digests — nothing is lost with the engine.
         let digest_pkts: u64 = r.flow_digests.values().map(|d| d.pkts).sum();
         assert_eq!(digest_pkts, r.totals.pkts_out);
-        // Restarts are observable: WorkerRestart events in the carried
-        // flight-recorder stream, one per restart.
+        // Restarts are observable: Restart spans in the salvaged span
+        // stream, one per restart — and the histograms the dead engines
+        // held were salvaged with them.
         let restarts = r
             .obs
-            .per_core_events
+            .per_core_spans
             .iter()
             .flatten()
-            .filter(|e| e.kind == EventKind::WorkerRestart)
+            .filter(|s| s.cat == SpanCat::Restart)
             .count() as u64;
         assert_eq!(restarts, r.totals.worker_restarts);
+        assert_eq!(r.obs.hists.batch_ns.count(), r.totals.batches);
+        assert_eq!(r.obs.profile.batches, r.totals.batches);
     }
 
     #[test]

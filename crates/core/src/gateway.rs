@@ -153,8 +153,8 @@ impl PxGateway {
         }
     }
 
-    /// Arms the flight recorder on all three datapath engines. Each
-    /// engine gets its own ring so a post-mortem can attribute events
+    /// Arms the span recorder on all three datapath engines. Each
+    /// engine gets its own ring so a post-mortem can attribute spans
     /// to the stage that produced them.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         self.merge.enable_obs(cfg);
@@ -162,7 +162,7 @@ impl PxGateway {
         self.caravan.enable_obs(cfg);
     }
 
-    /// Collects the three engines' histograms and recent events into a
+    /// Collects the three engines' histograms and recent spans into a
     /// single [`ObsReport`] (cores 0‥2 = merge, split, caravan). The
     /// recorders keep their state; this is a snapshot, not a drain.
     pub fn obs_report(&self) -> ObsReport {
@@ -178,11 +178,6 @@ impl PxGateway {
         ObsReport {
             enabled: true,
             hists,
-            per_core_events: vec![
-                self.merge.obs.recent(usize::MAX),
-                self.split.obs.recent(usize::MAX),
-                self.caravan.obs.recent(usize::MAX),
-            ],
             per_core_spans: vec![
                 self.merge.obs.recent_spans(usize::MAX),
                 self.split.obs.recent_spans(usize::MAX),

@@ -52,7 +52,7 @@ use crate::coalesce::{self, OverlapVerdict, SegStash, StashedSeg};
 use crate::flowtable::{FlowTable, FlowTableConfig};
 use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
 use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
-use px_obs::{flow_id, EventKind, ObsConfig, Recorder, SpanCat};
+use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::stats::SizeHistogram;
 use px_wire::batchparse::{self, ParsedMeta, SegFacts, Verdict};
 use px_wire::bytes;
@@ -184,7 +184,7 @@ struct Pending {
     payload_sum: u16,
     segs: u32,
     /// Logical arrival time of the first segment — emission minus this
-    /// is the aggregate's dwell time (flight-recorder / histograms).
+    /// is the aggregate's dwell time (`Merge` span / histograms).
     born: u64,
 }
 
@@ -208,10 +208,10 @@ pub struct MergeEngine {
     pool: BufPool,
     /// Counters.
     pub stats: MergeStats,
-    /// Flight recorder + histograms (disabled by default — zero cost).
+    /// Span recorder + histograms (disabled by default — zero cost).
     pub obs: Recorder,
     /// Logical time of the most recent `push_into`/`poll_into` call,
-    /// used to stamp emission events deterministically.
+    /// used to stamp emission spans deterministically.
     last_now: u64,
     /// Resource-fault injector ([`PlannedFaults::off`] in production:
     /// one predicted branch per aggregate creation).
@@ -222,7 +222,7 @@ pub struct MergeEngine {
     /// degraded packets to the backpressure counter.
     spare: Option<PacketBuf>,
     /// Whether the engine is currently in degraded (passthrough) mode —
-    /// drives the `DegradeEnter`/`DegradeExit` edge events.
+    /// drives the `DegradeEnter`/`DegradeExit` edge spans.
     degraded: bool,
     /// Small-flow classifier (§3/§4.1). `None` disables steering: every
     /// flow takes the merge path, exactly the historical behaviour.
@@ -250,7 +250,7 @@ impl MergeEngine {
             table: FlowTable::new(cfg.table_capacity),
             pool,
             stats: MergeStats::default(),
-            obs: Recorder::off(),
+            obs: Recorder::default(),
             last_now: 0,
             faults: PlannedFaults::off(),
             spare: Some(spare),
@@ -350,8 +350,8 @@ impl MergeEngine {
         self.degraded
     }
 
-    /// Switches the flight recorder + histograms on (preallocates the
-    /// event ring; recording itself never allocates).
+    /// Switches the span recorder + histograms on (preallocates the
+    /// ring; recording itself never allocates).
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         self.obs = Recorder::new(cfg);
     }
@@ -395,23 +395,34 @@ impl MergeEngine {
         }
     }
 
-    /// Records the span + flow profile for a single-packet merge
-    /// emission (already-iMTU input or the hold-disabled ablation), so
-    /// every merge output carries a `Merge` span and a causal link.
-    fn record_single_emit(&mut self, now: u64, len: usize, flow: u32) {
+    /// Records one merge emission's lifecycle span and flow profile:
+    /// born → emitted, aux = how many segments it swallowed, link = the
+    /// causal id the consuming split span will carry. Single-packet
+    /// emissions (already-iMTU input, the hold-disabled ablation, stash
+    /// leftovers) pass `dwell` 0 and `segs` 1, so every merge output
+    /// carries a `Merge` span and a causal link.
+    fn record_emit(&mut self, born: u64, dwell: u64, len: usize, flow: u32, segs: u32) {
         if self.obs.is_enabled() {
             self.emit_seq += 1;
-            self.obs.record_span(
-                SpanCat::Merge,
-                now,
-                0,
-                len as u32,
+            self.obs.record(Span {
+                cat: SpanCat::Merge,
+                start_ns: born,
+                dur_ns: dwell,
+                len: len as u32,
                 flow,
-                1,
-                self.link_base | self.emit_seq,
-            );
-            self.obs.observe_flow(flow, 1, len as u64, 0);
+                aux: u64::from(segs),
+                link: self.link_base | self.emit_seq,
+            });
+            self.obs
+                .observe_flow(flow, u64::from(segs), len as u64, dwell);
         }
+    }
+
+    /// Records a typed drop (`reason` is a [`drop_reason`]; the counter
+    /// is the caller's).
+    fn record_drop(&mut self, now: u64, len: usize, flow: u32, reason: u64) {
+        self.obs
+            .record(Span::instant(SpanCat::Drop, now, len, flow, reason));
     }
 
     /// Degraded passthrough: an aggregate could not be created
@@ -429,27 +440,17 @@ impl MergeEngine {
         cause_code: u64,
         sink: &mut impl PacketSink,
     ) {
-        if !self.degraded {
-            self.degraded = true;
-            self.obs.record(
-                EventKind::DegradeEnter,
-                now,
-                pkt.len() as u32,
-                0,
-                cause_code,
-            );
-        }
         // One Degrade span per degraded packet: the conservation test
         // pins `count(Degrade) == degraded_pkts + backpressure_drops`.
-        self.obs.record_span(
-            SpanCat::Degrade,
-            now,
-            0,
-            pkt.len() as u32,
-            flow,
-            cause_code,
-            0,
-        );
+        let span = Span::instant(SpanCat::Degrade, now, pkt.len(), flow, cause_code);
+        if !self.degraded {
+            self.degraded = true;
+            self.obs.record(Span {
+                cat: SpanCat::DegradeEnter,
+                ..span
+            });
+        }
+        self.obs.record(span);
         if cause_code == cause::POOL {
             self.stats.pool_exhausted += 1;
         }
@@ -475,7 +476,8 @@ impl MergeEngine {
     fn degrade_exit(&mut self, now: u64) {
         if self.degraded {
             self.degraded = false;
-            self.obs.record(EventKind::DegradeExit, now, 0, 0, 0);
+            self.obs
+                .record(Span::instant(SpanCat::DegradeExit, now, 0, 0, 0));
         }
     }
 
@@ -573,29 +575,8 @@ impl MergeEngine {
             let dst_port = bytes::be16(p.buf.as_slice(), ip_hlen + 2);
             let dwell = self.last_now.saturating_sub(p.born);
             let flow = flow_id(src_port, dst_port);
-            self.obs.record(
-                EventKind::MergeEmit,
-                self.last_now,
-                p.buf.len() as u32,
-                flow,
-                dwell,
-            );
             self.obs.observe_dwell(dwell);
-            // The aggregate's lifecycle span: born → emitted, aux = how
-            // many segments it swallowed, link = the causal id the
-            // consuming split span will carry.
-            self.emit_seq += 1;
-            self.obs.record_span(
-                SpanCat::Merge,
-                p.born,
-                dwell,
-                p.buf.len() as u32,
-                flow,
-                u64::from(p.segs),
-                self.link_base | self.emit_seq,
-            );
-            self.obs
-                .observe_flow(flow, u64::from(p.segs), p.buf.len() as u64, dwell);
+            self.record_emit(p.born, dwell, p.buf.len(), flow, p.segs);
         }
         self.emit(p.buf, sink);
     }
@@ -622,7 +603,7 @@ impl MergeEngine {
             self.stats.stash_leftovers += 1;
             let len = seg.buf.len();
             let flow = flow_id(key.src_port, key.dst_port);
-            self.record_single_emit(self.last_now, len, flow);
+            self.record_emit(self.last_now, 0, len, flow, 1);
             self.emit(seg.buf, sink);
         }
     }
@@ -666,6 +647,7 @@ impl MergeEngine {
         }
         let full_at = self.full_threshold();
         let imtu = self.cfg.imtu;
+        let flow = flow_id(key.src_port, key.dst_port);
         enum Act {
             Recycle,
             Inconsistent,
@@ -738,17 +720,12 @@ impl MergeEngine {
                 }
                 Act::Inconsistent => {
                     self.stats.dropped_inconsistent_overlap += 1;
-                    self.obs.record(
-                        EventKind::DropInconsistentOverlap,
-                        now,
-                        seg.buf.len() as u32,
-                        flow_id(key.src_port, key.dst_port),
-                        0,
-                    );
+                    self.record_drop(now, seg.buf.len(), flow, drop_reason::INCONSISTENT_OVERLAP);
                     self.pool.put(seg.buf);
                 }
                 Act::Unreachable => {
                     self.stats.dropped_overlap_evasion += 1;
+                    self.record_drop(now, seg.buf.len(), flow, drop_reason::OVERLAP_EVASION);
                     self.pool.put(seg.buf);
                 }
                 Act::Overflow => {
@@ -761,7 +738,7 @@ impl MergeEngine {
                     }
                     self.stats.stash_leftovers += 1;
                     let len = seg.buf.len();
-                    self.record_single_emit(now, len, flow_id(key.src_port, key.dst_port));
+                    self.record_emit(now, 0, len, flow, 1);
                     self.emit(seg.buf, sink);
                     self.forward_stash_leftovers(key, base, sink);
                     return;
@@ -807,22 +784,16 @@ impl MergeEngine {
                 .key
                 .as_ref()
                 .map_or(0, |k| flow_id(k.src_port, k.dst_port));
-            self.obs.record_span(
-                SpanCat::Classify,
-                now,
-                0,
-                pkt.len() as u32,
-                flow,
-                u64::from(meta.key.is_some()),
-                0,
-            );
+            let keyed = u64::from(meta.key.is_some());
+            let span = Span::instant(SpanCat::Classify, now, pkt.len(), flow, keyed);
+            self.obs.record(span);
         }
 
         let Some(key) = meta.key else {
             self.stats.passthrough += 1;
             // aux 2 = passthrough (vs 1 = steered mouse).
             self.obs
-                .record_span(SpanCat::Steer, now, 0, pkt.len() as u32, 0, 2, 0);
+                .record(Span::instant(SpanCat::Steer, now, pkt.len(), 0, 2));
             self.forward(pkt, sink);
             return;
         };
@@ -836,8 +807,8 @@ impl MergeEngine {
             if let Some(victim) = evicted {
                 // A classifier slot was churned out (aux 1 = idle).
                 let vflow = flow_id(victim.src_port, victim.dst_port);
-                self.obs.record(EventKind::FlowEvict, now, 0, vflow, 1);
-                self.obs.record_span(SpanCat::Evict, now, 0, 0, vflow, 1, 0);
+                self.obs
+                    .record(Span::instant(SpanCat::Evict, now, 0, vflow, 1));
             }
             if class == FlowClass::Mouse {
                 // A demoted flow may still hold an aggregate from its
@@ -851,7 +822,7 @@ impl MergeEngine {
                 if self.obs.is_enabled() {
                     let flow = flow_id(key.src_port, key.dst_port);
                     self.obs
-                        .record_span(SpanCat::Steer, now, 0, pkt.len() as u32, flow, 1, 0);
+                        .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 1));
                     self.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
                 }
                 self.forward(pkt, sink);
@@ -874,15 +845,9 @@ impl MergeEngine {
                     self.finalize_flow(&key, p, sink);
                 }
                 self.stats.passthrough += 1;
-                self.obs.record_span(
-                    SpanCat::Steer,
-                    now,
-                    0,
-                    pkt.len() as u32,
-                    flow_id(key.src_port, key.dst_port),
-                    2,
-                    0,
-                );
+                let flow = flow_id(key.src_port, key.dst_port);
+                self.obs
+                    .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 2));
                 self.forward(pkt, sink);
                 return;
             }
@@ -969,24 +934,12 @@ impl MergeEngine {
             }
             PendingAct::DropInconsistent => {
                 self.stats.dropped_inconsistent_overlap += 1;
-                self.obs.record(
-                    EventKind::DropInconsistentOverlap,
-                    now,
-                    pkt.len() as u32,
-                    flow,
-                    0,
-                );
+                self.record_drop(now, pkt.len(), flow, drop_reason::INCONSISTENT_OVERLAP);
                 return;
             }
             PendingAct::DropEvasion => {
                 self.stats.dropped_overlap_evasion += 1;
-                self.obs.record(
-                    EventKind::DropInconsistentOverlap,
-                    now,
-                    pkt.len() as u32,
-                    flow,
-                    1,
-                );
+                self.record_drop(now, pkt.len(), flow, drop_reason::OVERLAP_EVASION);
                 return;
             }
             PendingAct::ForwardBelow => {
@@ -1021,7 +974,7 @@ impl MergeEngine {
         if pkt.len() >= full_at {
             // Already iMTU-sized (e.g. traffic from another b-network).
             self.stats.flush_full += 1;
-            self.record_single_emit(now, pkt.len(), flow);
+            self.record_emit(now, 0, pkt.len(), flow, 1);
             let mut buf = self.pool.get();
             buf.extend_from_slice(pkt);
             self.emit(buf, sink);
@@ -1029,7 +982,7 @@ impl MergeEngine {
         }
         if self.cfg.hold_ns == 0 {
             // Delayed merging disabled: emit immediately (ablation).
-            self.record_single_emit(now, pkt.len(), flow);
+            self.record_emit(now, 0, pkt.len(), flow, 1);
             let mut buf = self.pool.get();
             buf.extend_from_slice(pkt);
             self.emit(buf, sink);
@@ -1076,9 +1029,7 @@ impl MergeEngine {
             // and was rescue-flushed below, never dropped.
             let vflow = flow_id(victim.src_port, victim.dst_port);
             self.obs
-                .record(EventKind::FlowEvict, now, p.buf.len() as u32, vflow, 2);
-            self.obs
-                .record_span(SpanCat::Evict, now, 0, p.buf.len() as u32, vflow, 2, 0);
+                .record(Span::instant(SpanCat::Evict, now, p.buf.len(), vflow, 2));
             self.finalize_flow(&victim, p, sink);
         }
     }
@@ -1087,7 +1038,7 @@ impl MergeEngine {
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
         // The end-of-run drain polls with a `u64::MAX` sentinel to
         // expire every hold timer; keep the last *real* timestamp for
-        // dwell/event accounting so drained aggregates don't report
+        // dwell/span accounting so drained aggregates don't report
         // astronomical dwells (which also overflow the profiler's
         // per-flow sums in debug builds).
         if now != u64::MAX {
@@ -1351,10 +1302,12 @@ mod tests {
         let out = eng.push(1, attack);
         assert!(out.is_empty(), "attacker segment never forwarded");
         assert_eq!(eng.stats.dropped_inconsistent_overlap, 1);
-        let kinds: Vec<EventKind> = eng.obs.recent(8).iter().map(|e| e.kind).collect();
+        let spans = eng.obs.recent_spans(8);
         assert!(
-            kinds.contains(&EventKind::DropInconsistentOverlap),
-            "{kinds:?}"
+            spans
+                .iter()
+                .any(|s| s.cat == SpanCat::Drop && s.aux == drop_reason::INCONSISTENT_OVERLAP),
+            "{spans:?}"
         );
         // The legit aggregate is intact and still merges.
         let out = eng.push(2, data_pkt(5000, 1000, 1000));
@@ -1488,24 +1441,24 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_merge_emissions() {
+    fn recorder_captures_merge_emissions() {
         let mut eng = MergeEngine::new(MergeConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
         for i in 0..6u32 {
             eng.push(i as u64 * 10, data_pkt(5000, i * 1460, 1460));
         }
-        let events = eng.obs.recent(64);
+        let spans = eng.obs.recent_spans(64);
         assert!(
-            events
-                .iter()
-                .any(|e| e.kind == EventKind::MergeEmit && e.flow == flow_id(5000, 80)),
-            "{events:?}"
+            spans.iter().any(|s| s.cat == SpanCat::Merge
+                && s.flow == flow_id(5000, 80)
+                && (s.start_ns, s.dur_ns, s.aux) == (0, 50, 6)),
+            "{spans:?}"
         );
         // Dwell = emission time (t=50) − first segment time (t=0).
         assert_eq!(eng.obs.hists().dwell_ns.max(), 50);
         assert_eq!(eng.obs.hists().out_bytes.count(), 1);
         let timeline = eng.obs.render_recent(8);
-        assert!(timeline.contains("MergeEmit"), "{timeline}");
+        assert!(timeline.contains("merge"), "{timeline}");
     }
 
     #[test]
@@ -1542,9 +1495,9 @@ mod tests {
         assert_eq!(got.borrow().len(), 2);
         eng.push_into(20, &data_pkt(6000, 1000, 1000), &mut sink);
         assert!(!eng.is_degraded(), "recovered on next successful creation");
-        let kinds: Vec<EventKind> = eng.obs.recent(16).iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::DegradeEnter), "{kinds:?}");
-        assert!(kinds.contains(&EventKind::DegradeExit), "{kinds:?}");
+        let cats: Vec<SpanCat> = eng.obs.recent_spans(16).iter().map(|s| s.cat).collect();
+        assert!(cats.contains(&SpanCat::DegradeEnter), "{cats:?}");
+        assert!(cats.contains(&SpanCat::DegradeExit), "{cats:?}");
         eng.flush_all_into(&mut sink);
         assert_eq!(eng.pool_outstanding(), 0, "no leaked buffers");
     }
@@ -1589,9 +1542,9 @@ mod tests {
         );
         let enter = eng
             .obs
-            .recent(4)
+            .recent_spans(4)
             .iter()
-            .find(|e| e.kind == EventKind::DegradeEnter)
+            .find(|s| s.cat == SpanCat::DegradeEnter)
             .copied()
             .expect("DegradeEnter recorded");
         assert_eq!(enter.aux, 2, "cause = table denial");

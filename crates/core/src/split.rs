@@ -7,7 +7,7 @@
 //! fragmentation when DF allows (UDP caravans never reach this engine —
 //! [`crate::caravan_gw`] unbundles them first).
 
-use px_obs::{flow_id, EventKind, ObsConfig, Recorder, SpanCat};
+use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::nic::tso_split_sg_into;
 use px_sim::stats::SizeHistogram;
 use px_wire::bytes;
@@ -17,15 +17,13 @@ use px_wire::pool::{BufPool, PacketSink, PoolStats, SgPacket, SgRc};
 use px_wire::{IpProtocol, PacketBuf};
 
 /// A sink adapter that records every emitted packet's size into a
-/// [`SizeHistogram`] (and, when observability is on, a [`SplitEmit`]
-/// flight-recorder event) before forwarding it — how the engines keep
+/// [`SizeHistogram`] (and, when observability is on, a
+/// [`SpanCat::Split`] span) before forwarding it — how the engines keep
 /// their `out_sizes` accounting on the sink-based hot path.
-///
-/// [`SplitEmit`]: EventKind::SplitEmit
 pub(crate) struct RecordingSink<'a, S> {
     pub sizes: &'a mut SizeHistogram,
     pub obs: &'a mut Recorder,
-    /// Logical timestamp for emitted events: the split engine has no
+    /// Logical timestamp for emitted spans: the split engine has no
     /// clock, so this is its input-packet counter (deterministic).
     pub ts: u64,
     /// Flow id of the packet being split (all emissions share it).
@@ -39,17 +37,10 @@ pub(crate) struct RecordingSink<'a, S> {
 impl<S: PacketSink> RecordingSink<'_, S> {
     fn note_emit(&mut self, len: usize) {
         self.sizes.record(len);
-        self.obs
-            .record(EventKind::SplitEmit, self.ts, len as u32, self.flow, 0);
-        self.obs.record_span(
-            SpanCat::Split,
-            self.ts,
-            0,
-            len as u32,
-            self.flow,
-            0,
-            self.link,
-        );
+        self.obs.record(Span {
+            link: self.link,
+            ..Span::instant(SpanCat::Split, self.ts, len, self.flow, 0)
+        });
         self.obs.observe_out_size(len as u64);
     }
 }
@@ -101,7 +92,7 @@ pub struct SplitEngine {
     pool: BufPool,
     /// Counters.
     pub stats: SplitStats,
-    /// Flight recorder + histograms (disabled by default — zero cost).
+    /// Span recorder + histograms (disabled by default — zero cost).
     pub obs: Recorder,
     /// Live-view counter for the jumbo currently being split. Emission
     /// is synchronous, so the count is back to zero by the time
@@ -121,7 +112,7 @@ impl SplitEngine {
             emtu,
             pool: BufPool::for_mtu(emtu, 256),
             stats: SplitStats::default(),
-            obs: Recorder::off(),
+            obs: Recorder::default(),
             view_rc: SgRc::new(),
             span_link: 0,
         }
@@ -135,7 +126,7 @@ impl SplitEngine {
         self.span_link = link;
     }
 
-    /// Switches the flight recorder + histograms on.
+    /// Switches the span recorder + histograms on.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         self.obs = Recorder::new(cfg);
     }
@@ -157,8 +148,8 @@ impl SplitEngine {
     /// path MTU requires).
     pub fn push_to_into(&mut self, pkt: &[u8], mtu: usize, sink: &mut impl PacketSink) {
         self.stats.pkts_in += 1;
-        // Logical event timestamp: this engine has no clock, so events
-        // are stamped with the input-packet index (deterministic).
+        // Logical timestamp: this engine has no clock, so spans are
+        // stamped with the input-packet index (deterministic).
         let ts = self.stats.pkts_in;
         if pkt.len() <= mtu {
             self.stats.out_sizes.record(pkt.len());
@@ -177,8 +168,8 @@ impl SplitEngine {
         let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
             // Unparseable oversize packet: drop.
             self.stats.dropped_malformed += 1;
-            self.obs
-                .record(EventKind::DropMalformed, ts, pkt.len() as u32, 0, 0);
+            let drop = Span::instant(SpanCat::Drop, ts, pkt.len(), 0, drop_reason::MALFORMED);
+            self.obs.record(drop);
             return;
         };
         let l4 = ip.payload();
@@ -205,8 +196,9 @@ impl SplitEngine {
                     Err(_) => {
                         // A jumbo TCP packet the TSO splitter cannot parse.
                         self.stats.dropped_malformed += 1;
+                        let reason = drop_reason::MALFORMED;
                         self.obs
-                            .record(EventKind::DropMalformed, ts, pkt.len() as u32, flow, 0);
+                            .record(Span::instant(SpanCat::Drop, ts, pkt.len(), flow, reason));
                     }
                 }
             }
@@ -332,32 +324,30 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_split_emissions() {
+    fn recorder_captures_split_emissions() {
         let mut eng = SplitEngine::new(1500);
         eng.enable_obs(px_obs::ObsConfig::default());
         let out = push_vec(&mut eng, &jumbo_tcp(8760));
         assert_eq!(out.len(), 6);
-        let events = eng.obs.recent(64);
-        let splits: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::SplitEmit)
-            .collect();
+        let spans = eng.obs.recent_spans(64);
+        let splits: Vec<_> = spans.iter().filter(|s| s.cat == SpanCat::Split).collect();
         assert_eq!(splits.len(), 6);
+        assert_eq!(eng.obs.spans_recorded(), 6, "one record per emission");
         // All six share the input packet's logical index and flow id.
-        assert!(splits.iter().all(|e| e.ts == 1), "{splits:?}");
+        assert!(splits.iter().all(|s| s.start_ns == 1), "{splits:?}");
         assert!(
             splits.iter().all(|e| e.flow == flow_id(80, 5000)),
             "{splits:?}"
         );
         assert_eq!(eng.obs.hists().out_bytes.count(), 6);
 
-        // Malformed oversize input records a drop event.
+        // Malformed oversize input records a typed drop.
         assert!(push_vec(&mut eng, &[0u8; 4000]).is_empty());
         assert!(eng
             .obs
-            .recent(64)
+            .recent_spans(64)
             .iter()
-            .any(|e| e.kind == EventKind::DropMalformed && e.ts == 2));
+            .any(|s| s.cat == SpanCat::Drop && s.aux == drop_reason::MALFORMED && s.start_ns == 2));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * **R4 lint-config conformance** — every crate root carries the agreed
 //!   `#![forbid(unsafe_code)]`-class preamble and opts into
 //!   `[workspace.lints]`.
-//! * **R5 recording discipline** — the flight recorder's per-packet call
-//!   sites (`record*`, `observe*`, `push` in `px-obs`) and their callees
+//! * **R5 recording discipline** — the recorder's per-packet call
+//!   sites (`record`, `observe*`, `push` in `px-obs`) and their callees
 //!   perform no heap allocation.
 //! * **R6 recovery discipline** — fault-handling functions (`degrade*`,
 //!   `on_fault*`, `restart_worker*`, in any module) and everything they

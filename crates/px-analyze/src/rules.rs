@@ -6,7 +6,7 @@
 //! | R2   | every workspace file | `unsafe` not immediately preceded by a `// SAFETY:` comment |
 //! | R3   | emission functions + everything they reach | allocation (`Vec::new`, `vec!`, `Box::new`, `to_vec`, `clone`, `String` construction, `format!`) |
 //! | R4   | crate roots | missing `#![forbid(unsafe_code)]`-class preamble or `[lints] workspace = true` |
-//! | R5   | recording functions + everything they reach | the R3 allocation set — `record*`/`observe*`/`push` run per packet inside the datapath |
+//! | R5   | recording functions + everything they reach | the R3 allocation set — `record`/`observe*`/`push` run per packet inside the datapath |
 //! | R6   | fault-handling functions + everything they reach | *both* the R1 panic set and the R3 allocation set — recovery code runs while the system is already degraded |
 //! | R7   | split-engine emission functions + everything they reach | payload byte copies (`.extend_from_slice()`, `.copy_from_slice()`) |
 //! | R8   | everything reachable from the Deterministic-mode datapath, plus every function in the seeded attack/fault-generator modules | wall-clock reads (`Instant::now`, `SystemTime::now`), OS randomness (`thread_rng`, `RandomState`-default `HashMap`/`HashSet`), environment reads |
@@ -148,8 +148,8 @@ pub struct Config {
     /// applies inside these plus any function ending in `_into`.
     pub emission_fns: Vec<&'static str>,
     /// Path suffixes of R5 recording-discipline modules (the px-obs
-    /// flight-recorder datapath). R5 applies inside functions named
-    /// `record*`, `observe*`, or `push` — the per-packet recording call
+    /// recorder datapath). R5 applies inside functions named
+    /// `record`, `observe*`, or `push` — the per-packet recording call
     /// sites; the drain/render side may allocate freely.
     pub r5_modules: Vec<&'static str>,
     /// Function-name prefixes of R6 fault-handling/recovery paths. R6
@@ -201,14 +201,13 @@ impl Default for Config {
                 "crates/px-wire/src/buffer.rs",
                 "crates/px-wire/src/pool.rs",
                 "crates/px-wire/src/bytes.rs",
-                // The flight recorder runs inline in every hot loop, so
-                // its recording side is held to the same panic-freedom
-                // bar as the datapath proper.
-                "crates/px-obs/src/event.rs",
+                // The recorder runs inline in every hot loop, so its
+                // recording side is held to the same panic-freedom bar
+                // as the datapath proper.
                 "crates/px-obs/src/ring.rs",
                 "crates/px-obs/src/hist.rs",
                 "crates/px-obs/src/recorder.rs",
-                // Tier 2: span rings, the hot-flow sketch, and the SLO
+                // The span record, the hot-flow sketch, and the SLO
                 // watchdog also run inline on the workers.
                 "crates/px-obs/src/span.rs",
                 "crates/px-obs/src/profile.rs",
@@ -248,7 +247,6 @@ impl Default for Config {
                 "push_sg",
             ],
             r5_modules: vec![
-                "crates/px-obs/src/event.rs",
                 "crates/px-obs/src/ring.rs",
                 "crates/px-obs/src/hist.rs",
                 "crates/px-obs/src/recorder.rs",
@@ -318,10 +316,7 @@ impl Config {
         // `evaluate` is the SLO watchdog's per-batch check: it runs
         // inline on the worker between batches, so it is held to the
         // same alloc/blocking discipline as the recording fns proper.
-        name.starts_with("record")
-            || name.starts_with("observe")
-            || name == "push"
-            || name == "evaluate"
+        name == "record" || name.starts_with("observe") || name == "push" || name == "evaluate"
     }
 
     fn is_r6_fn(&self, name: &str) -> bool {

@@ -12,7 +12,7 @@ impl Rec {
         self.scratch = v.capacity() as u64;
     }
 
-    pub fn record_event(&mut self, data: &[u8]) {
+    pub fn evaluate(&mut self, data: &[u8]) {
         let copy = data.to_vec(); // 2: slice copy
         self.scratch = copy.len() as u64;
     }

@@ -1,7 +1,7 @@
 // R5 fixture: allocation-free recording functions, plus allocating
 // code that is legitimately outside the recording paths. Analyzed as a
 // px-obs module path, where R1 and R5 both apply — so nothing here may
-// unwrap, slice with partial ranges, or allocate inside record*/
+// unwrap, slice with partial ranges, or allocate inside record/
 // observe*/push.
 
 pub struct Ring {

@@ -2,8 +2,8 @@
 
 use crate::rng::splitmix64;
 
-/// Degrade cause codes, shared by the engines' `DegradeEnter` events
-/// and `Degrade` spans so every consumer (flight recorder, trace
+/// Degrade cause codes, shared by the engines' `DegradeEnter` and
+/// `Degrade` spans so every consumer (post-mortem timeline, trace
 /// export, Prometheus labels) agrees on the encoding.
 pub mod cause {
     /// The buffer pool was dry at aggregate/bundle creation.

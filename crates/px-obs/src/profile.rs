@@ -1,4 +1,4 @@
-//! Continuous profiling — tier 2 of the flight recorder.
+//! Continuous profiling.
 //!
 //! Two always-on, fixed-footprint structures per core:
 //!
@@ -8,15 +8,17 @@
 //!   array — no hashing, no allocation, bounded error `err` per the
 //!   classic Metwally et al. algorithm (an evicted minimum's count is
 //!   inherited by its replacement and remembered as overestimation).
-//! * A **batch-profile ring** ([`ProfileRing`]) of the most recent
-//!   per-batch stage attributions ([`BatchProfile`]): wall time split
+//! * A **batch-profile ring** (a [`Ring`] of [`BatchProfile`]s) of the
+//!   most recent per-batch stage attributions: wall time split
 //!   into the batch-front parse/checksum phase and the merge/emit
 //!   phase, stamped from the worker's existing wall-clock reads (no new
 //!   clock calls on the datapath).
 //!
 //! Wall times never feed back into the datapath or the deterministic
-//! event/span streams; they are report-side only, exactly like the
+//! span streams; they are report-side only, exactly like the
 //! latency histograms.
+
+use crate::ring::Ring;
 
 /// Per-flow totals tracked by the top-K sketch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,11 +107,6 @@ impl TopK {
         self.entries.len()
     }
 
-    /// The sketch's K (maximum flows tracked).
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
     /// Whether the sketch has seen nothing.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -154,80 +151,6 @@ impl BatchProfile {
     }
 }
 
-/// A fixed-capacity overwrite-oldest ring of recent [`BatchProfile`]s.
-#[derive(Debug, Clone, Default)]
-pub struct ProfileRing {
-    buf: Box<[BatchProfile]>,
-    next: usize,
-    written: u64,
-}
-
-impl ProfileRing {
-    /// Creates a ring of `capacity` batch profiles (0 = no-op pushes,
-    /// no allocation).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProfileRing {
-            buf: vec![BatchProfile::default(); capacity].into_boxed_slice(),
-            next: 0,
-            written: 0,
-        }
-    }
-
-    /// Records one batch profile, overwriting the oldest. Alloc-free.
-    #[inline]
-    pub fn push(&mut self, p: BatchProfile) {
-        let cap = self.buf.len();
-        if cap == 0 {
-            return;
-        }
-        if let Some(slot) = self.buf.get_mut(self.next) {
-            *slot = p;
-        }
-        self.next += 1;
-        if self.next == cap {
-            self.next = 0;
-        }
-        self.written = self.written.wrapping_add(1);
-    }
-
-    /// Ring capacity in batch profiles.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total profiles ever pushed.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Profiles currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        usize::try_from(self.written)
-            .unwrap_or(usize::MAX)
-            .min(self.buf.len())
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.written == 0
-    }
-
-    /// The last `n` profiles, oldest first. Allocates (cold path).
-    pub fn recent(&self, n: usize) -> Vec<BatchProfile> {
-        let held = self.len();
-        let take = n.min(held);
-        let cap = self.buf.len();
-        let mut out = Vec::with_capacity(take);
-        for i in 0..take {
-            let idx = (self.next + cap - take + i) % cap.max(1);
-            if let Some(p) = self.buf.get(idx) {
-                out.push(*p);
-            }
-        }
-        out
-    }
-}
-
 /// The per-core continuous profiler: top-K flow sketch, recent batch
 /// profiles, and whole-run stage totals.
 #[derive(Debug, Clone, Default)]
@@ -235,7 +158,7 @@ pub struct Profiler {
     /// Hot-flow sketch.
     pub topk: TopK,
     /// Recent batch profiles.
-    pub ring: ProfileRing,
+    pub ring: Ring<BatchProfile>,
     /// Whole-run parse-phase wall nanoseconds.
     pub parse_ns_total: u64,
     /// Whole-run total batch wall nanoseconds.
@@ -250,7 +173,7 @@ impl Profiler {
     pub fn new(k: usize, ring: usize) -> Self {
         Profiler {
             topk: TopK::new(k),
-            ring: ProfileRing::with_capacity(ring),
+            ring: Ring::with_capacity(ring),
             parse_ns_total: 0,
             wall_ns_total: 0,
             batches: 0,

@@ -1,13 +1,13 @@
-//! The per-engine recorder: one event ring + one histogram set, with a
-//! disabled mode that compiles down to predicted-branch no-ops.
+//! The per-engine recorder: one span ring, one histogram set and the
+//! continuous profiler, with a disabled mode that compiles down to
+//! predicted-branch no-ops.
 
-use crate::event::{Event, EventKind};
 use crate::hist::HistSet;
 use crate::profile::{BatchProfile, Profiler};
-use crate::ring::EventRing;
+use crate::ring::Ring;
 use crate::slo::SloSpec;
 use crate::snapshot::TimeSample;
-use crate::span::{Span, SpanCat, SpanRing};
+use crate::span::Span;
 
 /// Observability configuration, embedded (by `Copy`) in engine configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,10 +15,7 @@ pub struct ObsConfig {
     /// Master switch. When false nothing allocates and every recording
     /// call is a single predicted branch.
     pub enabled: bool,
-    /// Flight-recorder capacity per engine, in events.
-    pub ring_capacity: usize,
-    /// Span-tracer capacity per engine, in spans (tier 2; 0 disables
-    /// span tracing while keeping events on).
+    /// Recorder ring capacity per engine, in spans.
     pub span_capacity: usize,
     /// Continuous-profiler top-K sketch size (hot flows tracked per
     /// core; 0 disables the sketch).
@@ -41,7 +38,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             enabled: true,
-            ring_capacity: 256,
             span_capacity: 1024,
             profile_topk: 16,
             profile_ring: 64,
@@ -53,12 +49,11 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// The all-off configuration: no rings, no histograms, no sampler,
+    /// The all-off configuration: no ring, no histograms, no sampler,
     /// no profiler, no watchdog.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,
-            ring_capacity: 0,
             span_capacity: 0,
             profile_topk: 0,
             profile_ring: 0,
@@ -69,7 +64,29 @@ impl ObsConfig {
     }
 }
 
-/// A flight recorder plus histogram set for one engine/core.
+/// Everything one recorder held, detached for report assembly: the
+/// ring's spans (oldest first), the histograms and the profiler.
+#[derive(Debug, Clone, Default)]
+pub struct Telemetry {
+    /// The span ring's contents, oldest first.
+    pub spans: Vec<Span>,
+    /// The accumulated histograms.
+    pub hists: HistSet,
+    /// The continuous profiler.
+    pub profile: Profiler,
+}
+
+impl Telemetry {
+    /// Folds in what a `later` recorder of the same shape held: its
+    /// spans go after these (they are chronologically later).
+    pub fn merge(&mut self, later: Telemetry) {
+        self.spans.extend(later.spans);
+        self.hists.merge(&later.hists);
+        self.profile.merge(&later.profile);
+    }
+}
+
+/// A span ring, histogram set and profiler for one engine/core.
 ///
 /// The default value is the disabled recorder (zero-capacity ring, no
 /// heap), so embedding one in an engine costs nothing until
@@ -77,34 +94,25 @@ impl ObsConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     enabled: bool,
-    ring: EventRing,
-    spans: SpanRing,
+    spans: Ring<Span>,
     profile: Profiler,
     hists: HistSet,
 }
 
 impl Recorder {
-    /// Builds a recorder for `cfg`, preallocating the event/span rings
-    /// and the profiler when enabled (so nothing on the recording path
-    /// ever allocates).
+    /// Builds a recorder for `cfg`, preallocating the span ring and the
+    /// profiler when enabled (so nothing on the recording path ever
+    /// allocates).
     pub fn new(cfg: ObsConfig) -> Self {
-        let on = cfg.enabled;
+        if !cfg.enabled {
+            return Self::default();
+        }
         Recorder {
-            enabled: on,
-            ring: EventRing::with_capacity(if on { cfg.ring_capacity } else { 0 }),
-            spans: SpanRing::with_capacity(if on { cfg.span_capacity } else { 0 }),
-            profile: if on {
-                Profiler::new(cfg.profile_topk, cfg.profile_ring)
-            } else {
-                Profiler::default()
-            },
+            enabled: true,
+            spans: Ring::with_capacity(cfg.span_capacity),
+            profile: Profiler::new(cfg.profile_topk, cfg.profile_ring),
             hists: HistSet::default(),
         }
-    }
-
-    /// The disabled recorder (same as `Recorder::default()`).
-    pub fn off() -> Self {
-        Self::default()
     }
 
     /// Whether recording is active.
@@ -113,47 +121,14 @@ impl Recorder {
         self.enabled
     }
 
-    /// Records one event. Alloc-free; no-op when disabled.
+    /// Records one span. Alloc-free; no-op when disabled.
+    /// `start_ns`/`dur_ns` must be logical time.
     #[inline]
-    pub fn record(&mut self, kind: EventKind, ts: u64, len: u32, flow: u32, aux: u64) {
+    pub fn record(&mut self, span: Span) {
         if !self.enabled {
             return;
         }
-        self.ring.push(Event {
-            ts,
-            aux,
-            flow,
-            len,
-            kind,
-        });
-    }
-
-    /// Records one flow-lifecycle span. Alloc-free; no-op when
-    /// disabled. `start_ns`/`dur_ns` must be logical time.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span(
-        &mut self,
-        cat: SpanCat,
-        start_ns: u64,
-        dur_ns: u64,
-        len: u32,
-        flow: u32,
-        aux: u64,
-        link: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.spans.push(Span {
-            start_ns,
-            dur_ns,
-            aux,
-            link,
-            flow,
-            len,
-            cat,
-        });
+        self.spans.push(span);
     }
 
     /// Attributes emission work to a flow in the continuous profiler's
@@ -212,9 +187,11 @@ impl Recorder {
         &self.hists
     }
 
-    /// Total events recorded (including ones the ring overwrote).
+    /// Always 0: every record is a span. Kept because pxbench's
+    /// `sut.rs` sums it with [`spans_recorded`](Self::spans_recorded)
+    /// (ROADMAP item 5c drops it there, then here).
     pub fn events_recorded(&self) -> u64 {
-        self.ring.written()
+        0
     }
 
     /// Total spans recorded (including ones the ring overwrote).
@@ -232,62 +209,46 @@ impl Recorder {
         &self.profile
     }
 
-    /// The last `n` events, oldest first (cold path; allocates).
-    pub fn recent(&self, n: usize) -> Vec<Event> {
-        self.ring.recent(n)
-    }
-
-    /// Decodes the last `n` events into a human-readable timeline, one
-    /// line per event — the post-mortem dump format.
+    /// Decodes the last `n` spans into a human-readable timeline, one
+    /// line per span — the post-mortem dump format.
     pub fn render_recent(&self, n: usize) -> String {
-        let evs = self.ring.recent(n);
-        if evs.is_empty() {
-            return String::from("  (no events recorded)");
+        let spans = self.spans.recent(n);
+        if spans.is_empty() {
+            return String::from("  (no spans recorded)");
         }
-        let mut out = String::with_capacity(evs.len() * 48);
-        for ev in &evs {
-            out.push_str("  ");
-            out.push_str(&ev.render());
-            out.push('\n');
-        }
-        out
+        render_timeline(&spans)
     }
 
-    /// Drains the recorder: renders the last `n` events as a timeline
-    /// and resets the ring (histograms are kept — they merge upward).
+    /// Drains the recorder: renders the last `n` spans as a timeline
+    /// and empties the ring (histograms are kept — they merge upward).
     pub fn drain(&mut self, n: usize) -> String {
         let rendered = self.render_recent(n);
-        let cap = self.ring.capacity();
-        self.ring = EventRing::with_capacity(cap);
+        self.spans.clear();
         rendered
     }
 
-    /// Consumes the recorder's contents for report assembly: every held
-    /// event (oldest first) plus the histogram set.
-    pub fn take(&mut self) -> (Vec<Event>, HistSet) {
-        let events = self.ring.recent(self.ring.capacity().max(self.ring.len()));
-        let hists = self.hists;
-        self.ring = EventRing::with_capacity(self.ring.capacity());
-        self.hists = HistSet::default();
-        (events, hists)
+    /// Detaches everything recorded, for report assembly or salvage
+    /// across a restart. The recorder is left disabled: both callers
+    /// drop the engine that held it, so nothing is re-armed for them.
+    pub fn take(&mut self) -> Telemetry {
+        let rec = std::mem::take(self);
+        Telemetry {
+            spans: rec.spans.recent(rec.spans.len()),
+            hists: rec.hists,
+            profile: rec.profile,
+        }
     }
+}
 
-    /// Consumes the span ring for report assembly (oldest first).
-    pub fn take_spans(&mut self) -> Vec<Span> {
-        let spans = self
-            .spans
-            .recent(self.spans.capacity().max(self.spans.len()));
-        self.spans = SpanRing::with_capacity(self.spans.capacity());
-        spans
+/// One indented [`Span::render`] line per span.
+fn render_timeline(spans: &[Span]) -> String {
+    let mut out = String::with_capacity(spans.len() * 64);
+    for sp in spans {
+        out.push_str("  ");
+        out.push_str(&sp.render());
+        out.push('\n');
     }
-
-    /// Consumes the profiler for report assembly, leaving an empty one
-    /// of the same shape behind.
-    pub fn take_profiler(&mut self) -> Profiler {
-        let k = self.profile.topk.capacity();
-        let ring = self.profile.ring.capacity();
-        std::mem::replace(&mut self.profile, Profiler::new(k, ring))
-    }
+    out
 }
 
 /// Observability results attached to an engine run report.
@@ -297,13 +258,12 @@ pub struct ObsReport {
     pub enabled: bool,
     /// Histograms merged over every core.
     pub hists: HistSet,
-    /// Each core's flight-recorder contents (oldest first).
-    pub per_core_events: Vec<Vec<Event>>,
-    /// Each core's span-tracer contents (oldest first; tier 2).
+    /// Each core's recorder contents (oldest first; spans salvaged
+    /// across worker restarts come first).
     pub per_core_spans: Vec<Vec<Span>>,
-    /// The continuous profiler, merged over every core (tier 2).
+    /// The continuous profiler, merged over every core.
     pub profile: Profiler,
-    /// The SLO watchdog tallies, merged over every core (tier 2).
+    /// The SLO watchdog tallies, merged over every core.
     pub slo: crate::slo::SloWatchdog,
     /// Periodic whole-engine samples from the in-run sampler thread
     /// (Parallel mode; a single final sample otherwise).
@@ -316,25 +276,21 @@ impl ObsReport {
         Self::default()
     }
 
-    /// Renders the last `n` events of every core as a post-mortem
+    /// Renders the last `n` spans of every core as a post-mortem
     /// timeline — what failing engine tests print.
     pub fn dump_recent(&self, n: usize) -> String {
         if !self.enabled {
             return String::from("(observability disabled for this run)");
         }
         let mut out = String::new();
-        for (core, evs) in self.per_core_events.iter().enumerate() {
+        for (core, spans) in self.per_core_spans.iter().enumerate() {
+            let start = spans.len().saturating_sub(n);
             out.push_str(&format!(
-                "core {core} (last {} of {} events):\n",
-                n.min(evs.len()),
-                evs.len()
+                "core {core} (last {} of {} spans):\n",
+                spans.len() - start,
+                spans.len()
             ));
-            let start = evs.len().saturating_sub(n);
-            for ev in evs.iter().skip(start) {
-                out.push_str("  ");
-                out.push_str(&ev.render());
-                out.push('\n');
-            }
+            out.push_str(&render_timeline(spans.get(start..).unwrap_or_default()));
         }
         out
     }
@@ -343,16 +299,23 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::SpanCat;
+
+    fn sp(cat: SpanCat, start_ns: u64) -> Span {
+        Span::instant(cat, start_ns, 1500, crate::flow_id(5000, 80), 0)
+    }
 
     #[test]
     fn disabled_recorder_records_nothing() {
         let mut r = Recorder::new(ObsConfig::disabled());
-        r.record(EventKind::PktIn, 1, 1500, 0, 0);
+        r.record(sp(SpanCat::Classify, 1));
         r.observe_batch(100, 32);
         r.observe_out_size(9000);
-        assert_eq!(r.events_recorded(), 0);
+        r.observe_flow(1, 1, 1, 1);
+        assert_eq!(r.spans_recorded(), 0);
         assert_eq!(r.hists().batch_ns.count(), 0);
         assert_eq!(r.hists().out_bytes.count(), 0);
+        assert!(r.profiler().topk.is_empty());
         assert!(!r.is_enabled());
     }
 
@@ -360,47 +323,30 @@ mod tests {
     fn enabled_recorder_accumulates_and_drains() {
         let mut r = Recorder::new(ObsConfig::default());
         for t in 0..10 {
-            r.record(EventKind::PktIn, t, 1500, crate::flow_id(5000, 80), 0);
+            r.record(sp(SpanCat::Classify, t));
         }
         r.observe_batch(3200, 32);
-        assert_eq!(r.events_recorded(), 10);
+        assert_eq!(r.spans_recorded(), 10);
+        assert_eq!(r.recent_spans(4).len(), 4);
         assert_eq!(r.hists().pkt_ns.count(), 1);
         let timeline = r.drain(4);
         assert_eq!(timeline.lines().count(), 4, "{timeline}");
-        assert!(timeline.contains("PktIn"));
-        assert_eq!(r.events_recorded(), 0, "drain resets the ring");
+        assert!(timeline.contains("classify"));
+        assert_eq!(r.spans_recorded(), 0, "drain resets the ring");
         assert_eq!(r.hists().batch_ns.count(), 1, "histograms survive drain");
     }
 
     #[test]
-    fn take_hands_over_events_and_hists() {
-        let mut r = Recorder::new(ObsConfig {
-            ring_capacity: 8,
+    fn take_detaches_spans_hists_and_profile_and_merge_appends() {
+        let cfg = ObsConfig {
+            span_capacity: 8,
             ..ObsConfig::default()
-        });
+        };
+        let mut r = Recorder::new(cfg);
         for t in 0..20 {
-            r.record(EventKind::BatchDone, t, 32, 0, 0);
+            r.record(sp(SpanCat::Batch, t));
         }
         r.observe_dwell(500);
-        let (events, hists) = r.take();
-        assert_eq!(events.len(), 8, "capacity-bounded");
-        assert_eq!(events.first().map(|e| e.ts), Some(12));
-        assert_eq!(hists.dwell_ns.count(), 1);
-        assert_eq!(r.hists().dwell_ns.count(), 0);
-    }
-
-    #[test]
-    fn tier2_records_spans_and_profiles() {
-        let mut r = Recorder::new(ObsConfig::default());
-        r.record_span(
-            SpanCat::Merge,
-            100,
-            50_000,
-            8760,
-            crate::flow_id(5000, 80),
-            6,
-            1,
-        );
         r.observe_flow(crate::flow_id(5000, 80), 6, 8760, 50_000);
         r.observe_batch_profile(BatchProfile {
             batch: 0,
@@ -408,42 +354,39 @@ mod tests {
             wall_ns: 4000,
             parse_ns: 1000,
         });
-        assert_eq!(r.spans_recorded(), 1);
-        assert_eq!(r.recent_spans(4).len(), 1);
-        assert_eq!(r.profiler().batches, 1);
-        assert_eq!(r.profiler().topk.len(), 1);
-        let spans = r.take_spans();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].cat, SpanCat::Merge);
-        assert_eq!(r.spans_recorded(), 0, "take resets the span ring");
-        let prof = r.take_profiler();
-        assert_eq!(prof.batches, 1);
-        assert_eq!(r.profiler().batches, 0, "take resets the profiler");
-        assert_eq!(r.profiler().topk.capacity(), 16, "shape survives take");
+        let mut first = r.take();
+        assert_eq!(first.spans.len(), 8, "capacity-bounded");
+        assert_eq!(first.spans.first().map(|s| s.start_ns), Some(12));
+        assert_eq!(first.hists.dwell_ns.count(), 1);
+        assert_eq!(first.profile.batches, 1);
+        assert_eq!(first.profile.topk.len(), 1);
+        assert!(!r.is_enabled(), "take leaves the disabled recorder");
+        assert_eq!(r.spans_recorded(), 0);
+        assert_eq!(r.hists().dwell_ns.count(), 0);
 
-        let mut off = Recorder::new(ObsConfig::disabled());
-        off.record_span(SpanCat::Split, 1, 0, 0, 0, 0, 0);
-        off.observe_flow(1, 1, 1, 1);
-        assert_eq!(off.spans_recorded(), 0);
-        assert!(off.profiler().topk.is_empty());
+        // What a restarted engine's recorder held folds in after it.
+        let mut r2 = Recorder::new(cfg);
+        r2.record(sp(SpanCat::Restart, 99));
+        r2.observe_dwell(700);
+        r2.observe_flow(crate::flow_id(5000, 80), 1, 1460, 0);
+        first.merge(r2.take());
+        assert_eq!(first.spans.len(), 9);
+        assert_eq!(first.spans.last().map(|s| s.cat), Some(SpanCat::Restart));
+        assert_eq!(first.hists.dwell_ns.count(), 2);
+        assert_eq!(first.profile.topk.top()[0].pkts, 7);
     }
 
     #[test]
     fn obs_report_dump_groups_by_core() {
         let report = ObsReport {
             enabled: true,
-            per_core_events: vec![
-                vec![Event::EMPTY; 3],
-                vec![Event {
-                    ts: 7,
-                    ..Event::EMPTY
-                }],
-            ],
+            per_core_spans: vec![vec![Span::default(); 3], vec![sp(SpanCat::Merge, 7)]],
             ..ObsReport::disabled()
         };
         let dump = report.dump_recent(2);
-        assert!(dump.contains("core 0 (last 2 of 3 events):"), "{dump}");
-        assert!(dump.contains("core 1 (last 1 of 1 events):"), "{dump}");
-        assert!(dump.contains("[t=7ns]"), "{dump}");
+        assert!(dump.contains("core 0 (last 2 of 3 spans):"), "{dump}");
+        assert!(dump.contains("core 1 (last 1 of 1 spans):"), "{dump}");
+        assert!(dump.contains("[t=7ns +0ns] merge"), "{dump}");
+        assert_eq!(dump.lines().count(), 5, "{dump}");
     }
 }

@@ -1,52 +1,53 @@
-//! The fixed-capacity event ring behind the flight recorder.
+//! The one fixed-capacity ring behind the recorder: a `Ring` of
+//! [`Span`](crate::Span)s for the telemetry records, a `Ring` of
+//! [`BatchProfile`](crate::BatchProfile)s for the profiler's recent
+//! batches.
 //!
 //! One ring per core, preallocated when observability is enabled, so
-//! the recording path ([`EventRing::push`]) is a bounds-checked store
-//! plus two integer bumps — no allocation, no branching beyond the
-//! wrap test (px-analyze rule R5 enforces this statically).
+//! the recording path ([`Ring::push`]) is a bounds-checked store plus
+//! two integer bumps — no allocation, no branching beyond the wrap test
+//! (px-analyze rule R5 enforces this statically).
 //!
 //! The ring is single-producer/single-consumer with *time-separated*
 //! roles: the owning worker thread is the only producer during a run,
-//! and consumers ([`EventRing::recent`], drains) only touch it after
-//! the worker has finished (join) or on the worker's own thread (test
+//! and consumers ([`Ring::recent`], drains) only touch it after the
+//! worker has finished (join) or on the worker's own thread (test
 //! failure paths). That separation is why no atomics are needed — the
 //! handoff happens through the thread join, which is already a
 //! synchronization point.
 
-use crate::event::Event;
-
-/// A fixed-capacity overwrite-oldest ring of [`Event`]s.
+/// A fixed-capacity overwrite-oldest ring.
 ///
 /// Capacity 0 (the disabled configuration) makes every push a no-op
 /// without allocating anything.
 #[derive(Debug, Clone, Default)]
-pub struct EventRing {
-    buf: Box<[Event]>,
+pub struct Ring<T> {
+    buf: Box<[T]>,
     /// Next slot to write (== oldest slot once the ring has wrapped).
     next: usize,
-    /// Total events ever pushed (keeps counting past capacity).
+    /// Total entries ever pushed (keeps counting past capacity).
     written: u64,
 }
 
-impl EventRing {
-    /// Creates a ring holding up to `capacity` events, preallocated.
+impl<T: Copy + Default> Ring<T> {
+    /// Creates a ring holding up to `capacity` entries, preallocated.
     pub fn with_capacity(capacity: usize) -> Self {
-        EventRing {
-            buf: vec![Event::EMPTY; capacity].into_boxed_slice(),
+        Ring {
+            buf: vec![T::default(); capacity].into_boxed_slice(),
             next: 0,
             written: 0,
         }
     }
 
-    /// Records one event, overwriting the oldest when full. Alloc-free.
+    /// Records one entry, overwriting the oldest when full. Alloc-free.
     #[inline]
-    pub fn push(&mut self, ev: Event) {
+    pub fn push(&mut self, v: T) {
         let cap = self.buf.len();
         if cap == 0 {
             return;
         }
         if let Some(slot) = self.buf.get_mut(self.next) {
-            *slot = ev;
+            *slot = v;
         }
         self.next += 1;
         if self.next == cap {
@@ -55,17 +56,17 @@ impl EventRing {
         self.written = self.written.wrapping_add(1);
     }
 
-    /// Ring capacity in events.
+    /// Ring capacity in entries.
     pub fn capacity(&self) -> usize {
         self.buf.len()
     }
 
-    /// Total events ever pushed (including overwritten ones).
+    /// Total entries ever pushed (including overwritten ones).
     pub fn written(&self) -> u64 {
         self.written
     }
 
-    /// Events currently held (≤ capacity).
+    /// Entries currently held (≤ capacity).
     pub fn len(&self) -> usize {
         usize::try_from(self.written)
             .unwrap_or(usize::MAX)
@@ -77,8 +78,8 @@ impl EventRing {
         self.written == 0
     }
 
-    /// The last `n` events, oldest first. Allocates (cold path only).
-    pub fn recent(&self, n: usize) -> Vec<Event> {
+    /// The last `n` entries, oldest first. Allocates (cold path only).
+    pub fn recent(&self, n: usize) -> Vec<T> {
         let held = self.len();
         let take = n.min(held);
         let cap = self.buf.len();
@@ -87,57 +88,46 @@ impl EventRing {
             // The `take` newest entries end just before `next`; walk them
             // oldest-first with wraparound.
             let idx = (self.next + cap - take + i) % cap.max(1);
-            if let Some(ev) = self.buf.get(idx) {
-                out.push(*ev);
+            if let Some(v) = self.buf.get(idx) {
+                out.push(*v);
             }
         }
         out
+    }
+
+    /// Forgets every entry and restarts the `written` count, keeping
+    /// the allocation.
+    pub fn clear(&mut self) {
+        self.next = 0;
+        self.written = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    // Recency order across arbitrary wrap patterns is the proptest
+    // `tests/obs_props.rs::ring_recent_matches_reference`.
     use super::*;
-    use crate::event::EventKind;
-
-    fn ev(ts: u64) -> Event {
-        Event {
-            ts,
-            kind: EventKind::PktIn,
-            ..Event::EMPTY
-        }
-    }
 
     #[test]
     fn zero_capacity_ring_is_a_noop() {
-        let mut r = EventRing::with_capacity(0);
-        r.push(ev(1));
+        let mut r = Ring::with_capacity(0);
+        r.push(1u64);
         assert_eq!(r.written(), 0);
         assert!(r.recent(10).is_empty());
         assert!(r.is_empty());
     }
 
     #[test]
-    fn recent_returns_oldest_first_before_wrap() {
-        let mut r = EventRing::with_capacity(8);
-        for t in 0..5 {
-            r.push(ev(t));
+    fn clear_forgets_entries_and_keeps_the_allocation() {
+        let mut r = Ring::with_capacity(4);
+        for t in 0..10u64 {
+            r.push(t);
         }
-        let got: Vec<u64> = r.recent(3).iter().map(|e| e.ts).collect();
-        assert_eq!(got, vec![2, 3, 4]);
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.written(), 5);
-    }
-
-    #[test]
-    fn wraparound_overwrites_oldest() {
-        let mut r = EventRing::with_capacity(4);
-        for t in 0..10 {
-            r.push(ev(t));
-        }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.written(), 10);
-        let got: Vec<u64> = r.recent(64).iter().map(|e| e.ts).collect();
-        assert_eq!(got, vec![6, 7, 8, 9]);
+        r.clear();
+        assert_eq!((r.len(), r.written(), r.capacity()), (0, 0, 4));
+        assert!(r.recent(64).is_empty(), "stale slots are never read");
+        r.push(11);
+        assert_eq!(r.recent(64), vec![11]);
     }
 }

@@ -1,17 +1,18 @@
-//! Flow-scoped span tracing — tier 2 of the flight recorder.
+//! The one telemetry record: a [`Span`] per datapath happening.
 //!
-//! Where [`Event`](crate::Event)s are point samples, a [`Span`] covers
-//! an *interval* of a flow's lifecycle: the dwell of a merge aggregate
-//! from first segment to emission, a caravan bundle's fill window, a
-//! degradation episode from enter to exit, a worker-restart crossing.
+//! A span covers an *interval* of a flow's lifecycle — the dwell of a
+//! merge aggregate from first segment to emission, a caravan bundle's
+//! fill window — or, with `dur_ns == 0`, marks an instant: a classifier
+//! verdict, a steering decision, a typed drop, a batch boundary, a
+//! degrade-ladder edge, a worker-restart crossing.
 //! Spans carry **logical time only** (trace arrival timestamps or
 //! per-engine packet counters), so recording them in Deterministic mode
 //! cannot perturb digests and span streams are bit-identical across
-//! reruns.
+//! reruns and across `Parallel`/`Deterministic` scheduling.
 //!
-//! Spans live in per-core [`SpanRing`]s with the same discipline as the
-//! event ring: preallocated at enable time, recording is a
-//! bounds-checked store (px-analyze R5), overwrite-oldest when full.
+//! Spans live in one per-core [`Ring`](crate::Ring): preallocated at
+//! enable time, recording is a bounds-checked store (px-analyze R5),
+//! overwrite-oldest when full.
 //!
 //! Causality: an emission span (category [`SpanCat::Merge`] or
 //! [`SpanCat::Caravan`]) carries a nonzero `link` identifier; the split
@@ -20,17 +21,19 @@
 //! chrome://tracing flow arrow (`ph:"s"` / `ph:"f"`), so the producing
 //! merge and the consuming split render connected in Perfetto.
 
-/// What stage of a flow's lifecycle a span covers.
+/// What a span records.
 ///
 /// The discriminants are stable (they appear in exported traces) and
 /// the names double as Perfetto categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum SpanCat {
-    /// First sighting of a flow: classifier verdict on table insert
-    /// (`aux`: 0 = default/merge, 1 = elephant, 2 = not-mergeable).
+    /// One per input packet, as it enters a core's engine (`len` = wire
+    /// bytes, `aux`: 1 = flow-keyed, 0 = not).
+    #[default]
     Classify = 0,
-    /// A packet steered past merging by the mice/elephant classifier.
+    /// A packet forwarded past merging (`aux`: 1 = a mouse steered by
+    /// the mice/elephant classifier, 2 = passthrough).
     Steer = 1,
     /// A TCP merge aggregate's dwell: first held segment → emission
     /// (`aux` = segments merged, `link` = causal emission id).
@@ -41,19 +44,67 @@ pub enum SpanCat {
     /// A split-engine emission consuming a jumbo (`link` matches the
     /// producing Merge/Caravan span when known).
     Split = 4,
-    /// A flow-table eviction (`aux`: 1 = idle, 2 = pressure).
+    /// A flow-table eviction. `flow` identifies the *victim*; `aux` is
+    /// the reason: 1 = idle (a classifier slot churned out, nothing
+    /// pending), 2 = pressure (the victim held unflushed merge/bundle
+    /// bytes and was rescue-flushed, never dropped).
     Evict = 5,
-    /// A degradation episode: ladder enter → exit (`aux` = packets
-    /// forwarded on the passthrough rung during the episode).
+    /// One packet forwarded unmerged (or, with the spare gone, dropped
+    /// as backpressure) on the degrade ladder's passthrough rung —
+    /// recorded per degraded packet, not per episode (`aux` = cause:
+    /// 1 pool exhaustion, 2 table denial; DESIGN.md §12).
     Degrade = 6,
-    /// A worker-restart crossing (`aux` = flows rescue-flushed).
+    /// A worker-restart crossing (`aux` = packets rescue-flushed from
+    /// the dead worker's table, `len` = the batch index the fault hit).
     Restart = 7,
     /// An SLO watchdog alert (`aux` = breach bitmask, see
     /// [`crate::slo`]).
     Slo = 8,
+    /// A typed drop (`aux` = one of [`drop_reason`]).
+    Drop = 9,
+    /// A worker finished one batch (`len` = packets in the batch,
+    /// `start_ns` = the last packet's logical arrival). The batch's
+    /// wall time goes to the histograms only.
+    Batch = 10,
+    /// The engine entered degraded (passthrough) mode: an aggregate
+    /// could not be created, so packets are forwarded unmerged instead
+    /// of dropped (`aux` = cause, as for [`SpanCat::Degrade`]).
+    DegradeEnter = 11,
+    /// The pressure subsided: an aggregate creation succeeded again and
+    /// the engine resumed merging.
+    DegradeExit = 12,
+}
+
+/// Why a [`SpanCat::Drop`] span's packet was dropped (its `aux`).
+pub mod drop_reason {
+    /// Corrupt bundle, unparsable oversize packet, failed header emit.
+    pub const MALFORMED: u64 = 0;
+    /// Same range, different bytes than the flow's merge aggregate
+    /// already attests — injection.
+    pub const INCONSISTENT_OVERLAP: u64 = 1;
+    /// A segment straddling the aggregate's base, smuggling bytes the
+    /// engine can no longer verify.
+    pub const OVERLAP_EVASION: u64 = 2;
 }
 
 impl SpanCat {
+    /// Every category, in discriminant order.
+    pub const ALL: [SpanCat; 13] = [
+        SpanCat::Classify,
+        SpanCat::Steer,
+        SpanCat::Merge,
+        SpanCat::Caravan,
+        SpanCat::Split,
+        SpanCat::Evict,
+        SpanCat::Degrade,
+        SpanCat::Restart,
+        SpanCat::Slo,
+        SpanCat::Drop,
+        SpanCat::Batch,
+        SpanCat::DegradeEnter,
+        SpanCat::DegradeExit,
+    ];
+
     /// The category's display name (also the Perfetto `cat` field).
     pub fn name(self) -> &'static str {
         match self {
@@ -66,14 +117,20 @@ impl SpanCat {
             SpanCat::Degrade => "degrade",
             SpanCat::Restart => "restart",
             SpanCat::Slo => "slo",
+            SpanCat::Drop => "drop",
+            SpanCat::Batch => "batch",
+            SpanCat::DegradeEnter => "degrade_enter",
+            SpanCat::DegradeExit => "degrade_exit",
         }
     }
 }
 
-/// One flow-lifecycle span. `Copy`, 40 bytes, no heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One telemetry record. `Copy`, 48 bytes, no heap. The default is the
+/// all-zero span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Span {
     /// Logical start time (trace-arrival ns or per-engine counter).
+    /// Never wall-clock.
     pub start_ns: u64,
     /// Logical duration (0 for instantaneous markers).
     pub dur_ns: u64,
@@ -83,27 +140,31 @@ pub struct Span {
     /// Causal link identifier (0 = unlinked). Shared between a
     /// merge/caravan emission span and the split spans consuming it.
     pub link: u64,
-    /// The flow the span belongs to ([`crate::flow_id`] packing).
+    /// The flow the span belongs to ([`flow_id`] packing); 0 when the
+    /// flow is unknown or not applicable.
     pub flow: u32,
     /// Bytes involved (emitted packet length, bundle size, …).
     pub len: u32,
-    /// Lifecycle stage.
+    /// What happened.
     pub cat: SpanCat,
 }
 
 impl Span {
-    /// The all-zero placeholder used to prefill rings.
-    pub const EMPTY: Span = Span {
-        start_ns: 0,
-        dur_ns: 0,
-        aux: 0,
-        link: 0,
-        flow: 0,
-        len: 0,
-        cat: SpanCat::Classify,
-    };
+    /// An instantaneous, unlinked span at logical time `at_ns`.
+    #[inline]
+    pub fn instant(cat: SpanCat, at_ns: u64, len: usize, flow: u32, aux: u64) -> Span {
+        Span {
+            cat,
+            start_ns: at_ns,
+            len: len as u32,
+            flow,
+            aux,
+            ..Span::default()
+        }
+    }
 
-    /// One-line human-readable rendering (post-mortem dumps).
+    /// One-line human-readable rendering (post-mortem dumps), e.g.
+    /// `[t=100ns +50ns] merge len=8800 flow=5000->80 aux=6 link=1`.
     pub fn render(&self) -> String {
         let src = (self.flow >> 16) as u16;
         let dst = (self.flow & 0xFFFF) as u16;
@@ -119,84 +180,10 @@ impl Span {
     }
 }
 
-/// A fixed-capacity overwrite-oldest ring of [`Span`]s — the span-side
-/// twin of [`crate::EventRing`], with the same time-separated
-/// single-producer/single-consumer discipline (no atomics needed; the
-/// handoff is the worker-thread join).
-#[derive(Debug, Clone, Default)]
-pub struct SpanRing {
-    buf: Box<[Span]>,
-    /// Next slot to write (== oldest slot once the ring has wrapped).
-    next: usize,
-    /// Total spans ever pushed (keeps counting past capacity).
-    written: u64,
-}
-
-impl SpanRing {
-    /// Creates a ring holding up to `capacity` spans, preallocated.
-    /// Capacity 0 (the disabled configuration) makes pushes no-ops
-    /// without allocating.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SpanRing {
-            buf: vec![Span::EMPTY; capacity].into_boxed_slice(),
-            next: 0,
-            written: 0,
-        }
-    }
-
-    /// Records one span, overwriting the oldest when full. Alloc-free.
-    #[inline]
-    pub fn push(&mut self, sp: Span) {
-        let cap = self.buf.len();
-        if cap == 0 {
-            return;
-        }
-        if let Some(slot) = self.buf.get_mut(self.next) {
-            *slot = sp;
-        }
-        self.next += 1;
-        if self.next == cap {
-            self.next = 0;
-        }
-        self.written = self.written.wrapping_add(1);
-    }
-
-    /// Ring capacity in spans.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total spans ever pushed (including overwritten ones).
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Spans currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        usize::try_from(self.written)
-            .unwrap_or(usize::MAX)
-            .min(self.buf.len())
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.written == 0
-    }
-
-    /// The last `n` spans, oldest first. Allocates (cold path only).
-    pub fn recent(&self, n: usize) -> Vec<Span> {
-        let held = self.len();
-        let take = n.min(held);
-        let cap = self.buf.len();
-        let mut out = Vec::with_capacity(take);
-        for i in 0..take {
-            let idx = (self.next + cap - take + i) % cap.max(1);
-            if let Some(sp) = self.buf.get(idx) {
-                out.push(*sp);
-            }
-        }
-        out
-    }
+/// Packs a port pair into the [`Span::flow`] field.
+#[inline]
+pub fn flow_id(src_port: u16, dst_port: u16) -> u32 {
+    (u32::from(src_port) << 16) | u32::from(dst_port)
 }
 
 /// Escapes nothing: span fields are all numeric and category names are
@@ -269,29 +256,26 @@ mod tests {
             cat,
             flow: crate::flow_id(5000, 80),
             len: 1460,
-            ..Span::EMPTY
+            ..Span::default()
         }
     }
 
     #[test]
-    fn zero_capacity_ring_is_a_noop() {
-        let mut r = SpanRing::with_capacity(0);
-        r.push(sp(1, SpanCat::Merge));
-        assert_eq!(r.written(), 0);
-        assert!(r.recent(10).is_empty());
-        assert!(r.is_empty());
+    fn span_fits_the_48_byte_budget() {
+        assert!(
+            std::mem::size_of::<Span>() <= 48,
+            "Span is {} bytes",
+            std::mem::size_of::<Span>()
+        );
     }
 
     #[test]
-    fn wraparound_keeps_newest_oldest_first() {
-        let mut r = SpanRing::with_capacity(4);
-        for t in 0..9 {
-            r.push(sp(t, SpanCat::Split));
+    fn categories_are_stable_and_distinctly_named() {
+        for (i, cat) in SpanCat::ALL.iter().enumerate() {
+            assert_eq!(*cat as usize, i, "{cat:?}");
         }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.written(), 9);
-        let got: Vec<u64> = r.recent(64).iter().map(|s| s.start_ns).collect();
-        assert_eq!(got, vec![5, 6, 7, 8]);
+        let names: std::collections::HashSet<_> = SpanCat::ALL.iter().map(|c| c.name()).collect();
+        assert_eq!(names.len(), SpanCat::ALL.len());
     }
 
     #[test]
@@ -299,6 +283,7 @@ mod tests {
         let s = sp(42, SpanCat::Caravan);
         let line = s.render();
         assert!(line.contains("caravan"), "{line}");
+        assert_eq!(s.flow, (5000u32 << 16) | 80);
         assert!(line.contains("5000->80"), "{line}");
         assert!(line.contains("t=42ns"), "{line}");
     }

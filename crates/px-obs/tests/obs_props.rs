@@ -1,11 +1,11 @@
 //! Property tests for the observability primitives: histogram merge is
 //! commutative and associative (so per-core histograms can be folded in
 //! any order without changing the aggregate), quantiles are monotone in
-//! `q`, and the flight-recorder ring preserves recency ordering across
+//! `q`, and the recorder's ring preserves recency ordering across
 //! arbitrary wrap patterns.
 
 use proptest::prelude::*;
-use px_obs::{Event, EventKind, EventRing, Histo64};
+use px_obs::{Histo64, Ring};
 
 fn build(values: &[u64]) -> Histo64 {
     let mut h = Histo64::new();
@@ -94,14 +94,15 @@ proptest! {
         ts in proptest::collection::vec(any::<u64>(), 0..96),
         n in 0usize..48,
     ) {
-        let mut ring = EventRing::with_capacity(cap);
+        let mut ring = Ring::<u64>::with_capacity(cap);
         for &t in &ts {
-            ring.push(Event { ts: t, kind: EventKind::PktIn, ..Event::EMPTY });
+            ring.push(t);
         }
-        let got: Vec<u64> = ring.recent(n).iter().map(|e| e.ts).collect();
+        let got = ring.recent(n);
         let take = n.min(ts.len().min(cap));
         let want: Vec<u64> = ts[ts.len() - take..].to_vec();
         prop_assert_eq!(got, want);
         prop_assert_eq!(ring.written(), ts.len() as u64);
+        prop_assert_eq!(ring.len(), ts.len().min(cap));
     }
 }

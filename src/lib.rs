@@ -30,8 +30,9 @@ pub use px_wire as wire;
 /// [`px_sim`].
 pub use px_sim as sim;
 
-/// Observability: flight recorder, log₂ latency/size histograms, and
-/// Prometheus/JSON metrics export. Re-export of [`px_obs`].
+/// Observability: the span recorder, log₂ latency/size histograms,
+/// profiler, SLO watchdog and Prometheus/JSON metrics export.
+/// Re-export of [`px_obs`].
 pub use px_obs as obs;
 
 /// Host protocol stacks (TCP with congestion control, UDP, UDP_GRO,

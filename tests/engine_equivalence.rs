@@ -34,8 +34,8 @@ fn engine(
     run_engine(EngineConfig::new(pinned(workload, cores), mode))
 }
 
-/// Digest-equality assertion with a flight-recorder post-mortem: on
-/// mismatch, both runs' per-core event timelines are printed so the
+/// Digest-equality assertion with a recorder post-mortem: on
+/// mismatch, both runs' per-core span timelines are printed so the
 /// diverging core and packet are identifiable without a rerun.
 fn assert_digests_match(
     a: &packet_express::core::engine::EngineReport,
@@ -43,7 +43,7 @@ fn assert_digests_match(
     context: &str,
 ) {
     if a.flow_digests != b.flow_digests {
-        eprintln!("--- digest mismatch ({context}); flight recorder timelines follow ---");
+        eprintln!("--- digest mismatch ({context}); recorder timelines follow ---");
         eprintln!("run A:\n{}", a.obs.dump_recent(64));
         eprintln!("run B:\n{}", b.obs.dump_recent(64));
         panic!("{context}: per-flow digests diverged (timelines above)");

@@ -74,8 +74,8 @@ fn flip_bits(pkt: &mut [u8], flips: &[u32]) {
 
 /// Drives one mangled packet through all three engines, fresh instances
 /// each time so a poisoned flow table cannot mask a later panic. The
-/// flight recorder is armed on every engine; if a panic does slip
-/// through, the last 64 events per engine are printed before the panic
+/// recorder is armed on every engine; if a panic does slip
+/// through, the last 64 spans per engine are printed before the panic
 /// is re-raised — the post-mortem the recorder exists for.
 fn run_all_engines(pkt: &[u8]) {
     let obs = ObsConfig::default();
@@ -101,11 +101,11 @@ fn run_all_engines(pkt: &[u8]) {
         drop(out);
     }));
     if let Err(payload) = result {
-        eprintln!("--- engine panicked on a mangled packet; flight recorder timelines follow ---");
-        eprintln!("merge (last 64 events):\n{}", merge.obs.render_recent(64));
-        eprintln!("split (last 64 events):\n{}", split.obs.render_recent(64));
+        eprintln!("--- engine panicked on a mangled packet; recorder timelines follow ---");
+        eprintln!("merge (last 64 spans):\n{}", merge.obs.render_recent(64));
+        eprintln!("split (last 64 spans):\n{}", split.obs.render_recent(64));
         eprintln!(
-            "caravan (last 64 events):\n{}",
+            "caravan (last 64 spans):\n{}",
             caravan.obs.render_recent(64)
         );
         std::panic::resume_unwind(payload);
