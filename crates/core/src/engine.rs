@@ -10,7 +10,10 @@
 //! { recv → translate → send }`, then an end-of-stream idle tick, the
 //! drain, and one hand-off to the [`StatsRegistry`]. Nothing sits
 //! between the shard and the worker: no dispatcher, no queue, no
-//! per-burst allocation. Two modes drive that one per-core function
+//! per-burst allocation, no packet re-homed (a shard *references* the
+//! trace). The worker keeps [`PREFETCH_BYTES`] of upcoming packets
+//! requested and verifies, appends and frees one packet at a time while
+//! it is in L1. Two modes drive that one per-core function
 //! (`run_core`):
 //!
 //! * [`EngineMode::Parallel`] — one OS thread per core. Wall-clock
@@ -47,14 +50,19 @@ use px_obs::{
     TimeSample,
 };
 use px_sim::stats::{CoreCounters, StatsRegistry};
+#[cfg(not(test))]
+use px_wire::batchparse::prefetch_packet;
 use px_wire::batchparse::{self, ParsedMeta};
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::pool::{PacketSink, VecSink};
 use px_wire::{FlowKey, IpProtocol, PacketBuf, RssHasher};
+use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+#[cfg(test)]
+use tests::prefetch_packet;
 
 /// One core's gateway datapath: the actual translation engine the
 /// pipeline model and the threaded engine both drive.
@@ -149,9 +157,9 @@ impl CoreEngine {
     }
 
     /// [`push_into`](Self::push_into) with the packet's parse already
-    /// done by the batch-front classification pass. Only the merge
-    /// engine consumes the cached meta today; the other variants parse
-    /// as before.
+    /// done by a batch-front [`batchparse::parse_batch_with`] pass (the
+    /// staged form harnesses use to price the parse on its own). Only
+    /// the merge engine consumes the meta; the others parse as before.
     pub fn push_parsed_into(
         &mut self,
         now: u64,
@@ -553,10 +561,13 @@ struct Worker {
     /// ([`EngineConfig::capture_output`]); `None` keeps the hot path
     /// allocation-free.
     captured: Option<Vec<Vec<u8>>>,
-    /// Reused per-batch [`ParsedMeta`] array — sized once, then the
-    /// batch-parse pass is allocation-free.
-    parse_scratch: Vec<ParsedMeta>,
 }
+
+/// Bytes of packets at and ahead of the worker's cursor kept requested
+/// into L1: the packet in hand plus two more at 1.5 KB, sixteen at
+/// 256 B. Two full-sized packets ahead is what a DRAM round trip takes
+/// at this engine's per-packet cost; more only evicts what was fetched.
+pub const PREFETCH_BYTES: usize = 4096;
 
 /// The worker's [`PacketSink`]: accounts every emitted packet into the
 /// worker's counters and digests, then hands the buffer back for pool
@@ -648,7 +659,6 @@ impl Worker {
             salvage: None,
             slo: SloWatchdog::new(cfg.obs.slo),
             captured: cfg.capture_output.then(Vec::new),
-            parse_scratch: Vec::new(),
         }
     }
 
@@ -672,9 +682,10 @@ impl Worker {
     /// and a registry publish every `publish_every_batches`; then
     /// exactly one idle tick — no more packets will ever arrive on this
     /// shard, so every held flow flushes now rather than at the drain.
-    fn run_shard(
+    /// A burst comes with the rest of the shard behind it to look into.
+    fn run_shard<P: BorrowMut<Vec<u8>>>(
         &mut self,
-        shard: &mut [(u64, Vec<u8>)],
+        shard: &mut [(u64, P)],
         registry: &StatsRegistry,
         heartbeats: &Heartbeats,
     ) {
@@ -683,9 +694,10 @@ impl Worker {
         } else {
             0
         };
-        for burst in shard.chunks_mut(batchparse::BATCH_PKTS) {
+        for start in (0..shard.len()).step_by(batchparse::BATCH_PKTS) {
+            let rest = shard.get_mut(start..).unwrap_or_default();
             // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry and restart_worker an R6 entry, so R6 need not re-walk the datapath from here")
-            self.run_batch(burst);
+            self.run_batch(rest, batchparse::BATCH_PKTS);
             heartbeats.beat(self.core);
             if publish_every > 0 && self.counters.batches.is_multiple_of(publish_every) {
                 self.publish_progress(registry);
@@ -698,10 +710,11 @@ impl Worker {
     /// batch boundary: an injected stall sleeps (prey for the heartbeat
     /// monitor), an injected panic unwinds and is caught right here —
     /// after which the worker rescues its flow state, restarts its
-    /// engine in place, and reprocesses the batch it was handed.
-    fn run_batch(&mut self, batch: &mut [(u64, Vec<u8>)]) {
+    /// engine in place, and reprocesses the batch it was handed: the
+    /// first `n` packets of `shard`.
+    fn run_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, P)], n: usize) {
         if !self.faults.spec.enabled {
-            self.process_batch(batch);
+            self.process_batch(shard, n);
             return;
         }
         let idx = self.counters.batches;
@@ -718,11 +731,11 @@ impl Worker {
             // px-analyze: allow(R1, reason = "deliberate injected fault: the panic is caught on this same line and drives the restart path under test")
             let caught = std::panic::catch_unwind(|| panic!("injected worker fault"));
             if caught.is_err() {
-                let now = batch.first().map_or(0, |(t, _)| *t);
+                let now = shard.first().map_or(0, |(t, _)| *t);
                 self.restart_worker(idx, now);
             }
         }
-        self.process_batch(batch);
+        self.process_batch(shard, n);
     }
 
     /// Post-panic self-healing: flushes (rescues) every held aggregate
@@ -803,7 +816,10 @@ impl Worker {
         self.engine.idle_tick_into(&mut acct);
     }
 
-    fn process_batch(&mut self, batch: &mut [(u64, Vec<u8>)]) {
+    /// One burst — the first `n` packets of `shard` — fed to the engine
+    /// a packet at a time: verify, append, free, each while the packet
+    /// is in L1. What follows the burst in `shard` is only prefetched.
+    fn process_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, P)], n: usize) {
         self.counters.batches += 1;
         let batch_start = if self.obs_on {
             // px-analyze: allow(R8, reason = "wall clock feeds the batch-latency histogram only; digests and every forwarding decision derive from the simulated event clock, so replays stay bit-identical")
@@ -811,18 +827,7 @@ impl Worker {
         } else {
             None
         };
-        // Batch-front classification: one prefetched header walk per
-        // packet, cached in `parse_scratch` and consumed below via
-        // `push_parsed_into`. Only the merge engine has a parsed fast
-        // path; for the rest the scratch stays empty and the per-packet
-        // loop parses for itself.
-        if matches!(self.engine, CoreEngine::Merge(_)) {
-            batchparse::parse_batch_with(batch, |(_, p)| p.as_slice(), &mut self.parse_scratch);
-        }
-        // Stage attribution for the continuous profiler: everything up
-        // to here is the parse/classify stage.
-        let parse_ns = batch_start.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        let n_pkts = batch.len() as u64;
+        let n = n.min(shard.len());
         let mut last_now = 0u64;
         let Worker {
             engine,
@@ -831,14 +836,28 @@ impl Worker {
             jumbo_at,
             captured,
             cfg,
-            parse_scratch,
             ..
         } = self;
-        for (i, (now, pkt)) in batch.iter_mut().enumerate() {
-            // The packet leaves the shard here and is freed as soon as
+        // Lookahead: `ahead` is the first packet not yet requested,
+        // `inflight` what packets `i..ahead` cost — their bytes, a line
+        // at least, so empty packets cannot drag the cursor through the
+        // shard. The inner loop leaves `ahead > i`: `i` was counted.
+        let cost = |pkt: &Vec<u8>| pkt.len().max(64);
+        let (mut ahead, mut inflight) = (0usize, 0usize);
+        for i in 0..n {
+            while let Some((_, next)) = shard.get(ahead).filter(|_| inflight < PREFETCH_BYTES) {
+                prefetch_packet(next.borrow());
+                inflight += cost(next.borrow());
+                ahead += 1;
+            }
+            let Some((now, pkt)) = shard.get_mut(i) else {
+                break;
+            };
+            // The packet leaves the trace here and is freed as soon as
             // the engine has read it, while its lines are still in
             // this core's cache.
-            let (now, pkt) = (*now, std::mem::take(pkt));
+            let (now, pkt) = (*now, std::mem::take::<Vec<u8>>(pkt.borrow_mut()));
+            inflight -= cost(&pkt);
             counters.pkts_in += 1;
             counters.bytes_in += pkt.len() as u64;
             last_now = now;
@@ -849,10 +868,7 @@ impl Worker {
                 inband: true,
                 capture: captured.as_mut(),
             };
-            match parse_scratch.get(i) {
-                Some(meta) => engine.push_parsed_into(now, pkt, meta, &mut acct),
-                None => engine.push_into(now, pkt, &mut acct),
-            }
+            engine.push_into(now, pkt, &mut acct);
         }
         if let Some(t0) = batch_start {
             // The Batch *span* carries only logical facts (last
@@ -862,16 +878,15 @@ impl Worker {
             let wall = t0.elapsed().as_nanos() as u64;
             let batch_idx = self.counters.batches;
             if let Some(rec) = self.engine.obs_mut() {
-                rec.record(Span::instant(SpanCat::Batch, last_now, batch.len(), 0, 0));
-                rec.observe_batch(wall, n_pkts);
+                rec.record(Span::instant(SpanCat::Batch, last_now, n, 0, 0));
+                rec.observe_batch(wall, n as u64);
                 rec.observe_batch_profile(BatchProfile {
                     batch: batch_idx,
-                    pkts: n_pkts as u32,
+                    pkts: n as u32,
                     wall_ns: wall,
-                    parse_ns,
                 });
             }
-            self.check_slo(last_now, n_pkts);
+            self.check_slo(last_now, n as u64);
         }
     }
 
@@ -999,7 +1014,8 @@ impl CoreDriver {
 
     /// Processes one batch of `(arrival_ns, packet)` pairs in order.
     pub fn run_batch(&mut self, mut batch: Vec<(u64, Vec<u8>)>) {
-        self.worker.run_batch(&mut batch);
+        let n = batch.len();
+        self.worker.run_batch(&mut batch, n);
     }
 
     /// Drains every held aggregate and folds the engine's counters in.
@@ -1047,26 +1063,28 @@ struct WorkerOutput {
     captured: Vec<Vec<u8>>,
 }
 
-/// One core's input: `(arrival-time, packet)` pairs in arrival order.
-type Shard = Vec<(u64, Vec<u8>)>;
+/// One core's input: `(arrival-time, packet)` pairs in arrival order,
+/// each packet still where the caller's trace put it.
+type Shard<'t> = Vec<(u64, &'t mut Vec<u8>)>;
 
 /// Shards the trace per core, in arrival order, with arrival timestamps
 /// derived from the offered load — the single sharding path both modes
 /// consume. What RSS does in the NIC: after this pass every packet
-/// already sits in the queue of the one core that will ever touch it.
-fn shard_trace(cfg: &EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) -> Vec<Shard> {
+/// is queued for the one core that will ever touch it. Queued by
+/// reference: the pass writes 16 bytes per packet and moves none.
+fn shard_trace<'t>(cfg: &EngineConfig, trace: &'t mut [(FlowKey, Vec<u8>)]) -> Vec<Shard<'t>> {
     let rss = RssHasher::symmetric();
     let cores = cfg.pipe.cores;
     let inter_arrival_ns = 1e9 / cfg.pipe.offered_pps;
     // RSS spreads flows, not packets, so a shard can run over an even
     // share; the slack keeps most runs to one allocation per shard.
     let share = trace.len() / cores + trace.len() / (8 * cores) + 1;
-    let mut shards: Vec<Shard> = (0..cores)
+    let mut shards: Vec<Shard<'t>> = (0..cores)
         .map(|_| Vec::with_capacity(share.min(trace.len())))
         .collect();
-    for (i, (key, pkt)) in trace.into_iter().enumerate() {
+    for (i, (key, pkt)) in trace.iter_mut().enumerate() {
         let now = (i as f64 * inter_arrival_ns) as u64;
-        shards[rss.queue_for(&key, cores)].push((now, pkt));
+        shards[rss.queue_for(key, cores)].push((now, pkt));
     }
     shards
 }
@@ -1078,7 +1096,7 @@ fn shard_trace(cfg: &EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) -> Vec<Shard>
 fn run_core(
     cfg: &EngineConfig,
     core: usize,
-    mut shard: Shard,
+    mut shard: Shard<'_>,
     registry: &StatsRegistry,
     heartbeats: &Heartbeats,
 ) -> WorkerOutput {
@@ -1277,11 +1295,11 @@ pub fn serve_endpoint(
 /// process → join region is timed.
 fn run_parallel(
     cfg: &EngineConfig,
-    trace: Vec<(FlowKey, Vec<u8>)>,
+    mut trace: Vec<(FlowKey, Vec<u8>)>,
     registry: &Arc<StatsRegistry>,
 ) -> ModeOutput {
     let cores = cfg.pipe.cores;
-    let shards = shard_trace(cfg, trace);
+    let shards = shard_trace(cfg, &mut trace);
     // Live endpoint before the clock starts: serving runs on its own
     // thread against the shared registry, so scrapes never touch the
     // timed region's threads.
@@ -1295,14 +1313,14 @@ fn run_parallel(
     let (outputs, wall_ns, series, stalls_detected) = std::thread::scope(|scope| {
         // In-run sampler: while workers publish periodic counter
         // snapshots, this thread turns them into a throughput/yield
-        // time series.
+        // time series. Parked, so `stop` wakes it for its last sample.
         let sampler = (cfg.obs.enabled && cfg.obs.sample_interval_us > 0).then(|| {
             scope.spawn(|| {
                 let interval = Duration::from_micros(cfg.obs.sample_interval_us);
                 let t0 = Instant::now();
                 let mut series = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
+                    std::thread::park_timeout(interval);
                     let agg = registry.aggregate();
                     series.push(sample_at(t0.elapsed().as_nanos() as u64, &agg));
                 }
@@ -1346,6 +1364,7 @@ fn run_parallel(
             .collect();
         let wall_ns = start.elapsed().as_nanos() as u64;
         stop.store(true, Ordering::Relaxed);
+        sampler.iter().for_each(|h| h.thread().unpark());
         // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a sampler panic to the harness")
         #[allow(clippy::expect_used)]
         let series = sampler.map_or_else(Vec::new, |h| h.join().expect("sampler must not panic"));
@@ -1369,10 +1388,10 @@ fn run_parallel(
 /// final sample `run_engine` appends.
 fn run_deterministic(
     cfg: &EngineConfig,
-    trace: Vec<(FlowKey, Vec<u8>)>,
+    mut trace: Vec<(FlowKey, Vec<u8>)>,
     registry: &StatsRegistry,
 ) -> ModeOutput {
-    let shards = shard_trace(cfg, trace);
+    let shards = shard_trace(cfg, &mut trace);
     let start = Instant::now();
     let heartbeats = Heartbeats::new(shards.len());
     let outputs = shards
@@ -1392,6 +1411,130 @@ fn run_deterministic(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Compiles the worker's hint out for the calling test thread.
+        static HINT_OFF: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The hint the worker calls under test: the real one, or nothing.
+    pub(super) fn prefetch_packet(pkt: &[u8]) {
+        if !HINT_OFF.get() {
+            batchparse::prefetch_packet(pkt);
+        }
+    }
+
+    /// The sharding pass as it was before shards referenced the trace:
+    /// every packet moved into its core's queue. Kept as the oracle for
+    /// which packets, in which order and at which `now`, a core gets.
+    fn shard_trace_copying(
+        cfg: &EngineConfig,
+        trace: Vec<(FlowKey, Vec<u8>)>,
+    ) -> Vec<Vec<(u64, Vec<u8>)>> {
+        let rss = RssHasher::symmetric();
+        let cores = cfg.pipe.cores;
+        let inter_arrival_ns = 1e9 / cfg.pipe.offered_pps;
+        let mut shards = vec![Vec::new(); cores];
+        for (i, (key, pkt)) in trace.into_iter().enumerate() {
+            let now = (i as f64 * inter_arrival_ns) as u64;
+            shards[(rss.hash(&key) as usize) % cores].push((now, pkt));
+        }
+        shards
+    }
+
+    /// TCP and UDP flows interleaved packet by packet.
+    fn mixed_trace(pipe: &PipelineConfig, pkts: usize, seed: u64) -> Vec<(FlowKey, Vec<u8>)> {
+        let gen = |workload| {
+            TraceGen::new(workload, 24, pipe.emtu, pipe.mean_run, seed).generate(pkts / 2)
+        };
+        gen(WorkloadKind::Tcp)
+            .into_iter()
+            .zip(gen(WorkloadKind::Udp))
+            .flat_map(|(tcp, udp)| [tcp, udp])
+            .collect()
+    }
+
+    #[test]
+    fn by_reference_shards_match_the_copying_oracle_and_consume_the_trace() {
+        for cores in [1usize, 2, 3, 8] {
+            let pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, cores);
+            let cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+            let mut trace = mixed_trace(&pipe, 3_000, 5);
+            let expect = shard_trace_copying(&cfg, trace.clone());
+            let shards = shard_trace(&cfg, &mut trace);
+            assert_eq!(shards.len(), cores);
+            for (core, (got, want)) in shards.iter().zip(&expect).enumerate() {
+                let got: Vec<(u64, Vec<u8>)> = got
+                    .iter()
+                    .map(|(now, pkt)| (*now, (**pkt).clone()))
+                    .collect();
+                assert_eq!(&got, want, "core {core} of {cores}");
+            }
+            // Run to completion: every packet left the caller's trace.
+            let registry = StatsRegistry::new(cores);
+            let heartbeats = Heartbeats::new(cores);
+            for (core, shard) in shards.into_iter().enumerate() {
+                run_core(&cfg, core, shard, &registry, &heartbeats);
+            }
+            assert_eq!(registry.aggregate().pkts_in, 3_000);
+            assert!(trace.iter().all(|(_, pkt)| pkt.is_empty()), "{cores} cores");
+        }
+    }
+
+    /// One worker over `shard` (left empty), with the hint on or
+    /// compiled out: counters, delivered bytes and the span stream.
+    fn run_one_core(
+        cfg: &EngineConfig,
+        shard: &mut [(u64, Vec<u8>)],
+        hint: bool,
+    ) -> (CoreCounters, Vec<Vec<u8>>, Vec<Span>) {
+        HINT_OFF.set(!hint);
+        let registry = StatsRegistry::new(1);
+        let refs = shard.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
+        let out = run_core(cfg, 0, refs, &registry, &Heartbeats::new(1));
+        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
+        (registry.aggregate(), out.captured, out.obs.spans)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lookahead is a pure hint: whatever the shard's length
+        /// (burst boundaries, a remainder shorter than the lookahead)
+        /// and packet sizes (empty, jumbo), the worker's output equals
+        /// that of the same worker with the hint compiled out.
+        #[test]
+        fn lookahead_never_changes_what_the_worker_does(
+            len_idx in 0usize..7,
+            kinds in proptest::collection::vec(0u8..5, 97),
+            tcp in any::<bool>(),
+            seed in 0u64..32,
+        ) {
+            let len = [0usize, 1, 31, 32, 33, 64, 97][len_idx];
+            let workload = if tcp { WorkloadKind::Tcp } else { WorkloadKind::Udp };
+            let pipe = PipelineConfig::fig5(SystemVariant::Px, workload, 1);
+            let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+            cfg.capture_output = true;
+            cfg.obs.span_capacity = 1 << 12;
+            let mut shard = one_shard(&pipe, 3, len, seed);
+            for ((_, pkt), kind) in shard.iter_mut().zip(&kinds) {
+                match kind {
+                    0 => pkt.clear(),
+                    1 => pkt.resize(9_000, 0x45),
+                    _ => {}
+                }
+            }
+            let bytes_in: usize = shard.iter().map(|(_, pkt)| pkt.len()).sum();
+            let hinted = run_one_core(&cfg, &mut shard.clone(), true);
+            let plain = run_one_core(&cfg, &mut shard, false);
+            prop_assert_eq!(hinted.0.pkts_in, len as u64);
+            prop_assert_eq!(hinted.0.bytes_in, bytes_in as u64);
+            prop_assert_eq!(hinted.0.batches, len.div_ceil(batchparse::BATCH_PKTS) as u64);
+            prop_assert_eq!(hinted, plain);
+        }
+    }
 
     fn small(mode: EngineMode, cores: usize, workload: WorkloadKind) -> EngineReport {
         let mut pipe = PipelineConfig::fig5(SystemVariant::Px, workload, cores);
@@ -1401,8 +1544,14 @@ mod tests {
     }
 
     /// `pkts` packets of `flows` flows, one microsecond apart, as the
-    /// single shard of a one-core run.
-    fn one_shard(pipe: &PipelineConfig, flows: usize, pkts: usize, seed: u64) -> Shard {
+    /// single shard of a one-core run (owning its packets: the worker
+    /// takes either form).
+    fn one_shard(
+        pipe: &PipelineConfig,
+        flows: usize,
+        pkts: usize,
+        seed: u64,
+    ) -> Vec<(u64, Vec<u8>)> {
         TraceGen::new(pipe.workload, flows, pipe.emtu, pipe.mean_run, seed)
             .generate(pkts)
             .into_iter()
@@ -1499,7 +1648,7 @@ mod tests {
         cfg.obs = ObsConfig::disabled();
         let mut w = Worker::new(&cfg, 0);
         let mut batch = one_shard(&pipe, 2, 50, 7);
-        w.run_batch(&mut batch);
+        w.run_batch(&mut batch, 50);
         w.quiesce();
         // The idle tick emptied the engine: the drain has nothing left.
         let after_quiesce = w.counters.pkts_out;
@@ -1549,7 +1698,7 @@ mod tests {
         let heartbeats = Heartbeats::new(1);
         // An empty shard: no burst, no heartbeat, nothing emitted.
         let mut w = Worker::new(&cfg, 0);
-        w.run_shard(&mut [], &registry, &heartbeats);
+        w.run_shard::<Vec<u8>>(&mut [], &registry, &heartbeats);
         assert_eq!((w.counters.batches, heartbeats.read(0)), (0, 0));
         w.finish();
         assert_eq!(w.counters, CoreCounters::default());
@@ -1575,7 +1724,8 @@ mod tests {
         for serve_port in [None, Some(0)] {
             let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
             cfg.serve_port = serve_port;
-            let shard = one_shard(&pipe, 8, 2_000, 3);
+            let mut owned = one_shard(&pipe, 8, 2_000, 3);
+            let shard = owned.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
             let registry = StatsRegistry::new(1);
             let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1)).obs;
             assert!(!out.spans.is_empty(), "the report always gets the spans");

@@ -21,8 +21,8 @@
 //!   packet sizes, mergeable across cores with p50/p90/p99/max
 //!   summaries.
 //! * **Continuous profiling** ([`Profiler`], [`TopK`]) — a space-saving
-//!   top-K sketch of hot flows plus a ring of per-batch stage
-//!   attributions, fixed footprint, alloc-free updates.
+//!   top-K sketch of hot flows plus a ring of per-batch wall
+//!   times, fixed footprint, alloc-free updates.
 //! * **SLO watchdog** ([`SloSpec`], [`SloWatchdog`]) — declarative
 //!   objectives evaluated at batch boundaries, edge-triggered alert
 //!   spans, deterministic where digests must be.

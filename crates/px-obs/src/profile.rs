@@ -9,10 +9,10 @@
 //!   classic Metwally et al. algorithm (an evicted minimum's count is
 //!   inherited by its replacement and remembered as overestimation).
 //! * A **batch-profile ring** (a [`Ring`] of [`BatchProfile`]s) of the
-//!   most recent per-batch stage attributions: wall time split
-//!   into the batch-front parse/checksum phase and the merge/emit
-//!   phase, stamped from the worker's existing wall-clock reads (no new
-//!   clock calls on the datapath).
+//!   most recent bursts. A burst has one wall time: the worker parses,
+//!   merges and frees each packet in turn, so there is no stage
+//!   boundary inside a burst to attribute time across. Stamped from the
+//!   worker's one wall-clock read pair per burst.
 //!
 //! Wall times never feed back into the datapath or the deterministic
 //! span streams; they are report-side only, exactly like the
@@ -130,7 +130,7 @@ impl TopK {
     }
 }
 
-/// One batch's stage-time attribution.
+/// One batch's wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchProfile {
     /// Batch ordinal on the owning core.
@@ -139,28 +139,16 @@ pub struct BatchProfile {
     pub pkts: u32,
     /// Total wall nanoseconds for the batch.
     pub wall_ns: u64,
-    /// Wall nanoseconds spent in the batch-front parse + checksum
-    /// phase ([`parse_batch_with`]-style classification).
-    pub parse_ns: u64,
-}
-
-impl BatchProfile {
-    /// Wall nanoseconds left to the merge/emit phase.
-    pub fn process_ns(&self) -> u64 {
-        self.wall_ns.saturating_sub(self.parse_ns)
-    }
 }
 
 /// The per-core continuous profiler: top-K flow sketch, recent batch
-/// profiles, and whole-run stage totals.
+/// profiles, and the whole-run batch wall total.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     /// Hot-flow sketch.
     pub topk: TopK,
     /// Recent batch profiles.
     pub ring: Ring<BatchProfile>,
-    /// Whole-run parse-phase wall nanoseconds.
-    pub parse_ns_total: u64,
     /// Whole-run total batch wall nanoseconds.
     pub wall_ns_total: u64,
     /// Batches profiled.
@@ -174,7 +162,6 @@ impl Profiler {
         Profiler {
             topk: TopK::new(k),
             ring: Ring::with_capacity(ring),
-            parse_ns_total: 0,
             wall_ns_total: 0,
             batches: 0,
         }
@@ -186,22 +173,12 @@ impl Profiler {
         self.topk.observe(flow, pkts, bytes, dwell_ns);
     }
 
-    /// Records one batch's stage attribution. Alloc-free.
+    /// Records one batch's wall time. Alloc-free.
     #[inline]
     pub fn observe_batch_profile(&mut self, p: BatchProfile) {
-        self.parse_ns_total += p.parse_ns;
         self.wall_ns_total += p.wall_ns;
         self.batches += 1;
         self.ring.push(p);
-    }
-
-    /// Parse-phase share of total batch wall time (0 when idle).
-    pub fn parse_share(&self) -> f64 {
-        if self.wall_ns_total == 0 {
-            0.0
-        } else {
-            self.parse_ns_total as f64 / self.wall_ns_total as f64
-        }
     }
 
     /// Folds another core's profiler into this one (report side).
@@ -210,19 +187,18 @@ impl Profiler {
         for p in other.ring.recent(other.ring.len()) {
             self.ring.push(p);
         }
-        self.parse_ns_total += other.parse_ns_total;
         self.wall_ns_total += other.wall_ns_total;
         self.batches += other.batches;
     }
 
-    /// Renders the profiler as a JSON object: stage shares, hot flows,
+    /// Renders the profiler as a JSON object: batch totals, hot flows,
     /// and the most recent `recent` batch profiles.
     pub fn to_json(&self, indent: &str, recent: usize) -> String {
         let mut out = String::new();
         out.push_str(&format!("{indent}{{\n"));
         out.push_str(&format!(
-            "{indent}  \"batches\": {}, \"wall_ns_total\": {}, \"parse_ns_total\": {}, \"parse_share\": {:.4},\n",
-            self.batches, self.wall_ns_total, self.parse_ns_total, self.parse_share()
+            "{indent}  \"batches\": {}, \"wall_ns_total\": {},\n",
+            self.batches, self.wall_ns_total
         ));
         out.push_str(&format!("{indent}  \"hot_flows\": [\n"));
         let top = self.topk.top();
@@ -239,8 +215,8 @@ impl Profiler {
         for (i, p) in rec.iter().enumerate() {
             let comma = if i + 1 < rec.len() { "," } else { "" };
             out.push_str(&format!(
-                "{indent}    {{\"batch\": {}, \"pkts\": {}, \"wall_ns\": {}, \"parse_ns\": {}, \"process_ns\": {}}}{comma}\n",
-                p.batch, p.pkts, p.wall_ns, p.parse_ns, p.process_ns()
+                "{indent}    {{\"batch\": {}, \"pkts\": {}, \"wall_ns\": {}}}{comma}\n",
+                p.batch, p.pkts, p.wall_ns
             ));
         }
         out.push_str(&format!("{indent}  ]\n"));
@@ -303,22 +279,20 @@ mod tests {
     }
 
     #[test]
-    fn profiler_accumulates_stage_shares() {
+    fn profiler_accumulates_batch_wall_time() {
         let mut p = Profiler::new(8, 4);
         for b in 0..10u64 {
             p.observe_batch_profile(BatchProfile {
                 batch: b,
                 pkts: 32,
-                wall_ns: 1000,
-                parse_ns: 250,
+                wall_ns: 1000 + b,
             });
         }
-        assert_eq!(p.batches, 10);
-        assert!((p.parse_share() - 0.25).abs() < 1e-9);
+        assert_eq!((p.batches, p.wall_ns_total), (10, 10_045));
         assert_eq!(p.ring.len(), 4, "ring keeps only the most recent");
         let rec = p.ring.recent(64);
         assert_eq!(rec.first().map(|b| b.batch), Some(6));
-        assert_eq!(rec.last().map(|b| b.process_ns()), Some(750));
+        assert_eq!(rec.last().map(|b| b.wall_ns), Some(1009));
     }
 
     #[test]
@@ -329,12 +303,11 @@ mod tests {
             batch: 0,
             pkts: 32,
             wall_ns: 1000,
-            parse_ns: 100,
         });
         let json = p.to_json("", 8);
         assert!(json.contains("\"hot_flows\""));
         assert!(json.contains("\"recent_batches\""));
-        assert!(json.contains("\"parse_share\": 0.1000"));
+        assert!(json.contains("\"wall_ns_total\": 1000"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

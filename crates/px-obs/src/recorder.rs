@@ -21,7 +21,7 @@ pub struct ObsConfig {
     /// core; 0 disables the sketch).
     pub profile_topk: usize,
     /// Continuous-profiler batch-profile ring capacity (0 disables the
-    /// per-batch stage attribution ring).
+    /// per-batch wall-time ring).
     pub profile_ring: usize,
     /// The SLO watchdog objectives evaluated at batch boundaries.
     pub slo: SloSpec,
@@ -141,8 +141,8 @@ impl Recorder {
         self.profile.observe_flow(flow, pkts, bytes, dwell_ns);
     }
 
-    /// Records one batch's stage-time attribution in the continuous
-    /// profiler. Alloc-free; no-op when disabled.
+    /// Records one batch's wall time in the continuous profiler's
+    /// ring. Alloc-free; no-op when disabled.
     #[inline]
     pub fn observe_batch_profile(&mut self, p: BatchProfile) {
         if !self.enabled {
@@ -352,7 +352,6 @@ mod tests {
             batch: 0,
             pkts: 32,
             wall_ns: 4000,
-            parse_ns: 1000,
         });
         let mut first = r.take();
         assert_eq!(first.spans.len(), 8, "capacity-bounded");

@@ -204,9 +204,13 @@ impl RssHasher {
     }
 
     /// Maps a flow to one of `n_queues` RX queues, as the NIC indirection
-    /// table does (low bits of the hash).
+    /// table does (low bits of the hash). A single queue takes every
+    /// flow, so nothing is hashed for it.
     pub fn queue_for(&self, key: &FlowKey, n_queues: usize) -> usize {
         debug_assert!(n_queues > 0);
+        if n_queues == 1 {
+            return 0;
+        }
         (self.hash(key) as usize) % n_queues
     }
 }
@@ -243,6 +247,13 @@ mod tests {
             4739,
         );
         assert_eq!(h.hash(&k2), 0xc626b0ea);
+        // The indirection is the hash's low bits for any real fan-out;
+        // a single queue short-circuits to 0.
+        for n in [2usize, 3, 8, 64] {
+            assert_eq!(h.queue_for(&k1, n), 0x51ccc178 % n);
+            assert_eq!(h.queue_for(&k2, n), 0xc626b0ea % n);
+        }
+        assert_eq!((h.queue_for(&k1, 1), h.queue_for(&k2, 1)), (0, 0));
     }
 
     /// `hash` reads the lookup tables; `hash_bytes` is the bit-serial

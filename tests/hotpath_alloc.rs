@@ -29,7 +29,7 @@ use packet_express::core::merge::{MergeConfig, MergeEngine};
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use packet_express::core::split::SplitEngine;
 use packet_express::obs::ObsConfig;
-use packet_express::wire::batchparse::{self, ParsedMeta, Verdict};
+use packet_express::wire::batchparse::{self, Verdict};
 use packet_express::wire::ipv4::Ipv4Repr;
 use packet_express::wire::pool::{PacketSink, SgPacket};
 use packet_express::wire::tcp::{SeqNum, TcpFlags, TcpRepr};
@@ -272,24 +272,23 @@ fn steady_state_hot_loops_do_not_allocate() {
         "every wire segment must be delivered as a scatter-gather view"
     );
 
-    // ---- batch parse: the batch-front classifier reuses one scratch
-    // array. After the first sizing pass, classifying a full 32-packet
-    // batch (checksums verified, flow keys extracted) allocates nothing.
+    // ---- parse: the worker classifies each packet inside the merge
+    // step — no scratch array to size, nothing carried between
+    // packets. Classifying a full 32-packet burst (checksums verified,
+    // flow keys extracted) allocates nothing from the first packet on.
     let batch: Vec<Vec<u8>> = (0..batchparse::BATCH_PKTS)
         .map(|i| tcp_pkt(6100, (i as u32) * 1460, 1460))
         .collect();
-    let mut scratch: Vec<ParsedMeta> = Vec::new();
-    batchparse::parse_batch_with(&batch, |p| p.as_slice(), &mut scratch); // sizes the scratch
     let before = allocs();
     let mut mergeable = 0u64;
     for _ in 0..MEASURED {
-        batchparse::parse_batch_with(&batch, |p| p.as_slice(), &mut scratch);
-        mergeable += scratch
+        mergeable += batch
             .iter()
+            .map(|p| batchparse::parse_packet(p))
             .filter(|m| matches!(m.verdict, Verdict::Mergeable(_)))
             .count() as u64;
     }
-    assert_region_clean(before, "batch parse");
+    assert_region_clean(before, "per-packet parse");
     assert_eq!(
         mergeable,
         (MEASURED * batchparse::BATCH_PKTS) as u64,

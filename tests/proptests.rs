@@ -319,6 +319,10 @@ proptest! {
         let h = RssHasher::symmetric();
         let k = FlowKey::tcp(Ipv4Addr::from(a), pa, Ipv4Addr::from(b), pb);
         prop_assert_eq!(h.queue_for(&k, queues), h.queue_for(&k.reversed(), queues));
+        // One queue takes every flow (no hash computed); any real
+        // fan-out is still the hash's low bits.
+        prop_assert_eq!(h.queue_for(&k, 1), 0);
+        prop_assert_eq!(h.queue_for(&k, queues + 1), h.hash(&k) as usize % (queues + 1));
     }
 
     /// The table-driven 4-tuple hash is the bit-serial Toeplitz
