@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use px_core::flowtable::FlowTable;
 use px_core::merge::{MergeConfig, MergeEngine};
 use px_core::pipeline::{run_pipeline, PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
-use px_wire::FlowKey;
+use px_wire::{FlowKey, VecSink};
 use std::net::Ipv4Addr;
 
 fn bench_delayed_merge(c: &mut Criterion) {
@@ -38,11 +38,12 @@ fn bench_merge_engine_throughput(c: &mut Criterion) {
     g.bench_function("merge_push_5k_pkts", |b| {
         b.iter(|| {
             let mut eng = MergeEngine::new(MergeConfig::default());
-            let mut n = 0usize;
+            let mut out = VecSink::new();
             for (i, p) in trace.iter().enumerate() {
-                n += eng.push(i as u64 * 100, p.clone()).len();
+                eng.push_into(i as u64 * 100, p, &mut out);
             }
-            n + eng.flush_all().len()
+            eng.flush_all_into(&mut out);
+            out.pkts.len()
         });
     });
     g.finish();
@@ -146,6 +147,7 @@ mod steering_ablation {
         let mut classifier = steer.then(|| FlowClassifier::new(SteerConfig::default()));
         let mut eng = MergeEngine::new(MergeConfig::default());
         let mut forwarded = 0usize;
+        let mut out = VecSink::new();
         for (i, pkt) in trace.iter().enumerate() {
             let now = i as u64 * 200;
             if let Some(cl) = &mut classifier {
@@ -156,10 +158,10 @@ mod steering_ablation {
                     }
                 }
             }
-            forwarded += eng.push(now, pkt.clone()).len();
+            eng.push_into(now, pkt, &mut out);
         }
-        forwarded += eng.flush_all().len();
-        (forwarded, eng.lookups())
+        eng.flush_all_into(&mut out);
+        (forwarded + out.pkts.len(), eng.lookups())
     }
 }
 

@@ -11,7 +11,7 @@
 
 use px_sim::nic::coalesce_batch;
 use px_sim::stats::SizeHistogram;
-use px_wire::pool::{PacketSink, VecSink};
+use px_wire::pool::PacketSink;
 use px_wire::PacketBuf;
 
 /// Baseline gateway counters.
@@ -81,26 +81,13 @@ impl BaselineGateway {
             let _ = sink.accept(PacketBuf::adopt(p));
         }
     }
-
-    /// [`push_into`](Self::push_into) collected into a `Vec`.
-    pub fn push(&mut self, pkt: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.push_into(pkt, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`flush_into`](Self::flush_into) collected into a `Vec`.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.flush_into(&mut sink);
-        sink.into_pkts()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use px_wire::ipv4::Ipv4Repr;
+    use px_wire::pool::VecSink;
     use px_wire::tcp::{SeqNum, TcpFlags, TcpRepr};
     use px_wire::IpProtocol;
     use std::net::Ipv4Addr;
@@ -129,18 +116,19 @@ mod tests {
         let mut gw = BaselineGateway::new(9000, 4);
         // Two contiguous segments of flow A, then two of flow B: one
         // batch → two merged packets.
-        let mut out = Vec::new();
-        out.extend(gw.push(data_pkt(5000, 0, 1000)));
-        out.extend(gw.push(data_pkt(5000, 1000, 1000)));
-        out.extend(gw.push(data_pkt(6000, 0, 1000)));
-        out.extend(gw.push(data_pkt(6000, 1000, 1000)));
+        let mut sink = VecSink::new();
+        gw.push_into(data_pkt(5000, 0, 1000), &mut sink);
+        gw.push_into(data_pkt(5000, 1000, 1000), &mut sink);
+        gw.push_into(data_pkt(6000, 0, 1000), &mut sink);
+        gw.push_into(data_pkt(6000, 1000, 1000), &mut sink);
+        let out = sink.into_pkts();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|p| p.len() == 2040));
         // The next contiguous segment of flow A cannot join the previous
         // aggregate — it is in a new batch.
-        let out2 = gw.push(data_pkt(5000, 2000, 1000));
+        let out2 = VecSink::collect(|s| gw.push_into(data_pkt(5000, 2000, 1000), s));
         assert!(out2.is_empty());
-        let out2 = gw.flush();
+        let out2 = VecSink::collect(|s| gw.flush_into(s));
         assert_eq!(out2.len(), 1);
         assert_eq!(out2[0].len(), 1040, "no cross-batch merging");
     }
@@ -165,14 +153,14 @@ mod tests {
                 for _ in 0..3 {
                     let pkt = data_pkt(5000 + f, seqs[f as usize], 1460);
                     seqs[f as usize] += 1460;
-                    base.push(pkt.clone());
-                    px.push(now, pkt);
+                    base.push_into(pkt.clone(), &mut VecSink::new());
+                    px.push_into(now, &pkt, &mut VecSink::new());
                     now += 1000;
                 }
             }
         }
-        base.flush();
-        px.flush_all();
+        base.flush_into(&mut VecSink::new());
+        px.flush_all_into(&mut VecSink::new());
         let cfg = px.cfg;
         let base_yield = base.stats.conversion_yield(imtu, 1500);
         let px_yield = px.stats.conversion_yield(&cfg);

@@ -17,15 +17,16 @@
 //! are never bundled: the prober's packet must traverse routers as-is so
 //! fragmentation reveals the path MTU (§4.2).
 
+use crate::chassis::{Chassis, LadderCounts};
+use crate::engine::EngineTally;
 use crate::flowtable::FlowTable;
-use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
-use px_sim::stats::SizeHistogram;
+use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::bytes;
 use px_wire::caravan::{iter_bundle, MAX_INNER};
 use px_wire::checksum;
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
-use px_wire::pool::{BufPool, PacketSink, PoolStats, VecSink};
+use px_wire::pool::{PacketSink, PoolStats};
 use px_wire::udp::UdpDatagram;
 use px_wire::{FlowKey, IpProtocol, PacketBuf};
 use std::net::Ipv4Addr;
@@ -85,7 +86,7 @@ pub struct CaravanStats {
     /// ladder's passthrough rung (DESIGN.md §12).
     pub degraded_pkts: u64,
     /// Bundle creations refused because the buffer pool was exhausted
-    /// (real [`BufPool::try_get`] failures plus injected verdicts).
+    /// (real `BufPool::try_get` failures plus injected verdicts).
     pub pool_exhausted: u64,
     /// Degraded packets dropped outright because even the emergency
     /// spare buffer was unavailable.
@@ -136,60 +137,24 @@ pub struct CaravanEngine {
     /// Configuration.
     pub cfg: CaravanConfig,
     table: FlowTable<PendingBundle>,
-    pool: BufPool,
+    /// Pool, spare, fault gate, degrade ladder, recorder, clock and
+    /// span links — everything shared with the merge engine.
+    pub(crate) chassis: Chassis,
     out_ident: u16,
     /// Counters.
     pub stats: CaravanStats,
-    /// Span recorder + histograms (disabled by default — zero cost).
-    pub obs: Recorder,
-    /// Logical time of the most recent inbound push/poll, used to stamp
-    /// emission spans deterministically.
-    last_now: u64,
-    /// Resource-fault injector ([`PlannedFaults::off`] in production).
-    faults: PlannedFaults,
-    /// Emergency buffer for degraded passthrough, owned outside the
-    /// pool (see [`crate::merge::MergeEngine`] for the full rationale).
-    spare: Option<PacketBuf>,
-    /// Whether the engine is currently in degraded (passthrough) mode.
-    degraded: bool,
-    /// Monotone per-emission sequence: the low bits of every `Caravan`
-    /// span's causal link id (see [`CaravanEngine::set_span_link_base`]).
-    emit_seq: u64,
-    /// High-bit offset OR-ed into link ids for cross-core uniqueness.
-    link_base: u64,
 }
 
 impl CaravanEngine {
     /// Creates a caravan engine.
     pub fn new(cfg: CaravanConfig) -> Self {
-        let pool = BufPool::for_mtu(cfg.imtu, 256);
-        let spare = PacketBuf::with_capacity(pool.headroom(), pool.headroom() + cfg.imtu);
         CaravanEngine {
             cfg,
             table: FlowTable::new(cfg.table_capacity),
-            pool,
+            chassis: Chassis::new(cfg.imtu),
             out_ident: 1,
             stats: CaravanStats::default(),
-            obs: Recorder::default(),
-            last_now: 0,
-            faults: PlannedFaults::off(),
-            spare: Some(spare),
-            degraded: false,
-            emit_seq: 0,
-            link_base: 0,
         }
-    }
-
-    /// Arms (or disarms, with [`FaultSpec::off`]) resource-fault
-    /// injection for this engine.
-    pub fn set_faults(&mut self, spec: FaultSpec) {
-        self.faults = PlannedFaults::new(spec);
-    }
-
-    /// Caps the buffer pool's live-buffer count (see
-    /// [`BufPool::set_live_cap`]).
-    pub fn set_pool_live_cap(&mut self, cap: Option<u64>) {
-        self.pool.set_live_cap(cap);
     }
 
     /// Re-sizes the bundle flow table from a
@@ -202,69 +167,38 @@ impl CaravanEngine {
         self.table = FlowTable::with_config(cfg);
     }
 
-    /// Re-sizes the buffer pool's parked-buffer cap. Must be called
-    /// before any traffic.
-    pub fn set_pool_bufs(&mut self, max_free: usize) {
-        debug_assert_eq!(self.pool.outstanding(), 0, "resize only while idle");
-        self.pool = BufPool::for_mtu(self.cfg.imtu, max_free);
-        // Park the whole allowance up front: the first excursion to the
-        // concurrent-bundle peak then recycles instead of allocating.
-        self.pool.prewarm(max_free);
-    }
-
-    /// Bytes reserved by the bundle table's arenas.
-    pub fn arena_bytes(&self) -> usize {
-        self.table.arena_bytes()
-    }
-
-    /// Flows currently holding a pending bundle.
-    pub fn flows_live(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Bundle-table evictions as `(idle, pressure)`. Every caravan
+    /// What the engine driver folds per engine instance. Every caravan
     /// eviction rescue-flushes a pending bundle, so they all count as
-    /// pressure.
-    pub fn eviction_counts(&self) -> (u64, u64) {
-        (0, self.table.evictions)
-    }
-
-    /// Whether the engine is currently degraded to passthrough.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Sets the high bits OR-ed into every `Caravan` span's link id so
-    /// links stay unique across cores (the engine driver passes
-    /// `(core + 1) << 48`). Link ids tie each emitted caravan to the
-    /// `Split` span that later unbundles it in the trace export.
-    pub fn set_span_link_base(&mut self, base: u64) {
-        self.link_base = base;
-    }
-
-    /// Emissions so far (the link sequence already consumed).
-    pub fn emit_seq(&self) -> u64 {
-        self.emit_seq
+    /// pressure; the live flows are those holding a pending bundle.
+    pub(crate) fn tally(&self) -> EngineTally {
+        let counters = CoreCounters {
+            degraded_pkts: self.stats.degraded_pkts,
+            pool_exhausted: self.stats.pool_exhausted,
+            backpressure_drops: self.stats.backpressure_drops,
+            dropped_malformed: self.stats.dropped_malformed,
+            flows_evicted_pressure: self.table.evictions,
+            flows_live: self.table.len() as u64,
+            ..CoreCounters::default()
+        };
+        EngineTally {
+            counters,
+            arena_bytes: self.table.arena_bytes(),
+        }
     }
 
     /// Switches the span recorder + histograms on.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        self.obs = Recorder::new(cfg);
+        self.chassis.obs = Recorder::new(cfg);
     }
 
-    /// Flow-table lookups (cost accounting).
-    pub fn lookups(&self) -> u64 {
-        self.table.lookups
+    /// The span recorder + histograms.
+    pub fn obs(&self) -> &Recorder {
+        &self.chassis.obs
     }
 
     /// Buffer-pool counters (allocation accounting).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats
-    }
-
-    /// Buffers held by pending bundles or not yet recycled by a sink.
-    pub fn pool_outstanding(&self) -> u64 {
-        self.pool.outstanding()
+        self.chassis.pool.stats
     }
 
     fn bundle_budget(&self) -> usize {
@@ -276,73 +210,16 @@ impl CaravanEngine {
     fn forward_recorded(&mut self, pkt: &[u8], sink: &mut impl PacketSink) {
         self.stats.passthrough += 1;
         self.stats.out_sizes.record(pkt.len());
-        self.obs.observe_out_size(pkt.len() as u64);
-        let mut buf = self.pool.get();
-        buf.extend_from_slice(pkt);
-        if let Some(b) = sink.accept(buf) {
-            self.pool.put(b);
-        }
+        self.chassis.obs.observe_out_size(pkt.len() as u64);
+        self.chassis.forward(pkt, sink);
     }
 
     /// Records a malformed-packet drop (the counter is the caller's).
     fn record_malformed(&mut self, len: usize, flow: u32) {
-        let (now, reason) = (self.last_now, drop_reason::MALFORMED);
-        self.obs
+        let (now, reason) = (self.chassis.now(), drop_reason::MALFORMED);
+        self.chassis
+            .obs
             .record(Span::instant(SpanCat::Drop, now, len, flow, reason));
-    }
-
-    /// Degraded passthrough: a pending bundle could not be created
-    /// ([`cause::POOL`] = pool dry, [`cause::TABLE`] = table denial), so
-    /// the datagram is forwarded unbundled through the pool-independent
-    /// spare buffer. Never allocates and never panics (px-analyze R6);
-    /// when even the spare is gone the packet is dropped and counted as
-    /// backpressure.
-    fn degrade_forward(
-        &mut self,
-        now: u64,
-        pkt: &[u8],
-        flow: u32,
-        cause_code: u64,
-        sink: &mut impl PacketSink,
-    ) {
-        // One span per degraded packet: the conservation law pins
-        // count(Degrade) == degraded_pkts + backpressure_drops.
-        let span = Span::instant(SpanCat::Degrade, now, pkt.len(), flow, cause_code);
-        if !self.degraded {
-            self.degraded = true;
-            self.obs.record(Span {
-                cat: SpanCat::DegradeEnter,
-                ..span
-            });
-        }
-        self.obs.record(span);
-        if cause_code == cause::POOL {
-            self.stats.pool_exhausted += 1;
-        }
-        match self.spare.take() {
-            Some(mut buf) if pkt.len() <= self.cfg.imtu => {
-                self.stats.degraded_pkts += 1;
-                buf.extend_from_slice(pkt);
-                if let Some(mut b) = sink.accept(buf) {
-                    b.reset(self.pool.headroom());
-                    self.spare = Some(b);
-                }
-            }
-            kept => {
-                self.spare = kept;
-                self.stats.backpressure_drops += 1;
-            }
-        }
-    }
-
-    /// Leaves degraded mode on the first bundle creation that succeeds
-    /// again.
-    fn degrade_exit(&mut self, now: u64) {
-        if self.degraded {
-            self.degraded = false;
-            self.obs
-                .record(Span::instant(SpanCat::DegradeExit, now, 0, 0, 0));
-        }
     }
 
     /// Accounts one emission of `p` (a bundle, or its lone datagram
@@ -353,25 +230,27 @@ impl CaravanEngine {
     fn record_emit(&mut self, p: &PendingBundle) {
         let len = p.buf.len();
         self.stats.out_sizes.record(len);
-        if self.obs.is_enabled() {
+        if self.chassis.obs.is_enabled() {
             let flow = flow_id(p.src_port, p.dst_port);
-            let dwell = self.last_now.saturating_sub(p.born);
+            let dwell = self.chassis.now().saturating_sub(p.born);
             let count = p.count as u64;
             if count > 1 {
-                self.obs.observe_dwell(dwell);
+                self.chassis.obs.observe_dwell(dwell);
             }
-            self.obs.observe_out_size(len as u64);
-            self.emit_seq += 1;
-            self.obs.record(Span {
+            self.chassis.obs.observe_out_size(len as u64);
+            let link = self.chassis.next_link();
+            self.chassis.obs.record(Span {
                 cat: SpanCat::Caravan,
                 start_ns: p.born,
                 dur_ns: dwell,
                 len: len as u32,
                 flow,
                 aux: count,
-                link: self.link_base | self.emit_seq,
+                link,
             });
-            self.obs.observe_flow(flow, count, len as u64, dwell);
+            self.chassis
+                .obs
+                .observe_flow(flow, count, len as u64, dwell);
         }
     }
 
@@ -380,9 +259,7 @@ impl CaravanEngine {
             // Single datagram: forward the original packet untouched.
             self.stats.passthrough += 1;
             self.record_emit(&p);
-            if let Some(b) = sink.accept(p.buf) {
-                self.pool.put(b);
-            }
+            self.chassis.emit(p.buf, sink);
             return;
         }
         // Outer UDP header into the headroom; checksum from the cached
@@ -418,21 +295,18 @@ impl CaravanEngine {
             self.stats.dropped_malformed += 1;
             let flow = flow_id(p.src_port, p.dst_port);
             self.record_malformed(p.buf.len(), flow);
-            self.pool.put(p.buf);
+            self.chassis.pool.put(p.buf);
             return;
         }
         self.stats.caravans_out += 1;
         self.record_emit(&p);
-        if let Some(b) = sink.accept(p.buf) {
-            self.pool.put(b);
-        }
+        self.chassis.emit(p.buf, sink);
     }
 
     /// Processes one packet entering the b-network, delivering packets to
     /// forward to `sink` (possibly none while a bundle is being held).
     pub fn push_inbound_into(&mut self, now: u64, pkt: &[u8], sink: &mut impl PacketSink) {
         self.stats.pkts_in += 1;
-        self.last_now = now;
 
         let parsed = (|| {
             let ip = Ipv4Packet::new_checked(pkt).ok()?;
@@ -455,20 +329,15 @@ impl CaravanEngine {
                 bytes::range(pkt, ip_hlen, ip_hlen + udp.length()),
             ))
         })();
-        if self.obs.is_enabled() {
-            // One Classify span per inbound packet: the conservation law
-            // pins count(Classify) == pkts_in per core. aux 1 = the
-            // packet classified as bundleable UDP.
-            let (flow, keyed) = match &parsed {
-                Some((_, _, _, _, sp, dp, _, _)) => (flow_id(*sp, *dp), 1),
-                None => (0, 0),
-            };
-            let span = Span::instant(SpanCat::Classify, now, pkt.len(), flow, keyed);
-            self.obs.record(span);
-        }
+        // Keyed = the packet classified as bundleable UDP.
+        let keyed_flow = parsed
+            .as_ref()
+            .map(|&(.., sport, dport, _, _)| flow_id(sport, dport));
+        self.chassis.arrive(now, pkt.len(), keyed_flow);
         let Some((key, ip_id, src, dst, sport, dport, ip_hlen, dgram)) = parsed else {
             // aux 2 = passthrough (probe, non-UDP, fragment, caravan ToS).
-            self.obs
+            self.chassis
+                .obs
                 .record(Span::instant(SpanCat::Steer, now, pkt.len(), 0, 2));
             self.forward_recorded(pkt, sink);
             return;
@@ -477,7 +346,8 @@ impl CaravanEngine {
         if dgram.len() > self.bundle_budget() {
             // Too large to bundle with anything.
             let flow = flow_id(sport, dport);
-            self.obs
+            self.chassis
+                .obs
                 .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 2));
             self.forward_recorded(pkt, sink);
             return;
@@ -532,27 +402,17 @@ impl CaravanEngine {
             self.emit_pending(p, sink);
         }
 
-        // Bundle creation is the resource-pressure point (the only step
-        // that pins a pool buffer and a table slot across calls):
-        // injected verdicts and real pool exhaustion degrade to
-        // unbundled passthrough here — never a drop.
-        if self.faults.spec.enabled {
-            let pkt_hash = hash_bytes(pkt);
-            if self.faults.pool_dry(pkt_hash) {
-                self.degrade_forward(now, pkt, flow_id(sport, dport), cause::POOL, sink);
-                return;
-            }
-            if self.faults.table_deny(pkt_hash) {
-                self.degrade_forward(now, pkt, flow_id(sport, dport), cause::TABLE, sink);
-                return;
-            }
-        }
-        let Some(mut buf) = self.pool.try_get() else {
-            self.degrade_forward(now, pkt, flow_id(sport, dport), cause::POOL, sink);
+        // Bundle creation goes through the chassis' fault gate; on
+        // `None` the packet already left through the degrade ladder.
+        let counts = LadderCounts {
+            degraded_pkts: &mut self.stats.degraded_pkts,
+            pool_exhausted: &mut self.stats.pool_exhausted,
+            backpressure_drops: &mut self.stats.backpressure_drops,
+        };
+        let flow = flow_id(sport, dport);
+        let Some(buf) = self.chassis.acquire(now, pkt, flow, counts, sink) else {
             return;
         };
-        self.degrade_exit(now);
-        buf.extend_from_slice(pkt);
         self.stats.bundled += 1;
         let pending = PendingBundle {
             buf,
@@ -575,7 +435,8 @@ impl CaravanEngine {
             // is rescue-flushed below.
             let vflow = flow_id(victim_key.src_port, victim_key.dst_port);
             let held = victim.buf.len();
-            self.obs
+            self.chassis
+                .obs
                 .record(Span::instant(SpanCat::Evict, now, held, vflow, 2));
             self.emit_pending(victim, sink);
         }
@@ -600,11 +461,7 @@ impl CaravanEngine {
             ))
         })();
         let Some((src, dst, bundle)) = parsed else {
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(pkt);
-            if let Some(b) = sink.accept(buf) {
-                self.pool.put(b);
-            }
+            self.chassis.forward(pkt, sink);
             return;
         };
         // Validate the whole bundle first: a corrupt bundle is dropped in
@@ -621,8 +478,7 @@ impl CaravanEngine {
             let mut ip = Ipv4Repr::new(src, dst, IpProtocol::Udp, dg.len());
             ip.ident = self.out_ident;
             self.out_ident = self.out_ident.wrapping_add(1);
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(dg);
+            let mut buf = self.chassis.copy_in(dg);
             buf.push_front_zeroed(20);
             let ok = {
                 let mut v = Ipv4Packet::new_unchecked(buf.as_mut_slice());
@@ -630,27 +486,18 @@ impl CaravanEngine {
             };
             if ok {
                 self.stats.inner_out += 1;
-                if let Some(b) = sink.accept(buf) {
-                    self.pool.put(b);
-                }
+                self.chassis.emit(buf, sink);
             } else {
                 self.stats.dropped_malformed += 1;
                 self.record_malformed(buf.len(), 0);
-                self.pool.put(buf);
+                self.chassis.pool.put(buf);
             }
         }
     }
 
     /// Emits every bundle whose hold timer expired.
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
-        // The end-of-run drain polls with a `u64::MAX` sentinel to
-        // expire every hold timer; keep the last *real* timestamp for
-        // dwell/span accounting so drained bundles don't report
-        // astronomical dwells (which also overflow the profiler's
-        // per-flow sums in debug builds).
-        if now != u64::MAX {
-            self.last_now = now;
-        }
+        self.chassis.poll_tick(now);
         while let Some((_, p)) = self.table.pop_expired(now) {
             self.emit_pending(p, sink);
         }
@@ -667,42 +514,14 @@ impl CaravanEngine {
             self.emit_pending(p, sink);
         }
     }
-
-    /// [`push_inbound_into`](Self::push_inbound_into) collected into a
-    /// `Vec` (tests and non-hot callers).
-    pub fn push_inbound(&mut self, now: u64, pkt: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.push_inbound_into(now, &pkt, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`push_outbound_into`](Self::push_outbound_into) collected into a
-    /// `Vec`.
-    pub fn push_outbound(&mut self, pkt: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.push_outbound_into(&pkt, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`poll_into`](Self::poll_into) collected into a `Vec`.
-    pub fn poll(&mut self, now: u64) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.poll_into(now, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`flush_all_into`](Self::flush_all_into) collected into a `Vec`.
-    pub fn flush_all(&mut self) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.flush_all_into(&mut sink);
-        sink.into_pkts()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use px_faults::FaultSpec;
     use px_wire::caravan::split_bundle;
+    use px_wire::pool::VecSink;
     use px_wire::UdpRepr;
 
     const SRC: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);
@@ -725,7 +544,9 @@ mod tests {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
         let mut out = Vec::new();
         for i in 0..7u16 {
-            out.extend(eng.push_inbound(0, udp_pkt(5000, 1172, i)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_inbound_into(0, &udp_pkt(5000, 1172, i), s)
+            }));
         }
         assert_eq!(out.len(), 1, "7×1200B datagrams fill one 9000B caravan");
         let caravan = &out[0];
@@ -734,7 +555,7 @@ mod tests {
         assert_eq!(ip.tos(), CARAVAN_TOS);
         assert!(ip.verify_checksum());
         // Round-trip: unbundling restores 7 datagrams.
-        let restored = eng.push_outbound(caravan.clone());
+        let restored = VecSink::collect(|s| eng.push_outbound_into(caravan, s));
         assert_eq!(restored.len(), 7);
         for p in &restored {
             let ip = Ipv4Packet::new_checked(&p[..]).unwrap();
@@ -752,10 +573,14 @@ mod tests {
             ..Default::default()
         };
         let mut eng = CaravanEngine::new(cfg);
-        assert!(eng.push_inbound(0, udp_pkt(5000, 500, 0)).is_empty());
-        assert!(eng.push_inbound(10, udp_pkt(5000, 500, 1)).is_empty());
-        assert!(eng.poll(999).is_empty());
-        let out = eng.poll(1001);
+        assert!(
+            VecSink::collect(|s| eng.push_inbound_into(0, &udp_pkt(5000, 500, 0), s)).is_empty()
+        );
+        assert!(
+            VecSink::collect(|s| eng.push_inbound_into(10, &udp_pkt(5000, 500, 1), s)).is_empty()
+        );
+        assert!(VecSink::collect(|s| eng.poll_into(999, s)).is_empty());
+        let out = VecSink::collect(|s| eng.poll_into(1001, s));
         assert_eq!(out.len(), 1);
         let ip = Ipv4Packet::new_checked(&out[0][..]).unwrap();
         assert_eq!(ip.tos(), CARAVAN_TOS);
@@ -771,17 +596,17 @@ mod tests {
         };
         let mut eng = CaravanEngine::new(cfg);
         let orig = udp_pkt(5000, 500, 0);
-        assert!(eng.push_inbound(0, orig.clone()).is_empty());
-        let out = eng.poll(u64::MAX);
+        assert!(VecSink::collect(|s| eng.push_inbound_into(0, &orig, s)).is_empty());
+        let out = VecSink::collect(|s| eng.poll_into(u64::MAX, s));
         assert_eq!(out, vec![orig], "no pointless tunnelling of singletons");
     }
 
     #[test]
     fn nonconsecutive_ip_id_breaks_bundle_in_compat_mode() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
-        eng.push_inbound(0, udp_pkt(5000, 500, 0));
+        eng.push_inbound_into(0, &udp_pkt(5000, 500, 0), &mut VecSink::new());
         // Jump in IP ID: previous bundle flushed (as original packet).
-        let out = eng.push_inbound(1, udp_pkt(5000, 500, 7));
+        let out = VecSink::collect(|s| eng.push_inbound_into(1, &udp_pkt(5000, 500, 7), s));
         assert_eq!(out.len(), 1);
         assert_eq!(eng.stats.passthrough, 1);
         // Without compat mode, the same pattern keeps bundling.
@@ -789,8 +614,10 @@ mod tests {
             require_consecutive_ip_id: false,
             ..Default::default()
         });
-        eng2.push_inbound(0, udp_pkt(5000, 500, 0));
-        assert!(eng2.push_inbound(1, udp_pkt(5000, 500, 7)).is_empty());
+        eng2.push_inbound_into(0, &udp_pkt(5000, 500, 0), &mut VecSink::new());
+        assert!(
+            VecSink::collect(|s| eng2.push_inbound_into(1, &udp_pkt(5000, 500, 7), s)).is_empty()
+        );
     }
 
     #[test]
@@ -806,7 +633,7 @@ mod tests {
         let pkt = Ipv4Repr::new(SRC, DST, IpProtocol::Udp, dg.len())
             .build_packet(&dg)
             .unwrap();
-        let out = eng.push_inbound(0, pkt.clone());
+        let out = VecSink::collect(|s| eng.push_inbound_into(0, &pkt, s));
         assert_eq!(out, vec![pkt], "probes forwarded unmerged");
     }
 
@@ -817,10 +644,10 @@ mod tests {
             ..Default::default()
         });
         for i in 0..3 {
-            eng.push_inbound(0, udp_pkt(5000, 500, i));
-            eng.push_inbound(0, udp_pkt(6000, 500, i));
+            eng.push_inbound_into(0, &udp_pkt(5000, 500, i), &mut VecSink::new());
+            eng.push_inbound_into(0, &udp_pkt(6000, 500, i), &mut VecSink::new());
         }
-        let out = eng.flush_all();
+        let out = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(out.len(), 2);
         for p in &out {
             let ip = Ipv4Packet::new_checked(&p[..]).unwrap();
@@ -835,10 +662,12 @@ mod tests {
         eng.enable_obs(px_obs::ObsConfig::default());
         let mut out = Vec::new();
         for i in 0..7u16 {
-            out.extend(eng.push_inbound(u64::from(i) * 100, udp_pkt(5000, 1172, i)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_inbound_into(u64::from(i) * 100, &udp_pkt(5000, 1172, i), s)
+            }));
         }
         assert_eq!(out.len(), 1);
-        let spans = eng.obs.recent_spans(64);
+        let spans = eng.obs().recent_spans(64);
         let pack = spans
             .iter()
             .find(|s| s.cat == SpanCat::Caravan)
@@ -850,14 +679,14 @@ mod tests {
             600,
             "ends at the emitting push's time"
         );
-        assert_eq!(eng.obs.hists().dwell_ns.max(), 600);
+        assert_eq!(eng.obs().hists().dwell_ns.max(), 600);
     }
 
     #[test]
     fn oversize_datagram_passes_through() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
         let big = udp_pkt(5000, 8980, 0); // > bundle budget
-        let out = eng.push_inbound(0, big.clone());
+        let out = VecSink::collect(|s| eng.push_inbound_into(0, &big, s));
         assert_eq!(out, vec![big]);
     }
 
@@ -865,7 +694,7 @@ mod tests {
     fn pool_exhaustion_degrades_to_unbundled_passthrough() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
-        eng.set_pool_live_cap(Some(1));
+        eng.chassis.pool.set_live_cap(Some(1));
         let got: std::cell::RefCell<Vec<Vec<u8>>> = std::cell::RefCell::new(Vec::new());
         let mut sink = |b: PacketBuf| {
             got.borrow_mut().push(b.as_slice().to_vec());
@@ -878,40 +707,49 @@ mod tests {
         let orig = udp_pkt(6000, 500, 0);
         eng.push_inbound_into(10, &orig, &mut sink);
         assert_eq!(*got.borrow(), vec![orig]);
-        assert!(eng.is_degraded());
+        assert!(eng.chassis.is_degraded());
         assert_eq!(eng.stats.degraded_pkts, 1);
         assert_eq!(eng.stats.pool_exhausted, 1);
         // Flush A; the returned buffer lets B's next datagram bundle.
         eng.poll_into(u64::MAX, &mut sink);
         eng.push_inbound_into(20, &udp_pkt(6000, 500, 1), &mut sink);
-        assert!(!eng.is_degraded(), "recovered on next successful creation");
-        let cats: Vec<SpanCat> = eng.obs.recent_spans(16).iter().map(|s| s.cat).collect();
+        assert!(
+            !eng.chassis.is_degraded(),
+            "recovered on next successful creation"
+        );
+        let cats: Vec<SpanCat> = eng.obs().recent_spans(16).iter().map(|s| s.cat).collect();
         assert!(cats.contains(&SpanCat::DegradeEnter), "{cats:?}");
         assert!(cats.contains(&SpanCat::DegradeExit), "{cats:?}");
         eng.flush_all_into(&mut sink);
-        assert_eq!(eng.pool.outstanding(), 0, "no leaked buffers");
+        assert_eq!(eng.pool_stats().outstanding(), 0, "no leaked buffers");
     }
 
     #[test]
     fn injected_faults_degrade_the_caravan_engine_too() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
-        eng.set_faults(FaultSpec {
+        eng.chassis.set_faults(FaultSpec {
             enabled: true,
             seed: 3,
             table_deny_ppm: 1_000_000,
             ..FaultSpec::off()
         });
         let p0 = udp_pkt(5000, 500, 0);
-        assert_eq!(eng.push_inbound(0, p0.clone()), vec![p0]);
+        assert_eq!(
+            VecSink::collect(|s| eng.push_inbound_into(0, &p0, s)),
+            vec![p0]
+        );
         assert_eq!(eng.stats.degraded_pkts, 1);
         assert_eq!(eng.stats.pool_exhausted, 0);
-        assert_eq!(eng.pool.outstanding(), 0);
+        assert_eq!(eng.pool_stats().outstanding(), 0);
     }
 
     #[test]
     fn outbound_noncaravan_passes_through() {
         let mut eng = CaravanEngine::new(CaravanConfig::default());
         let plain = udp_pkt(5000, 500, 0);
-        assert_eq!(eng.push_outbound(plain.clone()), vec![plain]);
+        assert_eq!(
+            VecSink::collect(|s| eng.push_outbound_into(&plain, s)),
+            vec![plain]
+        );
     }
 }

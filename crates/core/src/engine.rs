@@ -39,6 +39,7 @@
 
 use crate::baseline::BaselineGateway;
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
+use crate::chassis::Chassis;
 use crate::merge::{MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use px_faults::{
@@ -54,7 +55,7 @@ use px_sim::stats::{CoreCounters, StatsRegistry};
 use px_wire::batchparse::prefetch_packet;
 use px_wire::batchparse::{self, ParsedMeta};
 use px_wire::ipv4::Ipv4Packet;
-use px_wire::pool::{PacketSink, VecSink};
+use px_wire::pool::PacketSink;
 use px_wire::{FlowKey, IpProtocol, PacketBuf, RssHasher};
 use std::borrow::BorrowMut;
 use std::collections::BTreeMap;
@@ -78,61 +79,61 @@ pub enum CoreEngine {
     Caravan(CaravanEngine),
 }
 
-impl CoreEngine {
-    /// Builds the engine a given system variant / workload pair uses on
-    /// each core (the Fig. 5 configuration: 64 K flow-table entries,
-    /// consecutive-IP-ID caravan packing).
-    pub fn for_variant(
-        variant: SystemVariant,
-        workload: WorkloadKind,
-        imtu: usize,
-        emtu: usize,
-        hold_ns: u64,
-    ) -> Self {
-        match (variant, workload) {
-            (SystemVariant::BaselineGro, _) => CoreEngine::Baseline(BaselineGateway::new(imtu, 64)),
-            (_, WorkloadKind::Tcp) => CoreEngine::Merge(MergeEngine::new(MergeConfig {
-                imtu,
-                emtu,
-                hold_ns,
-                table_capacity: 65536,
-            })),
-            (_, WorkloadKind::Udp) => CoreEngine::Caravan(CaravanEngine::new(CaravanConfig {
-                imtu,
-                hold_ns,
-                table_capacity: 65536,
-                require_consecutive_ip_id: true,
-                probe_port: crate::gateway::FPMTUD_PORT,
-            })),
-        }
-    }
+/// What a driver reads off one engine *instance*: the [`CoreCounters`]
+/// fields the engine owns — ladder, drop, eviction and steering counts
+/// plus the `flows_live` gauge, every other field zero — and the bytes
+/// its flow-state arenas reserve. All zero for the baseline.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct EngineTally {
+    /// The engine's share of its core's counters.
+    pub counters: CoreCounters,
+    /// Bytes reserved by the flow table and the classifier.
+    pub arena_bytes: usize,
+}
 
-    /// Builds the engine one core of a pipeline run uses, applying the
-    /// run's flow-scale knobs on top of [`for_variant`](Self::for_variant):
-    /// the flow-table sizing override, the pool's parked-buffer cap, and
-    /// (merge path only) the small-flow classifier. With the `fig5`
-    /// defaults this is byte-identical to `for_variant` — the pinned
-    /// digests prove it.
+impl CoreEngine {
+    /// Builds the engine one core of a pipeline run uses: the variant /
+    /// workload pair's engine in the Fig. 5 configuration (64 K
+    /// flow-table entries, consecutive-IP-ID caravan packing), then the
+    /// run's flow-scale knobs — the flow-table sizing override, the
+    /// pool's parked-buffer cap, and (merge path only) the small-flow
+    /// classifier.
     pub fn for_pipe(cfg: &PipelineConfig) -> Self {
-        let mut engine =
-            Self::for_variant(cfg.variant, cfg.workload, cfg.imtu, cfg.emtu, cfg.hold_ns);
-        match &mut engine {
-            CoreEngine::Baseline(_) => {}
-            CoreEngine::Merge(m) => {
+        let mut engine = match (cfg.variant, cfg.workload) {
+            (SystemVariant::BaselineGro, _) => {
+                CoreEngine::Baseline(BaselineGateway::new(cfg.imtu, 64))
+            }
+            (_, WorkloadKind::Tcp) => {
+                let mut m = MergeEngine::new(MergeConfig {
+                    imtu: cfg.imtu,
+                    emtu: cfg.emtu,
+                    hold_ns: cfg.hold_ns,
+                    table_capacity: 65536,
+                });
                 if let Some(table) = cfg.flow_table {
                     m.configure_table(table);
                 }
-                m.set_pool_bufs(cfg.pool_bufs);
                 if let Some(steer) = cfg.steer {
                     m.enable_steer(steer);
                 }
+                CoreEngine::Merge(m)
             }
-            CoreEngine::Caravan(c) => {
+            (_, WorkloadKind::Udp) => {
+                let mut c = CaravanEngine::new(CaravanConfig {
+                    imtu: cfg.imtu,
+                    hold_ns: cfg.hold_ns,
+                    table_capacity: 65536,
+                    require_consecutive_ip_id: true,
+                    probe_port: crate::gateway::FPMTUD_PORT,
+                });
                 if let Some(table) = cfg.flow_table {
                     c.configure_table(table);
                 }
-                c.set_pool_bufs(cfg.pool_bufs);
+                CoreEngine::Caravan(c)
             }
+        };
+        if let Some(chassis) = engine.chassis_mut() {
+            chassis.set_pool_bufs(cfg.pool_bufs);
         }
         engine
     }
@@ -185,106 +186,6 @@ impl CoreEngine {
         }
     }
 
-    /// [`push_into`](Self::push_into) collected into a `Vec` (tests and
-    /// non-hot callers).
-    pub fn push(&mut self, now: u64, pkt: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.push_into(now, pkt, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`finish_into`](Self::finish_into) collected into a `Vec`.
-    pub fn finish(&mut self) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.finish_into(&mut sink);
-        sink.into_pkts()
-    }
-
-    /// Packets this engine dropped because validation failed (malformed
-    /// headers, corrupt caravan bundles). Unmergeable or corrupt TCP
-    /// segments pass through the merge engine for the endpoints to
-    /// judge, so only the caravan engine contributes here; the merge
-    /// engine's only drops are the adversarial-overlap rejections
-    /// reported by [`security_drops`](Self::security_drops).
-    pub fn dropped_malformed(&self) -> u64 {
-        match self {
-            CoreEngine::Baseline(_) | CoreEngine::Merge(_) => 0,
-            CoreEngine::Caravan(c) => c.stats.dropped_malformed,
-        }
-    }
-
-    /// Adversarial-overlap rejections as `(dropped_inconsistent_overlap,
-    /// dropped_overlap_evasion)`: segments whose claimed sequence ranges
-    /// conflicted with bytes the merge engine already attested (see
-    /// [`crate::coalesce`]). Zero for the baseline and caravan engines.
-    pub fn security_drops(&self) -> (u64, u64) {
-        match self {
-            CoreEngine::Baseline(_) | CoreEngine::Caravan(_) => (0, 0),
-            CoreEngine::Merge(m) => (
-                m.stats.dropped_inconsistent_overlap,
-                m.stats.dropped_overlap_evasion,
-            ),
-        }
-    }
-
-    /// Switches the inner engine's span recorder + histograms on. The
-    /// baseline gateway has no recorder (it exists to be compared
-    /// against, not debugged), so this is a no-op for it.
-    pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        match self {
-            CoreEngine::Baseline(_) => {}
-            CoreEngine::Merge(m) => m.enable_obs(cfg),
-            CoreEngine::Caravan(c) => c.enable_obs(cfg),
-        }
-    }
-
-    /// The inner engine's recorder (`None` for the baseline).
-    pub fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        match self {
-            CoreEngine::Baseline(_) => None,
-            CoreEngine::Merge(m) => Some(&mut m.obs),
-            CoreEngine::Caravan(c) => Some(&mut c.obs),
-        }
-    }
-
-    /// Detaches everything the recorder holds — spans (oldest first),
-    /// histograms, profiler — leaving it disabled. Empty for the
-    /// baseline or when observability is off.
-    pub fn take_obs(&mut self) -> Telemetry {
-        self.obs_mut().map(Recorder::take).unwrap_or_default()
-    }
-
-    /// Sets the high bits of this engine's span link ids so causal
-    /// links stay unique across cores (no-op for the baseline).
-    pub fn set_span_link_base(&mut self, base: u64) {
-        match self {
-            CoreEngine::Baseline(_) => {}
-            CoreEngine::Merge(m) => m.set_span_link_base(base),
-            CoreEngine::Caravan(c) => c.set_span_link_base(base),
-        }
-    }
-
-    /// Whether the engine is currently on the degradation ladder
-    /// (always false for the baseline, which has no ladder).
-    pub fn is_degraded(&self) -> bool {
-        match self {
-            CoreEngine::Baseline(_) => false,
-            CoreEngine::Merge(m) => m.is_degraded(),
-            CoreEngine::Caravan(c) => c.is_degraded(),
-        }
-    }
-
-    /// Arms (or disarms) resource-fault injection on the inner engine.
-    /// No-op for the baseline — it models the comparison system, not
-    /// the PXGW under test.
-    pub fn set_faults(&mut self, spec: FaultSpec) {
-        match self {
-            CoreEngine::Baseline(_) => {}
-            CoreEngine::Merge(m) => m.set_faults(spec),
-            CoreEngine::Caravan(c) => c.set_faults(spec),
-        }
-    }
-
     /// Idle tick for a quiesced shard: this core's input stream ended,
     /// so every held aggregate's hold deadline lies in its unreachable
     /// future — flush them all now instead of parking them until the
@@ -299,66 +200,60 @@ impl CoreEngine {
         }
     }
 
-    /// Pool buffers currently outstanding — held by pending aggregates
-    /// or loaned out and not yet recycled. Zero after a full drain, or
-    /// the engine is leaking buffers (zero for the pool-less baseline).
-    pub fn pool_outstanding(&self) -> u64 {
+    /// The hold-engine chassis — pool, fault gate, degradation ladder,
+    /// recorder, span links. `None` for the baseline: it models the
+    /// comparison system, not the PXGW under test, so it has no pool,
+    /// no ladder and no recorder to arm, size or read.
+    pub(crate) fn chassis(&self) -> Option<&Chassis> {
         match self {
-            CoreEngine::Baseline(_) => 0,
-            CoreEngine::Merge(m) => m.pool_outstanding(),
-            CoreEngine::Caravan(c) => c.pool_outstanding(),
+            CoreEngine::Baseline(_) => None,
+            CoreEngine::Merge(m) => Some(&m.chassis),
+            CoreEngine::Caravan(c) => Some(&c.chassis),
         }
+    }
+
+    /// [`chassis`](Self::chassis), mutably.
+    pub(crate) fn chassis_mut(&mut self) -> Option<&mut Chassis> {
+        match self {
+            CoreEngine::Baseline(_) => None,
+            CoreEngine::Merge(m) => Some(&mut m.chassis),
+            CoreEngine::Caravan(c) => Some(&mut c.chassis),
+        }
+    }
+
+    /// The inner engine's counters and gauges, by name.
+    pub(crate) fn tally(&self) -> EngineTally {
+        match self {
+            CoreEngine::Baseline(_) => EngineTally::default(),
+            CoreEngine::Merge(m) => m.tally(),
+            CoreEngine::Caravan(c) => c.tally(),
+        }
+    }
+
+    /// Switches the inner engine's span recorder + histograms on (no-op
+    /// for the baseline).
+    pub fn enable_obs(&mut self, cfg: ObsConfig) {
+        if let Some(chassis) = self.chassis_mut() {
+            chassis.obs = Recorder::new(cfg);
+        }
+    }
+
+    /// The inner engine's recorder (`None` for the baseline).
+    pub fn obs_mut(&mut self) -> Option<&mut Recorder> {
+        self.chassis_mut().map(|chassis| &mut chassis.obs)
     }
 
     /// Per-flow-state telemetry as `(flows_live, evicted_idle,
-    /// evicted_pressure, steered_mice_pkts)`. Zero for the baseline,
-    /// which keeps no per-flow state worth budgeting.
+    /// evicted_pressure, steered_mice_pkts)`, read off the
+    /// [`tally`](Self::tally).
     pub fn flow_stats(&self) -> (u64, u64, u64, u64) {
-        match self {
-            CoreEngine::Baseline(_) => (0, 0, 0, 0),
-            CoreEngine::Merge(m) => {
-                let (idle, pressure) = m.eviction_counts();
-                (
-                    m.flows_live() as u64,
-                    idle,
-                    pressure,
-                    m.stats.steered_mice_pkts,
-                )
-            }
-            CoreEngine::Caravan(c) => {
-                let (idle, pressure) = c.eviction_counts();
-                (c.flows_live() as u64, idle, pressure, 0)
-            }
-        }
-    }
-
-    /// Bytes reserved by this engine's per-flow state arenas (flow
-    /// table + classifier). Zero for the baseline.
-    pub fn arena_bytes(&self) -> usize {
-        match self {
-            CoreEngine::Baseline(_) => 0,
-            CoreEngine::Merge(m) => m.arena_bytes(),
-            CoreEngine::Caravan(c) => c.arena_bytes(),
-        }
-    }
-
-    /// The inner engine's `(degraded_pkts, pool_exhausted,
-    /// backpressure_drops)` degradation counters (zero for the
-    /// baseline).
-    pub fn degrade_stats(&self) -> (u64, u64, u64) {
-        match self {
-            CoreEngine::Baseline(_) => (0, 0, 0),
-            CoreEngine::Merge(m) => (
-                m.stats.degraded_pkts,
-                m.stats.pool_exhausted,
-                m.stats.backpressure_drops,
-            ),
-            CoreEngine::Caravan(c) => (
-                c.stats.degraded_pkts,
-                c.stats.pool_exhausted,
-                c.stats.backpressure_drops,
-            ),
-        }
+        let c = self.tally().counters;
+        (
+            c.flows_live,
+            c.flows_evicted_idle,
+            c.flows_evicted_pressure,
+            c.steered_mice_pkts,
+        )
     }
 }
 
@@ -644,7 +539,9 @@ impl PacketSink for Accountant<'_> {
 
 impl Worker {
     fn new(cfg: &EngineConfig, core: usize) -> Self {
-        let mut engine = Self::build_engine(cfg, core);
+        // Causal span links: core c's emissions get link ids in the
+        // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
+        let mut engine = Self::build_engine(cfg, ((core as u64) + 1) << 48);
         Worker {
             obs_on: engine.obs_mut().is_some_and(|r| r.is_enabled()),
             engine,
@@ -662,18 +559,36 @@ impl Worker {
         }
     }
 
-    /// The engine core `core` runs — at start, and again after every
-    /// injected panic.
-    fn build_engine(cfg: &EngineConfig, core: usize) -> CoreEngine {
+    /// The engine a core runs — at start, and again after every
+    /// injected panic — numbering its span links on from `last_link`.
+    /// Obs, faults and links are armed on the chassis; the baseline has
+    /// none and takes none of them.
+    fn build_engine(cfg: &EngineConfig, last_link: u64) -> CoreEngine {
         let mut engine = CoreEngine::for_pipe(&cfg.pipe);
-        if cfg.obs.enabled {
-            engine.enable_obs(cfg.obs);
+        if let Some(chassis) = engine.chassis_mut() {
+            if cfg.obs.enabled {
+                chassis.obs = Recorder::new(cfg.obs);
+            }
+            chassis.set_faults(cfg.faults);
+            chassis.last_link = last_link;
         }
-        engine.set_faults(cfg.faults);
-        // Causal span links: core c's emissions get link ids in the
-        // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
-        engine.set_span_link_base(((core as u64) + 1) << 48);
         engine
+    }
+
+    /// The engine and the sink its emissions are accounted through,
+    /// borrowed side by side. `inband` is false for everything but
+    /// packet-arrival emissions: rescued, idle-ticked and drained
+    /// packets still reach the flows' digests, but steady-state
+    /// conversion metrics exclude them.
+    fn engine_and_sink(&mut self, inband: bool) -> (&mut CoreEngine, Accountant<'_>) {
+        let acct = Accountant {
+            counters: &mut self.counters,
+            digests: self.cfg.digests.then_some(&mut self.digests),
+            jumbo_at: self.jumbo_at,
+            inband,
+            capture: self.captured.as_mut(),
+        };
+        (&mut self.engine, acct)
     }
 
     /// The run-to-completion loop: `BATCH_PKTS`-sized bursts off the
@@ -745,24 +660,18 @@ impl Worker {
     /// alloc-free on its own tokens (px-analyze R6).
     fn restart_worker(&mut self, batch_idx: u64, now: u64) {
         let out_before = self.counters.pkts_out;
-        let mut acct = Accountant {
-            counters: &mut self.counters,
-            digests: self.cfg.digests.then_some(&mut self.digests),
-            jumbo_at: self.jumbo_at,
-            // Rescued packets are out-of-band, like the end-of-run
-            // drain: the flows still see every byte, but steady-state
-            // conversion metrics exclude them.
-            inband: false,
-            capture: self.captured.as_mut(),
-        };
-        self.engine.finish_into(&mut acct);
+        let (engine, mut acct) = self.engine_and_sink(false);
+        engine.finish_into(&mut acct);
         let rescued = self.counters.pkts_out - out_before;
         self.absorb_engine_stats();
+        // The successor numbers its span links on from this engine's
+        // last, so no id in the salvaged stream is ever issued twice.
+        let last_link = self.engine.chassis().map_or(0, |chassis| chassis.last_link);
         // px-analyze: allow(R6, reason = "salvage hand-off once per restart, not per packet: copying the span ring out and folding it into the carried telemetry allocates")
         self.salvage_obs();
         self.counters.worker_restarts += 1;
         // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
-        self.engine = Self::build_engine(&self.cfg, self.core);
+        self.engine = Self::build_engine(&self.cfg, last_link);
         if let Some(rec) = self.engine.obs_mut() {
             // A Restart crossing in the trace: aux carries the number of
             // rescue-flushed packets, len the batch ordinal.
@@ -774,7 +683,11 @@ impl Worker {
     /// Detaches the engine's telemetry and folds it behind whatever
     /// earlier engine instances left — at a restart and at the end.
     fn salvage_obs(&mut self) {
-        let held = self.engine.take_obs();
+        let held = self
+            .engine
+            .obs_mut()
+            .map(Recorder::take)
+            .unwrap_or_default();
         match &mut self.salvage {
             Some(earlier) => earlier.merge(held),
             None => self.salvage = Some(held),
@@ -785,35 +698,24 @@ impl Worker {
     /// called exactly once per engine *instance* (at restart or at
     /// finish), so the sums stay correct across restarts.
     fn absorb_engine_stats(&mut self) {
-        let (degraded, exhausted, drops) = self.engine.degrade_stats();
-        self.counters.degraded_pkts += degraded;
-        self.counters.pool_exhausted += exhausted;
-        self.counters.backpressure_drops += drops;
-        self.counters.dropped_malformed += self.engine.dropped_malformed();
-        let (inconsistent, evasion) = self.engine.security_drops();
-        self.counters.dropped_inconsistent_overlap += inconsistent;
-        self.counters.dropped_overlap_evasion += evasion;
-        // Monotonic flow-state counters fold per engine instance; the
+        // The monotonic counters fold per engine instance; the
         // flows_live gauge is sampled only at finish (a restarted
         // engine's surviving flows would otherwise double-count).
-        let (_, idle, pressure, steered) = self.engine.flow_stats();
-        self.counters.flows_evicted_idle += idle;
-        self.counters.flows_evicted_pressure += pressure;
-        self.counters.steered_mice_pkts += steered;
+        let folded = CoreCounters {
+            flows_live: 0,
+            ..self.engine.tally().counters
+        };
+        // Qualified, so px-analyze's name-keyed call graph sees this
+        // `merge` and not the allocating telemetry ones (R6).
+        CoreCounters::merge(&mut self.counters, &folded);
     }
 
     /// This core's shard is exhausted: flush every held aggregate on
     /// its now-unreachable hold deadline instead of parking it until
     /// the drain. Out-of-band accounting, like the drain itself.
     fn quiesce(&mut self) {
-        let mut acct = Accountant {
-            counters: &mut self.counters,
-            digests: self.cfg.digests.then_some(&mut self.digests),
-            jumbo_at: self.jumbo_at,
-            inband: false,
-            capture: self.captured.as_mut(),
-        };
-        self.engine.idle_tick_into(&mut acct);
+        let (engine, mut acct) = self.engine_and_sink(false);
+        engine.idle_tick_into(&mut acct);
     }
 
     /// One burst — the first `n` packets of `shard` — fed to the engine
@@ -829,15 +731,7 @@ impl Worker {
         };
         let n = n.min(shard.len());
         let mut last_now = 0u64;
-        let Worker {
-            engine,
-            counters,
-            digests,
-            jumbo_at,
-            captured,
-            cfg,
-            ..
-        } = self;
+        let (engine, mut acct) = self.engine_and_sink(true);
         // Lookahead: `ahead` is the first packet not yet requested,
         // `inflight` what packets `i..ahead` cost — their bytes, a line
         // at least, so empty packets cannot drag the cursor through the
@@ -858,16 +752,9 @@ impl Worker {
             // this core's cache.
             let (now, pkt) = (*now, std::mem::take::<Vec<u8>>(pkt.borrow_mut()));
             inflight -= cost(&pkt);
-            counters.pkts_in += 1;
-            counters.bytes_in += pkt.len() as u64;
+            acct.counters.pkts_in += 1;
+            acct.counters.bytes_in += pkt.len() as u64;
             last_now = now;
-            let mut acct = Accountant {
-                counters: &mut *counters,
-                digests: cfg.digests.then_some(&mut *digests),
-                jumbo_at: *jumbo_at,
-                inband: true,
-                capture: captured.as_mut(),
-            };
             engine.push_into(now, pkt, &mut acct);
         }
         if let Some(t0) = batch_start {
@@ -911,7 +798,7 @@ impl Worker {
             logical_now,
             yield_ppm: (self.counters.conversion_yield() * 1e6) as u32,
             yield_valid: self.counters.pkts_out_inband > 0,
-            degraded: self.engine.is_degraded(),
+            degraded: self.engine.chassis().is_some_and(Chassis::is_degraded),
             evicted_pressure,
             p99_pkt_ns,
         };
@@ -925,28 +812,31 @@ impl Worker {
     }
 
     fn finish(&mut self) {
-        let mut acct = Accountant {
-            counters: &mut self.counters,
-            digests: self.cfg.digests.then_some(&mut self.digests),
-            jumbo_at: self.jumbo_at,
-            inband: false,
-            capture: self.captured.as_mut(),
-        };
-        self.engine.finish_into(&mut acct);
+        let (engine, mut acct) = self.engine_and_sink(false);
+        engine.finish_into(&mut acct);
         self.absorb_engine_stats();
         // The drain emptied the merge/bundle tables, so what remains
         // live is the classifier's tracked-flow population — the gauge
         // the flow-scale soak reads.
-        self.counters.flows_live += self.engine.flow_stats().0;
+        self.counters.flows_live += self.engine.tally().counters.flows_live;
         // Every pool buffer must be home after a full drain — a nonzero
         // count here is a leak (an aggregate forgotten by a degrade or
         // restart path, exactly what the chaos matrix exists to catch).
         debug_assert_eq!(
-            self.engine.pool_outstanding(),
+            self.pool_outstanding(),
             0,
             "core {}: pool buffers leaked past the drain",
             self.core
         );
+    }
+
+    /// Pool buffers currently outstanding — held by pending aggregates
+    /// or loaned out and not yet recycled. Zero after a full drain, or
+    /// the engine is leaking buffers (zero for the pool-less baseline).
+    fn pool_outstanding(&self) -> u64 {
+        self.engine
+            .chassis()
+            .map_or(0, |chassis| chassis.pool.outstanding())
     }
 
     /// Mid-run publish, every `publish_every_batches` bursts: the
@@ -1037,17 +927,12 @@ impl CoreDriver {
 
     /// Bytes reserved by the engine's flow-state arenas right now.
     pub fn arena_bytes(&self) -> usize {
-        self.worker.engine.arena_bytes()
+        self.worker.engine.tally().arena_bytes
     }
 
     /// Flows currently occupying per-core state.
     pub fn flows_live(&self) -> u64 {
         self.worker.engine.flow_stats().0
-    }
-
-    /// Pool buffers currently loaned out (zero after a full drain).
-    pub fn pool_outstanding(&self) -> u64 {
-        self.worker.engine.pool_outstanding()
     }
 }
 
@@ -1711,7 +1596,7 @@ mod tests {
         assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
         let after_tick = w.counters.pkts_out;
         assert!(after_tick > w.counters.pkts_out_inband);
-        assert_eq!(w.engine.pool_outstanding(), 0);
+        assert_eq!(w.pool_outstanding(), 0);
         w.finish();
         assert_eq!(w.counters.pkts_out, after_tick);
     }
@@ -1800,6 +1685,44 @@ mod tests {
         assert_eq!(restarts, r.totals.worker_restarts);
         assert_eq!(r.obs.hists.batch_ns.count(), r.totals.batches);
         assert_eq!(r.obs.profile.batches, r.totals.batches);
+    }
+
+    /// Regression: a restarted worker's fresh engine used to number its
+    /// span links from 1 again under the same per-core base, so the
+    /// salvaged stream carried each id once per engine instance and the
+    /// trace bound split arrows to the wrong merge.
+    #[test]
+    fn span_links_stay_distinct_across_worker_restarts() {
+        for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
+            let mut pipe = PipelineConfig::fig5(SystemVariant::Px, workload, 2);
+            pipe.trace_pkts = 4_000;
+            pipe.n_flows = 64;
+            let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+            cfg.obs.span_capacity = 1 << 14;
+            cfg.faults = FaultSpec {
+                enabled: true,
+                seed: 1,
+                panic_every_batches: 5,
+                ..FaultSpec::off()
+            };
+            let r = run_engine(cfg);
+            for (core, spans) in r.obs.per_core_spans.iter().enumerate() {
+                let restarts = spans.iter().filter(|s| s.cat == SpanCat::Restart).count();
+                assert!(
+                    restarts >= 2,
+                    "{workload:?} core {core}: {restarts} restarts"
+                );
+                let links: Vec<u64> = spans
+                    .iter()
+                    .filter(|s| matches!(s.cat, SpanCat::Merge | SpanCat::Caravan))
+                    .map(|s| s.link)
+                    .collect();
+                assert!(links.len() > restarts, "{workload:?} core {core}");
+                let distinct: std::collections::BTreeSet<u64> = links.iter().copied().collect();
+                assert_eq!(distinct.len(), links.len(), "{workload:?} core {core}");
+                assert!(links.iter().all(|l| l >> 48 == core as u64 + 1));
+            }
+        }
     }
 
     #[test]

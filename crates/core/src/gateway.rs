@@ -166,23 +166,17 @@ impl PxGateway {
     /// single [`ObsReport`] (cores 0‥2 = merge, split, caravan). The
     /// recorders keep their state; this is a snapshot, not a drain.
     pub fn obs_report(&self) -> ObsReport {
-        if !self.merge.obs.is_enabled()
-            && !self.split.obs.is_enabled()
-            && !self.caravan.obs.is_enabled()
-        {
+        let stages = [self.merge.obs(), &self.split.obs, self.caravan.obs()];
+        if !stages.iter().any(|r| r.is_enabled()) {
             return ObsReport::disabled();
         }
-        let mut hists = *self.merge.obs.hists();
-        hists.merge(self.split.obs.hists());
-        hists.merge(self.caravan.obs.hists());
+        let mut hists = *stages[0].hists();
+        hists.merge(stages[1].hists());
+        hists.merge(stages[2].hists());
         ObsReport {
             enabled: true,
             hists,
-            per_core_spans: vec![
-                self.merge.obs.recent_spans(usize::MAX),
-                self.split.obs.recent_spans(usize::MAX),
-                self.caravan.obs.recent_spans(usize::MAX),
-            ],
+            per_core_spans: stages.iter().map(|r| r.recent_spans(usize::MAX)).collect(),
             ..ObsReport::disabled()
         }
     }
@@ -243,14 +237,14 @@ impl PxGateway {
         true
     }
 
-    fn inbound(&mut self, ctx: &mut Ctx<'_>, mut pkt: Vec<u8>) {
+    fn inbound(&mut self, ctx: &mut Ctx<'_>, mut pkt: PacketBuf) {
         // §4.2 control plane: neighbour iMTU advertisements and F-PMTUD
         // reports addressed to the gateway terminate here.
-        if self.try_ingest_advert(ctx.now.0, &pkt) {
+        if self.try_ingest_advert(ctx.now.0, pkt.as_slice()) {
             return;
         }
         if let Some(client) = &mut self.pmtud {
-            if client.try_ingest(&pkt) {
+            if client.try_ingest(pkt.as_slice()) {
                 return;
             }
         }
@@ -259,7 +253,7 @@ impl PxGateway {
         if self.cfg.rewrite_mss {
             let target = (self.cfg.imtu - 40).min(usize::from(u16::MAX)) as u16;
             if matches!(
-                raise_mss(&mut pkt, target),
+                raise_mss(pkt.as_mut_slice(), target),
                 crate::mss::MssRewrite::Rewritten { .. }
             ) {
                 self.mss_rewrites += 1;
@@ -267,25 +261,31 @@ impl PxGateway {
         }
         // Small-flow steering: mice bypass the merge machinery entirely.
         if let Some(cl) = &mut self.classifier {
-            if let Ok(key) = px_sim::nic::flow_key_of(&pkt) {
+            if let Ok(key) = px_sim::nic::flow_key_of(pkt.as_slice()) {
                 if cl.classify(ctx.now.0, &key) == FlowClass::Mouse {
                     self.hairpinned += 1;
-                    ctx.send(INTERNAL_PORT, PacketBuf::from_payload(&pkt));
+                    ctx.send(INTERNAL_PORT, pkt);
                     return;
                 }
             }
         }
-        let proto = Ipv4Packet::new_checked(&pkt[..]).map(|ip| ip.protocol());
-        let out = match proto {
-            Ok(IpProtocol::Udp) if self.cfg.caravan => self.caravan.push_inbound(ctx.now.0, pkt),
-            _ => self.merge.push(ctx.now.0, pkt),
+        // Emission goes straight from the engine's pool to the port.
+        let now = ctx.now.0;
+        let mut to_bnet = |b: PacketBuf| {
+            ctx.send(INTERNAL_PORT, b);
+            None
         };
-        for p in out {
-            ctx.send(INTERNAL_PORT, PacketBuf::from_payload(&p));
+        let proto = Ipv4Packet::new_checked(pkt.as_slice()).map(|ip| ip.protocol());
+        match proto {
+            Ok(IpProtocol::Udp) if self.cfg.caravan => {
+                self.caravan
+                    .push_inbound_into(now, pkt.as_slice(), &mut to_bnet);
+            }
+            _ => self.merge.push_into(now, pkt.as_slice(), &mut to_bnet),
         }
     }
 
-    fn outbound(&mut self, ctx: &mut Ctx<'_>, pkt: Vec<u8>) {
+    fn outbound(&mut self, ctx: &mut Ctx<'_>, pkt: PacketBuf) {
         // §4.2: if the neighbour advertised a compatible iMTU, jumbo
         // packets (and whole caravans) cross the border untranslated.
         if let BorderPolicy::PassThrough { up_to } = self.border_policy(ctx.now.0) {
@@ -293,7 +293,7 @@ impl PxGateway {
                 if pkt.len() > self.cfg.emtu {
                     self.passthrough_out += 1;
                 }
-                ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&pkt));
+                ctx.send(EXTERNAL_PORT, pkt);
                 return;
             }
         }
@@ -301,7 +301,7 @@ impl PxGateway {
         // this destination when the resident F-PMTUD client is enabled.
         let mut split_mtu = self.cfg.emtu;
         if let Some(client) = &mut self.pmtud {
-            if let Ok(ip) = Ipv4Packet::new_checked(&pkt[..]) {
+            if let Ok(ip) = Ipv4Packet::new_checked(pkt.as_slice()) {
                 let dst = ip.dst();
                 if let Some(probe) = client.maybe_probe(ctx.now.0, dst) {
                     ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&probe));
@@ -313,15 +313,16 @@ impl PxGateway {
         }
         // Restore caravan bundles to their original datagrams, then cut
         // anything oversized down to the per-destination MTU. Emission
-        // goes straight from the split pool to the port — no Vec per
-        // wire packet, no re-copy into a fresh buffer.
-        for restored in self.caravan.push_outbound(pkt) {
-            self.split
-                .push_to_into(&restored, split_mtu, &mut |b: PacketBuf| {
-                    ctx.send(EXTERNAL_PORT, b);
-                    None
-                });
-        }
+        // goes straight from the split pool to the port; each restored
+        // packet goes back to the caravan pool once it has been split.
+        let PxGateway { caravan, split, .. } = self;
+        caravan.push_outbound_into(pkt.as_slice(), &mut |restored: PacketBuf| {
+            split.push_to_into(restored.as_slice(), split_mtu, &mut |b: PacketBuf| {
+                ctx.send(EXTERNAL_PORT, b);
+                None
+            });
+            Some(restored)
+        });
     }
 }
 
@@ -335,10 +336,9 @@ impl Node for PxGateway {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: PacketBuf) {
-        let bytes = pkt.as_slice().to_vec();
         match port {
-            EXTERNAL_PORT => self.inbound(ctx, bytes),
-            INTERNAL_PORT => self.outbound(ctx, bytes),
+            EXTERNAL_PORT => self.inbound(ctx, pkt),
+            INTERNAL_PORT => self.outbound(ctx, pkt),
             other => {
                 let _ = other;
                 ctx.stats.bump("pxgw_unknown_port", 1);
@@ -355,12 +355,12 @@ impl Node for PxGateway {
             _ => {
                 debug_assert_eq!(token, POLL_TOKEN);
                 let now = ctx.now.0;
-                for p in self.merge.poll(now) {
-                    ctx.send(INTERNAL_PORT, PacketBuf::from_payload(&p));
-                }
-                for p in self.caravan.poll(now) {
-                    ctx.send(INTERNAL_PORT, PacketBuf::from_payload(&p));
-                }
+                let mut to_bnet = |b: PacketBuf| {
+                    ctx.send(INTERNAL_PORT, b);
+                    None
+                };
+                self.merge.poll_into(now, &mut to_bnet);
+                self.caravan.poll_into(now, &mut to_bnet);
                 // PMTU probe retries ride the same poll: a destination
                 // that went dark between packets still resolves (to a
                 // discovered PMTU or the eMTU clamp) on a deadline.

@@ -17,6 +17,12 @@
 //! * **UDP** — [`caravan_gw::CaravanEngine`] bundles datagrams into
 //!   PX-caravan packets (boundaries preserved; QUIC-safe) and unbundles
 //!   them on the way out;
+//! * **one chassis under both hold engines** — the private `chassis`
+//!   module: the output pool, the spare buffer, the fault gate and
+//!   degradation ladder, the recorder and the span-link counter that
+//!   merging and caravan bundling share (they are one mechanism: hold
+//!   a flow's bytes in a pooled buffer, flush on timer, eviction or
+//!   "full");
 //! * **small-flow steering** — [`steer::FlowClassifier`] hairpins mice
 //!   flows past the merge machinery (paper §3/§4.1);
 //! * **multi-core scaling** — [`pipeline`] models the RSS-sharded,
@@ -39,6 +45,7 @@
 pub mod advert;
 pub mod baseline;
 pub mod caravan_gw;
+mod chassis;
 pub mod coalesce;
 pub mod engine;
 pub mod flowtable;

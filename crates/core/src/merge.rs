@@ -45,20 +45,22 @@
 //!   ([`FlowTable::pop_expired`]) instead of scanning every pending
 //!   aggregate per poll tick.
 //!
-//! The `Vec`-returning [`MergeEngine::push`]/[`MergeEngine::poll`] are
-//! thin wrappers over the sink API for tests and non-hot callers.
+//! The pool, the degradation ladder in front of aggregate creation, the
+//! recorder and the span-link sequence are the hold-engine
+//! [`Chassis`]'s, shared with the caravan engine.
 
+use crate::chassis::{Chassis, LadderCounts};
 use crate::coalesce::{self, OverlapVerdict, SegStash, StashedSeg};
+use crate::engine::EngineTally;
 use crate::flowtable::{FlowTable, FlowTableConfig};
 use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
-use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
-use px_sim::stats::SizeHistogram;
+use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::batchparse::{self, ParsedMeta, SegFacts, Verdict};
 use px_wire::bytes;
 use px_wire::checksum;
 use px_wire::ipv4::Ipv4Packet;
-use px_wire::pool::{BufPool, PacketSink, PoolStats, VecSink};
+use px_wire::pool::{PacketSink, PoolStats};
 use px_wire::tcp::options_layout_compatible;
 use px_wire::FlowKey;
 use px_wire::{IpProtocol, PacketBuf};
@@ -117,7 +119,7 @@ pub struct MergeStats {
     /// ladder's passthrough rung (DESIGN.md §12).
     pub degraded_pkts: u64,
     /// Aggregate creations refused because the buffer pool was
-    /// exhausted (real [`BufPool::try_get`] failures plus injected
+    /// exhausted (real `BufPool::try_get` failures plus injected
     /// pool-dry verdicts).
     pub pool_exhausted: u64,
     /// Degraded packets dropped outright because even the emergency
@@ -198,43 +200,20 @@ impl Pending {
 
 /// The merge engine. Feed packets with [`MergeEngine::push_into`], poll
 /// hold timers with [`MergeEngine::poll_into`], and drain at shutdown
-/// with [`MergeEngine::flush_all_into`] (or the `Vec`-returning
-/// wrappers).
+/// with [`MergeEngine::flush_all_into`].
 #[derive(Debug)]
 pub struct MergeEngine {
     /// Configuration.
     pub cfg: MergeConfig,
     table: FlowTable<Pending>,
-    pool: BufPool,
+    /// Pool, spare, fault gate, degrade ladder, recorder, clock and
+    /// span links — everything shared with the caravan engine.
+    pub(crate) chassis: Chassis,
     /// Counters.
     pub stats: MergeStats,
-    /// Span recorder + histograms (disabled by default — zero cost).
-    pub obs: Recorder,
-    /// Logical time of the most recent `push_into`/`poll_into` call,
-    /// used to stamp emission spans deterministically.
-    last_now: u64,
-    /// Resource-fault injector ([`PlannedFaults::off`] in production:
-    /// one predicted branch per aggregate creation).
-    faults: PlannedFaults,
-    /// Emergency buffer for degraded passthrough, owned outside the
-    /// pool so it exists precisely when the pool is dry. Restored when
-    /// the sink recycles it; a sink that keeps it leaves subsequent
-    /// degraded packets to the backpressure counter.
-    spare: Option<PacketBuf>,
-    /// Whether the engine is currently in degraded (passthrough) mode —
-    /// drives the `DegradeEnter`/`DegradeExit` edge spans.
-    degraded: bool,
     /// Small-flow classifier (§3/§4.1). `None` disables steering: every
     /// flow takes the merge path, exactly the historical behaviour.
     steer: Option<FlowClassifier>,
-    /// Monotone per-emission sequence, the low bits of every `Merge`
-    /// span's causal link id. Deterministic: driven purely by emission
-    /// order, never by wall clock.
-    emit_seq: u64,
-    /// High-bit offset OR-ed into link ids so links stay globally
-    /// unique when one engine runs per core (see
-    /// [`MergeEngine::set_span_link_base`]).
-    link_base: u64,
     /// Fixed-capacity parking lot for out-of-order segments (empty on
     /// the in-order hot path: one predicted branch).
     stash: SegStash,
@@ -243,45 +222,14 @@ pub struct MergeEngine {
 impl MergeEngine {
     /// Creates a merge engine.
     pub fn new(cfg: MergeConfig) -> Self {
-        let pool = BufPool::for_mtu(cfg.imtu, 256);
-        let spare = PacketBuf::with_capacity(pool.headroom(), pool.headroom() + cfg.imtu);
         MergeEngine {
             cfg,
             table: FlowTable::new(cfg.table_capacity),
-            pool,
+            chassis: Chassis::new(cfg.imtu),
             stats: MergeStats::default(),
-            obs: Recorder::default(),
-            last_now: 0,
-            faults: PlannedFaults::off(),
-            spare: Some(spare),
-            degraded: false,
             steer: None,
-            emit_seq: 0,
-            link_base: 0,
             stash: SegStash::new(coalesce::STASH_CAP, coalesce::STASH_PER_FLOW),
         }
-    }
-
-    /// Sets the high-bit offset OR-ed into this engine's span link ids.
-    /// The parallel engine passes `(core + 1) << 48` so merge→split
-    /// causal links from different cores never collide; link ids stay
-    /// nonzero (0 means "unlinked" in the trace export).
-    pub fn set_span_link_base(&mut self, base: u64) {
-        self.link_base = base;
-    }
-
-    /// Merge emissions so far — the low bits of the most recent span
-    /// link (`link = base | seq`, `seq` counting emissions from 1).
-    /// The trace harness replays emission order to stamp consuming
-    /// split spans with the producing merge span's link.
-    pub fn emit_seq(&self) -> u64 {
-        self.emit_seq
-    }
-
-    /// Arms (or disarms, with [`FaultSpec::off`]) resource-fault
-    /// injection for this engine.
-    pub fn set_faults(&mut self, spec: FaultSpec) {
-        self.faults = PlannedFaults::new(spec);
     }
 
     /// Switches small-flow steering on: mice hairpin past the merge
@@ -306,18 +254,6 @@ impl MergeEngine {
         self.table = FlowTable::with_config(cfg);
     }
 
-    /// Re-sizes the buffer pool's parked-buffer cap (how many recycled
-    /// buffers are kept for reuse). Large live-flow counts want this
-    /// raised to the concurrent-aggregate ceiling so the steady state
-    /// stays allocation-free. Must be called before any traffic.
-    pub fn set_pool_bufs(&mut self, max_free: usize) {
-        debug_assert_eq!(self.pool.outstanding(), 0, "resize only while idle");
-        self.pool = BufPool::for_mtu(self.cfg.imtu, max_free);
-        // Park the whole allowance up front: the first excursion to the
-        // concurrent-aggregate peak then recycles instead of allocating.
-        self.pool.prewarm(max_free);
-    }
-
     /// Bytes reserved by this engine's flow-state arenas: the merge
     /// table plus the classifier table when steering is on.
     pub fn arena_bytes(&self) -> usize {
@@ -330,30 +266,39 @@ impl MergeEngine {
         self.table.len() + self.steer.as_ref().map_or(0, FlowClassifier::tracked)
     }
 
-    /// Merge-table evictions (always rescue-flushed: pressure) plus
-    /// classifier evictions split by segment.
-    pub fn eviction_counts(&self) -> (u64, u64) {
-        let idle = self.steer.as_ref().map_or(0, |s| s.evicted_idle());
-        let pressure =
-            self.table.evictions + self.steer.as_ref().map_or(0, |s| s.evicted_pressure());
-        (idle, pressure)
-    }
-
-    /// Caps the buffer pool's live-buffer count (see
-    /// [`BufPool::set_live_cap`]) — how tests model a finite mempool.
-    pub fn set_pool_live_cap(&mut self, cap: Option<u64>) {
-        self.pool.set_live_cap(cap);
-    }
-
-    /// Whether the engine is currently degraded to passthrough.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
+    /// What the engine driver folds per engine instance. Merge-table
+    /// evictions are always rescue-flushed (pressure); classifier
+    /// evictions split by segment.
+    pub(crate) fn tally(&self) -> EngineTally {
+        let steer = self.steer.as_ref();
+        let counters = CoreCounters {
+            degraded_pkts: self.stats.degraded_pkts,
+            pool_exhausted: self.stats.pool_exhausted,
+            backpressure_drops: self.stats.backpressure_drops,
+            dropped_inconsistent_overlap: self.stats.dropped_inconsistent_overlap,
+            dropped_overlap_evasion: self.stats.dropped_overlap_evasion,
+            flows_evicted_idle: steer.map_or(0, |s| s.evicted_idle()),
+            flows_evicted_pressure: self.table.evictions
+                + steer.map_or(0, |s| s.evicted_pressure()),
+            steered_mice_pkts: self.stats.steered_mice_pkts,
+            flows_live: self.flows_live() as u64,
+            ..CoreCounters::default()
+        };
+        EngineTally {
+            counters,
+            arena_bytes: self.arena_bytes(),
+        }
     }
 
     /// Switches the span recorder + histograms on (preallocates the
     /// ring; recording itself never allocates).
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        self.obs = Recorder::new(cfg);
+        self.chassis.obs = Recorder::new(cfg);
+    }
+
+    /// The span recorder + histograms.
+    pub fn obs(&self) -> &Recorder {
+        &self.chassis.obs
     }
 
     /// Flow-table lookups performed so far (cost accounting).
@@ -363,12 +308,7 @@ impl MergeEngine {
 
     /// Buffer-pool counters (allocation accounting).
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats
-    }
-
-    /// Buffers held by pending aggregates or not yet recycled by a sink.
-    pub fn pool_outstanding(&self) -> u64 {
-        self.pool.outstanding()
+        self.chassis.pool.stats
     }
 
     fn full_threshold(&self) -> usize {
@@ -376,23 +316,13 @@ impl MergeEngine {
     }
 
     /// Emits a finished aggregate: records its size, hands it to the
-    /// sink, and recycles the buffer if the sink returns it.
+    /// sink, and recycles the buffer if the sink returns it. Passthrough
+    /// goes out by [`Chassis::forward`] instead — deliberately not
+    /// recorded in `out_sizes`, which tracks merge output only.
     fn emit(&mut self, buf: PacketBuf, sink: &mut impl PacketSink) {
         self.stats.out_sizes.record(buf.len());
-        self.obs.observe_out_size(buf.len() as u64);
-        if let Some(b) = sink.accept(buf) {
-            self.pool.put(b);
-        }
-    }
-
-    /// Forwards an input packet untouched (passthrough — deliberately
-    /// not recorded in `out_sizes`, which tracks merge output only).
-    fn forward(&mut self, pkt: &[u8], sink: &mut impl PacketSink) {
-        let mut buf = self.pool.get();
-        buf.extend_from_slice(pkt);
-        if let Some(b) = sink.accept(buf) {
-            self.pool.put(b);
-        }
+        self.chassis.obs.observe_out_size(buf.len() as u64);
+        self.chassis.emit(buf, sink);
     }
 
     /// Records one merge emission's lifecycle span and flow profile:
@@ -402,83 +332,28 @@ impl MergeEngine {
     /// leftovers) pass `dwell` 0 and `segs` 1, so every merge output
     /// carries a `Merge` span and a causal link.
     fn record_emit(&mut self, born: u64, dwell: u64, len: usize, flow: u32, segs: u32) {
-        if self.obs.is_enabled() {
-            self.emit_seq += 1;
-            self.obs.record(Span {
+        if self.chassis.obs.is_enabled() {
+            let link = self.chassis.next_link();
+            self.chassis.obs.record(Span {
                 cat: SpanCat::Merge,
                 start_ns: born,
                 dur_ns: dwell,
                 len: len as u32,
                 flow,
                 aux: u64::from(segs),
-                link: self.link_base | self.emit_seq,
+                link,
             });
-            self.obs
-                .observe_flow(flow, u64::from(segs), len as u64, dwell);
+            let obs = &mut self.chassis.obs;
+            obs.observe_flow(flow, u64::from(segs), len as u64, dwell);
         }
     }
 
     /// Records a typed drop (`reason` is a [`drop_reason`]; the counter
     /// is the caller's).
     fn record_drop(&mut self, now: u64, len: usize, flow: u32, reason: u64) {
-        self.obs
+        self.chassis
+            .obs
             .record(Span::instant(SpanCat::Drop, now, len, flow, reason));
-    }
-
-    /// Degraded passthrough: an aggregate could not be created
-    /// ([`cause::POOL`] = pool dry, [`cause::TABLE`] = table denial),
-    /// so the packet is forwarded unmerged through the pool-independent
-    /// spare buffer — the byte stream stays correct, only the merge
-    /// benefit is lost. Never allocates and never panics (px-analyze
-    /// R6); when even the spare is gone the packet is dropped and
-    /// counted as backpressure.
-    fn degrade_forward(
-        &mut self,
-        now: u64,
-        pkt: &[u8],
-        flow: u32,
-        cause_code: u64,
-        sink: &mut impl PacketSink,
-    ) {
-        // One Degrade span per degraded packet: the conservation test
-        // pins `count(Degrade) == degraded_pkts + backpressure_drops`.
-        let span = Span::instant(SpanCat::Degrade, now, pkt.len(), flow, cause_code);
-        if !self.degraded {
-            self.degraded = true;
-            self.obs.record(Span {
-                cat: SpanCat::DegradeEnter,
-                ..span
-            });
-        }
-        self.obs.record(span);
-        if cause_code == cause::POOL {
-            self.stats.pool_exhausted += 1;
-        }
-        match self.spare.take() {
-            Some(mut buf) if pkt.len() <= self.cfg.imtu => {
-                self.stats.degraded_pkts += 1;
-                buf.extend_from_slice(pkt);
-                if let Some(mut b) = sink.accept(buf) {
-                    b.reset(self.pool.headroom());
-                    self.spare = Some(b);
-                }
-            }
-            kept => {
-                self.spare = kept;
-                self.stats.backpressure_drops += 1;
-            }
-        }
-    }
-
-    /// Leaves degraded mode on the first aggregate creation that
-    /// succeeds again (per-attempt hysteresis: pressure is over exactly
-    /// when the resource that was denied is granted).
-    fn degrade_exit(&mut self, now: u64) {
-        if self.degraded {
-            self.degraded = false;
-            self.obs
-                .record(Span::instant(SpanCat::DegradeExit, now, 0, 0, 0));
-        }
     }
 
     /// Whether `meta`'s packet shares enough header state with `pending`
@@ -569,13 +444,13 @@ impl MergeEngine {
             let ck = !checksum::combine(pseudo, checksum::combine(header_sum, p.payload_sum));
             bytes::put_be16(seg, 16, ck);
         }
-        if self.obs.is_enabled() {
+        if self.chassis.obs.is_enabled() {
             let ip_hlen = usize::from(p.ip_hlen);
             let src_port = bytes::be16(p.buf.as_slice(), ip_hlen);
             let dst_port = bytes::be16(p.buf.as_slice(), ip_hlen + 2);
-            let dwell = self.last_now.saturating_sub(p.born);
+            let dwell = self.chassis.now().saturating_sub(p.born);
             let flow = flow_id(src_port, dst_port);
-            self.obs.observe_dwell(dwell);
+            self.chassis.obs.observe_dwell(dwell);
             self.record_emit(p.born, dwell, p.buf.len(), flow, p.segs);
         }
         self.emit(p.buf, sink);
@@ -603,7 +478,7 @@ impl MergeEngine {
             self.stats.stash_leftovers += 1;
             let len = seg.buf.len();
             let flow = flow_id(key.src_port, key.dst_port);
-            self.record_emit(self.last_now, 0, len, flow, 1);
+            self.record_emit(self.chassis.now(), 0, len, flow, 1);
             self.emit(seg.buf, sink);
         }
     }
@@ -613,7 +488,7 @@ impl MergeEngine {
     /// pool has no room — the caller falls back to the historical
     /// flush-and-restart path.
     fn try_stash(&mut self, key: &FlowKey, facts: &SegFacts, pkt: &[u8]) -> bool {
-        let Some(mut buf) = self.pool.try_get() else {
+        let Some(mut buf) = self.chassis.pool.try_get() else {
             return false;
         };
         buf.extend_from_slice(bytes::range(pkt, 0, usize::from(facts.total_len)));
@@ -629,7 +504,7 @@ impl MergeEngine {
         match self.stash.insert(seg) {
             Ok(()) => true,
             Err(seg) => {
-                self.pool.put(seg.buf);
+                self.chassis.pool.put(seg.buf);
                 false
             }
         }
@@ -669,7 +544,7 @@ impl MergeEngine {
                 let Some(p) = self.table.get_mut(key) else {
                     // Defensive: the flow vanished between the two
                     // lookups (cannot happen single-threaded).
-                    self.pool.put(seg.buf);
+                    self.chassis.pool.put(seg.buf);
                     return;
                 };
                 let verdict =
@@ -712,21 +587,21 @@ impl MergeEngine {
                             self.stats.flush_full += 1;
                             self.finalize_flow(key, p, sink);
                         }
-                        self.pool.put(seg.buf);
+                        self.chassis.pool.put(seg.buf);
                         return;
                     }
                     self.stats.stash_appends += 1;
-                    self.pool.put(seg.buf);
+                    self.chassis.pool.put(seg.buf);
                 }
                 Act::Inconsistent => {
                     self.stats.dropped_inconsistent_overlap += 1;
                     self.record_drop(now, seg.buf.len(), flow, drop_reason::INCONSISTENT_OVERLAP);
-                    self.pool.put(seg.buf);
+                    self.chassis.pool.put(seg.buf);
                 }
                 Act::Unreachable => {
                     self.stats.dropped_overlap_evasion += 1;
                     self.record_drop(now, seg.buf.len(), flow, drop_reason::OVERLAP_EVASION);
-                    self.pool.put(seg.buf);
+                    self.chassis.pool.put(seg.buf);
                 }
                 Act::Overflow => {
                     // The aggregate cannot grow further: flush it full,
@@ -774,27 +649,16 @@ impl MergeEngine {
         sink: &mut impl PacketSink,
     ) {
         self.stats.pkts_in += 1;
-        self.last_now = now;
-
-        // One Classify span per input packet (aux 1 = flow-keyed, 0 =
-        // not): the span-conservation property test pins
-        // `count(Classify) == pkts_in` per core.
-        if self.obs.is_enabled() {
-            let flow = meta
-                .key
-                .as_ref()
-                .map_or(0, |k| flow_id(k.src_port, k.dst_port));
-            let keyed = u64::from(meta.key.is_some());
-            let span = Span::instant(SpanCat::Classify, now, pkt.len(), flow, keyed);
-            self.obs.record(span);
-        }
+        let keyed_flow = meta.key.as_ref().map(|k| flow_id(k.src_port, k.dst_port));
+        self.chassis.arrive(now, pkt.len(), keyed_flow);
 
         let Some(key) = meta.key else {
             self.stats.passthrough += 1;
             // aux 2 = passthrough (vs 1 = steered mouse).
-            self.obs
+            self.chassis
+                .obs
                 .record(Span::instant(SpanCat::Steer, now, pkt.len(), 0, 2));
-            self.forward(pkt, sink);
+            self.chassis.forward(pkt, sink);
             return;
         };
 
@@ -807,7 +671,8 @@ impl MergeEngine {
             if let Some(victim) = evicted {
                 // A classifier slot was churned out (aux 1 = idle).
                 let vflow = flow_id(victim.src_port, victim.dst_port);
-                self.obs
+                self.chassis
+                    .obs
                     .record(Span::instant(SpanCat::Evict, now, 0, vflow, 1));
             }
             if class == FlowClass::Mouse {
@@ -819,13 +684,14 @@ impl MergeEngine {
                     self.finalize_flow(&key, p, sink);
                 }
                 self.stats.steered_mice_pkts += 1;
-                if self.obs.is_enabled() {
+                if self.chassis.obs.is_enabled() {
                     let flow = flow_id(key.src_port, key.dst_port);
-                    self.obs
+                    self.chassis
+                        .obs
                         .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 1));
-                    self.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
+                    self.chassis.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
                 }
-                self.forward(pkt, sink);
+                self.chassis.forward(pkt, sink);
                 return;
             }
         }
@@ -846,9 +712,10 @@ impl MergeEngine {
                 }
                 self.stats.passthrough += 1;
                 let flow = flow_id(key.src_port, key.dst_port);
-                self.obs
+                self.chassis
+                    .obs
                     .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 2));
-                self.forward(pkt, sink);
+                self.chassis.forward(pkt, sink);
                 return;
             }
         };
@@ -947,7 +814,7 @@ impl MergeEngine {
                 // mergeable, not suspicious — forward verbatim with its
                 // original end-to-end checksum.
                 self.stats.below_window_forwarded += 1;
-                self.forward(pkt, sink);
+                self.chassis.forward(pkt, sink);
                 return;
             }
             PendingAct::Stash => {
@@ -971,44 +838,27 @@ impl MergeEngine {
             PendingAct::None => {}
         }
 
-        if pkt.len() >= full_at {
-            // Already iMTU-sized (e.g. traffic from another b-network).
-            self.stats.flush_full += 1;
+        // Nothing to hold for: the packet is already iMTU-sized (e.g.
+        // traffic from another b-network), or delayed merging is
+        // disabled (the ablation) — emit immediately.
+        let full = pkt.len() >= full_at;
+        if full || self.cfg.hold_ns == 0 {
+            self.stats.flush_full += u64::from(full);
             self.record_emit(now, 0, pkt.len(), flow, 1);
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(pkt);
+            let buf = self.chassis.copy_in(pkt);
             self.emit(buf, sink);
             return;
         }
-        if self.cfg.hold_ns == 0 {
-            // Delayed merging disabled: emit immediately (ablation).
-            self.record_emit(now, 0, pkt.len(), flow, 1);
-            let mut buf = self.pool.get();
-            buf.extend_from_slice(pkt);
-            self.emit(buf, sink);
-            return;
-        }
-        // Aggregate creation is the resource-pressure point: it is the
-        // only step that pins a pool buffer and a flow-table slot for
-        // longer than one call. Injected verdicts and real pool
-        // exhaustion both degrade to passthrough here — never a drop.
-        if self.faults.spec.enabled {
-            let pkt_hash = hash_bytes(pkt);
-            if self.faults.pool_dry(pkt_hash) {
-                self.degrade_forward(now, pkt, flow, cause::POOL, sink);
-                return;
-            }
-            if self.faults.table_deny(pkt_hash) {
-                self.degrade_forward(now, pkt, flow, cause::TABLE, sink);
-                return;
-            }
-        }
-        let Some(mut buf) = self.pool.try_get() else {
-            self.degrade_forward(now, pkt, flow, cause::POOL, sink);
+        // Aggregate creation goes through the chassis' fault gate; on
+        // `None` the packet already left through the degrade ladder.
+        let counts = LadderCounts {
+            degraded_pkts: &mut self.stats.degraded_pkts,
+            pool_exhausted: &mut self.stats.pool_exhausted,
+            backpressure_drops: &mut self.stats.backpressure_drops,
+        };
+        let Some(buf) = self.chassis.acquire(now, pkt, flow, counts, sink) else {
             return;
         };
-        self.degrade_exit(now);
-        buf.extend_from_slice(pkt);
         let payload_len = facts.payload_len() as u32;
         let pending = Pending {
             buf,
@@ -1028,7 +878,8 @@ impl MergeEngine {
             // aux 2 = pressure: the victim held unflushed merge bytes
             // and was rescue-flushed below, never dropped.
             let vflow = flow_id(victim.src_port, victim.dst_port);
-            self.obs
+            self.chassis
+                .obs
                 .record(Span::instant(SpanCat::Evict, now, p.buf.len(), vflow, 2));
             self.finalize_flow(&victim, p, sink);
         }
@@ -1036,14 +887,7 @@ impl MergeEngine {
 
     /// Emits every aggregate whose hold timer has expired.
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
-        // The end-of-run drain polls with a `u64::MAX` sentinel to
-        // expire every hold timer; keep the last *real* timestamp for
-        // dwell/span accounting so drained aggregates don't report
-        // astronomical dwells (which also overflow the profiler's
-        // per-flow sums in debug builds).
-        if now != u64::MAX {
-            self.last_now = now;
-        }
+        self.chassis.poll_tick(now);
         while let Some((key, p)) = self.table.pop_expired(now) {
             self.stats.flush_timeout += 1;
             self.finalize_flow(&key, p, sink);
@@ -1066,34 +910,14 @@ impl MergeEngine {
         // flows only) guarantees the per-flow drains above emptied it.
         debug_assert!(self.stash.is_empty(), "stash drained with the table");
     }
-
-    /// [`push_into`](Self::push_into) collected into a `Vec` (tests and
-    /// non-hot callers).
-    pub fn push(&mut self, now: u64, pkt: Vec<u8>) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.push_into(now, &pkt, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`poll_into`](Self::poll_into) collected into a `Vec`.
-    pub fn poll(&mut self, now: u64) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.poll_into(now, &mut sink);
-        sink.into_pkts()
-    }
-
-    /// [`flush_all_into`](Self::flush_all_into) collected into a `Vec`.
-    pub fn flush_all(&mut self) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        self.flush_all_into(&mut sink);
-        sink.into_pkts()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use px_faults::FaultSpec;
     use px_wire::ipv4::Ipv4Repr;
+    use px_wire::pool::VecSink;
     use px_wire::tcp::{SeqNum, TcpFlags, TcpRepr, TcpSegment};
     use std::net::Ipv4Addr;
 
@@ -1152,7 +976,9 @@ mod tests {
         let mut out = Vec::new();
         let seg_payload = 1460;
         for i in 0..6u32 {
-            out.extend(eng.push(0, data_pkt(5000, i * seg_payload, seg_payload as usize)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_into(0, &data_pkt(5000, i * seg_payload, seg_payload as usize), s)
+            }));
         }
         assert_eq!(
             out.len(),
@@ -1187,10 +1013,13 @@ mod tests {
                 None => pkt.clone(),
                 Some(agg) => try_coalesce(&agg, &pkt, cfg.imtu).expect("oracle coalesces"),
             });
-            assert!(eng.push(0, pkt).is_empty(), "held");
+            assert!(
+                VecSink::collect(|s| eng.push_into(0, &pkt, s)).is_empty(),
+                "held"
+            );
             seq += len as u32;
         }
-        let out = eng.flush_all();
+        let out = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], oracle.unwrap(), "byte-for-byte identical");
     }
@@ -1201,11 +1030,16 @@ mod tests {
             hold_ns: 1000,
             ..Default::default()
         });
-        let mut out = eng.push(0, data_pkt(5000, 0, 1000));
-        out.extend(eng.push(10, data_pkt(5000, 1000, 1000)));
+        let mut out = VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 0, 1000), s));
+        out.extend(VecSink::collect(|s| {
+            eng.push_into(10, &data_pkt(5000, 1000, 1000), s)
+        }));
         assert!(out.is_empty(), "held");
-        assert!(eng.poll(999).is_empty(), "not yet due");
-        let flushed = eng.poll(1001);
+        assert!(
+            VecSink::collect(|s| eng.poll_into(999, s)).is_empty(),
+            "not yet due"
+        );
+        let flushed = VecSink::collect(|s| eng.poll_into(1001, s));
         assert_eq!(flushed.len(), 1);
         assert_eq!(total_payload(&flushed), 2000);
         assert_eq!(eng.stats.flush_timeout, 1);
@@ -1214,9 +1048,11 @@ mod tests {
     #[test]
     fn control_packets_flush_and_preserve_order() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        let mut out = eng.push(0, data_pkt(5000, 0, 1000));
+        let mut out = VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 0, 1000), s));
         assert!(out.is_empty());
-        out.extend(eng.push(1, ack_pkt(5000, 1000)));
+        out.extend(VecSink::collect(|s| {
+            eng.push_into(1, &ack_pkt(5000, 1000), s)
+        }));
         assert_eq!(out.len(), 2, "aggregate flushed before the ACK");
         assert_eq!(total_payload(&out[..1]), 1000);
         assert_eq!(eng.stats.flush_order, 1);
@@ -1226,16 +1062,16 @@ mod tests {
     #[test]
     fn out_of_order_data_parks_in_the_stash() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        eng.push(0, data_pkt(5000, 0, 1000));
+        eng.push_into(0, &data_pkt(5000, 0, 1000), &mut VecSink::new());
         // Gap: the future segment parks instead of forcing a flush.
-        let out = eng.push(1, data_pkt(5000, 5000, 1000));
+        let out = VecSink::collect(|s| eng.push_into(1, &data_pkt(5000, 5000, 1000), s));
         assert!(out.is_empty(), "nothing emitted");
         assert_eq!(eng.table.len(), 1, "aggregate still pending");
         assert_eq!(eng.stats.stashed_segs, 1);
         assert_eq!(eng.stats.flush_order, 0, "no flush on mild reordering");
         // The gap never fills: the flush forwards the aggregate first,
         // then the parked segment, in sequence order.
-        let drained = eng.flush_all();
+        let drained = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(drained.len(), 2);
         assert_eq!(total_payload(&drained), 2000);
         assert_eq!(eng.stats.stash_leftovers, 1);
@@ -1253,7 +1089,9 @@ mod tests {
         let mut out = Vec::new();
         // Segments 0..6, with the middle pair swapped: 0 1 3 2 4 5.
         for &i in &[0u32, 1, 3, 2, 4, 5] {
-            out.extend(eng.push(0, data_pkt(5000, i * 1460, 1460)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_into(0, &data_pkt(5000, i * 1460, 1460), s)
+            }));
         }
         assert_eq!(out.len(), 1, "one full aggregate despite the swap");
         assert_eq!(out[0].len(), 40 + 6 * 1460);
@@ -1278,7 +1116,7 @@ mod tests {
     fn injected_overlap_is_a_typed_drop() {
         let mut eng = MergeEngine::new(MergeConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
-        assert!(eng.push(0, data_pkt(5000, 0, 1000)).is_empty());
+        assert!(VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 0, 1000), s)).is_empty());
         // Same range as held bytes 200..500, but a different fill
         // pattern (seeded differently) — an injection attempt.
         let mut attack = data_pkt(5000, 200, 300);
@@ -1299,10 +1137,10 @@ mod tests {
             let ck = !sum;
             attack[ihl + 16..ihl + 18].copy_from_slice(&ck.to_be_bytes());
         }
-        let out = eng.push(1, attack);
+        let out = VecSink::collect(|s| eng.push_into(1, &attack, s));
         assert!(out.is_empty(), "attacker segment never forwarded");
         assert_eq!(eng.stats.dropped_inconsistent_overlap, 1);
-        let spans = eng.obs.recent_spans(8);
+        let spans = eng.obs().recent_spans(8);
         assert!(
             spans
                 .iter()
@@ -1310,9 +1148,9 @@ mod tests {
             "{spans:?}"
         );
         // The legit aggregate is intact and still merges.
-        let out = eng.push(2, data_pkt(5000, 1000, 1000));
+        let out = VecSink::collect(|s| eng.push_into(2, &data_pkt(5000, 1000, 1000), s));
         assert!(out.is_empty());
-        let drained = eng.flush_all();
+        let drained = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(drained.len(), 1);
         assert_eq!(total_payload(&drained), 2000);
         let ip = Ipv4Packet::new_checked(&drained[0][..]).unwrap();
@@ -1328,21 +1166,24 @@ mod tests {
     fn duplicate_retransmission_drops_silently() {
         let mut eng = MergeEngine::new(MergeConfig::default());
         let pkt = data_pkt(5000, 0, 1000);
-        assert!(eng.push(0, pkt.clone()).is_empty());
-        assert!(eng.push(1, pkt).is_empty(), "exact duplicate absorbed");
+        assert!(VecSink::collect(|s| eng.push_into(0, &pkt, s)).is_empty());
+        assert!(
+            VecSink::collect(|s| eng.push_into(1, &pkt, s)).is_empty(),
+            "exact duplicate absorbed"
+        );
         assert_eq!(eng.stats.dropped_duplicate_segs, 1);
-        let out = eng.flush_all();
+        let out = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(total_payload(&out), 1000, "bytes counted once");
     }
 
     #[test]
     fn straddling_retransmit_appends_only_the_new_tail() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        assert!(eng.push(0, data_pkt(5000, 0, 1000)).is_empty());
+        assert!(VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 0, 1000), s)).is_empty());
         // Retransmit covering 500..1500: bytes 500..1000 match what is
         // held (same deterministic fill), 1000..1500 are new.
-        assert!(eng.push(1, data_pkt(5000, 500, 1000)).is_empty());
-        let out = eng.flush_all();
+        assert!(VecSink::collect(|s| eng.push_into(1, &data_pkt(5000, 500, 1000), s)).is_empty());
+        let out = VecSink::collect(|s| eng.flush_all_into(s));
         assert_eq!(out.len(), 1);
         assert_eq!(total_payload(&out), 1500, "tail merged once");
         let ip = Ipv4Packet::new_checked(&out[0][..]).unwrap();
@@ -1357,9 +1198,11 @@ mod tests {
     #[test]
     fn below_window_old_data_forwards_verbatim() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        assert!(eng.push(0, data_pkt(5000, 10_000, 1000)).is_empty());
+        assert!(
+            VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 10_000, 1000), s)).is_empty()
+        );
         let old = data_pkt(5000, 2000, 500);
-        let out = eng.push(1, old.clone());
+        let out = VecSink::collect(|s| eng.push_into(1, &old, s));
         assert_eq!(out, vec![old], "old retransmission passes through");
         assert_eq!(eng.stats.below_window_forwarded, 1);
         assert_eq!(eng.table.len(), 1, "aggregate undisturbed");
@@ -1370,8 +1213,12 @@ mod tests {
         let mut eng = MergeEngine::new(MergeConfig::default());
         let mut out = Vec::new();
         for i in 0..6u32 {
-            out.extend(eng.push(0, data_pkt(5000, i * 1460, 1460)));
-            out.extend(eng.push(0, data_pkt(5001, i * 1460, 1460)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_into(0, &data_pkt(5000, i * 1460, 1460), s)
+            }));
+            out.extend(VecSink::collect(|s| {
+                eng.push_into(0, &data_pkt(5001, i * 1460, 1460), s)
+            }));
         }
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|p| p.len() == 8800));
@@ -1383,7 +1230,7 @@ mod tests {
             hold_ns: 0,
             ..Default::default()
         });
-        let out = eng.push(0, data_pkt(5000, 0, 1000));
+        let out = VecSink::collect(|s| eng.push_into(0, &data_pkt(5000, 0, 1000), s));
         assert_eq!(out.len(), 1, "no delayed merging: passthrough");
     }
 
@@ -1393,9 +1240,9 @@ mod tests {
             table_capacity: 2,
             ..Default::default()
         });
-        eng.push(0, data_pkt(5000, 0, 500));
-        eng.push(0, data_pkt(5001, 0, 500));
-        let out = eng.push(0, data_pkt(5002, 0, 500));
+        eng.push_into(0, &data_pkt(5000, 0, 500), &mut VecSink::new());
+        eng.push_into(0, &data_pkt(5001, 0, 500), &mut VecSink::new());
+        let out = VecSink::collect(|s| eng.push_into(0, &data_pkt(5002, 0, 500), s));
         assert_eq!(out.len(), 1, "LRU victim flushed");
         assert_eq!(eng.stats.flush_evict, 1);
     }
@@ -1407,10 +1254,12 @@ mod tests {
         let mut out = Vec::new();
         // One full jumbo + one timed-out runt.
         for i in 0..6u32 {
-            out.extend(eng.push(0, data_pkt(5000, i * 1460, 1460)));
+            out.extend(VecSink::collect(|s| {
+                eng.push_into(0, &data_pkt(5000, i * 1460, 1460), s)
+            }));
         }
-        eng.push(0, data_pkt(6000, 0, 1460));
-        out.extend(eng.poll(u64::MAX));
+        eng.push_into(0, &data_pkt(6000, 0, 1460), &mut VecSink::new());
+        out.extend(VecSink::collect(|s| eng.poll_into(u64::MAX, s)));
         assert_eq!(out.len(), 2);
         let y = eng.stats.conversion_yield(&cfg);
         assert!(
@@ -1422,9 +1271,9 @@ mod tests {
     #[test]
     fn flush_all_drains() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        eng.push(0, data_pkt(5000, 0, 500));
-        eng.push(0, data_pkt(5001, 0, 500));
-        assert_eq!(eng.flush_all().len(), 2);
+        eng.push_into(0, &data_pkt(5000, 0, 500), &mut VecSink::new());
+        eng.push_into(0, &data_pkt(5001, 0, 500), &mut VecSink::new());
+        assert_eq!(VecSink::collect(|s| eng.flush_all_into(s)).len(), 2);
         assert_eq!(eng.table.len(), 0);
     }
 
@@ -1435,8 +1284,8 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(eng.next_deadline(), None);
-        eng.push(50, data_pkt(5000, 0, 500));
-        eng.push(10, data_pkt(5001, 0, 500));
+        eng.push_into(50, &data_pkt(5000, 0, 500), &mut VecSink::new());
+        eng.push_into(10, &data_pkt(5001, 0, 500), &mut VecSink::new());
         assert_eq!(eng.next_deadline(), Some(110));
     }
 
@@ -1445,9 +1294,13 @@ mod tests {
         let mut eng = MergeEngine::new(MergeConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
         for i in 0..6u32 {
-            eng.push(i as u64 * 10, data_pkt(5000, i * 1460, 1460));
+            eng.push_into(
+                i as u64 * 10,
+                &data_pkt(5000, i * 1460, 1460),
+                &mut VecSink::new(),
+            );
         }
-        let spans = eng.obs.recent_spans(64);
+        let spans = eng.obs().recent_spans(64);
         assert!(
             spans.iter().any(|s| s.cat == SpanCat::Merge
                 && s.flow == flow_id(5000, 80)
@@ -1455,9 +1308,9 @@ mod tests {
             "{spans:?}"
         );
         // Dwell = emission time (t=50) − first segment time (t=0).
-        assert_eq!(eng.obs.hists().dwell_ns.max(), 50);
-        assert_eq!(eng.obs.hists().out_bytes.count(), 1);
-        let timeline = eng.obs.render_recent(8);
+        assert_eq!(eng.obs().hists().dwell_ns.max(), 50);
+        assert_eq!(eng.obs().hists().out_bytes.count(), 1);
+        let timeline = eng.obs().render_recent(8);
         assert!(timeline.contains("merge"), "{timeline}");
     }
 
@@ -1465,7 +1318,7 @@ mod tests {
     fn pool_exhaustion_degrades_to_passthrough_then_recovers() {
         let mut eng = MergeEngine::new(MergeConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
-        eng.set_pool_live_cap(Some(1));
+        eng.chassis.pool.set_live_cap(Some(1));
         let got: std::cell::RefCell<Vec<Vec<u8>>> = std::cell::RefCell::new(Vec::new());
         // Flow A pins the pool's only live buffer.
         let mut sink = |b: PacketBuf| {
@@ -1478,7 +1331,7 @@ mod tests {
         let orig = data_pkt(6000, 0, 1000);
         eng.push_into(10, &orig, &mut sink);
         assert_eq!(*got.borrow(), vec![orig.clone()], "forwarded unmerged");
-        assert!(eng.is_degraded());
+        assert!(eng.chassis.is_degraded());
         assert_eq!(eng.stats.degraded_pkts, 1);
         assert_eq!(eng.stats.pool_exhausted, 1);
         assert_eq!(eng.stats.backpressure_drops, 0);
@@ -1494,18 +1347,21 @@ mod tests {
         eng.poll_into(u64::MAX, &mut sink);
         assert_eq!(got.borrow().len(), 2);
         eng.push_into(20, &data_pkt(6000, 1000, 1000), &mut sink);
-        assert!(!eng.is_degraded(), "recovered on next successful creation");
-        let cats: Vec<SpanCat> = eng.obs.recent_spans(16).iter().map(|s| s.cat).collect();
+        assert!(
+            !eng.chassis.is_degraded(),
+            "recovered on next successful creation"
+        );
+        let cats: Vec<SpanCat> = eng.obs().recent_spans(16).iter().map(|s| s.cat).collect();
         assert!(cats.contains(&SpanCat::DegradeEnter), "{cats:?}");
         assert!(cats.contains(&SpanCat::DegradeExit), "{cats:?}");
         eng.flush_all_into(&mut sink);
-        assert_eq!(eng.pool_outstanding(), 0, "no leaked buffers");
+        assert_eq!(eng.pool_stats().outstanding(), 0, "no leaked buffers");
     }
 
     #[test]
     fn injected_pool_dry_walks_the_full_degradation_ladder() {
         let mut eng = MergeEngine::new(MergeConfig::default());
-        eng.set_faults(FaultSpec {
+        eng.chassis.set_faults(FaultSpec {
             enabled: true,
             seed: 1,
             pool_dry_ppm: 1_000_000,
@@ -1515,33 +1371,37 @@ mod tests {
         // packet out. The VecSink behind `push` keeps the buffer, so the
         // second degraded packet hits the last rung: backpressure.
         let p0 = data_pkt(5000, 0, 1000);
-        assert_eq!(eng.push(0, p0.clone()), vec![p0]);
-        assert!(eng.push(1, data_pkt(5000, 1000, 1000)).is_empty());
+        assert_eq!(VecSink::collect(|s| eng.push_into(0, &p0, s)), vec![p0]);
+        assert!(VecSink::collect(|s| eng.push_into(1, &data_pkt(5000, 1000, 1000), s)).is_empty());
         assert_eq!(eng.stats.degraded_pkts, 1);
         assert_eq!(eng.stats.backpressure_drops, 1);
         assert_eq!(eng.stats.pool_exhausted, 2);
-        assert_eq!(eng.pool_outstanding(), 0, "the pool was never touched");
+        assert_eq!(
+            eng.pool_stats().outstanding(),
+            0,
+            "the pool was never touched"
+        );
     }
 
     #[test]
     fn injected_table_deny_degrades_with_its_own_cause() {
         let mut eng = MergeEngine::new(MergeConfig::default());
         eng.enable_obs(px_obs::ObsConfig::default());
-        eng.set_faults(FaultSpec {
+        eng.chassis.set_faults(FaultSpec {
             enabled: true,
             seed: 2,
             table_deny_ppm: 1_000_000,
             ..FaultSpec::off()
         });
         let p0 = data_pkt(5000, 0, 1000);
-        assert_eq!(eng.push(0, p0.clone()), vec![p0]);
+        assert_eq!(VecSink::collect(|s| eng.push_into(0, &p0, s)), vec![p0]);
         assert_eq!(eng.stats.degraded_pkts, 1);
         assert_eq!(
             eng.stats.pool_exhausted, 0,
             "denied by the table, not the pool"
         );
         let enter = eng
-            .obs
+            .obs()
             .recent_spans(4)
             .iter()
             .find(|s| s.cat == SpanCat::DegradeEnter)
@@ -1573,7 +1433,7 @@ mod tests {
         assert_eq!(eng.stats.passthrough, 0, "steering is its own counter");
         assert_eq!(eng.stats.flush_full + eng.stats.flush_timeout, 0);
         assert_eq!(eng.table.len(), 0, "no merge state for mice");
-        assert_eq!(eng.pool_outstanding(), 0);
+        assert_eq!(eng.pool_stats().outstanding(), 0);
         assert_eq!(eng.flows_live(), 1, "classifier tracks the mouse");
     }
 
@@ -1613,7 +1473,7 @@ mod tests {
         let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
         assert!(tcp.verify_checksum(ip.src(), ip.dst()));
         assert_eq!(tcp.seq().0, 7 * 1460);
-        assert_eq!(eng.pool_outstanding(), 0);
+        assert_eq!(eng.pool_stats().outstanding(), 0);
     }
 
     /// Recycling sink: after a full drain nothing may be leaked from the
@@ -1629,7 +1489,7 @@ mod tests {
             }
         }
         eng.flush_all_into(&mut sink);
-        assert_eq!(eng.pool_outstanding(), 0, "no leaked buffers");
+        assert_eq!(eng.pool_stats().outstanding(), 0, "no leaked buffers");
         // One buffer per concurrent aggregate, not per packet.
         assert!(
             eng.pool_stats().allocated <= 4,

@@ -27,7 +27,7 @@ use crate::steer::SteerConfig;
 use px_sim::calib;
 use px_wire::ipv4::Ipv4Repr;
 use px_wire::tcp::{SeqNum, TcpFlags, TcpRepr};
-use px_wire::{FlowKey, IpProtocol, RssHasher, UdpRepr};
+use px_wire::{FlowKey, IpProtocol, PacketBuf, RssHasher, UdpRepr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
@@ -278,29 +278,15 @@ pub fn run_pipeline(cfg: PipelineConfig) -> PipelineReport {
     let inter_arrival_ns = 1e9 / cfg.offered_pps;
     let jumbo_at = cfg.imtu - (cfg.emtu - 40) + 1;
 
-    let account = |core_cycles: &mut Vec<f64>,
-                   core: usize,
-                   unit: &[u8],
-                   pkts_out: &mut u64,
-                   jumbo_out: &mut u64,
-                   count_yield: bool| {
-        let len = unit.len();
+    // What one emitted unit costs the core that emitted it.
+    let unit_cycles = |len: usize| {
         let segs = (len.saturating_sub(40)).div_ceil(cfg.emtu - 40).max(1);
-        let cycles = match (cfg.variant, cfg.workload) {
-            (SystemVariant::BaselineGro, _) => {
-                // Baseline prices per input wire packet (done below);
-                // output accounting is free.
-                0.0
-            }
+        match (cfg.variant, cfg.workload) {
+            // Baseline prices per input wire packet (done below);
+            // output accounting is free.
+            (SystemVariant::BaselineGro, _) => 0.0,
             (_, WorkloadKind::Tcp) => calib::px_tcp_unit_cycles(len, segs),
             (_, WorkloadKind::Udp) => calib::px_udp_unit_cycles(len, segs),
-        };
-        core_cycles[core] += cycles;
-        if count_yield {
-            *pkts_out += 1;
-            if len >= jumbo_at {
-                *jumbo_out += 1;
-            }
         }
     };
 
@@ -312,31 +298,21 @@ pub fn run_pipeline(cfg: PipelineConfig) -> PipelineReport {
             core_cycles[core] += calib::baseline_gro_pkt_cycles(pkt.len());
         }
         core_bytes[core] += pkt.len() as u64;
-        for unit in engines[core].push(now, pkt) {
-            account(
-                &mut core_cycles,
-                core,
-                &unit,
-                &mut pkts_out,
-                &mut jumbo_out,
-                true,
-            );
-        }
+        engines[core].push_into(now, pkt, &mut |unit: PacketBuf| {
+            core_cycles[core] += unit_cycles(unit.len());
+            pkts_out += 1;
+            jumbo_out += u64::from(unit.len() >= jumbo_at);
+            Some(unit)
+        });
     }
     // The final drain is a finite-trace artifact: its cycles count, but
     // its (necessarily partial) aggregates are excluded from the
     // steady-state conversion yield.
-    for (core, eng) in engines.iter_mut().enumerate() {
-        for unit in eng.finish() {
-            account(
-                &mut core_cycles,
-                core,
-                &unit,
-                &mut pkts_out,
-                &mut jumbo_out,
-                false,
-            );
-        }
+    for (eng, cycles) in engines.iter_mut().zip(&mut core_cycles) {
+        eng.finish_into(&mut |unit: PacketBuf| {
+            *cycles += unit_cycles(unit.len());
+            Some(unit)
+        });
     }
 
     // CPU-bound throughput: each core forwards its bytes in the time its

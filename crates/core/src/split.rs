@@ -229,9 +229,7 @@ mod tests {
     /// `push`/`push_to` compatibility wrappers used to do, kept local to
     /// the tests that assert on whole output packets.
     fn push_vec(eng: &mut SplitEngine, pkt: &[u8]) -> Vec<Vec<u8>> {
-        let mut sink = VecSink::new();
-        eng.push_into(pkt, &mut sink);
-        sink.into_pkts()
+        VecSink::collect(|s| eng.push_into(pkt, s))
     }
 
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 2);
@@ -393,7 +391,7 @@ mod tests {
         // byte stream.
         use crate::merge::{MergeConfig, MergeEngine};
         let mut merge = MergeEngine::new(MergeConfig::default());
-        let mut jumbo = Vec::new();
+        let mut jumbo = VecSink::new();
         for i in 0..6u32 {
             let mut payload = vec![0u8; 1460];
             px_tcp::fill_pattern(u64::from(i) * 1460, &mut payload);
@@ -410,11 +408,11 @@ mod tests {
             let pkt = Ipv4Repr::new(SRC, DST, IpProtocol::Tcp, seg.len())
                 .build_packet(&seg)
                 .unwrap();
-            jumbo.extend(merge.push(0, pkt));
+            merge.push_into(0, &pkt, &mut jumbo);
         }
-        assert_eq!(jumbo.len(), 1);
+        assert_eq!(jumbo.pkts.len(), 1);
         let mut split = SplitEngine::new(1500);
-        let back = push_vec(&mut split, &jumbo.pop().unwrap());
+        let back = push_vec(&mut split, &jumbo.pkts[0]);
         assert_eq!(back.len(), 6);
         let mut off = 0u64;
         for p in &back {

@@ -188,6 +188,7 @@ impl Default for Config {
                 "crates/core/src/coalesce.rs",
                 "crates/core/src/split.rs",
                 "crates/core/src/caravan_gw.rs",
+                "crates/core/src/chassis.rs",
                 "crates/core/src/engine.rs",
                 "crates/core/src/flowtable.rs",
                 "crates/core/src/baseline.rs",
@@ -222,6 +223,7 @@ impl Default for Config {
                 "crates/core/src/coalesce.rs",
                 "crates/core/src/split.rs",
                 "crates/core/src/caravan_gw.rs",
+                "crates/core/src/chassis.rs",
                 "crates/core/src/engine.rs",
                 "crates/core/src/flowtable.rs",
                 "crates/px-wire/src/tcp.rs",

@@ -12,10 +12,10 @@
 //! Emission is *sink-based*: instead of `push(..) -> Vec<Vec<u8>>`
 //! (one `Vec` per output packet plus the collection itself), engines
 //! call [`PacketSink::accept`] per output packet. The sink either keeps
-//! the buffer (ownership transfer, e.g. [`VecSink`] for the
-//! `Vec`-returning compatibility wrappers) or hands it straight back so
-//! the caller can [`BufPool::put`] it — the zero-allocation steady
-//! state.
+//! the buffer (ownership transfer, e.g. [`VecSink`], which collects
+//! whole packets for tests and the fragmenter) or hands it straight
+//! back so the caller can [`BufPool::put`] it — the zero-allocation
+//! steady state.
 
 use crate::buffer::{PacketBuf, DEFAULT_HEADROOM};
 use std::cell::Cell;
@@ -37,6 +37,16 @@ pub struct PoolStats {
     /// [`BufPool::try_get`] calls that found the pool exhausted (the
     /// degradation trigger — see DESIGN.md §12).
     pub exhausted: u64,
+}
+
+impl PoolStats {
+    /// Buffers handed out and not yet returned. Sinks that keep buffers
+    /// (e.g. [`VecSink`]) legitimately hold these; after a full flush
+    /// with a recycling sink this must be zero — the leak invariant the
+    /// pool tests assert.
+    pub fn outstanding(&self) -> u64 {
+        self.gets - self.puts - self.dropped
+    }
 }
 
 /// A LIFO freelist of recycled [`PacketBuf`]s.
@@ -118,12 +128,9 @@ impl BufPool {
         self.free.len()
     }
 
-    /// Buffers handed out and not yet returned. Sinks that keep buffers
-    /// (e.g. [`VecSink`]) legitimately hold these; after a full flush
-    /// with a recycling sink this must be zero — the leak invariant the
-    /// pool tests assert.
+    /// [`PoolStats::outstanding`] of this pool.
     pub fn outstanding(&self) -> u64 {
-        self.stats.gets - self.stats.puts - self.stats.dropped
+        self.stats.outstanding()
     }
 
     /// Caps the number of buffers that may be live at once (see
@@ -388,11 +395,11 @@ impl<F: FnMut(PacketBuf) -> Option<PacketBuf>> PacketSink for F {
     }
 }
 
-/// A sink that collects output packets into `Vec<Vec<u8>>` — the
-/// compatibility shim behind every legacy `push(..) -> Vec<Vec<u8>>`
-/// wrapper. Keeps each buffer (converted in place via
-/// [`PacketBuf::into_vec`]), so wrapped calls allocate exactly like the
-/// pre-sink API did.
+/// A sink that collects output packets into `Vec<Vec<u8>>` — what
+/// [`frag::fragment`](crate::frag::fragment), the NIC TSO model, tests
+/// and benches use to look at whole output packets. Keeps each buffer
+/// (converted in place via [`PacketBuf::into_vec`]): one `Vec` per
+/// packet is its contract, so it never sits on a hot path.
 #[derive(Debug, Default)]
 pub struct VecSink {
     /// The packets collected so far, in emission order.
@@ -408,6 +415,15 @@ impl VecSink {
     /// Consumes the sink, returning the collected packets.
     pub fn into_pkts(self) -> Vec<Vec<u8>> {
         self.pkts
+    }
+
+    /// Everything `emit` delivers to the fresh sink it is handed — how
+    /// tests and benches look at whole output packets:
+    /// `VecSink::collect(|s| eng.push_into(now, &pkt, s))`.
+    pub fn collect(emit: impl FnOnce(&mut VecSink)) -> Vec<Vec<u8>> {
+        let mut sink = VecSink::new();
+        emit(&mut sink);
+        sink.into_pkts()
     }
 }
 
@@ -425,7 +441,7 @@ impl PacketSink for VecSink {
     fn push_sg(&mut self, mut pkt: SgPacket<'_>) -> Option<PacketBuf> {
         // px-analyze: allow(R3, reason = "taking the header may rebuild headroom for pool-less views; the shim exists to hand out Vecs, not to stay alloc-free")
         let header = pkt.take_header();
-        // px-analyze: allow(R3, reason = "VecSink is the Vec-returning compatibility shim; one exactly-sized Vec per packet is its contract")
+        // px-analyze: allow(R3, reason = "VecSink hands out Vecs: one exactly-sized Vec per packet is its contract")
         let mut out = Vec::with_capacity(header.len() + pkt.payload().len());
         // px-analyze: allow(R7, reason = "the shim's single contracted copy: header lands in the caller-visible Vec")
         out.extend_from_slice(header.as_slice());

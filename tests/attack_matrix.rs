@@ -37,7 +37,7 @@ use packet_express::wire::{FlowKey, IpProtocol, PacketBuf, UdpRepr};
 use std::collections::BTreeMap;
 
 /// A sink that copies each emission and hands the buffer back for
-/// recycling, so `pool_outstanding()` measures true leaks rather than
+/// recycling, so `pool_stats().outstanding()` measures true leaks rather than
 /// buffers the sink consumed.
 struct RecycleSink(Vec<Vec<u8>>);
 
@@ -234,7 +234,7 @@ fn caravan_unpacker_survives_malformed_bundles() {
         }
         assert_eq!(eng.stats.dropped_malformed, invalid);
         assert_eq!(eng.stats.inner_out, valid_inner);
-        assert_eq!(eng.pool_outstanding(), 0, "seed {seed}: pool leak");
+        assert_eq!(eng.pool_stats().outstanding(), 0, "seed {seed}: pool leak");
         assert!(
             valid_inner > 0 && invalid > 0,
             "seed {seed}: degenerate mix"

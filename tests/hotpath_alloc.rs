@@ -234,7 +234,7 @@ fn steady_state_hot_loops_do_not_allocate() {
         let mut sink = recycler(&mut sunk);
         merge.flush_all_into(&mut sink);
     }
-    assert_eq!(merge.pool_outstanding(), 0, "merge pool leak");
+    assert_eq!(merge.pool_stats().outstanding(), 0, "merge pool leak");
 
     // ---- split: one jumbo in, six wire segments out, every round.
     let mut split = SplitEngine::new(1500);
@@ -327,10 +327,10 @@ fn steady_state_hot_loops_do_not_allocate() {
     // Recording genuinely happened during the alloc-free regions —
     // the zero-allocation assertions above covered live recorders
     // (spans, histograms and profiler), not disabled no-ops.
-    assert!(merge.obs.spans_recorded() > 0, "merge recorder was idle");
+    assert!(merge.obs().spans_recorded() > 0, "merge recorder was idle");
     assert!(split.obs.spans_recorded() > 0, "split recorder was idle");
     assert!(
-        caravan.obs.spans_recorded() > 0,
+        caravan.obs().spans_recorded() > 0,
         "caravan recorder was idle"
     );
 

@@ -22,9 +22,7 @@ use std::net::Ipv4Addr;
 /// `SplitEngine::push`/`push_to` compatibility wrappers for tests that
 /// assert on whole output packets.
 fn split_vec(eng: &mut SplitEngine, pkt: &[u8], mtu: usize) -> Vec<Vec<u8>> {
-    let mut sink = VecSink::new();
-    eng.push_to_into(pkt, mtu, &mut sink);
-    sink.into_pkts()
+    VecSink::collect(|s| eng.push_to_into(pkt, mtu, s))
 }
 
 const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -87,26 +85,26 @@ fn run_all_engines(pkt: &[u8]) {
     caravan.enable_obs(obs);
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut out = merge.push(0, pkt.to_vec());
+        let mut out = VecSink::collect(|s| merge.push_into(0, pkt, s));
         let deadline = merge.next_deadline().unwrap_or(u64::MAX);
-        out.extend(merge.poll(deadline));
-        out.extend(merge.flush_all());
+        out.extend(VecSink::collect(|s| merge.poll_into(deadline, s)));
+        out.extend(VecSink::collect(|s| merge.flush_all_into(s)));
 
         out.extend(split_vec(&mut split, pkt, 1500));
         out.extend(split_vec(&mut split, pkt, 576));
 
-        out.extend(caravan.push_inbound(0, pkt.to_vec()));
-        out.extend(caravan.push_outbound(pkt.to_vec()));
-        out.extend(caravan.flush_all());
+        out.extend(VecSink::collect(|s| caravan.push_inbound_into(0, pkt, s)));
+        out.extend(VecSink::collect(|s| caravan.push_outbound_into(pkt, s)));
+        out.extend(VecSink::collect(|s| caravan.flush_all_into(s)));
         drop(out);
     }));
     if let Err(payload) = result {
         eprintln!("--- engine panicked on a mangled packet; recorder timelines follow ---");
-        eprintln!("merge (last 64 spans):\n{}", merge.obs.render_recent(64));
+        eprintln!("merge (last 64 spans):\n{}", merge.obs().render_recent(64));
         eprintln!("split (last 64 spans):\n{}", split.obs.render_recent(64));
         eprintln!(
             "caravan (last 64 spans):\n{}",
-            caravan.obs.render_recent(64)
+            caravan.obs().render_recent(64)
         );
         std::panic::resume_unwind(payload);
     }
@@ -216,10 +214,10 @@ fn caravan_counts_corrupt_bundles() {
         ..CaravanConfig::default()
     });
     for i in 0..4u16 {
-        let out = gw.push_inbound(0, udp_packet(5000, 400, i, 0));
+        let out = VecSink::collect(|s| gw.push_inbound_into(0, &udp_packet(5000, 400, i, 0), s));
         assert!(out.is_empty(), "datagrams should be held for bundling");
     }
-    let bundles = gw.flush_all();
+    let bundles = VecSink::collect(|s| gw.flush_all_into(s));
     assert_eq!(bundles.len(), 1, "four datagrams bundle into one jumbo");
     let bundle = &bundles[0];
 
@@ -228,7 +226,7 @@ fn caravan_counts_corrupt_bundles() {
     let mut rx = CaravanEngine::new(CaravanConfig::default());
     let mut corrupt = bundle.clone();
     corrupt.truncate(bundle.len() / 2);
-    let out = rx.push_outbound(corrupt);
+    let out = VecSink::collect(|s| rx.push_outbound_into(&corrupt, s));
     assert!(
         !out.is_empty() || rx.stats.dropped_malformed > 0,
         "corrupt bundle neither produced output nor counted as dropped"
@@ -236,7 +234,7 @@ fn caravan_counts_corrupt_bundles() {
 
     // The intact bundle still unbundles into the original four.
     let mut rx2 = CaravanEngine::new(CaravanConfig::default());
-    let out = rx2.push_outbound(bundle.clone());
+    let out = VecSink::collect(|s| rx2.push_outbound_into(bundle, s));
     assert_eq!(out.len(), 4);
     assert_eq!(rx2.stats.dropped_malformed, 0);
 }

@@ -23,9 +23,7 @@ use packet_express::wire::{FlowKey, IpProtocol, RssHasher, UdpRepr};
 /// Sink-based split collected into `Vec`s — replaces the removed
 /// `SplitEngine::push` compatibility wrapper for round-trip assertions.
 fn split_vec(eng: &mut SplitEngine, pkt: &[u8]) -> Vec<Vec<u8>> {
-    let mut sink = VecSink::new();
-    eng.push_into(pkt, &mut sink);
-    sink.into_pkts()
+    VecSink::collect(|s| eng.push_into(pkt, s))
 }
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -134,7 +132,7 @@ proptest! {
         let mut merge = MergeEngine::new(MergeConfig::default());
         let mut split = SplitEngine::new(1500);
         let mut stream = Vec::new();
-        let mut out_pkts = Vec::new();
+        let mut out_pkts = VecSink::new();
         for i in 0..n_segs {
             let mut payload = vec![0u8; seg_len];
             for (j, b) in payload.iter_mut().enumerate() {
@@ -152,9 +150,10 @@ proptest! {
             };
             let seg = repr.build_segment(SRC, DST, &payload);
             let pkt = Ipv4Repr::new(SRC, DST, IpProtocol::Tcp, seg.len()).build_packet(&seg).unwrap();
-            out_pkts.extend(merge.push((i as u64) * 1000, pkt));
+            merge.push_into((i as u64) * 1000, &pkt, &mut out_pkts);
         }
-        out_pkts.extend(merge.flush_all());
+        merge.flush_all_into(&mut out_pkts);
+        let out_pkts = out_pkts.into_pkts();
         let mut rebuilt = Vec::new();
         for p in out_pkts {
             for w in split_vec(&mut split, &p) {
@@ -247,7 +246,7 @@ proptest! {
             hold_ns: 100_000,
             table_capacity: 64,
         });
-        let mut out = Vec::new();
+        let mut out = VecSink::new();
         let mut seq = 0u32;
         for (i, &len) in seg_lens.iter().enumerate() {
             let payload: Vec<u8> = (0..len).map(|j| ((i * 31 + j * 7) % 251) as u8).collect();
@@ -265,9 +264,10 @@ proptest! {
                 .build_packet(&seg)
                 .unwrap();
             seq = seq.wrapping_add(len as u32);
-            out.extend(merge.push((i as u64) * 1000, pkt));
+            merge.push_into((i as u64) * 1000, &pkt, &mut out);
         }
-        out.extend(merge.flush_all());
+        merge.flush_all_into(&mut out);
+        let out = out.into_pkts();
         prop_assert!(!out.is_empty());
         for p in &out {
             let ip = Ipv4Packet::new_checked(&p[..]).unwrap();
@@ -372,7 +372,7 @@ proptest! {
         let mut split = SplitEngine::new(1500);
         let mut sent: Vec<Vec<u8>> = vec![Vec::new(); N_FLOWS];
         let mut next_seq: Vec<u32> = (0..N_FLOWS).map(base).collect();
-        let mut merged = Vec::new();
+        let mut merged = VecSink::new();
         for (i, &f) in interleave.iter().enumerate() {
             let len = seg_lens[i % seg_lens.len()];
             let payload: Vec<u8> = (0..len)
@@ -393,9 +393,10 @@ proptest! {
                 .unwrap();
             next_seq[f] = next_seq[f].wrapping_add(len as u32);
             sent[f].extend_from_slice(&payload);
-            merged.extend(merge.push((i as u64) * 1000, pkt));
+            merge.push_into((i as u64) * 1000, &pkt, &mut merged);
         }
-        merged.extend(merge.flush_all());
+        merge.flush_all_into(&mut merged);
+        let merged = merged.into_pkts();
         let mut rebuilt: Vec<Vec<u8>> = vec![Vec::new(); N_FLOWS];
         let mut expect_seq: Vec<u32> = (0..N_FLOWS).map(base).collect();
         for m in merged {
@@ -434,7 +435,7 @@ proptest! {
             probe_port: 9999,
         });
         let mut sent = Vec::new();
-        let mut outputs = Vec::new();
+        let mut outputs = VecSink::new();
         for (i, &l) in lens.iter().enumerate() {
             let payload: Vec<u8> = (0..l).map(|j| ((i * 19 + j * 7) % 256) as u8).collect();
             let dg = UdpRepr { src_port: 5000, dst_port: 4433 }
@@ -444,9 +445,10 @@ proptest! {
             let mut ip = Ipv4Repr::new(SRC, DST, IpProtocol::Udp, dg.len());
             ip.ident = 100u16.wrapping_add(i as u16);
             let pkt = ip.build_packet(&dg).unwrap();
-            outputs.extend(eng.push_inbound((i as u64) * 500, pkt));
+            eng.push_inbound_into((i as u64) * 500, &pkt, &mut outputs);
         }
-        outputs.extend(eng.flush_all());
+        eng.flush_all_into(&mut outputs);
+        let outputs = outputs.into_pkts();
         let mut restored: Vec<Vec<u8>> = Vec::new();
         for out in &outputs {
             let ip = Ipv4Packet::new_checked(&out[..]).unwrap();
