@@ -8,6 +8,11 @@
 //! [`CARAVAN_TOS`] (§4.1, Fig. 3). Receivers in the b-network unbundle
 //! (the UDP_GRO-style path in [`px_tcp::udp`]); if the packet leaves the
 //! b-network first, the egress PXGW restores the original datagrams.
+//! Restored datagrams leave as scatter-gather views
+//! ([`PacketSink::push_sg`]): a pooled buffer holding only the rebuilt
+//! 20-byte IPv4 header, plus the inner UDP datagram borrowed from the
+//! bundle it arrived in. No datagram byte is copied on the way out; a
+//! sink without a `push_sg` override materialises each view once.
 //!
 //! §5's evaluation configures the gateway "to merge consecutive UDP
 //! packets using the IP ID field to be compatible with UDP_GRO"; the
@@ -25,8 +30,8 @@ use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::bytes;
 use px_wire::caravan::{iter_bundle, MAX_INNER};
 use px_wire::checksum;
-use px_wire::ipv4::{Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
-use px_wire::pool::{PacketSink, PoolStats};
+use px_wire::ipv4::{self, Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
+use px_wire::pool::{PacketSink, PoolStats, SgPacket, SgRc};
 use px_wire::udp::UdpDatagram;
 use px_wire::{FlowKey, IpProtocol, PacketBuf};
 use std::net::Ipv4Addr;
@@ -141,6 +146,11 @@ pub struct CaravanEngine {
     /// span links — everything shared with the merge engine.
     pub(crate) chassis: Chassis,
     out_ident: u16,
+    /// Live-view counter for the bundle currently being unbundled.
+    /// Emission is synchronous, so the count is back to zero by the time
+    /// `push_outbound_into` returns — the debug assertion that proves the
+    /// caller may reuse the input buffer immediately.
+    view_rc: SgRc,
     /// Counters.
     pub stats: CaravanStats,
 }
@@ -153,6 +163,7 @@ impl CaravanEngine {
             table: FlowTable::new(cfg.table_capacity),
             chassis: Chassis::new(cfg.imtu),
             out_ident: 1,
+            view_rc: SgRc::new(),
             stats: CaravanStats::default(),
         }
     }
@@ -443,8 +454,8 @@ impl CaravanEngine {
     }
 
     /// Processes one packet leaving the b-network: caravans are restored
-    /// to their original datagrams (delivered to `sink`); everything else
-    /// passes through.
+    /// to their original datagrams (delivered to `sink` as header + view
+    /// pairs, see the module docs); everything else passes through.
     pub fn push_outbound_into(&mut self, pkt: &[u8], sink: &mut impl PacketSink) {
         let parsed = (|| {
             let ip = Ipv4Packet::new_checked(pkt).ok()?;
@@ -478,21 +489,25 @@ impl CaravanEngine {
             let mut ip = Ipv4Repr::new(src, dst, IpProtocol::Udp, dg.len());
             ip.ident = self.out_ident;
             self.out_ident = self.out_ident.wrapping_add(1);
-            let mut buf = self.chassis.copy_in(dg);
-            buf.push_front_zeroed(20);
-            let ok = {
-                let mut v = Ipv4Packet::new_unchecked(buf.as_mut_slice());
-                ip.emit(&mut v).is_ok()
-            };
+            // Only the restored IPv4 header is built; the datagram leaves
+            // as a view into the bundle it arrived in.
+            let mut hdr = self.chassis.pool.get();
+            hdr.push_front_zeroed(ipv4::HEADER_LEN);
+            let ok = ip
+                .emit_header(&mut Ipv4Packet::new_unchecked(hdr.as_mut_slice()))
+                .is_ok();
             if ok {
                 self.stats.inner_out += 1;
-                self.chassis.emit(buf, sink);
+                if let Some(b) = sink.push_sg(SgPacket::new(hdr, dg, &self.view_rc)) {
+                    self.chassis.pool.put(b);
+                }
             } else {
                 self.stats.dropped_malformed += 1;
-                self.record_malformed(buf.len(), 0);
-                self.chassis.pool.put(buf);
+                self.record_malformed(ipv4::HEADER_LEN + dg.len(), 0);
+                self.chassis.pool.put(hdr);
             }
         }
+        debug_assert_eq!(self.view_rc.views(), 0, "views outlived emission");
     }
 
     /// Emits every bundle whose hold timer expired.
@@ -564,6 +579,51 @@ mod tests {
             assert_eq!(udp.payload().len(), 1172);
             assert!(udp.verify_checksum(ip.src(), ip.dst()));
         }
+    }
+
+    #[test]
+    fn unbundled_datagrams_leave_as_views_into_the_bundle() {
+        /// Records where each view's segments live; materialises nothing.
+        #[derive(Default)]
+        struct Where {
+            header_lens: Vec<usize>,
+            payloads: Vec<std::ops::Range<*const u8>>,
+            flat: usize,
+        }
+        impl PacketSink for Where {
+            fn accept(&mut self, buf: PacketBuf) -> Option<PacketBuf> {
+                self.flat += 1;
+                Some(buf)
+            }
+            fn push_sg(&mut self, mut pkt: SgPacket<'_>) -> Option<PacketBuf> {
+                self.header_lens.push(pkt.header().len());
+                self.payloads.push(pkt.payload().as_ptr_range());
+                Some(pkt.take_header())
+            }
+        }
+        let mut packer = CaravanEngine::new(CaravanConfig::default());
+        let mut bundles = Vec::new();
+        for i in 0..7u16 {
+            bundles.extend(VecSink::collect(|s| {
+                packer.push_inbound_into(0, &udp_pkt(5000, 1172, i), s)
+            }));
+        }
+        assert_eq!(bundles.len(), 1);
+        let bundle = &bundles[0];
+        let mut eng = CaravanEngine::new(CaravanConfig::default());
+        let mut sink = Where::default();
+        eng.push_outbound_into(bundle, &mut sink);
+        assert_eq!(sink.flat, 0, "nothing materialised");
+        assert_eq!(sink.header_lens, vec![ipv4::HEADER_LEN; 7]);
+        let inside = bundle.as_ptr_range();
+        for p in &sink.payloads {
+            assert!(
+                inside.start <= p.start && p.end <= inside.end,
+                "view outside the bundle"
+            );
+        }
+        assert_eq!(eng.stats.inner_out, 7);
+        assert_eq!(eng.pool_stats().outstanding(), 0, "headers recycled");
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! [`crate::caravan_gw`] unbundles them first).
 
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
-use px_sim::nic::tso_split_sg_into;
 use px_sim::stats::SizeHistogram;
 use px_wire::bytes;
 use px_wire::frag::fragment_into;
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::pool::{BufPool, PacketSink, PoolStats, SgPacket, SgRc};
+use px_wire::tso::tso_split_sg_into;
 use px_wire::{IpProtocol, PacketBuf};
 
 /// A sink adapter that records every emitted packet's size into a

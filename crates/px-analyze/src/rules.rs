@@ -196,6 +196,7 @@ impl Default for Config {
                 "crates/px-wire/src/udp.rs",
                 "crates/px-wire/src/ipv4.rs",
                 "crates/px-wire/src/frag.rs",
+                "crates/px-wire/src/tso.rs",
                 "crates/px-wire/src/caravan.rs",
                 "crates/px-wire/src/checksum.rs",
                 "crates/px-wire/src/batchparse.rs",
@@ -230,6 +231,7 @@ impl Default for Config {
                 "crates/px-wire/src/udp.rs",
                 "crates/px-wire/src/ipv4.rs",
                 "crates/px-wire/src/frag.rs",
+                "crates/px-wire/src/tso.rs",
                 "crates/px-wire/src/caravan.rs",
                 "crates/px-wire/src/checksum.rs",
                 "crates/px-wire/src/batchparse.rs",

@@ -5,7 +5,9 @@
 //! 1. **Packet surgery** — real, byte-accurate TCP coalescing
 //!    ([`try_coalesce`], [`coalesce_batch`]) and segmentation
 //!    ([`tso_split`]) on real IPv4/TCP packets. These are the primitives
-//!    behind endpoint LRO/GRO/TSO *and* the PXGW merge/split engines.
+//!    behind endpoint LRO/GRO/TSO and the baseline gateway, and the flat
+//!    byte oracle the PXGW split engine's scatter-gather TSO
+//!    ([`px_wire::tso`]) is held to.
 //! 2. **The RX saturation model** ([`rx_saturation_bps`]) — the
 //!    calibrated cycles-per-byte arithmetic that turns an offload
 //!    configuration into the single-core receive throughput of
@@ -14,9 +16,9 @@
 use crate::calib;
 use crate::cpu::CostModel;
 use px_wire::ipv4::Ipv4Packet;
-use px_wire::pool::{BufPool, PacketSink, SgPacket, SgRc};
+use px_wire::pool::{BufPool, PacketSink};
 use px_wire::tcp::{TcpSegment, MAX_HEADER_LEN};
-use px_wire::{bytes, checksum, Error, FlowKey, IpProtocol, Result};
+use px_wire::{Error, FlowKey, IpProtocol, Result};
 
 /// Which offloads a NIC/host enables (the knobs of §5's setup:
 /// "We turn on TSO, LRO, GSO, and GRO on all endpoints").
@@ -222,9 +224,10 @@ pub fn tso_split(packet: &[u8], mtu: usize) -> Result<Vec<Vec<u8>>> {
     Ok(sink.into_pkts())
 }
 
-/// [`tso_split`] with pooled buffers and sink-based emission — the
-/// allocation-free form the PXGW split engine drives. Returns the number
-/// of segments delivered; on error nothing is emitted.
+/// [`tso_split`] with pooled buffers and sink-based emission: the flat
+/// copying form of [`px_wire::tso::tso_split_sg_into`], which must match
+/// it byte for byte. Returns the number of segments delivered; on error
+/// nothing is emitted.
 pub fn tso_split_into(
     packet: &[u8],
     mtu: usize,
@@ -288,114 +291,6 @@ pub fn tso_split_into(
             tseg.fill_checksum(src, dst);
         }
         if let Some(b) = sink.accept(seg) {
-            pool.put(b);
-        }
-        emitted += 1;
-        off += take;
-        seg_idx = seg_idx.wrapping_add(1);
-    }
-    Ok(emitted)
-}
-
-/// [`tso_split_into`] emitting scatter-gather views instead of flat
-/// copies: each segment is a pooled header buffer holding the rewritten
-/// IP+TCP headers plus a payload slice borrowed from `packet`,
-/// delivered via [`PacketSink::push_sg`]. Payload bytes are never
-/// copied here — sinks without a `push_sg` override materialise the
-/// view themselves, so the output stream is byte-identical to
-/// [`tso_split_into`] either way. `rc` counts live views so the caller
-/// knows when `packet`'s backing buffer may be recycled.
-///
-/// The TCP checksum is assembled from partial sums (pseudo-header +
-/// header bytes in the segment buffer + payload bytes still in the
-/// jumbo); RFC 1071's grouping independence makes the result identical
-/// to `fill_checksum` over the flat segment.
-pub fn tso_split_sg_into<'p>(
-    packet: &'p [u8],
-    mtu: usize,
-    pool: &mut BufPool,
-    rc: &'p SgRc,
-    sink: &mut impl PacketSink,
-) -> Result<usize> {
-    let ip = Ipv4Packet::new_checked(packet)?;
-    if ip.protocol() != IpProtocol::Tcp {
-        return Err(Error::Unsupported);
-    }
-    if ip.total_len() <= mtu {
-        // Pass-through: an all-payload view (empty header segment).
-        let view = SgPacket::new(pool.get(), &packet[..ip.total_len()], rc);
-        if let Some(b) = sink.push_sg(view) {
-            pool.put(b);
-        }
-        return Ok(1);
-    }
-    let ip_hlen = ip.header_len();
-    let tcp = TcpSegment::new_checked(ip.payload())?;
-    let tcp_hlen = tcp.header_len();
-    debug_assert!(tcp_hlen <= MAX_HEADER_LEN);
-    let headers = ip_hlen + tcp_hlen;
-    if mtu <= headers {
-        return Err(Error::FieldRange);
-    }
-    let mss = mtu - headers;
-    let payload = tcp.payload();
-    if payload.is_empty() {
-        return Err(Error::Malformed); // oversized but no payload: bogus
-    }
-    let flags = tcp.flags();
-    let base_seq = tcp.seq();
-    let (src, dst) = (ip.src(), ip.dst());
-    let base_ident = ip.ident();
-    // Payload starts at offset `headers` of `packet`; its base relative
-    // to the jumbo's IP payload is `tcp_hlen` — both even (TCP headers
-    // are 32-bit multiples), so the chunk sums combine on the even word
-    // grid and plain `combine` applies.
-    debug_assert_eq!(tcp_hlen % 2, 0);
-
-    let mut emitted = 0usize;
-    let mut off = 0usize;
-    let mut seg_idx: u16 = 0;
-    while off < payload.len() {
-        let take = mss.min(payload.len() - off);
-        let last = off + take == payload.len();
-        let chunk = &payload[off..off + take];
-        let mut seg = pool.get();
-        seg.extend_from_slice(&packet[..headers]);
-        {
-            let mut ipv = Ipv4Packet::new_unchecked(seg.as_mut_slice());
-            ipv.set_total_len((headers + take) as u16);
-            ipv.set_ident(base_ident.wrapping_add(seg_idx));
-            ipv.fill_checksum();
-        }
-        {
-            let tcp_bytes = &mut seg.as_mut_slice()[ip_hlen..];
-            {
-                let mut tseg = TcpSegment::new_unchecked(&mut *tcp_bytes);
-                tseg.set_seq(base_seq.add(off));
-                let mut f = flags;
-                if !last {
-                    f.fin = false;
-                    f.psh = false;
-                }
-                tseg.set_flags(f);
-            }
-            // fill_checksum over the flat segment, reassembled from
-            // partial sums: zero the field, sum the header bytes here
-            // and the payload bytes where they already live.
-            bytes::put_be16(tcp_bytes, 16, 0);
-            let header_sum = checksum::ones_complement_sum(&tcp_bytes[..tcp_hlen]);
-            let payload_sum = checksum::ones_complement_sum(chunk);
-            let pseudo = checksum::pseudo_header_sum(
-                src,
-                dst,
-                IpProtocol::Tcp.into(),
-                (tcp_hlen + take) as u16,
-            );
-            let ck = !checksum::combine(pseudo, checksum::combine(header_sum, payload_sum));
-            bytes::put_be16(tcp_bytes, 16, ck);
-        }
-        let view = SgPacket::new(seg, chunk, rc);
-        if let Some(b) = sink.push_sg(view) {
             pool.put(b);
         }
         emitted += 1;
@@ -636,13 +531,21 @@ mod tests {
     #[test]
     fn tso_split_sg_matches_the_copying_splitter_byte_for_byte() {
         use px_wire::pool::SgRc;
+        use px_wire::tso::tso_split_sg_into;
         use px_wire::VecSink;
-        let payload: Vec<u8> = (0..5000).map(|i| (i * 31 % 256) as u8).collect();
+        let payload: Vec<u8> = (0..8960).map(|i| (i * 31 % 256) as u8).collect();
+        // The lookahead requests the chunk after each one; these rows pin
+        // its tail slices: none left after an exact multiple of the MSS,
+        // a 1-byte last chunk, and the jumbo the gateway splits most.
+        let mss = 1500 - tcp_pkt(0, b"", false).len();
         for (len, mtu) in [
             (5000usize, 1500usize),
             (5000, 577),
             (100, 1500),
             (1460, 1500),
+            (3 * mss, 1500),
+            (mss + 1, 1500),
+            (8960, 1500),
         ] {
             let big = tcp_pkt(42, &payload[..len], true);
             let flat = tso_split(&big, mtu).unwrap();

@@ -308,10 +308,21 @@ impl Ipv4Repr {
     /// Emits the header into the first 20 bytes of `pkt` and fills the
     /// checksum. The buffer must be at least `total_len()` long.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, pkt: &mut Ipv4Packet<T>) -> Result<()> {
+        if pkt.buffer.as_ref().len() < self.total_len() {
+            return Err(Error::BufferTooSmall);
+        }
+        self.emit_header(pkt)
+    }
+
+    /// Emits the header alone into the first 20 bytes of `pkt` and fills
+    /// the checksum; the payload it describes may live elsewhere (the
+    /// payload segment of a scatter-gather view), so the buffer need only
+    /// hold the header.
+    pub fn emit_header<T: AsRef<[u8]> + AsMut<[u8]>>(&self, pkt: &mut Ipv4Packet<T>) -> Result<()> {
         if self.total_len() > MAX_TOTAL_LEN {
             return Err(Error::FieldRange);
         }
-        if pkt.buffer.as_ref().len() < self.total_len() {
+        if pkt.buffer.as_ref().len() < HEADER_LEN {
             return Err(Error::BufferTooSmall);
         }
         pkt.set_version_and_len(HEADER_LEN);
@@ -365,6 +376,16 @@ mod tests {
         assert!(pkt.verify_checksum());
         assert_eq!(Ipv4Repr::parse(&pkt).unwrap(), repr);
         assert_eq!(pkt.payload(), b"hello world");
+        // The header alone, with its payload elsewhere: `emit_header`
+        // fills a 20-byte buffer `emit` refuses, with the same bytes.
+        let mut hdr = [0u8; HEADER_LEN];
+        assert_eq!(
+            repr.emit(&mut Ipv4Packet::new_unchecked(&mut hdr[..])),
+            Err(Error::BufferTooSmall)
+        );
+        repr.emit_header(&mut Ipv4Packet::new_unchecked(&mut hdr[..]))
+            .unwrap();
+        assert_eq!(hdr[..], buf[..HEADER_LEN]);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   fragmentation/reassembly support ([`ipv4`], [`frag`])
 //! * TCP with the option kinds PXGW needs to rewrite (MSS, window scale,
 //!   SACK-permitted, timestamps) ([`tcp`])
+//! * TCP segmentation into scatter-gather views, the datapath's TSO
+//!   split ([`tso`])
 //! * UDP ([`udp`])
 //! * ICMPv4 echo and destination-unreachable/fragmentation-needed
 //!   ([`icmpv4`])
@@ -44,6 +46,7 @@ pub mod icmpv4;
 pub mod ipv4;
 pub mod pool;
 pub mod tcp;
+pub mod tso;
 pub mod udp;
 
 pub use buffer::PacketBuf;

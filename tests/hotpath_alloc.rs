@@ -31,7 +31,7 @@ use packet_express::core::split::SplitEngine;
 use packet_express::obs::ObsConfig;
 use packet_express::wire::batchparse::{self, Verdict};
 use packet_express::wire::ipv4::Ipv4Repr;
-use packet_express::wire::pool::{PacketSink, SgPacket};
+use packet_express::wire::pool::{PacketSink, SgPacket, VecSink};
 use packet_express::wire::tcp::{SeqNum, TcpFlags, TcpRepr};
 use packet_express::wire::{IpProtocol, PacketBuf, UdpRepr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -297,13 +297,14 @@ fn steady_state_hot_loops_do_not_allocate() {
 
     // ---- caravan: rounds of 8 same-flow datagrams with consecutive
     // IP-IDs; bundles emit when the budget fills.
-    let mut caravan = CaravanEngine::new(CaravanConfig {
+    let caravan_cfg = CaravanConfig {
         imtu: 9000,
         hold_ns: 50_000,
         table_capacity: 64,
         require_consecutive_ip_id: true,
         probe_port: 9999,
-    });
+    };
+    let mut caravan = CaravanEngine::new(caravan_cfg);
     caravan.enable_obs(obs);
     let dgrams: Vec<Vec<u8>> = (0..(WARMUP + MEASURED) * 8)
         .map(|i| udp_pkt(7000, i as u16, 1100))
@@ -321,6 +322,43 @@ fn steady_state_hot_loops_do_not_allocate() {
     let before = allocs();
     run_caravan(&dgrams[WARMUP * 8..], &mut sunk);
     assert_region_clean(before, "caravan");
+
+    // ---- unbundle, scatter-gather consumer: one 6-datagram caravan
+    // restored per round. Each datagram must leave as a view (a pooled
+    // 20-byte header plus a slice of the bundle), the region must be
+    // alloc-free, and every header buffer must be back in the pool.
+    let bundle = {
+        let mut packer = CaravanEngine::new(caravan_cfg);
+        let mut out = VecSink::new();
+        for i in 0..6u16 {
+            packer.push_inbound_into(0, &udp_pkt(7100, i, 1472), &mut out);
+        }
+        assert_eq!(out.pkts.len(), 1, "six 1480 B datagrams fill one bundle");
+        out.pkts.remove(0)
+    };
+    let mut unbundler = CaravanEngine::new(caravan_cfg);
+    unbundler.enable_obs(obs);
+    let mut dg_sink = SgTally { total: 0, views: 0 };
+    let mut run_unbundle = |n: usize, sink: &mut SgTally| {
+        for _ in 0..n {
+            unbundler.push_outbound_into(&bundle, sink);
+        }
+    };
+    run_unbundle(WARMUP, &mut dg_sink);
+    let before = allocs();
+    let views_before = dg_sink.views;
+    run_unbundle(MEASURED, &mut dg_sink);
+    assert_region_clean(before, "SG unbundle");
+    assert_eq!(
+        dg_sink.views - views_before,
+        (MEASURED as u64) * 6,
+        "every restored datagram must be delivered as a scatter-gather view"
+    );
+    assert_eq!(
+        unbundler.pool_stats().outstanding(),
+        0,
+        "unbundle pool leak"
+    );
 
     assert!(sunk > 0, "sinks must have seen real output");
 
