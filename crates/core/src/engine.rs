@@ -142,13 +142,15 @@ impl CoreEngine {
     /// output packets this step produced are delivered to `sink`. This
     /// is the allocation-free hot path: the inner engines draw emitted
     /// buffers from their pools, and whatever the sink returns from
-    /// [`PacketSink::accept`] is recycled.
+    /// [`PacketSink::accept`] is recycled. The merge engine takes `pkt`
+    /// over: a steered mouse leaves in this allocation, uncopied, and
+    /// is freed rather than recycled when the sink hands it back.
     pub fn push_into(&mut self, now: u64, pkt: Vec<u8>, sink: &mut impl PacketSink) {
         match self {
             CoreEngine::Baseline(b) => b.push_into(pkt, sink),
             CoreEngine::Merge(m) => {
                 m.poll_into(now, sink);
-                m.push_into(now, &pkt, sink);
+                m.push_owned_into(now, pkt, None, sink);
             }
             CoreEngine::Caravan(c) => {
                 c.poll_into(now, sink);
@@ -171,7 +173,7 @@ impl CoreEngine {
         match self {
             CoreEngine::Merge(m) => {
                 m.poll_into(now, sink);
-                m.push_parsed_into(now, &pkt, meta, sink);
+                m.push_owned_into(now, pkt, Some(meta), sink);
             }
             other => other.push_into(now, pkt, sink),
         }

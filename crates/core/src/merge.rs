@@ -41,6 +41,12 @@
 //!   [`checksum::combine_at_offset`] on append, and the final TCP
 //!   checksum at emission combines pseudo-header + header sum + cached
 //!   payload sum — the merged payload is never read again.
+//! * Only candidates for merging are checksum-verified. With steering
+//!   on, a packet is classified from its 5-tuple
+//!   ([`batchparse::parse_key`]) before any payload byte is read: a
+//!   mouse is never summed, and one the engine owns
+//!   ([`CoreEngine::push_into`](crate::engine::CoreEngine::push_into))
+//!   leaves in the buffer it arrived in.
 //! * Hold-timer expiry pops the flow table's deadline heap
 //!   ([`FlowTable::pop_expired`]) instead of scanning every pending
 //!   aggregate per poll tick.
@@ -113,6 +119,8 @@ pub struct MergeStats {
     /// Data segments refused because their checksums did not verify —
     /// merging them would *launder* the corruption behind a freshly
     /// computed checksum (real LRO verifies before coalescing too).
+    /// Only candidates for merging are verified: a steered mouse is
+    /// never summed, so it never counts here.
     pub bad_checksum: u64,
     /// Packets forwarded unmerged because an aggregate could not be
     /// created (pool dry or flow-table denial) — the degradation
@@ -126,8 +134,10 @@ pub struct MergeStats {
     /// spare buffer was unavailable — the ladder's last rung.
     pub backpressure_drops: u64,
     /// Packets the small-flow classifier hairpinned past the merge
-    /// machinery (§3/§4.1 steering): forwarded verbatim, no flow-table
-    /// slot, no pool buffer, no merge state touched.
+    /// machinery (§3/§4.1 steering): classified from their headers and
+    /// forwarded verbatim, payload never summed, no flow-table slot, no
+    /// merge state touched. A mouse the engine owns leaves in its own
+    /// allocation, with no pool buffer; a lent one is copied into one.
     pub steered_mice_pkts: u64,
     /// Data segments dropped because they claimed a sequence range the
     /// flow's aggregate already holds *with different bytes* — an
@@ -196,6 +206,14 @@ impl Pending {
     fn total_len(&self) -> usize {
         usize::from(self.ip_hlen) + usize::from(self.tcp_hlen) + self.payload_len as usize
     }
+}
+
+/// A packet as a push receives it: lent by the caller, or handed over
+/// with its allocation. The push body reads both the same way; they
+/// part only where a steered mouse leaves.
+enum Ingress<'a> {
+    Lent(&'a [u8]),
+    Owned(Vec<u8>),
 }
 
 /// The merge engine. Feed packets with [`MergeEngine::push_into`], poll
@@ -361,9 +379,9 @@ impl MergeEngine {
     /// [`px_sim::nic::try_coalesce`], answered from cached state and
     /// fixed-offset header reads instead of re-parsing. The flow key
     /// already guarantees equal addresses, ports, and protocol; the
-    /// aggregate's flags are plain by construction. *Where* the segment
-    /// lands (contiguous / overlapping / future) is [`coalesce::classify`]'s
-    /// job, not this gate's.
+    /// aggregate's flags are ACK, PSH and ECE only by construction.
+    /// *Where* the segment lands (contiguous / overlapping / future) is
+    /// [`coalesce::classify`]'s job, not this gate's.
     fn headers_compatible(pending: &Pending, meta: &SegFacts, pkt: &[u8]) -> bool {
         let a = pending.buf.as_slice();
         let a_ip = usize::from(pending.ip_hlen);
@@ -373,6 +391,11 @@ impl MergeEngine {
             || bytes::range(a, a_ip + 8, a_ip + 12) != bytes::range(pkt, b_ip + 8, b_ip + 12)
             || bytes::range(a, a_ip + 14, a_ip + 16) != bytes::range(pkt, b_ip + 14, b_ip + 16)
         {
+            return false;
+        }
+        // Same ECE (flags bit 0x40): an ECN echo is carried by every
+        // segment of its run, never folded into a neighbour's.
+        if (a[a_ip + 13] ^ pkt[b_ip + 13]) & 0x40 != 0 {
             return false;
         }
         // Identical TCP option layout (kinds and lengths; values may
@@ -631,8 +654,7 @@ impl MergeEngine {
     /// [`push_parsed_into`](Self::push_parsed_into) to skip the repeat
     /// header walk.
     pub fn push_into(&mut self, now: u64, pkt: &[u8], sink: &mut impl PacketSink) {
-        let meta = batchparse::parse_packet(pkt);
-        self.push_parsed_into(now, pkt, &meta, sink);
+        self.push_packet(now, Ingress::Lent(pkt), None, sink);
     }
 
     /// [`push_into`](Self::push_into) with the parse already done: the
@@ -648,11 +670,50 @@ impl MergeEngine {
         meta: &ParsedMeta,
         sink: &mut impl PacketSink,
     ) {
+        self.push_packet(now, Ingress::Lent(pkt), Some(meta), sink);
+    }
+
+    /// [`push_into`](Self::push_into) (or, with `meta`,
+    /// [`push_parsed_into`](Self::push_parsed_into)) for a packet the
+    /// caller hands over: a steered mouse leaves in this allocation.
+    pub(crate) fn push_owned_into(
+        &mut self,
+        now: u64,
+        pkt: Vec<u8>,
+        meta: Option<&ParsedMeta>,
+        sink: &mut impl PacketSink,
+    ) {
+        self.push_packet(now, Ingress::Owned(pkt), meta, sink);
+    }
+
+    /// The one push body, for lent and owned input alike.
+    fn push_packet(
+        &mut self,
+        now: u64,
+        input: Ingress<'_>,
+        parsed: Option<&ParsedMeta>,
+        sink: &mut impl PacketSink,
+    ) {
+        let pkt: &[u8] = match &input {
+            Ingress::Lent(pkt) => pkt,
+            Ingress::Owned(pkt) => pkt,
+        };
+        // With steering on, the key comes from the headers alone and the
+        // checksum scan waits until the packet may still be merged: a
+        // mouse is never summed. Without steering one walk yields both.
+        let (key, verdict) = match parsed {
+            Some(meta) => (meta.key, Some(meta.verdict)),
+            None if self.steer.is_some() => (batchparse::parse_key(pkt), None),
+            None => {
+                let meta = batchparse::parse_packet(pkt);
+                (meta.key, Some(meta.verdict))
+            }
+        };
         self.stats.pkts_in += 1;
-        let keyed_flow = meta.key.as_ref().map(|k| flow_id(k.src_port, k.dst_port));
+        let keyed_flow = key.as_ref().map(|k| flow_id(k.src_port, k.dst_port));
         self.chassis.arrive(now, pkt.len(), keyed_flow);
 
-        let Some(key) = meta.key else {
+        let Some(key) = key else {
             self.stats.passthrough += 1;
             // aux 2 = passthrough (vs 1 = steered mouse).
             self.chassis
@@ -676,9 +737,11 @@ impl MergeEngine {
                     .record(Span::instant(SpanCat::Evict, now, 0, vflow, 1));
             }
             if class == FlowClass::Mouse {
-                // A demoted flow may still hold an aggregate from its
-                // elephant days: rescue-flush it first so the flow's
-                // packets never reorder across the two paths.
+                // Elephants never demote (a window rollover carries
+                // `elephant_pkts` over), but a flow the classifier
+                // evicted and re-tracks starts over as a mouse and may
+                // still hold an aggregate: rescue-flush it first so the
+                // flow's packets never reorder across the two paths.
                 if let Some(p) = self.table.remove(&key) {
                     self.stats.flush_order += 1;
                     self.finalize_flow(&key, p, sink);
@@ -691,12 +754,21 @@ impl MergeEngine {
                         .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 1));
                     self.chassis.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
                 }
-                self.chassis.forward(pkt, sink);
+                match input {
+                    Ingress::Lent(pkt) => self.chassis.forward(pkt, sink),
+                    // An owned mouse leaves in its own allocation: no
+                    // copy, no pool `get`. A buffer the sink hands back
+                    // was never the pool's, so it is released, not
+                    // parked, and the pool's books stay balanced.
+                    Ingress::Owned(pkt) => drop(sink.accept(PacketBuf::adopt(pkt))),
+                }
                 return;
             }
         }
 
-        let facts = match meta.verdict {
+        // Only a packet that may still be merged is checksum-verified.
+        let verdict = verdict.unwrap_or_else(|| batchparse::parse_packet(pkt).verdict);
+        let facts = match verdict {
             Verdict::Mergeable(facts) => facts,
             Verdict::NotMergeable { checksum_ok } => {
                 // Control/pure-ACK/non-TCP/corrupt: flush any pending
@@ -925,10 +997,12 @@ mod tests {
     const DST: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 2);
 
     fn data_pkt(port: u16, seq: u32, len: usize) -> Vec<u8> {
+        data_pkt_flags(port, seq, len, TcpFlags::ACK)
+    }
+
+    fn data_pkt_flags(port: u16, seq: u32, len: usize, flags: TcpFlags) -> Vec<u8> {
         let mut payload = vec![0u8; len];
         px_tcp::fill_pattern(u64::from(seq), &mut payload);
-        let mut flags = TcpFlags::ACK;
-        flags.psh = false;
         let repr = TcpRepr {
             src_port: port,
             dst_port: 80,
@@ -1435,6 +1509,105 @@ mod tests {
         assert_eq!(eng.table.len(), 0, "no merge state for mice");
         assert_eq!(eng.pool_stats().outstanding(), 0);
         assert_eq!(eng.flows_live(), 1, "classifier tracks the mouse");
+    }
+
+    /// Steering reads a mouse's headers only: a corrupted payload leaves
+    /// byte for byte, uncounted by `bad_checksum` (it was never summed),
+    /// and an owned mouse leaves in the allocation it arrived in. The
+    /// same corruption on an elephant — a merge candidate — is still
+    /// verified, refused and forwarded verbatim.
+    #[test]
+    fn steered_mice_are_never_summed_but_elephants_are_verified() {
+        let corrupt = |mut pkt: Vec<u8>| {
+            let last = pkt.len() - 1;
+            pkt[last] ^= 0xFF;
+            pkt
+        };
+        let mut eng = MergeEngine::new(MergeConfig::default());
+        eng.enable_steer(SteerConfig::default()); // elephant_pkts = 8
+        let mut out = VecSink::new();
+
+        let mouse = corrupt(data_pkt(6000, 0, 500));
+        eng.push_into(0, &mouse, &mut out);
+        let owned = corrupt(data_pkt(6001, 0, 500));
+        let (bytes, addr) = (owned.clone(), owned.as_ptr() as usize);
+        eng.push_owned_into(0, owned, None, &mut out);
+        assert_eq!(eng.stats.steered_mice_pkts, 2);
+        assert_eq!(eng.stats.bad_checksum, 0, "a mouse is never summed");
+        assert_eq!(out.pkts, vec![mouse, bytes], "verbatim, in order");
+        assert_eq!(
+            out.pkts[1].as_ptr() as usize,
+            addr,
+            "left in its own allocation"
+        );
+        assert_eq!(
+            eng.pool_stats().gets,
+            1,
+            "only the lent mouse took a buffer"
+        );
+
+        // Seven mice promote port 5000; its eighth packet is an elephant.
+        for i in 0..7u32 {
+            eng.push_into(1, &data_pkt(5000, i * 1000, 1000), &mut out);
+        }
+        let bad = corrupt(data_pkt(5000, 7000, 1000));
+        eng.push_into(2, &bad, &mut out);
+        assert_eq!(eng.stats.steered_mice_pkts, 9);
+        assert_eq!(eng.stats.bad_checksum, 1, "an elephant is verified");
+        assert_eq!(eng.stats.passthrough, 1);
+        assert_eq!(out.pkts.last(), Some(&bad), "refused, forwarded verbatim");
+        assert_eq!(eng.table.len(), 0, "nothing merged");
+    }
+
+    /// A mid-flow CWR segment is not merged (GRO flushes on CWR too):
+    /// the held aggregate leaves first, then the CWR segment verbatim,
+    /// and the flow merges again after it.
+    #[test]
+    fn cwr_flushes_the_aggregate_and_passes_verbatim() {
+        let mut eng = MergeEngine::new(MergeConfig::default());
+        let mut out = VecSink::new();
+        eng.push_into(0, &data_pkt(5000, 0, 1000), &mut out);
+        eng.push_into(1, &data_pkt(5000, 1000, 1000), &mut out);
+        assert!(out.pkts.is_empty(), "two segments held");
+        let mut f = TcpFlags::ACK;
+        f.cwr = true;
+        let cwr = data_pkt_flags(5000, 2000, 1000, f);
+        eng.push_into(2, &cwr, &mut out);
+        assert_eq!(eng.stats.flush_order, 1);
+        assert_eq!(out.pkts.len(), 2);
+        assert_eq!(out.pkts[0].len(), 40 + 2000, "the aggregate first");
+        assert_eq!(out.pkts[1], cwr, "then the CWR segment, verbatim");
+        eng.push_into(3, &data_pkt(5000, 3000, 1000), &mut out);
+        eng.push_into(4, &data_pkt(5000, 4000, 1000), &mut out);
+        eng.flush_all_into(&mut out);
+        assert_eq!(out.pkts.len(), 3);
+        assert_eq!(out.pkts[2].len(), 40 + 2000, "merging resumes");
+        assert_eq!(total_payload(&out.pkts), 5000);
+    }
+
+    /// ECE is a header gate: segments that disagree on it never share
+    /// an aggregate, segments that agree merge and keep it.
+    #[test]
+    fn ece_mismatch_does_not_merge() {
+        let mut ece = TcpFlags::ACK;
+        ece.ece = true;
+        let flags_of = |pkt: &[u8]| {
+            let ip = Ipv4Packet::new_checked(pkt).unwrap();
+            TcpSegment::new_checked(ip.payload()).unwrap().flags()
+        };
+        let mut eng = MergeEngine::new(MergeConfig::default());
+        let mut out = VecSink::new();
+        eng.push_into(0, &data_pkt(5000, 0, 1000), &mut out);
+        eng.push_into(1, &data_pkt_flags(5000, 1000, 1000, ece), &mut out);
+        eng.push_into(2, &data_pkt_flags(5000, 2000, 1000, ece), &mut out);
+        eng.flush_all_into(&mut out);
+        assert_eq!(eng.stats.flush_order, 1, "the ECE segment restarted");
+        assert_eq!(out.pkts.len(), 2);
+        assert_eq!(out.pkts[0].len(), 40 + 1000);
+        assert!(!flags_of(&out.pkts[0]).ece);
+        assert_eq!(out.pkts[1].len(), 40 + 2000, "equal ECE merges");
+        assert!(flags_of(&out.pkts[1]).ece, "and keeps it");
+        assert_eq!(total_payload(&out.pkts), 3000);
     }
 
     /// Steering on, a bulk flow: the pre-threshold packets hairpin, the

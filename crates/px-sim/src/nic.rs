@@ -93,7 +93,8 @@ pub fn flow_key_of(packet: &[u8]) -> Result<FlowKey> {
 ///
 /// * same 5-tuple, `b.seq == a.seq + a.payload`, equal ACK and window
 ///   (pure in-order data continuation),
-/// * flags restricted to ACK/PSH on both (no SYN/FIN/RST/URG),
+/// * flags restricted to ACK/PSH/ECE on both (no SYN/FIN/RST/URG/CWR),
+///   with equal ECE,
 /// * identical TCP option *layout* (timestamp values may differ; the
 ///   merged packet keeps `a`'s options, as Linux GRO does),
 /// * merged size within `max_size`,
@@ -119,8 +120,8 @@ pub fn try_coalesce(a: &[u8], b: &[u8], max_size: usize) -> Option<Vec<u8>> {
     }
     let fa = t_a.flags();
     let fb = t_b.flags();
-    let plain = |f: px_wire::TcpFlags| f.ack && !f.syn && !f.fin && !f.rst && !f.urg;
-    if !plain(fa) || !plain(fb) {
+    let plain = |f: px_wire::TcpFlags| f.ack && !f.syn && !f.fin && !f.rst && !f.urg && !f.cwr;
+    if !plain(fa) || !plain(fb) || fa.ece != fb.ece {
         return None;
     }
     if t_a.ack() != t_b.ack() || t_a.window() != t_b.window() {
@@ -210,7 +211,8 @@ pub fn coalesce_batch(batch: Vec<Vec<u8>>, max_size: usize) -> Vec<Vec<u8>> {
 /// * each output carries the original IP+TCP headers,
 /// * sequence numbers advance by the carried payload,
 /// * the IP ID increments per segment (as Linux TSO does),
-/// * FIN/PSH appear only on the last segment,
+/// * FIN/PSH appear only on the last segment, CWR only on the first,
+///   ECE on every one (Linux `tcp_gso_segment`),
 /// * all checksums are recomputed.
 ///
 /// A packet that already fits is returned as-is (single element).
@@ -286,6 +288,9 @@ pub fn tso_split_into(
             if !last {
                 f.fin = false;
                 f.psh = false;
+            }
+            if seg_idx != 0 {
+                f.cwr = false;
             }
             tseg.set_flags(f);
             tseg.fill_checksum(src, dst);
@@ -538,6 +543,20 @@ mod tests {
         // its tail slices: none left after an exact multiple of the MSS,
         // a 1-byte last chunk, and the jumbo the gateway splits most.
         let mss = 1500 - tcp_pkt(0, b"", false).len();
+        // Both splitters over `big`: byte-identical, and every SG view
+        // consumed within the call.
+        let split_both = |big: &[u8], mtu: usize| {
+            let flat = tso_split(big, mtu).unwrap();
+            let mut pool = BufPool::for_mtu(mtu, 16);
+            let rc = SgRc::new();
+            let mut sink = VecSink::new();
+            let n = tso_split_sg_into(big, mtu, &mut pool, &rc, &mut sink).unwrap();
+            assert_eq!(rc.views(), 0, "every view consumed within the call");
+            let sg = sink.into_pkts();
+            assert_eq!(n, sg.len());
+            assert_eq!(flat, sg, "len={} mtu={mtu}", big.len());
+            flat
+        };
         for (len, mtu) in [
             (5000usize, 1500usize),
             (5000, 577),
@@ -548,15 +567,29 @@ mod tests {
             (8960, 1500),
         ] {
             let big = tcp_pkt(42, &payload[..len], true);
-            let flat = tso_split(&big, mtu).unwrap();
-            let mut pool = BufPool::for_mtu(mtu, 16);
-            let rc = SgRc::new();
-            let mut sink = VecSink::new();
-            let n = tso_split_sg_into(&big, mtu, &mut pool, &rc, &mut sink).unwrap();
-            assert_eq!(rc.views(), 0, "every view consumed within the call");
-            let sg = sink.into_pkts();
-            assert_eq!(n, sg.len());
-            assert_eq!(flat, sg, "len={len} mtu={mtu}");
+            split_both(&big, mtu);
+        }
+        // An ECN jumbo (ECE | CWR): ECE rides on every piece, CWR on the
+        // first only, in both splitters.
+        let mut ecn = tcp_pkt(42, &payload, true);
+        {
+            let ip = Ipv4Packet::new_checked(&ecn[..]).unwrap();
+            let hl = ip.header_len();
+            let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
+            let mut f = tcp.flags();
+            (f.ece, f.cwr) = (true, true);
+            let mut seg = TcpSegment::new_unchecked(&mut ecn[hl..]);
+            seg.set_flags(f);
+            seg.fill_checksum(SRC, DST);
+        }
+        let pieces = split_both(&ecn, 1500);
+        assert!(pieces.len() > 2);
+        for (i, piece) in pieces.iter().enumerate() {
+            let ip = Ipv4Packet::new_checked(&piece[..]).unwrap();
+            let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
+            assert!(tcp.verify_checksum(SRC, DST));
+            assert!(tcp.flags().ece, "piece {i} lost ECE");
+            assert_eq!(tcp.flags().cwr, i == 0, "CWR on piece {i}");
         }
         // Error paths agree too.
         let small = tcp_pkt(1, b"tiny", false);

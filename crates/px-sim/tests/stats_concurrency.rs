@@ -8,10 +8,11 @@
 use px_obs::HistSet;
 use px_sim::stats::{CoreCounters, StatsRegistry};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const CORES: usize = 8;
+const READERS: usize = 2;
 const ROUNDS: u64 = 200;
 const PKTS_PER_ROUND: u64 = 64;
 const BYTES_PER_PKT: u64 = 1500;
@@ -29,19 +30,25 @@ fn counters_at(round: u64) -> CoreCounters {
 fn concurrent_publish_and_snapshot() {
     let registry = Arc::new(StatsRegistry::new(CORES));
     let stop = Arc::new(AtomicBool::new(false));
+    // Writers start only once every reader has taken a snapshot, so no
+    // scheduling order can finish the writes before a reader ran.
+    let start = Arc::new(Barrier::new(READERS + CORES));
 
     // Readers hammer snapshot/aggregate concurrently with the writers
     // and check per-core monotonicity: each core's counters are
     // cumulative and overwritten by a single writer, so an observed
     // value may never decrease between two reads.
     let mut readers = Vec::new();
-    for _ in 0..2 {
+    for _ in 0..READERS {
         let registry = Arc::clone(&registry);
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
         readers.push(thread::spawn(move || {
             let mut last_per_core = [0u64; CORES];
             let mut reads = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // Read first, then check `stop`: every reader reads at
+            // least once, however late it is scheduled.
+            loop {
                 let snap = registry.snapshot();
                 assert_eq!(snap.len(), CORES);
                 for (core, c) in snap.iter().enumerate() {
@@ -61,6 +68,12 @@ fn concurrent_publish_and_snapshot() {
                 let m = registry.metrics_snapshot();
                 assert!(!m.counters.is_empty());
                 reads += 1;
+                if reads == 1 {
+                    start.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             reads
         }));
@@ -71,7 +84,9 @@ fn concurrent_publish_and_snapshot() {
     let mut writers = Vec::new();
     for core in 0..CORES {
         let registry = Arc::clone(&registry);
+        let start = Arc::clone(&start);
         writers.push(thread::spawn(move || {
+            start.wait();
             for round in 1..=ROUNDS {
                 registry.set_core(core, &counters_at(round));
                 if round % 10 == 0 {

@@ -20,10 +20,16 @@
 //!   (48 KB at 1.5 KB each) do not fit L1d, which is why the worker
 //!   does not parse batch-front.
 //!
+//! [`parse_key`] is the same header walk stopped at the flow key. A
+//! steering merge engine takes it first and runs `parse_packet` only on
+//! a packet that may still be merged, so a hairpinned mouse's payload
+//! is never read.
+//!
 //! Bit-compatibility is load-bearing: [`parse_packet`] must agree
-//! exactly with `px_sim::nic::flow_key_of` on the key and with
-//! `MergeEngine`'s single-packet classifier on the verdict — the
-//! `digest_pin` gate and the property suite hold it to that.
+//! exactly with `px_sim::nic::flow_key_of` (and [`parse_key`]) on the
+//! key and with `MergeEngine`'s single-packet classifier on the
+//! verdict — the `digest_pin` gate and the property suite hold it to
+//! that.
 
 use crate::bytes;
 use crate::checksum;
@@ -98,6 +104,56 @@ pub struct ParsedMeta {
 
 const NOT_MERGEABLE: Verdict = Verdict::NotMergeable { checksum_ok: true };
 
+/// What the IPv4/TCP/UDP header walk found: the views a TCP verdict
+/// needs, or just the key.
+enum Walk<'a> {
+    Tcp(Ipv4Packet<&'a [u8]>, TcpSegment<&'a [u8]>, FlowKey),
+    Udp(FlowKey),
+    Unkeyed,
+}
+
+/// The one header walk under [`parse_key`] and [`parse_packet`]: the
+/// IPv4 header, then the TCP or UDP header, each length-checked. Reads
+/// no payload byte.
+#[inline]
+fn walk(pkt: &[u8]) -> Walk<'_> {
+    let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
+        return Walk::Unkeyed;
+    };
+    // `ip.payload()`, borrowed from `pkt` rather than from `ip`.
+    let l4 = bytes::range(pkt, ip.header_len(), ip.total_len());
+    match ip.protocol() {
+        IpProtocol::Tcp => match TcpSegment::new_checked(l4) {
+            Ok(tcp) => {
+                let key = FlowKey::tcp(ip.src(), tcp.src_port(), ip.dst(), tcp.dst_port());
+                Walk::Tcp(ip, tcp, key)
+            }
+            Err(_) => Walk::Unkeyed,
+        },
+        IpProtocol::Udp => match UdpDatagram::new_checked(l4) {
+            Ok(udp) => Walk::Udp(FlowKey::udp(
+                ip.src(),
+                udp.src_port(),
+                ip.dst(),
+                udp.dst_port(),
+            )),
+            Err(_) => Walk::Unkeyed,
+        },
+        _ => Walk::Unkeyed,
+    }
+}
+
+/// The flow key of one packet from its headers alone: exactly
+/// `parse_packet(pkt).key`, without the checksum scan. Steering decides
+/// on this, so a packet that will not be merged is never summed.
+#[inline]
+pub fn parse_key(pkt: &[u8]) -> Option<FlowKey> {
+    match walk(pkt) {
+        Walk::Tcp(_, _, key) | Walk::Udp(key) => Some(key),
+        Walk::Unkeyed => None,
+    }
+}
+
 /// Parses and classifies one packet in a single header walk.
 ///
 /// The key computation matches `px_sim::nic::flow_key_of` exactly
@@ -106,41 +162,16 @@ const NOT_MERGEABLE: Verdict = Verdict::NotMergeable { checksum_ok: true };
 /// the merge engine's classifier check-for-check, in the same order,
 /// so `checksum_ok` accounting is bit-identical.
 pub fn parse_packet(pkt: &[u8]) -> ParsedMeta {
-    let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
-        return ParsedMeta {
-            key: None,
+    match walk(pkt) {
+        Walk::Tcp(ip, tcp, key) => ParsedMeta {
+            key: Some(key),
+            verdict: classify_tcp(&ip, &tcp),
+        },
+        Walk::Udp(key) => ParsedMeta {
+            key: Some(key),
             verdict: NOT_MERGEABLE,
-        };
-    };
-    match ip.protocol() {
-        IpProtocol::Tcp => {
-            let Ok(tcp) = TcpSegment::new_checked(ip.payload()) else {
-                return ParsedMeta {
-                    key: None,
-                    verdict: NOT_MERGEABLE,
-                };
-            };
-            let key = Some(FlowKey::tcp(
-                ip.src(),
-                tcp.src_port(),
-                ip.dst(),
-                tcp.dst_port(),
-            ));
-            ParsedMeta {
-                key,
-                verdict: classify_tcp(&ip, &tcp),
-            }
-        }
-        IpProtocol::Udp => {
-            let key = UdpDatagram::new_checked(ip.payload())
-                .ok()
-                .map(|udp| FlowKey::udp(ip.src(), udp.src_port(), ip.dst(), udp.dst_port()));
-            ParsedMeta {
-                key,
-                verdict: NOT_MERGEABLE,
-            }
-        }
-        _ => ParsedMeta {
+        },
+        Walk::Unkeyed => ParsedMeta {
             key: None,
             verdict: NOT_MERGEABLE,
         },
@@ -151,13 +182,15 @@ pub fn parse_packet(pkt: &[u8]) -> ParsedMeta {
 /// TCP-over-IPv4 view. Checksum verification is load-bearing (merging
 /// would launder corruption behind a recomputed checksum); the payload's
 /// partial sum is captured from the verification scan for reuse at
-/// emission.
+/// emission. A CWR segment is not merged: it marks the sender's
+/// congestion response, and GRO flushes on it too.
 fn classify_tcp(ip: &Ipv4Packet<&[u8]>, tcp: &TcpSegment<&[u8]>) -> Verdict {
     if ip.is_fragment() {
         return NOT_MERGEABLE;
     }
     let f = tcp.flags();
-    let shape_ok = f.ack && !f.syn && !f.fin && !f.rst && !f.urg && !tcp.payload().is_empty();
+    let shape_ok =
+        f.ack && !f.syn && !f.fin && !f.rst && !f.urg && !f.cwr && !tcp.payload().is_empty();
     if !shape_ok {
         return NOT_MERGEABLE;
     }

@@ -66,6 +66,11 @@ pub struct TcpFlags {
     pub ack: bool,
     /// URG: the urgent pointer is significant.
     pub urg: bool,
+    /// ECE: ECN-Echo (RFC 3168) — the receiver saw a congestion mark.
+    pub ece: bool,
+    /// CWR: Congestion Window Reduced (RFC 3168) — the sender answered
+    /// an ECE.
+    pub cwr: bool,
 }
 
 impl TcpFlags {
@@ -77,6 +82,8 @@ impl TcpFlags {
         psh: false,
         ack: true,
         urg: false,
+        ece: false,
+        cwr: false,
     };
     /// Flags for an initial SYN.
     pub const SYN: TcpFlags = TcpFlags {
@@ -86,6 +93,8 @@ impl TcpFlags {
         psh: false,
         ack: false,
         urg: false,
+        ece: false,
+        cwr: false,
     };
     /// Flags for a SYN-ACK.
     pub const SYN_ACK: TcpFlags = TcpFlags {
@@ -95,6 +104,8 @@ impl TcpFlags {
         psh: false,
         ack: true,
         urg: false,
+        ece: false,
+        cwr: false,
     };
 
     fn to_byte(self) -> u8 {
@@ -104,6 +115,8 @@ impl TcpFlags {
             | (self.psh as u8) << 3
             | (self.ack as u8) << 4
             | (self.urg as u8) << 5
+            | (self.ece as u8) << 6
+            | (self.cwr as u8) << 7
     }
 
     fn from_byte(b: u8) -> Self {
@@ -114,6 +127,8 @@ impl TcpFlags {
             psh: b & 0x08 != 0,
             ack: b & 0x10 != 0,
             urg: b & 0x20 != 0,
+            ece: b & 0x40 != 0,
+            cwr: b & 0x80 != 0,
         }
     }
 }
@@ -535,6 +550,21 @@ mod tests {
         assert_eq!(parsed.options, repr.options);
         assert_eq!(parsed.seq, SeqNum(1000));
         assert!(parsed.flags.syn && !parsed.flags.ack);
+    }
+
+    #[test]
+    fn flags_round_trip_all_eight_bits() {
+        for b in 0..=u8::MAX {
+            assert_eq!(TcpFlags::from_byte(b).to_byte(), b, "flags byte {b:#04x}");
+        }
+        let mut buf = syn_repr().build_segment(SRC, DST, b"");
+        let mut seg = TcpSegment::new_unchecked(&mut buf[..]);
+        let mut f = TcpFlags::ACK;
+        f.ece = true;
+        f.cwr = true;
+        seg.set_flags(f);
+        assert_eq!(seg.flags(), f);
+        assert_eq!(buf[13], 0xD0, "CWR | ECE | ACK");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::tcp::{TcpSegment, MAX_HEADER_LEN};
 /// * each output carries the original IP+TCP headers,
 /// * sequence numbers advance by the carried payload,
 /// * the IP ID increments per segment (as Linux TSO does),
-/// * FIN/PSH appear only on the last segment,
+/// * FIN/PSH appear only on the last segment, CWR only on the first,
+///   ECE on every one (Linux `tcp_gso_segment`),
 /// * all checksums are recomputed.
 ///
 /// Payload bytes are never copied here — sinks without a `push_sg`
@@ -112,6 +113,9 @@ pub fn tso_split_sg_into<'p>(
                 if !last {
                     f.fin = false;
                     f.psh = false;
+                }
+                if seg_idx != 0 {
+                    f.cwr = false;
                 }
                 tseg.set_flags(f);
             }

@@ -24,10 +24,11 @@
 //! burst.
 
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
-use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode};
+use packet_express::core::engine::{run_engine_on_trace, CoreEngine, EngineConfig, EngineMode};
 use packet_express::core::merge::{MergeConfig, MergeEngine};
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use packet_express::core::split::SplitEngine;
+use packet_express::core::steer::SteerConfig;
 use packet_express::obs::ObsConfig;
 use packet_express::wire::batchparse::{self, Verdict};
 use packet_express::wire::ipv4::Ipv4Repr;
@@ -157,6 +158,19 @@ fn recycler(total: &mut u64) -> impl FnMut(PacketBuf) -> Option<PacketBuf> + '_ 
     }
 }
 
+/// A sink that notes the allocation every packet arrives in, then hands
+/// the buffer back.
+struct AddrSink {
+    addrs: Vec<usize>,
+}
+
+impl PacketSink for AddrSink {
+    fn accept(&mut self, buf: PacketBuf) -> Option<PacketBuf> {
+        self.addrs.push(buf.base_addr());
+        Some(buf)
+    }
+}
+
 /// A sink that consumes scatter-gather views **without materialising**:
 /// header and payload segments are tallied in place, the pooled header
 /// goes straight back for recycling, and the payload bytes are never
@@ -235,6 +249,52 @@ fn steady_state_hot_loops_do_not_allocate() {
         merge.flush_all_into(&mut sink);
     }
     assert_eq!(merge.pool_stats().outstanding(), 0, "merge pool leak");
+
+    // ---- steered mice through the engine's owned entry point: a burst
+    // of 32 tracked mouse flows, six packets each (the classifier
+    // promotes at eight). Each mouse is keyed from its headers and
+    // leaves in the `Vec` it arrived in — no allocation, no pool `get`,
+    // and the sink sees the input's own address.
+    let mut steered = MergeEngine::new(MergeConfig {
+        imtu: 9000,
+        emtu: 1500,
+        hold_ns: 50_000,
+        table_capacity: 64,
+    });
+    steered.enable_steer(SteerConfig::default());
+    steered.enable_obs(obs);
+    let mut core = CoreEngine::Merge(steered);
+    const MICE: u16 = batchparse::BATCH_PKTS as u16;
+    let mut warm = AddrSink { addrs: Vec::new() };
+    for port in 0..MICE {
+        core.push_into(0, tcp_pkt(7200 + port, 0, 300), &mut warm);
+    }
+    let mice: Vec<Vec<u8>> = (1..7u32)
+        .flat_map(|i| (0..MICE).map(move |port| tcp_pkt(7200 + port, i * 300, 300)))
+        .collect();
+    let input_addrs: Vec<usize> = mice.iter().map(|p| p.as_ptr() as usize).collect();
+    let mut seen = AddrSink {
+        addrs: Vec::with_capacity(mice.len()),
+    };
+    let gets_before = match &core {
+        CoreEngine::Merge(m) => m.pool_stats().gets,
+        _ => unreachable!("built as Merge"),
+    };
+    let before = allocs();
+    for pkt in mice {
+        core.push_into(1_000, pkt, &mut seen);
+    }
+    assert_region_clean(before, "steered mice");
+    let CoreEngine::Merge(steered) = &core else {
+        unreachable!("built as Merge")
+    };
+    assert_eq!(steered.pool_stats().gets, gets_before, "no pool get");
+    assert_eq!(steered.pool_stats().outstanding(), 0);
+    assert_eq!(steered.stats.steered_mice_pkts, 7 * u64::from(MICE));
+    assert_eq!(
+        seen.addrs, input_addrs,
+        "every mouse leaves in the allocation it arrived in"
+    );
 
     // ---- split: one jumbo in, six wire segments out, every round.
     let mut split = SplitEngine::new(1500);

@@ -3,14 +3,18 @@
 //! construct *syntactically*; this suite drives the same engines with
 //! truncated, bit-flipped, and purely random packets and asserts they
 //! (a) never panic and (b) account for every swallowed packet in a
-//! `dropped_*` counter where the engine contract promises it.
+//! `dropped_*` counter where the engine contract promises it. The same
+//! three generators hold the header-only key walk steering runs first
+//! to the full parse: `parse_key(p) == parse_packet(p).key`.
 //!
 //! Four proptest blocks × 300 cases = 1200 adversarial inputs per run.
 
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
 use packet_express::core::merge::{MergeConfig, MergeEngine};
 use packet_express::core::split::SplitEngine;
+use packet_express::core::steer::SteerConfig;
 use packet_express::obs::ObsConfig;
+use packet_express::wire::batchparse::{parse_key, parse_packet};
 use packet_express::wire::ipv4::{Ipv4Repr, CARAVAN_TOS};
 use packet_express::wire::pool::VecSink;
 use packet_express::wire::tcp::{SeqNum, TcpFlags, TcpRepr};
@@ -79,6 +83,11 @@ fn run_all_engines(pkt: &[u8]) {
     let obs = ObsConfig::default();
     let mut merge = MergeEngine::new(MergeConfig::default());
     merge.enable_obs(obs);
+    // The steering engine keys from the headers first and checksums only
+    // what may merge: the same packet through that order too.
+    let mut steered = MergeEngine::new(MergeConfig::default());
+    steered.enable_steer(SteerConfig::default());
+    steered.enable_obs(obs);
     let mut split = SplitEngine::new(1500);
     split.enable_obs(obs);
     let mut caravan = CaravanEngine::new(CaravanConfig::default());
@@ -89,6 +98,8 @@ fn run_all_engines(pkt: &[u8]) {
         let deadline = merge.next_deadline().unwrap_or(u64::MAX);
         out.extend(VecSink::collect(|s| merge.poll_into(deadline, s)));
         out.extend(VecSink::collect(|s| merge.flush_all_into(s)));
+        out.extend(VecSink::collect(|s| steered.push_into(0, pkt, s)));
+        out.extend(VecSink::collect(|s| steered.flush_all_into(s)));
 
         out.extend(split_vec(&mut split, pkt, 1500));
         out.extend(split_vec(&mut split, pkt, 576));
@@ -101,6 +112,10 @@ fn run_all_engines(pkt: &[u8]) {
     if let Err(payload) = result {
         eprintln!("--- engine panicked on a mangled packet; recorder timelines follow ---");
         eprintln!("merge (last 64 spans):\n{}", merge.obs().render_recent(64));
+        eprintln!(
+            "steered merge (last 64 spans):\n{}",
+            steered.obs().render_recent(64)
+        );
         eprintln!("split (last 64 spans):\n{}", split.obs.render_recent(64));
         eprintln!(
             "caravan (last 64 spans):\n{}",
@@ -129,6 +144,7 @@ proptest! {
             udp_packet(port, len, ident, 0)
         };
         let cut = cut.min(pkt.len());
+        prop_assert_eq!(parse_key(&pkt[..cut]), parse_packet(&pkt[..cut]).key);
         run_all_engines(&pkt[..cut]);
     }
 }
@@ -152,6 +168,7 @@ proptest! {
             udp_packet(port, len, ident, CARAVAN_TOS)
         };
         flip_bits(&mut pkt, &flips);
+        prop_assert_eq!(parse_key(&pkt), parse_packet(&pkt).key);
         run_all_engines(&pkt);
     }
 }
@@ -164,6 +181,7 @@ proptest! {
     fn random_bytes_never_panic(
         pkt in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
+        prop_assert_eq!(parse_key(&pkt), parse_packet(&pkt).key);
         run_all_engines(&pkt);
     }
 }
