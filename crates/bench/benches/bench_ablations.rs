@@ -151,7 +151,7 @@ mod steering_ablation {
         for (i, pkt) in trace.iter().enumerate() {
             let now = i as u64 * 200;
             if let Some(cl) = &mut classifier {
-                if let Ok(key) = px_sim::nic::flow_key_of(pkt) {
+                if let Some(key) = px_wire::batchparse::parse_key(pkt) {
                     if cl.classify(now, &key) == FlowClass::Mouse {
                         forwarded += 1; // hairpinned, no merge-engine work
                         continue;

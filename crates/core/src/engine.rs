@@ -37,7 +37,6 @@
 //! flows interleave differently across cores, while the delivered
 //! payload bytes — what a receiver reassembles — must not.
 
-use crate::baseline::BaselineGateway;
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::chassis::Chassis;
 use crate::merge::{MergeConfig, MergeEngine};
@@ -71,19 +70,32 @@ use tests::prefetch_packet;
 // variant would buy nothing but a pointer hop on every hot-path call.
 #[allow(clippy::large_enum_variant)]
 pub enum CoreEngine {
-    /// DPDK-GRO-style software merging (the paper's baseline).
-    Baseline(BaselineGateway),
+    /// The paper's comparison point, a gateway on DPDK's `rte_gro`
+    /// library: the merge engine PX runs, minus delayed merging.
+    /// `rte_gro` coalesces within one RX burst and holds nothing across
+    /// bursts, so this engine is never polled and instead flushes every
+    /// aggregate after each [`GRO_BURST_PKTS`]-th packet, at the idle
+    /// tick and at the drain. It gets no steering and no flow-table
+    /// override. A burst rarely holds enough contiguous same-flow
+    /// segments to fill a 9 KB jumbo, so its conversion yield stays
+    /// near 74 % (paper: 76 %) where PX's delayed merging reaches 93 %.
+    Baseline(MergeEngine),
     /// PXGW TCP delayed merging.
     Merge(MergeEngine),
     /// PXGW UDP caravan bundling.
     Caravan(CaravanEngine),
 }
 
+/// The baseline's RX burst: `rte_eth_rx_burst` hands `rte_gro` 32–64
+/// descriptors per poll, and the baseline ends every aggregate at the
+/// burst's end.
+pub const GRO_BURST_PKTS: u64 = 64;
+
 /// What a driver reads off one engine *instance*: the [`CoreCounters`]
 /// fields the engine owns — ladder, drop, eviction and steering counts
 /// plus the `flows_live` gauge, every other field zero — and the bytes
-/// its flow-state arenas reserve. All zero for the baseline.
-#[derive(Debug, Default, Clone, Copy)]
+/// its flow-state arenas reserve.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineTally {
     /// The engine's share of its core's counters.
     pub counters: CoreCounters,
@@ -94,22 +106,26 @@ pub(crate) struct EngineTally {
 impl CoreEngine {
     /// Builds the engine one core of a pipeline run uses: the variant /
     /// workload pair's engine in the Fig. 5 configuration (64 K
-    /// flow-table entries, consecutive-IP-ID caravan packing), then the
-    /// run's flow-scale knobs — the flow-table sizing override, the
-    /// pool's parked-buffer cap, and (merge path only) the small-flow
+    /// flow-table entries, a burst's worth for the baseline,
+    /// consecutive-IP-ID caravan packing), then the run's flow-scale
+    /// knobs — the pool's parked-buffer cap and, on the PX engines, the
+    /// flow-table sizing override and (merge path only) the small-flow
     /// classifier.
     pub fn for_pipe(cfg: &PipelineConfig) -> Self {
+        let merge = |table_capacity| {
+            MergeEngine::new(MergeConfig {
+                imtu: cfg.imtu,
+                emtu: cfg.emtu,
+                hold_ns: cfg.hold_ns,
+                table_capacity,
+            })
+        };
         let mut engine = match (cfg.variant, cfg.workload) {
-            (SystemVariant::BaselineGro, _) => {
-                CoreEngine::Baseline(BaselineGateway::new(cfg.imtu, 64))
-            }
+            // A burst holds at most this many flows, and the table is
+            // empty again after every burst.
+            (SystemVariant::BaselineGro, _) => CoreEngine::Baseline(merge(GRO_BURST_PKTS as usize)),
             (_, WorkloadKind::Tcp) => {
-                let mut m = MergeEngine::new(MergeConfig {
-                    imtu: cfg.imtu,
-                    emtu: cfg.emtu,
-                    hold_ns: cfg.hold_ns,
-                    table_capacity: 65536,
-                });
+                let mut m = merge(65536);
                 if let Some(table) = cfg.flow_table {
                     m.configure_table(table);
                 }
@@ -132,9 +148,7 @@ impl CoreEngine {
                 CoreEngine::Caravan(c)
             }
         };
-        if let Some(chassis) = engine.chassis_mut() {
-            chassis.set_pool_bufs(cfg.pool_bufs);
-        }
+        engine.chassis_mut().set_pool_bufs(cfg.pool_bufs);
         engine
     }
 
@@ -146,11 +160,41 @@ impl CoreEngine {
     /// over: a steered mouse leaves in this allocation, uncopied, and
     /// is freed rather than recycled when the sink hands it back.
     pub fn push_into(&mut self, now: u64, pkt: Vec<u8>, sink: &mut impl PacketSink) {
+        self.push_with_meta(now, pkt, None, sink);
+    }
+
+    /// [`push_into`](Self::push_into) with the packet's parse already
+    /// done by a batch-front [`batchparse::parse_batch_with`] pass (the
+    /// staged form harnesses use to price the parse on its own). Only
+    /// the merge engines consume the meta; the caravan parses as before.
+    pub fn push_parsed_into(
+        &mut self,
+        now: u64,
+        pkt: Vec<u8>,
+        meta: &ParsedMeta,
+        sink: &mut impl PacketSink,
+    ) {
+        self.push_with_meta(now, pkt, Some(meta), sink);
+    }
+
+    /// The one push body behind both entry points.
+    fn push_with_meta(
+        &mut self,
+        now: u64,
+        pkt: Vec<u8>,
+        meta: Option<&ParsedMeta>,
+        sink: &mut impl PacketSink,
+    ) {
         match self {
-            CoreEngine::Baseline(b) => b.push_into(pkt, sink),
+            CoreEngine::Baseline(b) => {
+                b.push_owned_into(now, pkt, meta, sink);
+                if b.stats.pkts_in.is_multiple_of(GRO_BURST_PKTS) {
+                    b.flush_all_into(sink);
+                }
+            }
             CoreEngine::Merge(m) => {
                 m.poll_into(now, sink);
-                m.push_owned_into(now, pkt, None, sink);
+                m.push_owned_into(now, pkt, meta, sink);
             }
             CoreEngine::Caravan(c) => {
                 c.poll_into(now, sink);
@@ -159,31 +203,10 @@ impl CoreEngine {
         }
     }
 
-    /// [`push_into`](Self::push_into) with the packet's parse already
-    /// done by a batch-front [`batchparse::parse_batch_with`] pass (the
-    /// staged form harnesses use to price the parse on its own). Only
-    /// the merge engine consumes the meta; the others parse as before.
-    pub fn push_parsed_into(
-        &mut self,
-        now: u64,
-        pkt: Vec<u8>,
-        meta: &ParsedMeta,
-        sink: &mut impl PacketSink,
-    ) {
-        match self {
-            CoreEngine::Merge(m) => {
-                m.poll_into(now, sink);
-                m.push_owned_into(now, pkt, Some(meta), sink);
-            }
-            other => other.push_into(now, pkt, sink),
-        }
-    }
-
     /// Drains every held aggregate (end of trace) into `sink`.
     pub fn finish_into(&mut self, sink: &mut impl PacketSink) {
         match self {
-            CoreEngine::Baseline(b) => b.flush_into(sink),
-            CoreEngine::Merge(m) => m.flush_all_into(sink),
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.flush_all_into(sink),
             CoreEngine::Caravan(c) => c.flush_all_into(sink),
         }
     }
@@ -193,56 +216,50 @@ impl CoreEngine {
     /// future — flush them all now instead of parking them until the
     /// run-wide drain. This is the dead-shard fix: `pop_expired` used
     /// to be polled only on packet arrival, so a core that stopped
-    /// receiving packets never flushed its expired flows.
+    /// receiving packets never flushed its expired flows. For the
+    /// baseline the tick ends the short last burst.
     pub fn idle_tick_into(&mut self, sink: &mut impl PacketSink) {
         match self {
-            CoreEngine::Baseline(b) => b.flush_into(sink),
+            CoreEngine::Baseline(b) => b.flush_all_into(sink),
             CoreEngine::Merge(m) => m.poll_into(u64::MAX, sink),
             CoreEngine::Caravan(c) => c.poll_into(u64::MAX, sink),
         }
     }
 
-    /// The hold-engine chassis — pool, fault gate, degradation ladder,
-    /// recorder, span links. `None` for the baseline: it models the
-    /// comparison system, not the PXGW under test, so it has no pool,
-    /// no ladder and no recorder to arm, size or read.
-    pub(crate) fn chassis(&self) -> Option<&Chassis> {
+    /// The engine's chassis — pool, fault gate, degradation ladder,
+    /// recorder, span links.
+    pub(crate) fn chassis(&self) -> &Chassis {
         match self {
-            CoreEngine::Baseline(_) => None,
-            CoreEngine::Merge(m) => Some(&m.chassis),
-            CoreEngine::Caravan(c) => Some(&c.chassis),
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => &m.chassis,
+            CoreEngine::Caravan(c) => &c.chassis,
         }
     }
 
     /// [`chassis`](Self::chassis), mutably.
-    pub(crate) fn chassis_mut(&mut self) -> Option<&mut Chassis> {
+    pub(crate) fn chassis_mut(&mut self) -> &mut Chassis {
         match self {
-            CoreEngine::Baseline(_) => None,
-            CoreEngine::Merge(m) => Some(&mut m.chassis),
-            CoreEngine::Caravan(c) => Some(&mut c.chassis),
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => &mut m.chassis,
+            CoreEngine::Caravan(c) => &mut c.chassis,
         }
     }
 
     /// The inner engine's counters and gauges, by name.
     pub(crate) fn tally(&self) -> EngineTally {
         match self {
-            CoreEngine::Baseline(_) => EngineTally::default(),
-            CoreEngine::Merge(m) => m.tally(),
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.tally(),
             CoreEngine::Caravan(c) => c.tally(),
         }
     }
 
-    /// Switches the inner engine's span recorder + histograms on (no-op
-    /// for the baseline).
+    /// Switches the inner engine's span recorder + histograms on.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        if let Some(chassis) = self.chassis_mut() {
-            chassis.obs = Recorder::new(cfg);
-        }
+        self.chassis_mut().obs = Recorder::new(cfg);
     }
 
-    /// The inner engine's recorder (`None` for the baseline).
+    /// The inner engine's recorder. Every arm has one, so this is
+    /// always `Some`.
     pub fn obs_mut(&mut self) -> Option<&mut Recorder> {
-        self.chassis_mut().map(|chassis| &mut chassis.obs)
+        Some(&mut self.chassis_mut().obs)
     }
 
     /// Per-flow-state telemetry as `(flows_live, evicted_idle,
@@ -369,7 +386,7 @@ fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// Returns the flow key and L4-payload range of an output packet, or
 /// `None` for anything unparsable (nothing the engines emit should be).
 fn flow_and_l4_payload(pkt: &[u8]) -> Option<(FlowKey, std::ops::Range<usize>)> {
-    let key = px_sim::nic::flow_key_of(pkt).ok()?;
+    let key = batchparse::parse_key(pkt)?;
     let ip = Ipv4Packet::new_checked(pkt).ok()?;
     let l4_start = ip.header_len();
     let l4_hdr = match ip.protocol() {
@@ -543,9 +560,9 @@ impl Worker {
     fn new(cfg: &EngineConfig, core: usize) -> Self {
         // Causal span links: core c's emissions get link ids in the
         // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
-        let mut engine = Self::build_engine(cfg, ((core as u64) + 1) << 48);
+        let engine = Self::build_engine(cfg, ((core as u64) + 1) << 48);
         Worker {
-            obs_on: engine.obs_mut().is_some_and(|r| r.is_enabled()),
+            obs_on: engine.chassis().obs.is_enabled(),
             engine,
             counters: CoreCounters::default(),
             digests: BTreeMap::new(),
@@ -563,17 +580,15 @@ impl Worker {
 
     /// The engine a core runs — at start, and again after every
     /// injected panic — numbering its span links on from `last_link`.
-    /// Obs, faults and links are armed on the chassis; the baseline has
-    /// none and takes none of them.
+    /// Obs, faults and links are armed on the chassis.
     fn build_engine(cfg: &EngineConfig, last_link: u64) -> CoreEngine {
         let mut engine = CoreEngine::for_pipe(&cfg.pipe);
-        if let Some(chassis) = engine.chassis_mut() {
-            if cfg.obs.enabled {
-                chassis.obs = Recorder::new(cfg.obs);
-            }
-            chassis.set_faults(cfg.faults);
-            chassis.last_link = last_link;
+        let chassis = engine.chassis_mut();
+        if cfg.obs.enabled {
+            chassis.obs = Recorder::new(cfg.obs);
         }
+        chassis.set_faults(cfg.faults);
+        chassis.last_link = last_link;
         engine
     }
 
@@ -668,28 +683,23 @@ impl Worker {
         self.absorb_engine_stats();
         // The successor numbers its span links on from this engine's
         // last, so no id in the salvaged stream is ever issued twice.
-        let last_link = self.engine.chassis().map_or(0, |chassis| chassis.last_link);
+        let last_link = self.engine.chassis().last_link;
         // px-analyze: allow(R6, reason = "salvage hand-off once per restart, not per packet: copying the span ring out and folding it into the carried telemetry allocates")
         self.salvage_obs();
         self.counters.worker_restarts += 1;
         // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
         self.engine = Self::build_engine(&self.cfg, last_link);
-        if let Some(rec) = self.engine.obs_mut() {
-            // A Restart crossing in the trace: aux carries the number of
-            // rescue-flushed packets, len the batch ordinal.
-            let at_batch = batch_idx as usize;
-            rec.record(Span::instant(SpanCat::Restart, now, at_batch, 0, rescued));
-        }
+        // A Restart crossing in the trace: aux carries the number of
+        // rescue-flushed packets, len the batch ordinal.
+        let at_batch = batch_idx as usize;
+        let restart = Span::instant(SpanCat::Restart, now, at_batch, 0, rescued);
+        self.engine.chassis_mut().obs.record(restart);
     }
 
     /// Detaches the engine's telemetry and folds it behind whatever
     /// earlier engine instances left — at a restart and at the end.
     fn salvage_obs(&mut self) {
-        let held = self
-            .engine
-            .obs_mut()
-            .map(Recorder::take)
-            .unwrap_or_default();
+        let held = self.engine.chassis_mut().obs.take();
         match &mut self.salvage {
             Some(earlier) => earlier.merge(held),
             None => self.salvage = Some(held),
@@ -766,15 +776,14 @@ impl Worker {
             // and batch profiles, which are measurement-only.
             let wall = t0.elapsed().as_nanos() as u64;
             let batch_idx = self.counters.batches;
-            if let Some(rec) = self.engine.obs_mut() {
-                rec.record(Span::instant(SpanCat::Batch, last_now, n, 0, 0));
-                rec.observe_batch(wall, n as u64);
-                rec.observe_batch_profile(BatchProfile {
-                    batch: batch_idx,
-                    pkts: n as u32,
-                    wall_ns: wall,
-                });
-            }
+            let rec = &mut self.engine.chassis_mut().obs;
+            rec.record(Span::instant(SpanCat::Batch, last_now, n, 0, 0));
+            rec.observe_batch(wall, n as u64);
+            rec.observe_batch_profile(BatchProfile {
+                batch: batch_idx,
+                pkts: n as u32,
+                wall_ns: wall,
+            });
             self.check_slo(last_now, n as u64);
         }
     }
@@ -790,26 +799,22 @@ impl Worker {
             return;
         }
         let evicted_pressure = self.counters.flows_evicted_pressure + self.engine.flow_stats().2;
-        let p99_pkt_ns = if self.cfg.mode == EngineMode::Parallel {
-            self.engine.obs_mut().map(|r| r.hists().pkt_ns.p99())
-        } else {
-            None
-        };
+        let p99_pkt_ns = (self.cfg.mode == EngineMode::Parallel)
+            .then(|| self.engine.chassis().obs.hists().pkt_ns.p99());
         let obs = BatchObs {
             batch: self.counters.batches,
             logical_now,
             yield_ppm: (self.counters.conversion_yield() * 1e6) as u32,
             yield_valid: self.counters.pkts_out_inband > 0,
-            degraded: self.engine.chassis().is_some_and(Chassis::is_degraded),
+            degraded: self.engine.chassis().is_degraded(),
             evicted_pressure,
             p99_pkt_ns,
         };
         let mask = self.slo.evaluate(&obs);
         if mask != 0 {
-            if let Some(rec) = self.engine.obs_mut() {
-                let (pkts, breach) = (n_pkts as usize, u64::from(mask));
-                rec.record(Span::instant(SpanCat::Slo, logical_now, pkts, 0, breach));
-            }
+            let (pkts, breach) = (n_pkts as usize, u64::from(mask));
+            let slo = Span::instant(SpanCat::Slo, logical_now, pkts, 0, breach);
+            self.engine.chassis_mut().obs.record(slo);
         }
     }
 
@@ -834,11 +839,9 @@ impl Worker {
 
     /// Pool buffers currently outstanding — held by pending aggregates
     /// or loaned out and not yet recycled. Zero after a full drain, or
-    /// the engine is leaking buffers (zero for the pool-less baseline).
+    /// the engine is leaking buffers.
     fn pool_outstanding(&self) -> u64 {
-        self.engine
-            .chassis()
-            .map_or(0, |chassis| chassis.pool.outstanding())
+        self.engine.chassis().pool.outstanding()
     }
 
     /// Mid-run publish, every `publish_every_batches` bursts: the
@@ -848,13 +851,10 @@ impl Worker {
     /// reader — the recent span window is copied out for it.
     fn publish_progress(&mut self, registry: &StatsRegistry) {
         registry.set_core(self.core, &self.counters);
-        if self.cfg.serve_port.is_some() {
-            if let Some(rec) = self.engine.obs_mut() {
-                if rec.spans_recorded() > 0 {
-                    // px-analyze: allow(R6, reason = "live-endpoint branch only (serve_port set): /trace needs a copy of the recent span window, once per publish interval, never per packet")
-                    registry.publish_core_spans(self.core, rec.recent_spans(64));
-                }
-            }
+        let rec = &self.engine.chassis().obs;
+        if self.cfg.serve_port.is_some() && rec.spans_recorded() > 0 {
+            // px-analyze: allow(R6, reason = "live-endpoint branch only (serve_port set): /trace needs a copy of the recent span window, once per publish interval, never per packet")
+            registry.publish_core_spans(self.core, rec.recent_spans(64));
         }
     }
 
@@ -1299,6 +1299,7 @@ fn run_deterministic(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use px_wire::pool::VecSink;
     use std::cell::Cell;
 
     thread_local! {
@@ -1466,12 +1467,17 @@ mod tests {
 
     #[test]
     fn every_input_packet_is_consumed() {
-        for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
-            let r = small(EngineMode::Deterministic, 2, workload);
-            assert_eq!(r.totals.pkts_in, 4_000);
-            assert!(r.totals.pkts_out > 0);
-            let digest_pkts: u64 = r.flow_digests.values().map(|d| d.pkts).sum();
-            assert_eq!(digest_pkts, r.totals.pkts_out);
+        for variant in [SystemVariant::Px, SystemVariant::BaselineGro] {
+            for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
+                let mut pipe = PipelineConfig::fig5(variant, workload, 2);
+                pipe.trace_pkts = 4_000;
+                pipe.n_flows = 64;
+                let r = run_engine(EngineConfig::new(pipe, EngineMode::Deterministic));
+                assert_eq!(r.totals.pkts_in, 4_000);
+                assert!(r.totals.pkts_out > 0);
+                let digest_pkts: u64 = r.flow_digests.values().map(|d| d.pkts).sum();
+                assert_eq!(digest_pkts, r.totals.pkts_out);
+            }
         }
     }
 
@@ -1821,6 +1827,144 @@ mod tests {
         let nodig = run_engine(cfg);
         assert!(nodig.flow_digests.is_empty());
         assert_eq!(nodig.totals, base.totals);
+    }
+
+    /// A data segment of `len` payload bytes at `seq` on flow `port`.
+    fn data_seg(port: u16, seq: u32, len: usize) -> Vec<u8> {
+        use px_wire::ipv4::Ipv4Repr;
+        use px_wire::tcp::{SeqNum, TcpFlags, TcpRepr};
+        let (src, dst) = ([198, 51, 100, 1].into(), [10, 1, 0, 2].into());
+        let repr = TcpRepr {
+            src_port: port,
+            dst_port: 80,
+            seq: SeqNum(seq),
+            ack: SeqNum(1),
+            flags: TcpFlags::ACK,
+            window: 5000,
+            options: vec![],
+        };
+        let payload: Vec<u8> = (0..len).map(|i| (i as u32 ^ seq) as u8).collect();
+        let seg = repr.build_segment(src, dst, &payload);
+        Ipv4Repr::new(src, dst, IpProtocol::Tcp, seg.len())
+            .build_packet(&seg)
+            .unwrap()
+    }
+
+    fn baseline() -> CoreEngine {
+        let pipe = PipelineConfig::fig5(SystemVariant::BaselineGro, WorkloadKind::Tcp, 1);
+        CoreEngine::for_pipe(&pipe)
+    }
+
+    /// Merge-output conversion yield of a merge-engine arm, drain
+    /// included.
+    fn merge_yield(engine: &CoreEngine) -> f64 {
+        match engine {
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.stats.conversion_yield(&m.cfg),
+            CoreEngine::Caravan(_) => 0.0,
+        }
+    }
+
+    #[test]
+    fn baseline_merges_within_a_burst_only() {
+        // Two flows of 100 B segments, alternating: the burst's 64th
+        // packet ends it and both 32-segment aggregates leave.
+        let mut gro = baseline();
+        let mut sink = VecSink::new();
+        for i in 0..GRO_BURST_PKTS as u32 / 2 {
+            gro.push_into(0, data_seg(5000, i * 100, 100), &mut sink);
+            gro.push_into(0, data_seg(6000, i * 100, 100), &mut sink);
+        }
+        let out = sink.into_pkts();
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|p| p.len() == 40 + 3200));
+        // Flow A's next contiguous segment cannot join the aggregate
+        // that left: it is in a new burst, held until that one ends.
+        let next = VecSink::collect(|s| gro.push_into(0, data_seg(5000, 3200, 100), s));
+        assert!(next.is_empty());
+        let tail = VecSink::collect(|s| gro.idle_tick_into(s));
+        assert_eq!(tail.len(), 1);
+        assert_eq!(tail[0].len(), 140, "no cross-burst merging");
+        assert!(VecSink::collect(|s| gro.finish_into(s)).is_empty());
+    }
+
+    #[test]
+    fn baseline_yield_is_below_delayed_merging_on_interleaved_runs() {
+        // 8 flows, runs of 3 contiguous segments, round-robin: a burst
+        // of 64 holds ≈ 2.7 runs per flow, so its aggregates reach six
+        // segments only when runs happen to line up inside it.
+        let mut gro = baseline();
+        let pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
+        let mut px = CoreEngine::for_pipe(&pipe);
+        let mut seqs = [0u32; 8];
+        let mut now = 0u64;
+        for _round in 0..100 {
+            for f in 0..8u16 {
+                for _ in 0..3 {
+                    let pkt = data_seg(5000 + f, seqs[usize::from(f)], 1460);
+                    seqs[usize::from(f)] += 1460;
+                    gro.push_into(now, pkt.clone(), &mut VecSink::new());
+                    px.push_into(now, pkt, &mut VecSink::new());
+                    now += 1000;
+                }
+            }
+        }
+        gro.finish_into(&mut VecSink::new());
+        px.finish_into(&mut VecSink::new());
+        let (gro_yield, px_yield) = (merge_yield(&gro), merge_yield(&px));
+        assert!(
+            px_yield > gro_yield,
+            "delayed merging must win: px {px_yield} vs baseline {gro_yield}"
+        );
+        assert!(px_yield > 0.85, "px yield {px_yield}");
+    }
+
+    /// Each burst's output, flow by flow, is `try_coalesce` folded over
+    /// that burst's segments of the flow, an aggregate closing once it
+    /// is full (no eMTU segment would fit) or the next segment does
+    /// not coalesce, and every open one closing at the burst's end.
+    #[test]
+    fn baseline_bursts_match_the_try_coalesce_fold() {
+        use px_sim::nic::try_coalesce;
+        let pipe = PipelineConfig::fig5(SystemVariant::BaselineGro, WorkloadKind::Tcp, 1);
+        let full_at = pipe.imtu - (pipe.emtu - 40) + 1;
+        let mut gro = CoreEngine::for_pipe(&pipe);
+        let mut seqs = [0u32; 8];
+        let mut rng = 0x2545_f491_u32;
+        for burst in 0..10 {
+            let mut got: BTreeMap<FlowKey, Vec<Vec<u8>>> = BTreeMap::new();
+            let mut want: BTreeMap<FlowKey, Vec<Vec<u8>>> = BTreeMap::new();
+            let mut open: BTreeMap<FlowKey, Vec<u8>> = BTreeMap::new();
+            let mut sink = VecSink::new();
+            for _ in 0..GRO_BURST_PKTS {
+                rng = rng.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                let f = (rng >> 16) as usize % seqs.len();
+                let len = 1 + (rng >> 8) as usize % 1460;
+                let pkt = data_seg(5000 + f as u16, seqs[f], len);
+                seqs[f] = seqs[f].wrapping_add(len as u32);
+                let key = batchparse::parse_key(&pkt).unwrap();
+                let agg = match open.remove(&key) {
+                    Some(agg) => try_coalesce(&agg, &pkt, pipe.imtu).unwrap_or_else(|| {
+                        want.entry(key).or_default().push(agg);
+                        pkt.clone()
+                    }),
+                    None => pkt.clone(),
+                };
+                if agg.len() >= full_at {
+                    want.entry(key).or_default().push(agg);
+                } else {
+                    open.insert(key, agg);
+                }
+                gro.push_into(0, pkt, &mut sink);
+            }
+            for (key, agg) in open {
+                want.entry(key).or_default().push(agg);
+            }
+            for pkt in sink.into_pkts() {
+                let key = batchparse::parse_key(&pkt).unwrap();
+                got.entry(key).or_default().push(pkt);
+            }
+            assert_eq!(got, want, "burst {burst}");
+        }
     }
 
     #[test]

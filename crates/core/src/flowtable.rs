@@ -501,23 +501,27 @@ impl<V> FlowTable<V> {
     /// Drains the whole table (shutdown flush), in slot (≈ insertion)
     /// order.
     pub fn drain(&mut self) -> Vec<(FlowKey, V)> {
-        let out: Vec<(FlowKey, V)> = self
-            .slots
-            .iter_mut()
-            .filter_map(|s| {
-                s.value.take().map(|v| {
-                    s.gen = s.gen.wrapping_add(1);
-                    (s.key, v)
-                })
+        let mut out = Vec::with_capacity(self.len());
+        self.drain_into(&mut out);
+        out
+    }
+
+    /// [`drain`](Self::drain) onto the end of `out`: a caller that keeps
+    /// `out` drains as often as it likes without allocating once `out`
+    /// has grown to the table's population.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<(FlowKey, V)>) {
+        out.extend(self.slots.iter_mut().filter_map(|s| {
+            s.value.take().map(|v| {
+                s.gen = s.gen.wrapping_add(1);
+                (s.key, v)
             })
-            .collect();
+        }));
         self.map.clear();
         self.slots.clear();
         self.free_slots.clear();
         self.expiry.clear();
         self.lru_head = [NIL; 2];
         self.lru_tail = [NIL; 2];
-        out
     }
 
     /// Removes every entry for which `pred` returns true, returning them.

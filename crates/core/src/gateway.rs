@@ -261,7 +261,7 @@ impl PxGateway {
         }
         // Small-flow steering: mice bypass the merge machinery entirely.
         if let Some(cl) = &mut self.classifier {
-            if let Ok(key) = px_sim::nic::flow_key_of(pkt.as_slice()) {
+            if let Some(key) = px_wire::batchparse::parse_key(pkt.as_slice()) {
                 if cl.classify(ctx.now.0, &key) == FlowClass::Mouse {
                     self.hairpinned += 1;
                     ctx.send(INTERNAL_PORT, pkt);

@@ -34,16 +34,15 @@
 //!   per-network iMTU exchange so adjacent b-networks skip translation.
 //!
 //! [`gateway::PxGateway`] packages the engines as a two-port
-//! [`px_sim::Node`] for end-to-end simulations, and
-//! [`baseline::BaselineGateway`] reimplements the paper's comparison
-//! point (DPDK GRO library forwarding).
+//! [`px_sim::Node`] for end-to-end simulations. The paper's comparison
+//! point, DPDK GRO library forwarding, is the same merge engine flushed
+//! at every RX burst: [`engine::CoreEngine::Baseline`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod advert;
-pub mod baseline;
 pub mod caravan_gw;
 mod chassis;
 pub mod coalesce;

@@ -3,7 +3,8 @@
 //!
 //! The engine keeps at most one pending aggregate per flow. Incoming data
 //! segments coalesce onto it under the LRO header gates (same as
-//! [`px_sim::nic::try_coalesce`]) with *ordered coalescing* placement
+//! px-sim's `try_coalesce`, the byte oracle the tests hold this engine
+//! to) with *ordered coalescing* placement
 //! ([`crate::coalesce`]): exactly contiguous segments append in place,
 //! mildly out-of-order segments park in a small fixed stash until their
 //! gap fills, straddling retransmissions append their new tail, and
@@ -19,11 +20,13 @@
 //!   pure ACK, header-incompatible data) — emitted *first* to preserve
 //!   per-flow ordering;
 //! * its **hold timer** expires (delayed merging, §4.1: "delayed packet
-//!   merging to maximize the number of iMTU-bound packets"): instead of
-//!   flushing at every RX batch boundary like the DPDK-GRO baseline, PXGW
-//!   holds a partial aggregate for a few tens of microseconds so the next
-//!   burst of the same flow can top it up — this is what lifts conversion
-//!   yield from the baseline's ~76% to PX's ~93% (Fig. 5a);
+//!   merging to maximize the number of iMTU-bound packets"): PXGW holds
+//!   a partial aggregate for up to `hold_ns` so the next burst of the
+//!   same flow can top it up. The DPDK-GRO baseline is this engine with
+//!   the timer never polled and every aggregate flushed at each RX
+//!   burst's end ([`CoreEngine::Baseline`](crate::engine::CoreEngine::Baseline));
+//!   holding is what lifts conversion yield from its ≈74 % to PX's
+//!   ≈93 % (Fig. 5a);
 //! * its flow is evicted from the bounded flow table.
 //!
 //! ## Hot-path engineering
@@ -235,6 +238,10 @@ pub struct MergeEngine {
     /// Fixed-capacity parking lot for out-of-order segments (empty on
     /// the in-order hot path: one predicted branch).
     stash: SegStash,
+    /// What [`flush_all_into`](Self::flush_all_into) drains the table
+    /// through, kept so a drain at every burst allocates nothing once
+    /// warm.
+    flushing: Vec<(FlowKey, Pending)>,
 }
 
 impl MergeEngine {
@@ -247,6 +254,7 @@ impl MergeEngine {
             stats: MergeStats::default(),
             steer: None,
             stash: SegStash::new(coalesce::STASH_CAP, coalesce::STASH_PER_FLOW),
+            flushing: Vec::new(),
         }
     }
 
@@ -376,7 +384,7 @@ impl MergeEngine {
 
     /// Whether `meta`'s packet shares enough header state with `pending`
     /// to coalesce at all — the non-positional LRO gates, same as
-    /// [`px_sim::nic::try_coalesce`], answered from cached state and
+    /// px-sim's `try_coalesce` oracle, answered from cached state and
     /// fixed-offset header reads instead of re-parsing. The flow key
     /// already guarantees equal addresses, ports, and protocol; the
     /// aggregate's flags are ACK, PSH and ECE only by construction.
@@ -399,8 +407,9 @@ impl MergeEngine {
             return false;
         }
         // Identical TCP option layout (kinds and lengths; values may
-        // differ — the aggregate keeps its own options, as Linux GRO
-        // does).
+        // differ and the aggregate keeps its own). Laxer than Linux
+        // GRO, which compares the option bytes and flushes on any
+        // difference: ROADMAP item 9(b).
         let a_opts = bytes::range(a, a_ip + 20, a_ip + usize::from(pending.tcp_hlen));
         let b_opts = bytes::range(pkt, b_ip + 20, b_ip + usize::from(meta.tcp_hlen));
         options_layout_compatible(a_opts, b_opts)
@@ -972,12 +981,16 @@ impl MergeEngine {
         self.table.next_deadline()
     }
 
-    /// Drains everything (shutdown), delivering to `sink`.
+    /// Drains everything (shutdown, or the baseline's burst end),
+    /// delivering to `sink`.
     pub fn flush_all_into(&mut self, sink: &mut impl PacketSink) {
-        for (key, p) in self.table.drain() {
+        let mut flushing = std::mem::take(&mut self.flushing);
+        self.table.drain_into(&mut flushing);
+        for (key, p) in flushing.drain(..) {
             self.stats.flush_timeout += 1;
             self.finalize_flow(&key, p, sink);
         }
+        self.flushing = flushing;
         // The stash invariant (parked segments belong to live pending
         // flows only) guarantees the per-flow drains above emptied it.
         debug_assert!(self.stash.is_empty(), "stash drained with the table");

@@ -141,8 +141,9 @@ impl Violation {
 pub struct Config {
     /// Path suffixes (workspace-relative) of R1 hot-path modules.
     pub r1_modules: Vec<&'static str>,
-    /// Path suffixes of R3 alloc-discipline modules (R1 minus the
-    /// deliberately allocating baseline).
+    /// Path suffixes of R3 alloc-discipline modules: R1's datapath
+    /// modules, without the recorder's, which R5 holds to its own
+    /// budget.
     pub r3_modules: Vec<&'static str>,
     /// Function names that form the `PacketSink` emission paths; R3
     /// applies inside these plus any function ending in `_into`.
@@ -174,9 +175,9 @@ pub struct Config {
     /// are legal there by design).
     pub r9_boundary_fns: Vec<&'static str>,
     /// Path suffixes of modules the transitive BFS never *enters*:
-    /// deliberately off-invariant code (the rte_gro-style baseline, the
-    /// pcap capture tap) that hot entry points may name but whose
-    /// internals are not datapath. Lexical rules still apply inside.
+    /// deliberately off-invariant code (the pcap capture tap) that hot
+    /// entry points may name but whose internals are not datapath.
+    /// Lexical rules still apply inside.
     pub transitive_exempt: Vec<&'static str>,
 }
 
@@ -191,7 +192,6 @@ impl Default for Config {
                 "crates/core/src/chassis.rs",
                 "crates/core/src/engine.rs",
                 "crates/core/src/flowtable.rs",
-                "crates/core/src/baseline.rs",
                 "crates/px-wire/src/tcp.rs",
                 "crates/px-wire/src/udp.rs",
                 "crates/px-wire/src/ipv4.rs",
@@ -215,10 +215,6 @@ impl Default for Config {
                 "crates/px-obs/src/profile.rs",
                 "crates/px-obs/src/slo.rs",
             ],
-            // `baseline.rs` models DPDK rte_gro's per-packet allocation
-            // churn on purpose — it is the paper's comparison point, so
-            // the alloc rule exempts it (mirroring tests/hotpath_alloc.rs,
-            // which gates merge/split/caravan only).
             r3_modules: vec![
                 "crates/core/src/merge.rs",
                 "crates/core/src/coalesce.rs",
@@ -283,17 +279,9 @@ impl Default for Config {
             // (the registry publish and its lock) legitimately lives.
             r9_boundary_fns: vec!["process_batch", "run_shard"],
             transitive_exempt: vec![
-                // Models rte_gro's allocation churn as the comparison
-                // point; its callees are the baseline's business.
-                "crates/core/src/baseline.rs",
                 // The pcap capture tap materializes frames by design;
                 // it is a sim-side diagnostic, not a datapath stage.
                 "crates/px-sim/src/pcap.rs",
-                // Models NIC hardware TSO/GRO segmentation: the copies
-                // emulate the DMA a real NIC performs and every slice is
-                // behind the entry length check, so the software-datapath
-                // rules stop at this hardware boundary.
-                "crates/px-sim/src/nic.rs",
             ],
         }
     }

@@ -3,11 +3,10 @@
 //! Two layers live here:
 //!
 //! 1. **Packet surgery** — real, byte-accurate TCP coalescing
-//!    ([`try_coalesce`], [`coalesce_batch`]) and segmentation
-//!    ([`tso_split`]) on real IPv4/TCP packets. These are the primitives
-//!    behind endpoint LRO/GRO/TSO and the baseline gateway, and the flat
-//!    byte oracle the PXGW split engine's scatter-gather TSO
-//!    ([`px_wire::tso`]) is held to.
+//!    ([`try_coalesce`]) and segmentation ([`tso_split`]) on real
+//!    IPv4/TCP packets: the rebuild-from-scratch byte oracles the PXGW
+//!    merge engine's in-place append and the split engine's
+//!    scatter-gather TSO ([`px_wire::tso`]) are held to.
 //! 2. **The RX saturation model** ([`rx_saturation_bps`]) — the
 //!    calibrated cycles-per-byte arithmetic that turns an offload
 //!    configuration into the single-core receive throughput of
@@ -18,7 +17,7 @@ use crate::cpu::CostModel;
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::pool::{BufPool, PacketSink};
 use px_wire::tcp::{TcpSegment, MAX_HEADER_LEN};
-use px_wire::{Error, FlowKey, IpProtocol, Result};
+use px_wire::{Error, IpProtocol, Result};
 
 /// Which offloads a NIC/host enables (the knobs of §5's setup:
 /// "We turn on TSO, LRO, GSO, and GRO on all endpoints").
@@ -61,32 +60,6 @@ impl OffloadConfig {
     }
 }
 
-/// The flow key of an IPv4+TCP/UDP packet, if it has one.
-pub fn flow_key_of(packet: &[u8]) -> Result<FlowKey> {
-    let ip = Ipv4Packet::new_checked(packet)?;
-    match ip.protocol() {
-        IpProtocol::Tcp => {
-            let tcp = TcpSegment::new_checked(ip.payload())?;
-            Ok(FlowKey::tcp(
-                ip.src(),
-                tcp.src_port(),
-                ip.dst(),
-                tcp.dst_port(),
-            ))
-        }
-        IpProtocol::Udp => {
-            let udp = px_wire::UdpDatagram::new_checked(ip.payload())?;
-            Ok(FlowKey::udp(
-                ip.src(),
-                udp.src_port(),
-                ip.dst(),
-                udp.dst_port(),
-            ))
-        }
-        _ => Err(Error::Unsupported),
-    }
-}
-
 /// Attempts to coalesce TCP packet `b` onto `a` (both complete IPv4
 /// packets), LRO/GRO-style. Succeeds only when it is transparent to the
 /// receiver:
@@ -95,8 +68,10 @@ pub fn flow_key_of(packet: &[u8]) -> Result<FlowKey> {
 ///   (pure in-order data continuation),
 /// * flags restricted to ACK/PSH/ECE on both (no SYN/FIN/RST/URG/CWR),
 ///   with equal ECE,
-/// * identical TCP option *layout* (timestamp values may differ; the
-///   merged packet keeps `a`'s options, as Linux GRO does),
+/// * identical TCP option *layout*: kinds and lengths match, values
+///   may differ, and the merged packet keeps `a`'s options. This is
+///   laxer than Linux GRO, which compares the option bytes and flushes
+///   on any difference (ROADMAP item 9(b)),
 /// * merged size within `max_size`,
 /// * neither packet is an IP fragment.
 ///
@@ -135,8 +110,8 @@ pub fn try_coalesce(a: &[u8], b: &[u8], max_size: usize) -> Option<Vec<u8>> {
     if t_b.seq() != t_a.seq().add(pay_a.len()) {
         return None; // not contiguous
     }
-    // Option layout must match (kinds and lengths); Linux GRO compares
-    // the full option block except timestamp values.
+    // Option layout must match (kinds and lengths), values may differ:
+    // laxer than Linux GRO, which compares the option bytes.
     let opts_a = px_wire::tcp::parse_options(t_a.options()).ok()?;
     let opts_b = px_wire::tcp::parse_options(t_b.options()).ok()?;
     if opts_a.len() != opts_b.len()
@@ -176,34 +151,6 @@ pub fn try_coalesce(a: &[u8], b: &[u8], max_size: usize) -> Option<Vec<u8>> {
         tcp.fill_checksum(src, dst);
     }
     Some(out)
-}
-
-/// Coalesces a batch of packets the way LRO/GRO does within one poll
-/// round: each packet merges onto the most recent aggregate of its flow
-/// if contiguous; otherwise it starts a new aggregate. Emission order is
-/// first-touch order, preserving per-flow ordering.
-pub fn coalesce_batch(batch: Vec<Vec<u8>>, max_size: usize) -> Vec<Vec<u8>> {
-    let mut out: Vec<Vec<u8>> = Vec::with_capacity(batch.len());
-    // Index of the latest aggregate per flow.
-    let mut latest: std::collections::HashMap<FlowKey, usize> = std::collections::HashMap::new();
-    for pkt in batch {
-        let key = match flow_key_of(&pkt) {
-            Ok(k) => k,
-            Err(_) => {
-                out.push(pkt);
-                continue;
-            }
-        };
-        if let Some(&idx) = latest.get(&key) {
-            if let Some(merged) = try_coalesce(&out[idx], &pkt, max_size) {
-                out[idx] = merged;
-                continue;
-            }
-        }
-        latest.insert(key, out.len());
-        out.push(pkt);
-    }
-    out
 }
 
 /// Splits an IPv4+TCP packet into MTU-sized segments, TSO-style:
@@ -463,34 +410,6 @@ mod tests {
         let b = tcp_pkt(1000, &[2u8; 1000], false);
         assert!(try_coalesce(&a, &b, 1500).is_none());
         assert!(try_coalesce(&a, &b, 4000).is_some());
-    }
-
-    #[test]
-    fn batch_coalescing_interleaved_flows() {
-        // Flow X at seq 0.., flow Y (different port) interleaved.
-        let x1 = tcp_pkt(0, &[0u8; 100], false);
-        let x2 = tcp_pkt(100, &[0u8; 100], false);
-        let mk_y = |seq: u32| {
-            let trepr = TcpRepr {
-                src_port: 6000,
-                dst_port: 80,
-                seq: SeqNum(seq),
-                ack: SeqNum(1),
-                flags: TcpFlags::ACK,
-                window: 1000,
-                options: vec![],
-            };
-            let seg = trepr.build_segment(SRC, DST, &[9u8; 50]);
-            Ipv4Repr::new(SRC, DST, IpProtocol::Tcp, seg.len())
-                .build_packet(&seg)
-                .unwrap()
-        };
-        let y1 = mk_y(0);
-        let y2 = mk_y(50);
-        let out = coalesce_batch(vec![x1, y1, x2, y2], 65536);
-        assert_eq!(out.len(), 2, "each flow collapses to one aggregate");
-        assert_eq!(payload_of(&out[0]).len(), 200);
-        assert_eq!(payload_of(&out[1]).len(), 100);
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //! is never read.
 //!
 //! Bit-compatibility is load-bearing: [`parse_packet`] must agree
-//! exactly with `px_sim::nic::flow_key_of` (and [`parse_key`]) on the
-//! key and with `MergeEngine`'s single-packet classifier on the
-//! verdict — the `digest_pin` gate and the property suite hold it to
-//! that.
+//! exactly with [`parse_key`] on the key and with `MergeEngine`'s
+//! single-packet classifier on the verdict — the `digest_pin` gate and
+//! the property suite hold it to that.
 
 use crate::bytes;
 use crate::checksum;
@@ -156,8 +155,8 @@ pub fn parse_key(pkt: &[u8]) -> Option<FlowKey> {
 
 /// Parses and classifies one packet in a single header walk.
 ///
-/// The key computation matches `px_sim::nic::flow_key_of` exactly
-/// (including its indifference to IP fragmentation for TCP — the
+/// The key computation matches [`parse_key`] exactly (the same walk,
+/// including its indifference to IP fragmentation for TCP — the
 /// *verdict* rejects fragments, the key does not). The verdict matches
 /// the merge engine's classifier check-for-check, in the same order,
 /// so `checksum_ok` accounting is bit-identical.

@@ -69,7 +69,6 @@ proptest! {
     ) {
         let _ = px_sim::nic::try_coalesce(&a, &b, 9000);
         let _ = px_sim::nic::tso_split(&a, mtu);
-        let _ = px_sim::nic::flow_key_of(&a);
         let _ = px_wire::frag::fragment(&a, mtu);
     }
 }

@@ -409,7 +409,7 @@ mod tests {
             assert_eq!(pkt.len(), 1500);
             let ip = px_wire::ipv4::Ipv4Packet::new_checked(&pkt[..]).unwrap();
             assert!(ip.verify_checksum());
-            assert_eq!(px_sim::nic::flow_key_of(&pkt).unwrap(), key);
+            assert_eq!(px_wire::batchparse::parse_key(&pkt), Some(key));
             let o = key.src_ip.octets();
             assert_eq!(o[0], 198);
             assert!(o[1] == 18 || o[1] == 19, "class octet {}", o[1]);

@@ -2,7 +2,9 @@
 //! the PXGW hot loop (merge, split, caravan) must run **allocation-free**
 //! — every output buffer cycles engine pool → sink → engine pool without
 //! touching the global allocator, and the flow table / expiry heap reuse
-//! their preallocated storage.
+//! their preallocated storage. The DPDK-GRO baseline is held to the
+//! same bar: it is the merge engine drained at every RX burst, and the
+//! drain reuses its storage too.
 //!
 //! A counting `#[global_allocator]` wraps `System` and tallies every
 //! `alloc`/`realloc` **made by the engine thread**. All inputs are
@@ -24,7 +26,9 @@
 //! burst.
 
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
-use packet_express::core::engine::{run_engine_on_trace, CoreEngine, EngineConfig, EngineMode};
+use packet_express::core::engine::{
+    run_engine_on_trace, CoreEngine, EngineConfig, EngineMode, GRO_BURST_PKTS,
+};
 use packet_express::core::merge::{MergeConfig, MergeEngine};
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use packet_express::core::split::SplitEngine;
@@ -295,6 +299,39 @@ fn steady_state_hot_loops_do_not_allocate() {
         seen.addrs, input_addrs,
         "every mouse leaves in the allocation it arrived in"
     );
+
+    // ---- baseline: the merge engine drained at the end of every
+    // 64-packet RX burst, the way DPDK's rte_gro forwards. Eight flows
+    // interleave in runs of three contiguous segments, so each burst
+    // emits full aggregates mid-burst and partial ones at its end.
+    let pipe = PipelineConfig::fig5(SystemVariant::BaselineGro, WorkloadKind::Tcp, 1);
+    let mut gro = CoreEngine::for_pipe(&pipe);
+    gro.enable_obs(obs);
+    const GRO_WARMUP_BURSTS: usize = 2;
+    const GRO_MEASURED_BURSTS: usize = 3;
+    let burst = GRO_BURST_PKTS as usize;
+    let mut seqs = [0u32; 8];
+    let mut gro_pkts: Vec<Vec<u8>> = (0..(GRO_WARMUP_BURSTS + GRO_MEASURED_BURSTS) * burst)
+        .map(|i| {
+            let f = (i / 3) % seqs.len();
+            seqs[f] += 1460;
+            tcp_pkt(7400 + f as u16, seqs[f] - 1460, 1460)
+        })
+        .collect();
+    let gro_measured = gro_pkts.split_off(GRO_WARMUP_BURSTS * burst);
+    for pkt in gro_pkts {
+        gro.push_into(0, pkt, &mut recycler(&mut sunk));
+    }
+    let before = allocs();
+    for pkt in gro_measured {
+        gro.push_into(0, pkt, &mut recycler(&mut sunk));
+    }
+    assert_region_clean(before, "baseline");
+    let CoreEngine::Baseline(gro) = &gro else {
+        unreachable!("built as Baseline")
+    };
+    assert_eq!(gro.pool_stats().outstanding(), 0, "every burst drained");
+    assert!(gro.stats.flush_full > 0 && gro.stats.flush_timeout > 0);
 
     // ---- split: one jumbo in, six wire segments out, every round.
     let mut split = SplitEngine::new(1500);
