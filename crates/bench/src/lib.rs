@@ -12,7 +12,8 @@
 //!
 //! [`Scale`] trades fidelity for wall-clock: `Full` reproduces the
 //! paper's parameters (389k survey servers, 30 s WAN flows, 120k-packet
-//! gateway traces); `Quick` shrinks everything for CI and Criterion.
+//! gateway traces); `Quick` shrinks everything for tests and CI
+//! (`figures --quick`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +40,7 @@ pub mod trace;
 pub enum Scale {
     /// Paper-scale parameters (minutes of wall-clock for the WAN sims).
     Full,
-    /// Reduced parameters for tests and Criterion (seconds).
+    /// Reduced parameters for tests and `figures --quick` (seconds).
     Quick,
 }
 

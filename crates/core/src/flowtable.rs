@@ -16,8 +16,7 @@
 //! upstream; SipHash's DoS hardening buys nothing here and costs ~3× per
 //! lookup) provides the index. An optional per-entry deadline feeds a
 //! binary heap so hold-timer expiry (`pop_expired`) is O(log n) pops of
-//! actually-expired entries instead of an allocating full-table
-//! `take_matching` scan per poll tick.
+//! actually-expired entries.
 //!
 //! Capacity is fixed at construction; inserting into a full table evicts
 //! the least-recently-used flow (its state is returned to the caller so
@@ -347,12 +346,6 @@ impl<V> FlowTable<V> {
         self.slots[idx as usize].value.as_mut()
     }
 
-    /// Looks up without refreshing (diagnostics).
-    pub fn peek(&self, key: &FlowKey) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        self.slots[idx as usize].value.as_ref()
-    }
-
     /// Inserts (or replaces) a flow's state. If the table is full, the
     /// least-recently-used entry is evicted and returned as
     /// `(key, state)` so the caller can flush it.
@@ -491,13 +484,6 @@ impl<V> FlowTable<V> {
         None
     }
 
-    /// Iterates over `(key, &mut state)` pairs (e.g. to flush deadlines).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&FlowKey, &mut V)> {
-        self.slots
-            .iter_mut()
-            .filter_map(|s| s.value.as_mut().map(|v| (&s.key, v)))
-    }
-
     /// Drains the whole table (shutdown flush), in slot (≈ insertion)
     /// order.
     pub fn drain(&mut self) -> Vec<(FlowKey, V)> {
@@ -522,23 +508,6 @@ impl<V> FlowTable<V> {
         self.expiry.clear();
         self.lru_head = [NIL; 2];
         self.lru_tail = [NIL; 2];
-    }
-
-    /// Removes every entry for which `pred` returns true, returning them.
-    pub fn take_matching(
-        &mut self,
-        mut pred: impl FnMut(&FlowKey, &V) -> bool,
-    ) -> Vec<(FlowKey, V)> {
-        let matching: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&i| {
-                let s = &self.slots[i as usize];
-                s.value.as_ref().is_some_and(|v| pred(&s.key, v))
-            })
-            .collect();
-        matching
-            .into_iter()
-            .filter_map(|i| self.detach(i))
-            .collect()
     }
 
     /// The tracked keys in eviction order — the probation segment from
@@ -596,8 +565,7 @@ mod tests {
         assert_eq!(evicted, (key(2), 2));
         assert_eq!(t.len(), 3);
         assert_eq!(t.evictions, 1);
-        assert!(t.peek(&key(2)).is_none());
-        assert!(t.peek(&key(1)).is_some());
+        assert_eq!(t.lru_order(), vec![key(3), key(1), key(4)]);
     }
 
     #[test]
@@ -619,14 +587,11 @@ mod tests {
     }
 
     #[test]
-    fn take_matching_and_drain() {
+    fn drain_empties_the_table() {
         let mut t: FlowTable<u32> = FlowTable::new(10);
-        for i in 0..6 {
+        for i in 0..3 {
             t.insert(key(i), u32::from(i));
         }
-        let evens = t.take_matching(|_, v| v % 2 == 0);
-        assert_eq!(evens.len(), 3);
-        assert_eq!(t.len(), 3);
         let rest = t.drain();
         assert_eq!(rest.len(), 3);
         assert!(t.is_empty());

@@ -13,7 +13,6 @@ use crate::merge::{MergeConfig, MergeEngine};
 use crate::mss::raise_mss;
 use crate::split::SplitEngine;
 use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
-use px_obs::{ObsConfig, ObsReport};
 use px_sim::node::{Ctx, Node, PortId};
 use px_sim::Nanos;
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
@@ -150,34 +149,6 @@ impl PxGateway {
                 )
             }),
             advert_seq: 0,
-        }
-    }
-
-    /// Arms the span recorder on all three datapath engines. Each
-    /// engine gets its own ring so a post-mortem can attribute spans
-    /// to the stage that produced them.
-    pub fn enable_obs(&mut self, cfg: ObsConfig) {
-        self.merge.enable_obs(cfg);
-        self.split.enable_obs(cfg);
-        self.caravan.enable_obs(cfg);
-    }
-
-    /// Collects the three engines' histograms and recent spans into a
-    /// single [`ObsReport`] (cores 0‥2 = merge, split, caravan). The
-    /// recorders keep their state; this is a snapshot, not a drain.
-    pub fn obs_report(&self) -> ObsReport {
-        let stages = [self.merge.obs(), &self.split.obs, self.caravan.obs()];
-        if !stages.iter().any(|r| r.is_enabled()) {
-            return ObsReport::disabled();
-        }
-        let mut hists = *stages[0].hists();
-        hists.merge(stages[1].hists());
-        hists.merge(stages[2].hists());
-        ObsReport {
-            enabled: true,
-            hists,
-            per_core_spans: stages.iter().map(|r| r.recent_spans(usize::MAX)).collect(),
-            ..ObsReport::disabled()
         }
     }
 

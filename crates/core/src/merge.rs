@@ -327,11 +327,6 @@ impl MergeEngine {
         &self.chassis.obs
     }
 
-    /// Flow-table lookups performed so far (cost accounting).
-    pub fn lookups(&self) -> u64 {
-        self.table.lookups
-    }
-
     /// Buffer-pool counters (allocation accounting).
     pub fn pool_stats(&self) -> PoolStats {
         self.chassis.pool.stats
