@@ -4,8 +4,8 @@
 //! *model* Fig. 5a/5b throughput, this module actually runs the
 //! datapath, in the shape RSS hardware gives the paper's DPDK gateway:
 //! the byte-accurate trace is sharded once with the real Toeplitz
-//! [`RssHasher`] into one flat, arrival-ordered `(timestamp, packet)`
-//! queue per core, and each core's [`CoreEngine`] worker **owns its
+//! [`RssHasher`] into one flat, arrival-ordered `(timestamp, flow hash,
+//! packet)` queue per core, and each core's [`CoreEngine`] worker **owns its
 //! shard and runs it to completion** — `for burst in shard.chunks(n)
 //! { recv → translate → send }`, then an end-of-stream idle tick, the
 //! drain, and one hand-off to the [`StatsRegistry`]. Nothing sits
@@ -39,7 +39,8 @@
 
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::chassis::Chassis;
-use crate::merge::{MergeConfig, MergeEngine};
+use crate::flowtable::{flow_hash, FlowTable};
+use crate::merge::{FlowState, MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use px_faults::{
     FaultInjector, FaultPlan, FaultSpec, Heartbeats, IngressStats, PlannedFaults, StallDetector,
@@ -50,9 +51,9 @@ use px_obs::{
     TimeSample,
 };
 use px_sim::stats::{CoreCounters, StatsRegistry};
-#[cfg(not(test))]
-use px_wire::batchparse::prefetch_packet;
 use px_wire::batchparse::{self, ParsedMeta};
+#[cfg(not(test))]
+use px_wire::batchparse::{prefetch_packet, prefetch_ref};
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::pool::PacketSink;
 use px_wire::{FlowKey, IpProtocol, PacketBuf, RssHasher};
@@ -62,7 +63,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 #[cfg(test)]
-use tests::prefetch_packet;
+use tests::{prefetch_packet, prefetch_ref};
 
 /// One core's gateway datapath: the actual translation engine the
 /// pipeline model and the threaded engine both drive.
@@ -240,6 +241,16 @@ impl CoreEngine {
         match self {
             CoreEngine::Baseline(m) | CoreEngine::Merge(m) => &mut m.chassis,
             CoreEngine::Caravan(c) => &mut c.chassis,
+        }
+    }
+
+    /// The flow table the worker's lookahead warms: a merge engine's
+    /// one table, while its live population is past what stays in
+    /// cache.
+    pub(crate) fn lookahead_table(&self) -> Option<&FlowTable<FlowState>> {
+        match self {
+            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.lookahead_table(),
+            CoreEngine::Caravan(_) => None,
         }
     }
 
@@ -483,6 +494,14 @@ struct Worker {
 /// at this engine's per-packet cost; more only evicts what was fetched.
 pub const PREFETCH_BYTES: usize = 4096;
 
+/// How far ahead of the worker's cursor the flow-table lookahead
+/// requests a packet's index bucket, and then its slot: the slot's
+/// address is read from the bucket, so the bucket must have landed by
+/// the time the slot is requested, and the slot by the time the packet
+/// is processed.
+const INDEX_AHEAD: usize = 8;
+const SLOT_AHEAD: usize = 4;
+
 /// The worker's [`PacketSink`]: accounts every emitted packet into the
 /// worker's counters and digests, then hands the buffer back for pool
 /// recycling. This closes the allocation loop — on the steady-state hot
@@ -617,7 +636,7 @@ impl Worker {
     /// A burst comes with the rest of the shard behind it to look into.
     fn run_shard<P: BorrowMut<Vec<u8>>>(
         &mut self,
-        shard: &mut [(u64, P)],
+        shard: &mut [(u64, u32, P)],
         registry: &StatsRegistry,
         heartbeats: &Heartbeats,
     ) {
@@ -644,7 +663,7 @@ impl Worker {
     /// after which the worker rescues its flow state, restarts its
     /// engine in place, and reprocesses the batch it was handed: the
     /// first `n` packets of `shard`.
-    fn run_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, P)], n: usize) {
+    fn run_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, u32, P)], n: usize) {
         if !self.faults.spec.enabled {
             self.process_batch(shard, n);
             return;
@@ -663,7 +682,7 @@ impl Worker {
             // px-analyze: allow(R1, reason = "deliberate injected fault: the panic is caught on this same line and drives the restart path under test")
             let caught = std::panic::catch_unwind(|| panic!("injected worker fault"));
             if caught.is_err() {
-                let now = shard.first().map_or(0, |(t, _)| *t);
+                let now = shard.first().map_or(0, |(t, _, _)| *t);
                 self.restart_worker(idx, now);
             }
         }
@@ -732,8 +751,12 @@ impl Worker {
 
     /// One burst — the first `n` packets of `shard` — fed to the engine
     /// a packet at a time: verify, append, free, each while the packet
-    /// is in L1. What follows the burst in `shard` is only prefetched.
-    fn process_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, P)], n: usize) {
+    /// is in L1. What follows the burst in `shard` is only prefetched:
+    /// packet bytes always, and — once the flow table has outgrown the
+    /// cache — the index bucket and then the slot each packet's flow
+    /// hash points at. The hashes only steer prefetches; the engine
+    /// looks up the key it parses.
+    fn process_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, u32, P)], n: usize) {
         self.counters.batches += 1;
         let batch_start = if self.obs_on {
             // px-analyze: allow(R8, reason = "wall clock feeds the batch-latency histogram only; digests and every forwarding decision derive from the simulated event clock, so replays stay bit-identical")
@@ -751,12 +774,26 @@ impl Worker {
         let cost = |pkt: &Vec<u8>| pkt.len().max(64);
         let (mut ahead, mut inflight) = (0usize, 0usize);
         for i in 0..n {
-            while let Some((_, next)) = shard.get(ahead).filter(|_| inflight < PREFETCH_BYTES) {
+            while let Some((_, _, next)) = shard.get(ahead).filter(|_| inflight < PREFETCH_BYTES) {
                 prefetch_packet(next.borrow());
                 inflight += cost(next.borrow());
                 ahead += 1;
             }
-            let Some((now, pkt)) = shard.get_mut(i) else {
+            if let Some(table) = engine.lookahead_table() {
+                if let Some(b) = shard
+                    .get(i + INDEX_AHEAD)
+                    .and_then(|e| table.index_line(e.1))
+                {
+                    prefetch_ref(b);
+                }
+                if let Some(s) = shard
+                    .get(i + SLOT_AHEAD)
+                    .and_then(|e| table.slot_guess(e.1))
+                {
+                    prefetch_ref(s);
+                }
+            }
+            let Some((now, _, pkt)) = shard.get_mut(i) else {
                 break;
             };
             // The packet leaves the trace here and is freed as soon as
@@ -890,6 +927,9 @@ impl Worker {
 /// with engine-run digests and across core counts.
 pub struct CoreDriver {
     worker: Worker,
+    /// The batch being run, each packet beside its flow hash; kept so
+    /// a warm driver allocates nothing per batch.
+    staged: Vec<(u64, u32, Vec<u8>)>,
 }
 
 impl CoreDriver {
@@ -901,13 +941,21 @@ impl CoreDriver {
         cfg.obs = ObsConfig::disabled();
         CoreDriver {
             worker: Worker::new(&cfg, core),
+            staged: Vec::new(),
         }
     }
 
     /// Processes one batch of `(arrival_ns, packet)` pairs in order.
-    pub fn run_batch(&mut self, mut batch: Vec<(u64, Vec<u8>)>) {
-        let n = batch.len();
-        self.worker.run_batch(&mut batch, n);
+    /// Each packet's flow hash, the worker's prefetch hint, is taken
+    /// from its headers (0 for a keyless packet).
+    pub fn run_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) {
+        self.staged.clear();
+        self.staged.extend(batch.into_iter().map(|(now, pkt)| {
+            let hash = batchparse::parse_key(&pkt).map_or(0, |k| flow_hash(&k));
+            (now, hash, pkt)
+        }));
+        let n = self.staged.len();
+        self.worker.run_batch(&mut self.staged, n);
     }
 
     /// Drains every held aggregate and folds the engine's counters in.
@@ -950,15 +998,19 @@ struct WorkerOutput {
     captured: Vec<Vec<u8>>,
 }
 
-/// One core's input: `(arrival-time, packet)` pairs in arrival order,
-/// each packet still where the caller's trace put it.
-type Shard<'t> = Vec<(u64, &'t mut Vec<u8>)>;
+/// One core's input: `(arrival-time, flow hash, packet)` in arrival
+/// order, each packet still where the caller's trace put it. The hash
+/// is [`flow_hash`] of the caller's key: a prefetch hint, never a
+/// lookup.
+type Shard<'t> = Vec<(u64, u32, &'t mut Vec<u8>)>;
 
 /// Shards the trace per core, in arrival order, with arrival timestamps
 /// derived from the offered load — the single sharding path both modes
 /// consume. What RSS does in the NIC: after this pass every packet
-/// is queued for the one core that will ever touch it. Queued by
-/// reference: the pass writes 16 bytes per packet and moves none.
+/// is queued for the one core that will ever touch it, beside the flow
+/// hash its core's table will probe (on hardware, the hash the RX
+/// descriptor carries). Queued by reference: the pass writes 24 bytes
+/// per packet and moves none.
 fn shard_trace<'t>(cfg: &EngineConfig, trace: &'t mut [(FlowKey, Vec<u8>)]) -> Vec<Shard<'t>> {
     let rss = RssHasher::symmetric();
     let cores = cfg.pipe.cores;
@@ -971,7 +1023,7 @@ fn shard_trace<'t>(cfg: &EngineConfig, trace: &'t mut [(FlowKey, Vec<u8>)]) -> V
         .collect();
     for (i, (key, pkt)) in trace.iter_mut().enumerate() {
         let now = (i as f64 * inter_arrival_ns) as u64;
-        shards[rss.queue_for(key, cores)].push((now, pkt));
+        shards[rss.queue_for(key, cores)].push((now, flow_hash(key), pkt));
     }
     shards
 }
@@ -1307,10 +1359,17 @@ mod tests {
         static HINT_OFF: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// The hint the worker calls under test: the real one, or nothing.
+    /// The hints the worker calls under test: the real ones, or
+    /// nothing.
     pub(super) fn prefetch_packet(pkt: &[u8]) {
         if !HINT_OFF.get() {
             batchparse::prefetch_packet(pkt);
+        }
+    }
+
+    pub(super) fn prefetch_ref<T>(value: &T) {
+        if !HINT_OFF.get() {
+            batchparse::prefetch_ref(value);
         }
     }
 
@@ -1320,14 +1379,14 @@ mod tests {
     fn shard_trace_copying(
         cfg: &EngineConfig,
         trace: Vec<(FlowKey, Vec<u8>)>,
-    ) -> Vec<Vec<(u64, Vec<u8>)>> {
+    ) -> Vec<Vec<(u64, u32, Vec<u8>)>> {
         let rss = RssHasher::symmetric();
         let cores = cfg.pipe.cores;
         let inter_arrival_ns = 1e9 / cfg.pipe.offered_pps;
         let mut shards = vec![Vec::new(); cores];
         for (i, (key, pkt)) in trace.into_iter().enumerate() {
             let now = (i as f64 * inter_arrival_ns) as u64;
-            shards[(rss.hash(&key) as usize) % cores].push((now, pkt));
+            shards[(rss.hash(&key) as usize) % cores].push((now, flow_hash(&key), pkt));
         }
         shards
     }
@@ -1354,9 +1413,9 @@ mod tests {
             let shards = shard_trace(&cfg, &mut trace);
             assert_eq!(shards.len(), cores);
             for (core, (got, want)) in shards.iter().zip(&expect).enumerate() {
-                let got: Vec<(u64, Vec<u8>)> = got
+                let got: Vec<(u64, u32, Vec<u8>)> = got
                     .iter()
-                    .map(|(now, pkt)| (*now, (**pkt).clone()))
+                    .map(|(now, hash, pkt)| (*now, *hash, (**pkt).clone()))
                     .collect();
                 assert_eq!(&got, want, "core {core} of {cores}");
             }
@@ -1375,14 +1434,17 @@ mod tests {
     /// compiled out: counters, delivered bytes and the span stream.
     fn run_one_core(
         cfg: &EngineConfig,
-        shard: &mut [(u64, Vec<u8>)],
+        shard: &mut [(u64, u32, Vec<u8>)],
         hint: bool,
     ) -> (CoreCounters, Vec<Vec<u8>>, Vec<Span>) {
         HINT_OFF.set(!hint);
         let registry = StatsRegistry::new(1);
-        let refs = shard.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
+        let refs = shard
+            .iter_mut()
+            .map(|(now, h, pkt)| (*now, *h, pkt))
+            .collect();
         let out = run_core(cfg, 0, refs, &registry, &Heartbeats::new(1));
-        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
+        assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
         (registry.aggregate(), out.captured, out.obs.spans)
     }
 
@@ -1407,14 +1469,14 @@ mod tests {
             cfg.capture_output = true;
             cfg.obs.span_capacity = 1 << 12;
             let mut shard = one_shard(&pipe, 3, len, seed);
-            for ((_, pkt), kind) in shard.iter_mut().zip(&kinds) {
+            for ((_, _, pkt), kind) in shard.iter_mut().zip(&kinds) {
                 match kind {
                     0 => pkt.clear(),
                     1 => pkt.resize(9_000, 0x45),
                     _ => {}
                 }
             }
-            let bytes_in: usize = shard.iter().map(|(_, pkt)| pkt.len()).sum();
+            let bytes_in: usize = shard.iter().map(|(_, _, pkt)| pkt.len()).sum();
             let hinted = run_one_core(&cfg, &mut shard.clone(), true);
             let plain = run_one_core(&cfg, &mut shard, false);
             prop_assert_eq!(hinted.0.pkts_in, len as u64);
@@ -1439,13 +1501,49 @@ mod tests {
         flows: usize,
         pkts: usize,
         seed: u64,
-    ) -> Vec<(u64, Vec<u8>)> {
+    ) -> Vec<(u64, u32, Vec<u8>)> {
         TraceGen::new(pipe.workload, flows, pipe.emtu, pipe.mean_run, seed)
             .generate(pkts)
             .into_iter()
             .enumerate()
-            .map(|(i, (_, pkt))| (i as u64 * 1_000, pkt))
+            .map(|(i, (key, pkt))| (i as u64 * 1_000, flow_hash(&key), pkt))
             .collect()
+    }
+
+    /// The shard's flow hash is a prefetch hint, never a lookup: hand
+    /// `run_engine_on_trace` another flow's key for every packet, so
+    /// every hint names the wrong bucket and slot, and a one-core
+    /// Deterministic run still delivers exactly what the true keys do.
+    /// The steering table tracks enough flows that the lookahead runs.
+    #[test]
+    fn wrong_hints_cost_only_a_wasted_prefetch() {
+        let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
+        pipe.n_flows = 40_000;
+        pipe.mean_run = 2;
+        pipe.steer = Some(crate::steer::SteerConfig::default());
+        let trace = TraceGen::new(pipe.workload, pipe.n_flows, pipe.emtu, pipe.mean_run, 9)
+            .generate(60_000);
+        // Each flow's key becomes the next flow's, cyclically.
+        let mut flows: Vec<FlowKey> = trace.iter().map(|(k, _)| *k).collect();
+        flows.sort_unstable();
+        flows.dedup();
+        let other = |k: &FlowKey| {
+            let i = flows.binary_search(k).unwrap_or(0);
+            flows[(i + 1) % flows.len()]
+        };
+        let wrong: Vec<(FlowKey, Vec<u8>)> = trace
+            .iter()
+            .map(|(k, pkt)| (other(k), pkt.clone()))
+            .collect();
+        assert!(trace.iter().zip(&wrong).all(|(a, b)| a.0 != b.0));
+        let run =
+            |trace| run_engine_on_trace(EngineConfig::new(pipe, EngineMode::Deterministic), trace);
+        let (right, wrong) = (run(trace), run(wrong));
+        let live = right.totals.flows_live as usize;
+        let per_flow = std::mem::size_of::<crate::flowtable::Slot<FlowState>>() + 16;
+        assert!(live * per_flow > 1 << 20, "{live} flows stay in cache");
+        assert_eq!(right.totals, wrong.totals);
+        assert_eq!(right.flow_digests, wrong.flow_digests);
     }
 
     #[test]
@@ -1601,7 +1699,7 @@ mod tests {
         let mut w = Worker::new(&cfg, 0);
         w.run_shard(&mut shard, &registry, &heartbeats);
         assert_eq!((w.counters.batches, heartbeats.read(0)), (3, 3));
-        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
+        assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
         let after_tick = w.counters.pkts_out;
         assert!(after_tick > w.counters.pkts_out_inband);
         assert_eq!(w.pool_outstanding(), 0);
@@ -1618,7 +1716,10 @@ mod tests {
             let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
             cfg.serve_port = serve_port;
             let mut owned = one_shard(&pipe, 8, 2_000, 3);
-            let shard = owned.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
+            let shard = owned
+                .iter_mut()
+                .map(|(now, h, pkt)| (*now, *h, pkt))
+                .collect();
             let registry = StatsRegistry::new(1);
             let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1)).obs;
             assert!(!out.spans.is_empty(), "the report always gets the spans");

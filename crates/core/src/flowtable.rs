@@ -1,4 +1,5 @@
-//! The PXGW flow table: bounded, LRU-evicting, per-flow state storage.
+//! The PXGW flow table: bounded, second-chance-evicting, per-flow state
+//! storage with addressable buckets.
 //!
 //! §3 of the paper: "packet merging requires identifying flows and
 //! determining whether incoming packets are contiguous and mergeable,
@@ -6,123 +7,103 @@
 //! adopt data structures that support fast lookup of adjacent packets
 //! under a large number of flows."
 //!
-//! Layout: entries live in a slab (`Vec<Slot>` plus a free list) and an
-//! *intrusive doubly-linked LRU list* threads through them by slot
-//! index, so a lookup refresh and an eviction are both O(1) pointer
-//! splices — the previous implementation rescanned the whole map
-//! (`iter().min_by_key`) to find the LRU victim on every full insert.
-//! A `HashMap<FlowKey, slot>` keyed by a fast deterministic FxHash-style
-//! hasher (the flow tuple is already uniformly mixed by Toeplitz RSS
-//! upstream; SipHash's DoS hardening buys nothing here and costs ~3× per
-//! lookup) provides the index. An optional per-entry deadline feeds a
-//! binary heap so hold-timer expiry (`pop_expired`) is O(log n) pops of
-//! actually-expired entries.
+//! Layout: entries live in a slab (`Vec<Slot>` plus a free list). The
+//! index is the table's own open-addressed array: a power of two of
+//! 8-byte buckets, each a 32-bit hash tag plus a 32-bit slot index,
+//! probed linearly from the bucket [`flow_hash`] names and compacted by
+//! backward-shift deletion (no tombstones). Because the index is ours,
+//! the bucket a future packet will probe has a known address: the engine
+//! worker prefetches it, and the slot it points at, a few packets ahead
+//! ([`index_line`](FlowTable::index_line),
+//! [`slot_guess`](FlowTable::slot_guess)).
 //!
-//! Capacity is fixed at construction; inserting into a full table evicts
-//! the least-recently-used flow (its state is returned to the caller so
-//! pending merges can be flushed rather than dropped). Lookups are
-//! counted so the cycle model can price them.
+//! Eviction is CLOCK-style second chance over two FIFO segments threaded
+//! through the slab: *probation* (new and unclassified flows, evicted
+//! first) and *protected* (flows the caller marked hot with
+//! [`protect`](FlowTable::protect)). A hit only sets the slot's
+//! reference bit — no list splice, so a hit writes one line. An eviction
+//! takes the segment head: a referenced head has its bit cleared and
+//! moves to the tail, and the first unreferenced head is the victim.
+//! The protected segment is consulted only when probation is empty. The
+//! victim's state is returned so pending merges are flushed, not
+//! dropped.
 //!
-//! LRU semantics are identical to the old clock-counter version —
-//! `get_mut` and `insert` each count one lookup and refresh recency
-//! (misses included in the count), eviction picks the least recently
-//! touched entry — a property the model-equivalence test pins.
+//! An optional per-entry deadline feeds a binary heap, so hold-timer
+//! expiry ([`pop_expired`](FlowTable::pop_expired)) pops only entries
+//! that actually expired. Capacity and every arena are fixed at
+//! construction. Key lookups are counted so the cost model can price
+//! them, and so tests can hold a caller to one lookup per packet.
 
 use px_wire::FlowKey;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
-/// Sentinel slot index terminating the LRU list.
+/// Sentinel slot index: the end of a segment list, or an empty bucket.
 const NIL: u32 = u32::MAX;
 
 /// Deadline value meaning "never expires": such entries skip the heap.
 pub const NO_DEADLINE: u64 = u64::MAX;
 
-/// An FxHash-style deterministic hasher for flow keys.
-///
-/// The 5-tuple reaching this table was already spread across cores by
-/// the Toeplitz RSS hash, so keys arriving at one table are naturally
-/// diverse; a multiply-rotate mix is ample and, unlike the default
-/// `RandomState`, is reproducible across runs — which the engine's
-/// Deterministic mode requires of everything on the datapath.
-#[derive(Default)]
-pub struct FlowHasher(u64);
+/// Live state (slots plus their index share) past which a table no
+/// longer stays cached between two packets of one flow: half the 2 MiB
+/// per-core L2 of a current server core. Below it the worker's table
+/// lookahead would only add work.
+const CACHE_RESIDENT_BYTES: usize = 1 << 20;
 
-/// 2^64 / φ, the usual Fibonacci-hashing multiplier (same as rustc's
-/// FxHash).
+/// 2^64 / φ, the Fibonacci-hashing multiplier (rustc's FxHash uses it).
 const FX_K: u64 = 0x517c_c1b7_2722_0a95;
+/// A second odd multiplier (from SplitMix64's finaliser).
+const MIX_K: u64 = 0xbf58_476d_1ce4_e5b9;
 
-impl FlowHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_K);
-    }
+/// The 32-bit hash a [`FlowTable`] indexes `key` by: its low bits pick
+/// the home bucket, and all 32 are the bucket's tag.
+///
+/// A deterministic multiply-xorshift mix of the packed 5-tuple. The
+/// tuple reaching one table was already spread across cores by the
+/// Toeplitz RSS hash, so keys arriving at a table are diverse and a
+/// keyed (DoS-hardened) hash buys nothing; unlike `RandomState` this is
+/// reproducible across runs, which Deterministic mode requires of
+/// everything on the datapath. The engine's sharding pass computes it
+/// once per packet as a prefetch hint; the engine recomputes it from
+/// the key it parses, so a wrong hint costs a wasted prefetch only.
+#[inline]
+pub fn flow_hash(key: &FlowKey) -> u32 {
+    let ips = (u64::from(u32::from(key.src_ip)) << 32) | u64::from(u32::from(key.dst_ip));
+    let rest = (u64::from(key.src_port) << 32)
+        | (u64::from(key.dst_port) << 16)
+        | u64::from(u8::from(key.proto));
+    let h = (ips.wrapping_mul(FX_K) ^ rest).wrapping_mul(MIX_K);
+    (h >> 32) as u32 ^ h as u32
 }
 
-impl Hasher for FlowHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, mut bytes: &[u8]) {
-        while bytes.len() >= 8 {
-            self.add(px_wire::bytes::le64(bytes, 0));
-            bytes = px_wire::bytes::range_from(bytes, 8);
-        }
-        if !bytes.is_empty() {
-            let mut w = [0u8; 8];
-            px_wire::bytes::put(&mut w, 0, bytes);
-            self.add(u64::from_le_bytes(w));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
+/// One index bucket: the entry's hash tag and its slot, or `slot == NIL`
+/// when empty.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bucket {
+    tag: u32,
+    slot: u32,
 }
 
-/// The hasher state every map in this module uses.
-pub type FlowBuildHasher = BuildHasherDefault<FlowHasher>;
+const EMPTY: Bucket = Bucket { tag: 0, slot: NIL };
 
+/// One slab entry.
 #[derive(Debug)]
-struct Slot<V> {
+pub(crate) struct Slot<V> {
     key: FlowKey,
     /// `None` while the slot is on the free list.
     value: Option<V>,
     deadline: u64,
-    /// Bumped on every vacate/replace, so parked heap entries for a
-    /// previous occupant of this slot are recognisably stale.
+    /// Bumped on every arm, disarm and vacate, so parked heap entries
+    /// for a previous deadline or occupant are recognisably stale.
     gen: u32,
-    lru_prev: u32,
-    lru_next: u32,
-    /// Which LRU segment the slot lives on: `false` = probation (idle /
+    prev: u32,
+    next: u32,
+    /// Which segment the slot lives on: `false` = probation (idle /
     /// unclassified flows, evicted first), `true` = protected (flows the
     /// caller marked hot via [`FlowTable::protect`]).
     protected: bool,
+    /// Set by a hit, cleared when an eviction scan passes the slot over.
+    referenced: bool,
 }
 
 /// Sizing policy for a [`FlowTable`]: an entry-count ceiling plus an
@@ -151,30 +132,37 @@ impl FlowTableConfig {
     }
 }
 
-/// A bounded per-flow state table with O(1) LRU eviction and O(log n)
-/// deadline expiry.
+/// The outcome of [`FlowTable::entry`]: where the flow's slot is,
+/// whether it was already tracked, and the flow evicted to make room.
+#[derive(Debug)]
+pub(crate) struct Entry<V> {
+    pub slot: u32,
+    pub found: bool,
+    pub evicted: Option<(FlowKey, V)>,
+}
+
+/// A bounded per-flow state table with O(1) second-chance eviction and
+/// O(log n) deadline expiry.
 #[derive(Debug)]
 pub struct FlowTable<V> {
-    map: HashMap<FlowKey, u32, FlowBuildHasher>,
+    /// Open-addressed buckets, a power of two larger than `capacity`.
+    index: Vec<Bucket>,
+    /// `index.len() - 1`.
+    mask: usize,
     slots: Vec<Slot<V>>,
     free_slots: Vec<u32>,
-    /// Per-segment least-recently-used entries, indexed by
-    /// `protected as usize`: `[0]` is the probation list (evicted
-    /// first), `[1]` the protected list (evicted only under pressure).
-    lru_head: [u32; 2],
-    /// Per-segment most-recently-used entries, same indexing.
-    lru_tail: [u32; 2],
+    /// Per-segment heads (the next eviction candidates), indexed by
+    /// `protected as usize`: `[0]` is probation, `[1]` protected.
+    head: [u32; 2],
+    /// Per-segment tails (newest entries), same indexing.
+    tail: [u32; 2],
     /// Min-heap of (deadline, slot, gen); stale entries are skipped
     /// lazily on pop.
     expiry: BinaryHeap<Reverse<(u64, u32, u32)>>,
     capacity: usize,
-    /// Hash-index bytes, captured at build: the bucket array is sized
-    /// once for the preallocated capacity and rehashes in place
-    /// thereafter (the table never holds more than `capacity` entries),
-    /// but the map's live `capacity()` accounting fluctuates with
-    /// tombstones, so it is not a stable byte measure.
-    map_bytes: usize,
-    /// Total lookups performed (for cost accounting).
+    /// Key lookups performed (for cost accounting): one per
+    /// `get_mut`, `insert*` or `entry`. Work addressed by slot —
+    /// eviction, removal, expiry — is not a lookup.
     pub lookups: u64,
     /// Evictions performed (`evicted_idle + evicted_pressure`).
     pub evictions: u64,
@@ -182,7 +170,8 @@ pub struct FlowTable<V> {
     /// victim — the cheap case.
     pub evicted_idle: u64,
     /// Capacity evictions forced onto the protected segment because the
-    /// probation list was empty — active flows lost to arrival pressure.
+    /// probation segment was empty — active flows lost to arrival
+    /// pressure.
     pub evicted_pressure: u64,
 }
 
@@ -204,10 +193,10 @@ impl<V> FlowTable<V> {
             None => cfg.capacity,
         };
         if let Some(budget) = cfg.memory_budget {
-            // The hash index rounds its bucket array up to a power of
-            // two, so the per-entry estimate can land over budget; back
-            // off until the *realised* arenas fit. Construction-time
-            // only — the hot path never resizes.
+            // The index rounds up to a power of two, so the per-entry
+            // estimate can land over budget; back off until the
+            // *realised* arenas fit. Construction-time only — the hot
+            // path never resizes.
             loop {
                 let t = Self::build(capacity);
                 if t.arena_bytes() <= budget || capacity == 1 {
@@ -219,22 +208,21 @@ impl<V> FlowTable<V> {
         Self::build(capacity)
     }
 
-    /// Allocates the arenas for an already-clamped capacity.
+    /// Allocates the arenas for an already-clamped capacity. The index
+    /// keeps its load at or under 80 %, so every probe meets an empty
+    /// bucket.
     fn build(capacity: usize) -> Self {
         let prealloc = capacity.min(1 << 20);
-        let map: HashMap<FlowKey, u32, FlowBuildHasher> =
-            HashMap::with_capacity_and_hasher(prealloc, FlowBuildHasher::default());
-        let map_bytes =
-            map.capacity() * (std::mem::size_of::<FlowKey>() + std::mem::size_of::<u32>() + 1);
+        let buckets = (capacity + capacity / 4 + 1).next_power_of_two().max(8);
         FlowTable {
-            map,
+            index: vec![EMPTY; buckets],
+            mask: buckets - 1,
             slots: Vec::with_capacity(prealloc),
             free_slots: Vec::with_capacity(prealloc),
-            lru_head: [NIL; 2],
-            lru_tail: [NIL; 2],
+            head: [NIL; 2],
+            tail: [NIL; 2],
             expiry: BinaryHeap::with_capacity(prealloc),
             capacity,
-            map_bytes,
             lookups: 0,
             evictions: 0,
             evicted_idle: 0,
@@ -242,14 +230,12 @@ impl<V> FlowTable<V> {
         }
     }
 
-    /// Worst-case resident bytes one entry costs across the three
-    /// arenas: its slab slot, its hash-index entry (key, slot index, and
-    /// one control byte), its free-list cell, and one expiry-heap node.
+    /// Worst-case resident bytes one entry costs across the arenas: its
+    /// slab slot, its index share (at most 2.5 buckets), its free-list
+    /// cell, and one expiry-heap node.
     pub fn entry_bytes() -> usize {
         std::mem::size_of::<Slot<V>>()
-            + std::mem::size_of::<FlowKey>()
-            + std::mem::size_of::<u32>()
-            + 1
+            + 5 * std::mem::size_of::<Bucket>() / 2
             + std::mem::size_of::<u32>()
             + std::mem::size_of::<Reverse<(u64, u32, u32)>>()
     }
@@ -259,13 +245,13 @@ impl<V> FlowTable<V> {
         self.capacity
     }
 
-    /// Bytes currently reserved by the table's arenas (slab, hash
-    /// index, free list, expiry heap), computed from live capacities.
-    /// Under a `memory_budget` this never exceeds the budget: every
-    /// arena is preallocated to the clamped capacity and reused.
+    /// Bytes currently reserved by the table's arenas (slab, index,
+    /// free list, expiry heap), computed from live capacities. Under a
+    /// `memory_budget` this never exceeds the budget: every arena is
+    /// preallocated to the clamped capacity and reused.
     pub fn arena_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<V>>()
-            + self.map_bytes
+            + self.index.capacity() * std::mem::size_of::<Bucket>()
             + self.free_slots.capacity() * std::mem::size_of::<u32>()
             + self.expiry.capacity() * std::mem::size_of::<Reverse<(u64, u32, u32)>>()
     }
@@ -280,82 +266,185 @@ impl<V> FlowTable<V> {
         self.len() == 0
     }
 
-    /// Unlinks `idx` from its LRU segment.
-    fn lru_unlink(&mut self, idx: u32) {
+    /// Whether the live population is past what stays in cache: the
+    /// point from which prefetching a packet's bucket and slot ahead of
+    /// time pays.
+    pub(crate) fn beyond_cache(&self) -> bool {
+        let per_flow = std::mem::size_of::<Slot<V>>() + 2 * std::mem::size_of::<Bucket>();
+        self.len() * per_flow > CACHE_RESIDENT_BYTES
+    }
+
+    /// The bucket `hash` probes first, for a lookahead to prefetch.
+    pub(crate) fn index_line(&self, hash: u32) -> Option<&Bucket> {
+        self.index.get(hash as usize & self.mask)
+    }
+
+    /// The slot the first few buckets from `hash`'s home name under its
+    /// tag — the slot a lookup of that hash will most likely read, for a
+    /// lookahead to prefetch. A guess: keys are not compared.
+    pub(crate) fn slot_guess(&self, hash: u32) -> Option<&Slot<V>> {
+        let mut pos = hash as usize & self.mask;
+        for _ in 0..4 {
+            let b = self.index.get(pos)?;
+            if b.slot == NIL {
+                return None;
+            }
+            if b.tag == hash {
+                return self.slots.get(b.slot as usize);
+            }
+            pos = (pos + 1) & self.mask;
+        }
+        None
+    }
+
+    /// Walks `hash`'s probe sequence: `Ok(slot)` where `key` lives, or
+    /// `Err(bucket)`, the empty bucket that ends the walk.
+    fn probe(&self, hash: u32, key: &FlowKey) -> Result<u32, usize> {
+        let mut pos = hash as usize & self.mask;
+        loop {
+            let b = self.index[pos];
+            if b.slot == NIL {
+                return Err(pos);
+            }
+            if b.tag == hash && self.slots[b.slot as usize].key == *key {
+                return Ok(b.slot);
+            }
+            pos = (pos + 1) & self.mask;
+        }
+    }
+
+    /// Removes the bucket naming `slot` from the index, shifting later
+    /// entries of the probe run back so no walk ever crosses a hole.
+    fn unindex(&mut self, slot: u32) {
+        let hash = flow_hash(&self.slots[slot as usize].key);
+        let mut hole = hash as usize & self.mask;
+        while self.index[hole].slot != slot {
+            if self.index[hole].slot == NIL {
+                debug_assert!(false, "slot {slot} is not indexed");
+                return;
+            }
+            hole = (hole + 1) & self.mask;
+        }
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & self.mask;
+            let b = self.index[pos];
+            if b.slot == NIL {
+                break;
+            }
+            // `b` may fill the hole unless its home lies cyclically in
+            // (hole, pos]: it would then be moved before its home.
+            let home = b.tag as usize & self.mask;
+            if pos.wrapping_sub(home) & self.mask >= pos.wrapping_sub(hole) & self.mask {
+                self.index[hole] = b;
+                hole = pos;
+            }
+        }
+        self.index[hole] = EMPTY;
+    }
+
+    /// Unlinks `idx` from its segment.
+    fn unlink(&mut self, idx: u32) {
         let (prev, next, seg) = {
             let s = &self.slots[idx as usize];
-            (s.lru_prev, s.lru_next, usize::from(s.protected))
+            (s.prev, s.next, usize::from(s.protected))
         };
         match prev {
-            NIL => self.lru_head[seg] = next,
-            p => self.slots[p as usize].lru_next = next,
+            NIL => self.head[seg] = next,
+            p => self.slots[p as usize].next = next,
         }
         match next {
-            NIL => self.lru_tail[seg] = prev,
-            n => self.slots[n as usize].lru_prev = prev,
+            NIL => self.tail[seg] = prev,
+            n => self.slots[n as usize].prev = prev,
         }
     }
 
-    /// Appends `idx` at the MRU end of its segment.
-    fn lru_push_back(&mut self, idx: u32) {
+    /// Appends `idx` at the tail of its segment.
+    fn push_back(&mut self, idx: u32) {
         let seg = usize::from(self.slots[idx as usize].protected);
-        let tail = self.lru_tail[seg];
+        let tail = self.tail[seg];
         {
             let s = &mut self.slots[idx as usize];
-            s.lru_prev = tail;
-            s.lru_next = NIL;
+            s.prev = tail;
+            s.next = NIL;
         }
         match tail {
-            NIL => self.lru_head[seg] = idx,
-            t => self.slots[t as usize].lru_next = idx,
+            NIL => self.head[seg] = idx,
+            t => self.slots[t as usize].next = idx,
         }
-        self.lru_tail[seg] = idx;
+        self.tail[seg] = idx;
     }
 
-    /// Moves `idx` to the MRU end of its segment (a "touch").
-    fn lru_touch(&mut self, idx: u32) {
-        let seg = usize::from(self.slots[idx as usize].protected);
-        if self.lru_tail[seg] != idx {
-            self.lru_unlink(idx);
-            self.lru_push_back(idx);
-        }
-    }
-
-    /// Moves a flow onto the protected LRU segment, shielding it from
+    /// Moves a flow onto the protected segment, shielding it from
     /// eviction while any probation (idle) entry remains. Returns
     /// whether the key was present. Idempotent; O(1). Intended for
     /// flows a classifier has promoted to elephant status, so arrival
     /// churn evicts idle mice first and conversion yield survives.
     pub fn protect(&mut self, key: &FlowKey) -> bool {
-        let Some(&idx) = self.map.get(key) else {
-            return false;
-        };
-        if !self.slots[idx as usize].protected {
-            self.lru_unlink(idx);
-            self.slots[idx as usize].protected = true;
-            self.lru_push_back(idx);
+        match self.probe(flow_hash(key), key) {
+            Ok(idx) => {
+                self.protect_at(idx);
+                true
+            }
+            Err(_) => false,
         }
-        true
     }
 
-    /// Looks up a flow, refreshing its LRU position.
+    /// [`protect`](Self::protect) for the flow in slot `idx`: it joins
+    /// the protected tail.
+    pub(crate) fn protect_at(&mut self, idx: u32) {
+        if self.slots[idx as usize].protected {
+            return;
+        }
+        self.unlink(idx);
+        self.slots[idx as usize].protected = true;
+        self.push_back(idx);
+    }
+
+    /// Looks up a flow, setting its reference bit.
     pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut V> {
+        let idx = self.find(flow_hash(key), key)?;
+        self.value_at(idx)
+    }
+
+    /// Looks up the flow `key`, hashed as `hash`, setting its reference
+    /// bit: one counted lookup, hit or miss.
+    pub(crate) fn find(&mut self, hash: u32, key: &FlowKey) -> Option<u32> {
         self.lookups += 1;
-        let idx = *self.map.get(key)?;
-        self.lru_touch(idx);
-        self.slots[idx as usize].value.as_mut()
+        let idx = self.probe(hash, key).ok()?;
+        self.slots[idx as usize].referenced = true;
+        Some(idx)
+    }
+
+    /// The state in slot `idx` (`None` for a vacant slot).
+    pub(crate) fn value_at(&mut self, idx: u32) -> Option<&mut V> {
+        self.slots.get_mut(idx as usize)?.value.as_mut()
+    }
+
+    /// The key in slot `idx` (`None` for a vacant slot).
+    pub(crate) fn key_at(&self, idx: u32) -> Option<FlowKey> {
+        let s = self.slots.get(idx as usize)?;
+        s.value.as_ref().map(|_| s.key)
+    }
+
+    /// Slots ever used: every live slot index is below this.
+    pub(crate) fn slot_count(&self) -> u32 {
+        // The slot count is bounded by the table capacity, far below
+        // u32::MAX, so the narrowing cast cannot truncate.
+        self.slots.len() as u32
     }
 
     /// Inserts (or replaces) a flow's state. If the table is full, the
-    /// least-recently-used entry is evicted and returned as
-    /// `(key, state)` so the caller can flush it.
+    /// second-chance victim is evicted and returned as `(key, state)` so
+    /// the caller can flush it.
     pub fn insert(&mut self, key: FlowKey, value: V) -> Option<(FlowKey, V)> {
         self.insert_with_deadline(key, value, NO_DEADLINE)
     }
 
     /// Like [`insert`](Self::insert), additionally arming `deadline` so
     /// the entry surfaces from [`pop_expired`](Self::pop_expired) once
-    /// `now >= deadline`. Pass [`NO_DEADLINE`] for no expiry.
+    /// `now >= deadline`. Pass [`NO_DEADLINE`] for no expiry. Replacing
+    /// a tracked flow's state re-arms its deadline and counts as a hit.
     pub fn insert_with_deadline(
         &mut self,
         key: FlowKey,
@@ -363,100 +452,168 @@ impl<V> FlowTable<V> {
         deadline: u64,
     ) -> Option<(FlowKey, V)> {
         self.lookups += 1;
-        // Fast path: the key is present — replace in place, one hash
-        // probe total (the entry API; the old code probed twice via
-        // contains_key + insert).
-        if let std::collections::hash_map::Entry::Occupied(e) = self.map.entry(key) {
-            let idx = *e.get();
-            let slot = &mut self.slots[idx as usize];
-            slot.value = Some(value);
-            slot.deadline = deadline;
-            slot.gen = slot.gen.wrapping_add(1);
-            let gen = slot.gen;
-            self.lru_touch(idx);
-            if deadline != NO_DEADLINE {
-                self.expiry.push(Reverse((deadline, idx, gen)));
+        let hash = flow_hash(&key);
+        let (slot, evicted) = match self.probe(hash, &key) {
+            Ok(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.value = Some(value);
+                s.referenced = true;
+                (slot, None)
             }
-            return None;
+            Err(bucket) => self.place(hash, &key, bucket, value),
+        };
+        self.arm_at(slot, deadline);
+        evicted
+    }
+
+    /// Finds the flow `key`, hashed as `hash`, or starts tracking it
+    /// with `make()` — one counted lookup either way. A hit sets the
+    /// reference bit; a new entry lands unreferenced on the probation
+    /// tail, first evicting the second-chance victim when the table is
+    /// full.
+    pub(crate) fn entry(&mut self, hash: u32, key: &FlowKey, make: impl FnOnce() -> V) -> Entry<V> {
+        self.lookups += 1;
+        match self.probe(hash, key) {
+            Ok(slot) => {
+                self.slots[slot as usize].referenced = true;
+                Entry {
+                    slot,
+                    found: true,
+                    evicted: None,
+                }
+            }
+            Err(bucket) => {
+                let (slot, evicted) = self.place(hash, key, bucket, make());
+                Entry {
+                    slot,
+                    found: false,
+                    evicted,
+                }
+            }
         }
-        // New key: evict first if at capacity — the probation (idle)
-        // head when one exists, the protected head only under pressure.
+    }
+
+    /// Tracks the absent flow `key` in a free slot, indexed at `bucket`
+    /// (the empty bucket its probe ended on), after evicting the
+    /// second-chance victim if the table is full. Returns the slot and
+    /// the victim.
+    fn place(
+        &mut self,
+        hash: u32,
+        key: &FlowKey,
+        mut bucket: usize,
+        value: V,
+    ) -> (u32, Option<(FlowKey, V)>) {
         let evicted = if self.len() >= self.capacity {
-            let victim = if self.lru_head[0] != NIL {
-                self.evicted_idle += 1;
-                self.lru_head[0]
-            } else {
-                self.evicted_pressure += 1;
-                self.lru_head[1]
-            };
-            debug_assert_ne!(victim, NIL);
-            self.evictions += 1;
-            self.detach(victim)
+            let evicted = self.evict();
+            // The eviction's backward shift may have moved the run this
+            // key probes: walk it again for its empty bucket.
+            if let Err(b) = self.probe(hash, key) {
+                bucket = b;
+            }
+            evicted
         } else {
             None
         };
-        let idx = match self.free_slots.pop() {
+        let slot = match self.free_slots.pop() {
             Some(idx) => {
-                let slot = &mut self.slots[idx as usize];
-                slot.key = key;
-                slot.value = Some(value);
-                slot.deadline = deadline;
-                slot.protected = false;
+                let s = &mut self.slots[idx as usize];
+                s.key = *key;
+                s.value = Some(value);
+                s.deadline = NO_DEADLINE;
+                s.protected = false;
+                s.referenced = false;
                 idx
             }
             None => {
-                // The slot count is bounded by the table capacity, far
-                // below u32::MAX, so the narrowing cast cannot truncate.
-                debug_assert!(self.slots.len() < u32::MAX as usize);
+                debug_assert!(self.slots.len() < NIL as usize);
                 let idx = self.slots.len() as u32;
                 self.slots.push(Slot {
-                    key,
+                    key: *key,
                     value: Some(value),
-                    deadline,
+                    deadline: NO_DEADLINE,
                     gen: 0,
-                    lru_prev: NIL,
-                    lru_next: NIL,
+                    prev: NIL,
+                    next: NIL,
                     protected: false,
+                    referenced: false,
                 });
                 idx
             }
         };
-        self.lru_push_back(idx);
-        self.map.insert(key, idx);
-        if deadline != NO_DEADLINE {
-            let gen = self.slots[idx as usize].gen;
-            self.expiry.push(Reverse((deadline, idx, gen)));
-        }
-        evicted
+        self.push_back(slot);
+        self.index[bucket] = Bucket { tag: hash, slot };
+        (slot, evicted)
     }
 
-    /// Vacates `idx`: unlinks it, frees the slot, removes the map entry,
-    /// and returns the key and value. `None` if the slot was not
-    /// occupied (a caller bug — every call site passes a live index, and
-    /// the vacant case degrades to a no-op rather than a panic).
-    fn detach(&mut self, idx: u32) -> Option<(FlowKey, V)> {
-        self.lru_unlink(idx);
-        let slot = self.slots.get_mut(idx as usize)?;
-        let key = slot.key;
+    /// Evicts the second-chance victim: from the probation head while
+    /// probation holds anything, else from the protected head. Referenced
+    /// heads lose their bit and move to the tail; the first unreferenced
+    /// head goes.
+    fn evict(&mut self) -> Option<(FlowKey, V)> {
+        let seg = if self.head[0] != NIL { 0 } else { 1 };
+        loop {
+            let idx = self.head[seg];
+            if idx == NIL {
+                return None;
+            }
+            let s = &mut self.slots[idx as usize];
+            if !s.referenced {
+                break;
+            }
+            s.referenced = false;
+            self.unlink(idx);
+            self.push_back(idx);
+        }
+        if seg == 0 {
+            self.evicted_idle += 1;
+        } else {
+            self.evicted_pressure += 1;
+        }
+        self.evictions += 1;
+        self.remove_at(self.head[seg])
+    }
+
+    /// Arms (or, with [`NO_DEADLINE`], disarms) slot `idx`'s deadline;
+    /// any earlier deadline of the slot goes stale.
+    pub(crate) fn arm_at(&mut self, idx: u32, deadline: u64) {
+        let Some(slot) = self.slots.get_mut(idx as usize) else {
+            return;
+        };
+        slot.deadline = deadline;
+        slot.gen = slot.gen.wrapping_add(1);
+        if deadline != NO_DEADLINE {
+            self.expiry.push(Reverse((deadline, idx, slot.gen)));
+        }
+    }
+
+    /// Removes the flow in slot `idx`: unindexes and unlinks it, frees
+    /// the slot, and returns the key and value. `None` if the slot was
+    /// not occupied (a caller bug — every call site passes a live index,
+    /// and the vacant case degrades to a no-op rather than a panic).
+    fn remove_at(&mut self, idx: u32) -> Option<(FlowKey, V)> {
+        self.slots.get(idx as usize)?.value.as_ref()?;
+        self.unindex(idx);
+        self.unlink(idx);
+        let slot = &mut self.slots[idx as usize];
         let value = slot.value.take()?;
         slot.gen = slot.gen.wrapping_add(1);
         slot.protected = false;
         self.free_slots.push(idx);
-        self.map.remove(&key);
-        Some((key, value))
+        Some((slot.key, value))
     }
 
     /// Removes a flow, returning its state.
     pub fn remove(&mut self, key: &FlowKey) -> Option<V> {
-        let idx = *self.map.get(key)?;
-        self.detach(idx).map(|(_, v)| v)
+        let idx = self.probe(flow_hash(key), key).ok()?;
+        self.remove_at(idx).map(|(_, v)| v)
     }
 
-    /// Removes and returns the entry with the earliest armed deadline
-    /// `<= now`, or `None` when nothing has expired. Amortised O(log n):
-    /// stale heap entries (for since-removed or replaced occupants) are
-    /// discarded as they surface.
-    pub fn pop_expired(&mut self, now: u64) -> Option<(FlowKey, V)> {
+    /// The slot of the entry with the earliest armed deadline `<= now`,
+    /// disarmed but still tracked, or `None` when nothing has expired.
+    /// Amortised O(log n): stale heap entries (for since-disarmed,
+    /// re-armed or removed occupants) are discarded as they surface.
+    pub(crate) fn pop_due(&mut self, now: u64) -> Option<u32> {
         while let Some(&Reverse((deadline, idx, gen))) = self.expiry.peek() {
             if self.slots[idx as usize].gen != gen {
                 self.expiry.pop();
@@ -466,9 +623,17 @@ impl<V> FlowTable<V> {
                 return None;
             }
             self.expiry.pop();
-            return self.detach(idx);
+            self.arm_at(idx, NO_DEADLINE);
+            return Some(idx);
         }
         None
+    }
+
+    /// Removes and returns the entry with the earliest armed deadline
+    /// `<= now`, or `None` when nothing has expired.
+    pub fn pop_expired(&mut self, now: u64) -> Option<(FlowKey, V)> {
+        let idx = self.pop_due(now)?;
+        self.remove_at(idx)
     }
 
     /// The earliest armed deadline among live entries, discarding stale
@@ -488,41 +653,37 @@ impl<V> FlowTable<V> {
     /// order.
     pub fn drain(&mut self) -> Vec<(FlowKey, V)> {
         let mut out = Vec::with_capacity(self.len());
-        self.drain_into(&mut out);
+        out.extend(
+            self.slots
+                .iter_mut()
+                .filter_map(|s| s.value.take().map(|v| (s.key, v))),
+        );
+        self.clear();
         out
     }
 
-    /// [`drain`](Self::drain) onto the end of `out`: a caller that keeps
-    /// `out` drains as often as it likes without allocating once `out`
-    /// has grown to the table's population.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<(FlowKey, V)>) {
-        out.extend(self.slots.iter_mut().filter_map(|s| {
-            s.value.take().map(|v| {
-                s.gen = s.gen.wrapping_add(1);
-                (s.key, v)
-            })
-        }));
-        self.map.clear();
+    /// Forgets every entry, keeping the arenas: the table is as built.
+    pub(crate) fn clear(&mut self) {
+        self.index.fill(EMPTY);
         self.slots.clear();
         self.free_slots.clear();
         self.expiry.clear();
-        self.lru_head = [NIL; 2];
-        self.lru_tail = [NIL; 2];
+        self.head = [NIL; 2];
+        self.tail = [NIL; 2];
     }
 
-    /// The tracked keys in eviction order — the probation segment from
-    /// least to most recently used, then the protected segment likewise.
-    /// A test and diagnostics accessor (allocates; not for the hot
-    /// path). With no [`protect`](Self::protect) calls this is exactly
-    /// the historical global LRU order.
-    pub fn lru_order(&self) -> Vec<FlowKey> {
+    /// The tracked keys in queue order — the probation segment from head
+    /// to tail, then the protected segment likewise. With every
+    /// reference bit clear this is the eviction order. A test and
+    /// diagnostics accessor (allocates; not for the hot path).
+    pub fn queue_order(&self) -> Vec<FlowKey> {
         let mut out = Vec::with_capacity(self.len());
         for seg in 0..2 {
-            let mut idx = self.lru_head[seg];
+            let mut idx = self.head[seg];
             while idx != NIL {
                 let s = &self.slots[idx as usize];
                 out.push(s.key);
-                idx = s.lru_next;
+                idx = s.next;
             }
         }
         out
@@ -543,6 +704,18 @@ mod tests {
         )
     }
 
+    /// Every live slot is reachable from its home bucket and every
+    /// occupied bucket names a live slot.
+    fn assert_indexed(t: &FlowTable<u32>) {
+        let occupied = t.index.iter().filter(|b| b.slot != NIL).count();
+        assert_eq!(occupied, t.len());
+        for (i, s) in t.slots.iter().enumerate() {
+            if s.value.is_some() {
+                assert_eq!(t.probe(flow_hash(&s.key), &s.key), Ok(i as u32));
+            }
+        }
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut t: FlowTable<u32> = FlowTable::new(4);
@@ -551,21 +724,40 @@ mod tests {
         *t.get_mut(&key(1)).unwrap() = 12;
         assert_eq!(t.remove(&key(1)), Some(12));
         assert!(t.is_empty());
+        assert_indexed(&t);
     }
 
     #[test]
-    fn lru_eviction_returns_victim() {
+    fn second_chance_spares_a_referenced_head() {
         let mut t: FlowTable<u32> = FlowTable::new(3);
         t.insert(key(1), 1);
         t.insert(key(2), 2);
         t.insert(key(3), 3);
-        // Touch 1 so 2 becomes LRU.
+        // A hit sets 1's bit without moving it.
         t.get_mut(&key(1));
+        assert_eq!(t.queue_order(), vec![key(1), key(2), key(3)]);
+        // The eviction passes over 1 (bit cleared, to the tail) and
+        // takes 2.
         let evicted = t.insert(key(4), 4).expect("table full");
         assert_eq!(evicted, (key(2), 2));
         assert_eq!(t.len(), 3);
         assert_eq!(t.evictions, 1);
-        assert_eq!(t.lru_order(), vec![key(3), key(1), key(4)]);
+        assert_eq!(t.queue_order(), vec![key(3), key(1), key(4)]);
+        // With every bit clear the head goes: FIFO.
+        assert_eq!(t.insert(key(5), 5), Some((key(3), 3)));
+        assert_eq!(t.insert(key(6), 6), Some((key(1), 1)));
+        assert_indexed(&t);
+    }
+
+    #[test]
+    fn all_referenced_evicts_the_head_after_one_pass() {
+        let mut t: FlowTable<u32> = FlowTable::new(3);
+        for i in 1..=3 {
+            t.insert(key(i), u32::from(i));
+            t.get_mut(&key(i));
+        }
+        assert_eq!(t.insert(key(4), 4), Some((key(1), 1)));
+        assert_eq!(t.queue_order(), vec![key(2), key(3), key(4)]);
     }
 
     #[test]
@@ -575,6 +767,7 @@ mod tests {
         t.insert(key(2), 2);
         assert!(t.insert(key(1), 10).is_none(), "replacement, not growth");
         assert_eq!(t.len(), 2);
+        assert_eq!(t.get_mut(&key(1)), Some(&mut 10));
     }
 
     #[test]
@@ -584,6 +777,13 @@ mod tests {
         t.get_mut(&key(1));
         t.get_mut(&key(9)); // miss also counts
         assert_eq!(t.lookups, 3);
+        // Work addressed by slot is not a lookup.
+        let e = t.entry(flow_hash(&key(2)), &key(2), || 2);
+        t.protect_at(e.slot);
+        t.arm_at(e.slot, 5);
+        assert_eq!(t.pop_due(5), Some(e.slot));
+        t.remove_at(e.slot);
+        assert_eq!(t.lookups, 4);
     }
 
     #[test]
@@ -595,21 +795,21 @@ mod tests {
         let rest = t.drain();
         assert_eq!(rest.len(), 3);
         assert!(t.is_empty());
+        assert_indexed(&t);
+        assert!(t.get_mut(&key(1)).is_none());
     }
 
     #[test]
-    fn lru_order_tracks_touches() {
+    fn queue_order_moves_only_on_eviction_scans() {
         let mut t: FlowTable<u32> = FlowTable::new(4);
         t.insert(key(1), 1);
         t.insert(key(2), 2);
         t.insert(key(3), 3);
-        assert_eq!(t.lru_order(), vec![key(1), key(2), key(3)]);
         t.get_mut(&key(1));
-        assert_eq!(t.lru_order(), vec![key(2), key(3), key(1)]);
-        t.insert(key(2), 20); // replacement also refreshes
-        assert_eq!(t.lru_order(), vec![key(3), key(1), key(2)]);
+        t.insert(key(2), 20); // replacement is a hit, not a splice
+        assert_eq!(t.queue_order(), vec![key(1), key(2), key(3)]);
         t.remove(&key(1));
-        assert_eq!(t.lru_order(), vec![key(3), key(2)]);
+        assert_eq!(t.queue_order(), vec![key(2), key(3)]);
     }
 
     #[test]
@@ -626,11 +826,11 @@ mod tests {
         assert_eq!(evicted.0, key(2));
         assert_eq!((t.evicted_idle, t.evicted_pressure), (1, 0));
         // Protect everything: the next eviction is forced onto the
-        // protected segment, in its own LRU order.
+        // protected segment, in its own queue order.
         t.protect(&key(3));
         t.protect(&key(4));
         let evicted = t.insert(key(5), 5).expect("full");
-        assert_eq!(evicted.0, key(1), "protected LRU head under pressure");
+        assert_eq!(evicted.0, key(1), "protected head under pressure");
         assert_eq!((t.evicted_idle, t.evicted_pressure), (1, 1));
         assert_eq!(t.evictions, 2);
         // A reused slot must come back unprotected.
@@ -640,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn protect_is_idempotent_and_keeps_lru_order_sane() {
+    fn protect_is_idempotent() {
         let mut t: FlowTable<u32> = FlowTable::new(4);
         t.insert(key(1), 1);
         t.insert(key(2), 2);
@@ -648,11 +848,9 @@ mod tests {
         t.protect(&key(2));
         t.protect(&key(2));
         // Probation order first, then protected order.
-        assert_eq!(t.lru_order(), vec![key(1), key(3), key(2)]);
-        t.get_mut(&key(1));
-        assert_eq!(t.lru_order(), vec![key(3), key(1), key(2)]);
+        assert_eq!(t.queue_order(), vec![key(1), key(3), key(2)]);
         t.remove(&key(2));
-        assert_eq!(t.lru_order(), vec![key(3), key(1)]);
+        assert_eq!(t.queue_order(), vec![key(1), key(3)]);
     }
 
     #[test]
@@ -698,12 +896,71 @@ mod tests {
     }
 
     #[test]
-    fn replacing_reargs_the_deadline() {
+    fn replacing_rearms_the_deadline() {
         let mut t: FlowTable<u32> = FlowTable::new(8);
         t.insert_with_deadline(key(1), 1, 100);
         t.insert_with_deadline(key(1), 2, 500); // re-arm later
         assert_eq!(t.pop_expired(100), None, "old deadline is stale");
         assert_eq!(t.pop_expired(500), Some((key(1), 2)));
+    }
+
+    #[test]
+    fn pop_due_disarms_but_keeps_the_entry() {
+        let mut t: FlowTable<u32> = FlowTable::new(8);
+        t.insert_with_deadline(key(1), 1, 100);
+        let slot = t.pop_due(100).expect("due");
+        assert_eq!(t.key_at(slot), Some(key(1)));
+        assert_eq!(t.len(), 1, "still tracked");
+        assert_eq!(t.next_deadline(), None, "disarmed");
+        // Re-armed on the same slot, only the new deadline fires.
+        t.arm_at(slot, 300);
+        t.arm_at(slot, NO_DEADLINE);
+        t.arm_at(slot, 400);
+        assert_eq!(t.pop_due(399), None);
+        assert_eq!(t.pop_due(400), Some(slot));
+    }
+
+    /// Keys whose hashes share their low 16 bits, all set: in any index
+    /// of up to 64 K buckets they share the last bucket as home, so
+    /// their probe run wraps to the front of the array.
+    fn wrapping_keys(n: usize) -> Vec<FlowKey> {
+        (0u32..)
+            .map(|i| {
+                FlowKey::tcp(
+                    Ipv4Addr::from(0x0a00_0000 + i),
+                    4000,
+                    Ipv4Addr::new(10, 9, 0, 2),
+                    80,
+                )
+            })
+            .filter(|k| flow_hash(k) & 0xFFFF == 0xFFFF)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn backward_shift_deletion_wraps_the_index() {
+        let keys = wrapping_keys(6);
+        assert_eq!(keys.len(), 6);
+        let mut t: FlowTable<u32> = FlowTable::new(8);
+        for (i, k) in keys.iter().enumerate() {
+            t.insert(*k, i as u32);
+        }
+        // The run starts at the last bucket and continues at the front.
+        assert_eq!(t.index[t.mask].slot, 0);
+        assert_eq!(t.index[0].slot, 1);
+        assert_indexed(&t);
+        // Deleting from the middle of the run pulls the wrapped
+        // entries back across the end of the array.
+        assert_eq!(t.remove(&keys[0]), Some(0));
+        assert_indexed(&t);
+        assert_eq!(t.index[t.mask].slot, 1, "shifted back over the end");
+        assert_eq!(t.remove(&keys[3]), Some(3));
+        assert_indexed(&t);
+        for (i, k) in keys.iter().enumerate() {
+            let want = (i != 0 && i != 3).then_some(i as u32);
+            assert_eq!(t.get_mut(k).copied(), want, "key {i}");
+        }
     }
 
     /// Model-based test: the table behaves like a plain HashMap as long
@@ -733,100 +990,5 @@ mod tests {
             }
         }
         assert_eq!(t.len(), model.len());
-    }
-
-    /// A faithful reimplementation of the previous clock-counter table
-    /// (`HashMap` + `iter().min_by_key(last_used)` eviction), used as
-    /// the reference model below.
-    struct ClockModel {
-        map: std::collections::HashMap<FlowKey, (u64, u64)>, // value, last_used
-        clock: u64,
-        capacity: usize,
-        lookups: u64,
-        evictions: u64,
-    }
-
-    impl ClockModel {
-        fn new(capacity: usize) -> Self {
-            ClockModel {
-                map: std::collections::HashMap::new(),
-                clock: 0,
-                capacity,
-                lookups: 0,
-                evictions: 0,
-            }
-        }
-
-        fn get_mut(&mut self, key: &FlowKey) -> Option<u64> {
-            self.lookups += 1;
-            self.clock += 1;
-            let clock = self.clock;
-            self.map.get_mut(key).map(|e| {
-                e.1 = clock;
-                e.0
-            })
-        }
-
-        fn insert(&mut self, key: FlowKey, value: u64) -> Option<(FlowKey, u64)> {
-            self.lookups += 1;
-            self.clock += 1;
-            let mut evicted = None;
-            if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-                let (&victim, _) = self.map.iter().min_by_key(|(_, e)| e.1).unwrap();
-                let entry = self.map.remove(&victim).unwrap();
-                self.evictions += 1;
-                evicted = Some((victim, entry.0));
-            }
-            self.map.insert(key, (value, self.clock));
-            evicted
-        }
-
-        fn remove(&mut self, key: &FlowKey) -> Option<u64> {
-            self.map.remove(key).map(|e| e.0)
-        }
-    }
-
-    /// Randomized equivalence against the old implementation under
-    /// eviction pressure: same get results, same eviction victims, same
-    /// lookup/eviction counters, at every step.
-    #[test]
-    fn lru_matches_clock_model_under_eviction() {
-        const CAPACITY: usize = 16;
-        const KEYSPACE: u64 = 48; // 3× capacity: constant eviction churn
-        let mut t: FlowTable<u64> = FlowTable::new(CAPACITY);
-        let mut model = ClockModel::new(CAPACITY);
-        let mut x: u64 = 0x243F_6A88_85A3_08D3;
-        for step in 0..20_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let k = key((x % KEYSPACE) as u16);
-            match (x >> 32) % 5 {
-                // Inserts dominate so the table stays at capacity.
-                0..=2 => {
-                    assert_eq!(
-                        t.insert(k, step),
-                        model.insert(k, step),
-                        "eviction victim diverged at step {step}"
-                    );
-                }
-                3 => {
-                    assert_eq!(t.get_mut(&k).copied(), model.get_mut(&k), "step {step}");
-                }
-                _ => {
-                    assert_eq!(t.remove(&k), model.remove(&k), "step {step}");
-                }
-            }
-            assert_eq!(t.lookups, model.lookups);
-            assert_eq!(t.evictions, model.evictions);
-            assert_eq!(t.len(), model.map.len());
-        }
-        assert!(model.evictions > 1000, "the run must actually evict");
-        // Final content identical too.
-        let mut keys = t.lru_order();
-        keys.sort();
-        let mut model_keys: Vec<FlowKey> = model.map.keys().copied().collect();
-        model_keys.sort();
-        assert_eq!(keys, model_keys);
     }
 }

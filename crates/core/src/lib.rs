@@ -23,8 +23,10 @@
 //!   merging and caravan bundling share (they are one mechanism: hold
 //!   a flow's bytes in a pooled buffer, flush on timer, eviction or
 //!   "full");
-//! * **small-flow steering** — [`steer::FlowClassifier`] hairpins mice
-//!   flows past the merge machinery (paper §3/§4.1);
+//! * **small-flow steering** — the [`steer`] counter rule hairpins mice
+//!   flows past the merge machinery (paper §3/§4.1); a steering merge
+//!   engine keeps it in the slot of its one per-core [`flowtable`],
+//!   beside the flow's merge state, and looks each packet up once;
 //! * **multi-core scaling** — [`pipeline`] models the RSS-sharded,
 //!   memory-bus-constrained datapath of Fig. 5a/5b, including the
 //!   header-only-DMA variant, and [`engine`] *runs* it: one worker

@@ -50,9 +50,12 @@
 //!   mouse is never summed, and one the engine owns
 //!   ([`CoreEngine::push_into`](crate::engine::CoreEngine::push_into))
 //!   leaves in the buffer it arrived in.
-//! * Hold-timer expiry pops the flow table's deadline heap
-//!   ([`FlowTable::pop_expired`]) instead of scanning every pending
-//!   aggregate per poll tick.
+//! * Each packet makes one flow-table lookup. With steering the one
+//!   table tracks every flow: its slot holds the classifier counter and
+//!   the handle of the flow's pending aggregate, and classify, append,
+//!   flush and re-arm all act on that slot.
+//! * Hold-timer expiry pops the flow table's deadline heap instead of
+//!   scanning every pending aggregate per poll tick.
 //!
 //! The pool, the degradation ladder in front of aggregate creation, the
 //! recorder and the span-link sequence are the hold-engine
@@ -61,8 +64,8 @@
 use crate::chassis::{Chassis, LadderCounts};
 use crate::coalesce::{self, OverlapVerdict, SegStash, StashedSeg};
 use crate::engine::EngineTally;
-use crate::flowtable::{FlowTable, FlowTableConfig};
-use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
+use crate::flowtable::{flow_hash, FlowTable, FlowTableConfig, NO_DEADLINE};
+use crate::steer::{FlowClass, FlowCounter, SteerConfig};
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::batchparse::{self, ParsedMeta, SegFacts, Verdict};
@@ -142,6 +145,8 @@ pub struct MergeStats {
     /// merge state touched. A mouse the engine owns leaves in its own
     /// allocation, with no pool buffer; a lent one is copied into one.
     pub steered_mice_pkts: u64,
+    /// Mouse→elephant promotions by the steering classifier.
+    pub promotions: u64,
     /// Data segments dropped because they claimed a sequence range the
     /// flow's aggregate already holds *with different bytes* — an
     /// injection attempt (or corruption that survived checksums). The
@@ -211,6 +216,91 @@ impl Pending {
     }
 }
 
+/// One flow's entry in the engine's table: the classifier's windowed
+/// counter (read only while steering) and the handle of the flow's
+/// pending aggregate in [`Aggregates`].
+#[derive(Debug)]
+pub(crate) struct FlowState {
+    counter: FlowCounter,
+    /// Index into [`Aggregates`], or [`NO_AGG`].
+    agg: u32,
+}
+
+/// The `agg` of a flow holding no aggregate.
+const NO_AGG: u32 = u32::MAX;
+
+impl FlowState {
+    /// A flow first seen at `now`: counted once, holding nothing.
+    fn new(now: u64) -> Self {
+        FlowState {
+            counter: FlowCounter::first(now),
+            agg: NO_AGG,
+        }
+    }
+}
+
+/// The pending aggregates, a slab addressed by the handle in a flow's
+/// [`FlowState`]. It keeps the table slot small — the counter a mouse
+/// reads and the handle fit one line. Cells for [`AGGS_PREALLOC`]
+/// aggregates are reserved up front, the most buffers a pipeline parks
+/// in its pool, so the first excursion to the concurrent-hold peak
+/// reuses cells instead of allocating; past that the slab grows to the
+/// run's high-water mark, then reuses its cells.
+#[derive(Debug)]
+struct Aggregates {
+    held: Vec<Option<Pending>>,
+    free: Vec<u32>,
+}
+
+/// Aggregate cells reserved at construction (at most one per table
+/// entry).
+const AGGS_PREALLOC: usize = 1024;
+
+impl Aggregates {
+    /// A slab with cells for `n` aggregates.
+    fn with_capacity(n: usize) -> Self {
+        Aggregates {
+            held: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
+        }
+    }
+
+    /// Stores `p`, returning its handle.
+    fn put(&mut self, p: Pending) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.held[h as usize] = Some(p);
+                h
+            }
+            None => {
+                self.held.push(Some(p));
+                // Every cell may come free at once: grow the free list
+                // with the slab, never while freeing.
+                self.free
+                    .reserve(self.held.len().saturating_sub(self.free.len()));
+                // Bounded by the table capacity, far below u32::MAX.
+                (self.held.len() - 1) as u32
+            }
+        }
+    }
+
+    fn get_mut(&mut self, h: u32) -> Option<&mut Pending> {
+        self.held.get_mut(h as usize)?.as_mut()
+    }
+
+    /// Takes the aggregate out, freeing its handle.
+    fn take(&mut self, h: u32) -> Option<Pending> {
+        let p = self.held.get_mut(h as usize)?.take()?;
+        self.free.push(h);
+        Some(p)
+    }
+
+    fn arena_bytes(&self) -> usize {
+        self.held.capacity() * std::mem::size_of::<Option<Pending>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
 /// A packet as a push receives it: lent by the caller, or handed over
 /// with its allocation. The push body reads both the same way; they
 /// part only where a steered mouse leaves.
@@ -226,22 +316,23 @@ enum Ingress<'a> {
 pub struct MergeEngine {
     /// Configuration.
     pub cfg: MergeConfig,
-    table: FlowTable<Pending>,
+    /// The engine's one flow table. A flow is tracked from its first
+    /// aggregate — with steering, from its first packet — until the
+    /// table evicts it; flushing an aggregate leaves the entry, so a
+    /// flow's next aggregate reuses its slot.
+    table: FlowTable<FlowState>,
+    aggs: Aggregates,
     /// Pool, spare, fault gate, degrade ladder, recorder, clock and
     /// span links — everything shared with the caravan engine.
     pub(crate) chassis: Chassis,
     /// Counters.
     pub stats: MergeStats,
-    /// Small-flow classifier (§3/§4.1). `None` disables steering: every
-    /// flow takes the merge path, exactly the historical behaviour.
-    steer: Option<FlowClassifier>,
+    /// Small-flow steering (§3/§4.1). `None` disables it: every flow
+    /// takes the merge path, exactly the historical behaviour.
+    steer: Option<SteerConfig>,
     /// Fixed-capacity parking lot for out-of-order segments (empty on
     /// the in-order hot path: one predicted branch).
     stash: SegStash,
-    /// What [`flush_all_into`](Self::flush_all_into) drains the table
-    /// through, kept so a drain at every burst allocates nothing once
-    /// warm.
-    flushing: Vec<(FlowKey, Pending)>,
 }
 
 impl MergeEngine {
@@ -250,62 +341,75 @@ impl MergeEngine {
         MergeEngine {
             cfg,
             table: FlowTable::new(cfg.table_capacity),
+            aggs: Aggregates::with_capacity(cfg.table_capacity.min(AGGS_PREALLOC)),
             chassis: Chassis::new(cfg.imtu),
             stats: MergeStats::default(),
             steer: None,
             stash: SegStash::new(coalesce::STASH_CAP, coalesce::STASH_PER_FLOW),
-            flushing: Vec::new(),
         }
     }
 
     /// Switches small-flow steering on: mice hairpin past the merge
-    /// machinery, only elephants earn per-flow merge state. Call before
-    /// feeding traffic (the classifier starts empty).
+    /// machinery, only elephants earn merge state. The one table now
+    /// tracks every flow, so `cfg` sizes it, replacing any
+    /// [`configure_table`](Self::configure_table) sizing. Call before
+    /// feeding traffic.
     pub fn enable_steer(&mut self, cfg: SteerConfig) {
-        self.steer = Some(FlowClassifier::new(cfg));
+        self.steer = Some(cfg);
+        self.configure_table(FlowTableConfig {
+            capacity: cfg.table_capacity,
+            memory_budget: cfg.memory_budget,
+        });
     }
 
-    /// The classifier, when steering is enabled (counters, tracked-flow
-    /// gauge).
-    pub fn steer(&self) -> Option<&FlowClassifier> {
-        self.steer.as_ref()
-    }
-
-    /// Re-sizes the merge flow table from a [`FlowTableConfig`] (entry
+    /// Re-sizes the flow table from a [`FlowTableConfig`] (entry
     /// ceiling + optional byte budget). Must be called before any
     /// traffic: replacing a table with pending aggregates would leak
     /// their pool buffers.
     pub fn configure_table(&mut self, cfg: FlowTableConfig) {
         debug_assert!(self.table.is_empty(), "reconfigure only while empty");
         self.table = FlowTable::with_config(cfg);
+        self.aggs = Aggregates::with_capacity(self.table.capacity().min(AGGS_PREALLOC));
     }
 
-    /// Bytes reserved by this engine's flow-state arenas: the merge
-    /// table plus the classifier table when steering is on.
+    /// Bytes reserved by this engine's flow-state arenas: the table and
+    /// the aggregate slab.
     pub fn arena_bytes(&self) -> usize {
-        self.table.arena_bytes() + self.steer.as_ref().map_or(0, FlowClassifier::arena_bytes)
+        self.table.arena_bytes() + self.aggs.arena_bytes()
     }
 
-    /// Flows currently occupying state: pending merge aggregates plus
-    /// classifier-tracked flows.
+    /// Flows currently occupying state: the table's entries.
     pub fn flows_live(&self) -> usize {
-        self.table.len() + self.steer.as_ref().map_or(0, FlowClassifier::tracked)
+        self.table.len()
     }
 
-    /// What the engine driver folds per engine instance. Merge-table
-    /// evictions are always rescue-flushed (pressure); classifier
-    /// evictions split by segment.
+    /// The table, while its live population is past what stays in
+    /// cache: what the worker's lookahead warms.
+    pub(crate) fn lookahead_table(&self) -> Option<&FlowTable<FlowState>> {
+        Some(&self.table).filter(|t| t.beyond_cache())
+    }
+
+    /// What the engine driver folds per engine instance. With steering,
+    /// evictions split by segment: an idle mouse, or an elephant lost to
+    /// arrival pressure. Without it they split by what the victim held:
+    /// nothing, or an aggregate that had to be rescue-flushed.
     pub(crate) fn tally(&self) -> EngineTally {
-        let steer = self.steer.as_ref();
+        let t = &self.table;
+        let (idle, pressure) = match self.steer {
+            Some(_) => (t.evicted_idle, t.evicted_pressure),
+            None => (
+                t.evictions.saturating_sub(self.stats.flush_evict),
+                self.stats.flush_evict,
+            ),
+        };
         let counters = CoreCounters {
             degraded_pkts: self.stats.degraded_pkts,
             pool_exhausted: self.stats.pool_exhausted,
             backpressure_drops: self.stats.backpressure_drops,
             dropped_inconsistent_overlap: self.stats.dropped_inconsistent_overlap,
             dropped_overlap_evasion: self.stats.dropped_overlap_evasion,
-            flows_evicted_idle: steer.map_or(0, |s| s.evicted_idle()),
-            flows_evicted_pressure: self.table.evictions
-                + steer.map_or(0, |s| s.evicted_pressure()),
+            flows_evicted_idle: idle,
+            flows_evicted_pressure: pressure,
             steered_mice_pkts: self.stats.steered_mice_pkts,
             flows_live: self.flows_live() as u64,
             ..CoreCounters::default()
@@ -483,6 +587,58 @@ impl MergeEngine {
         self.emit(p.buf, sink);
     }
 
+    /// The pending aggregate of the flow in `slot`, if it holds one.
+    fn pending_mut(&mut self, slot: u32) -> Option<&mut Pending> {
+        let h = self.table.value_at(slot)?.agg;
+        self.aggs.get_mut(h)
+    }
+
+    /// Takes the aggregate of the flow in `slot` out, with the flow's
+    /// key, and disarms its hold timer. The entry stays.
+    fn take_pending(&mut self, slot: u32) -> Option<(FlowKey, Pending)> {
+        let key = self.table.key_at(slot)?;
+        let state = self.table.value_at(slot)?;
+        let p = self.aggs.take(std::mem::replace(&mut state.agg, NO_AGG))?;
+        self.table.arm_at(slot, NO_DEADLINE);
+        Some((key, p))
+    }
+
+    /// Makes `p` the pending aggregate of the flow in `slot`, its hold
+    /// timer armed for `deadline`.
+    fn hold(&mut self, slot: u32, p: Pending, deadline: u64) {
+        let Some(state) = self.table.value_at(slot) else {
+            // Defensive: every caller passes a live slot.
+            self.chassis.pool.put(p.buf);
+            return;
+        };
+        state.agg = self.aggs.put(p);
+        self.table.arm_at(slot, deadline);
+    }
+
+    /// Surfaces a flow the table evicted to make room: its aggregate is
+    /// rescue-flushed, never dropped (Evict span aux 2, pressure), or,
+    /// holding none, only the eviction is recorded (aux 1, idle).
+    fn rescue_evicted(
+        &mut self,
+        now: u64,
+        victim: &FlowKey,
+        state: FlowState,
+        sink: &mut impl PacketSink,
+    ) {
+        let vflow = flow_id(victim.src_port, victim.dst_port);
+        let Some(p) = self.aggs.take(state.agg) else {
+            self.chassis
+                .obs
+                .record(Span::instant(SpanCat::Evict, now, 0, vflow, 1));
+            return;
+        };
+        self.stats.flush_evict += 1;
+        self.chassis
+            .obs
+            .record(Span::instant(SpanCat::Evict, now, p.buf.len(), vflow, 2));
+        self.finalize_flow(victim, p, sink);
+    }
+
     /// Finishes a flow: emits its aggregate, then forwards — verbatim,
     /// in sequence order — any segments still parked in the reorder
     /// stash for it (their gaps never filled before the flush). Every
@@ -543,7 +699,7 @@ impl MergeEngine {
     /// the same overlap scrutiny as arriving ones: inconsistent bytes
     /// are typed, counted drops, never merged. May flush the aggregate
     /// full.
-    fn drain_stash(&mut self, now: u64, key: &FlowKey, sink: &mut impl PacketSink) {
+    fn drain_stash(&mut self, now: u64, slot: u32, key: &FlowKey, sink: &mut impl PacketSink) {
         if self.stash.is_empty() {
             return;
         }
@@ -558,7 +714,7 @@ impl MergeEngine {
         }
         loop {
             let (base, next) = {
-                let Some(p) = self.table.get_mut(key) else {
+                let Some(p) = self.pending_mut(slot) else {
                     return;
                 };
                 (Self::base_seq(p), p.next_seq)
@@ -568,9 +724,9 @@ impl MergeEngine {
             };
             let mut became_full = false;
             let act = {
-                let Some(p) = self.table.get_mut(key) else {
-                    // Defensive: the flow vanished between the two
-                    // lookups (cannot happen single-threaded).
+                let Some(p) = self.pending_mut(slot) else {
+                    // Defensive: the aggregate vanished between the two
+                    // reads (cannot happen single-threaded).
                     self.chassis.pool.put(seg.buf);
                     return;
                 };
@@ -610,7 +766,7 @@ impl MergeEngine {
                 Act::Recycle => {
                     if became_full {
                         self.stats.stash_appends += 1;
-                        if let Some(p) = self.table.remove(key) {
+                        if let Some((_, p)) = self.take_pending(slot) {
                             self.stats.flush_full += 1;
                             self.finalize_flow(key, p, sink);
                         }
@@ -634,7 +790,7 @@ impl MergeEngine {
                     // The aggregate cannot grow further: flush it full,
                     // then forward this segment and the flow's remaining
                     // stash verbatim, in order.
-                    if let Some(p) = self.table.remove(key) {
+                    if let Some((_, p)) = self.take_pending(slot) {
                         self.stats.flush_full += 1;
                         self.finalize_emit(p, sink);
                     }
@@ -727,48 +883,57 @@ impl MergeEngine {
             return;
         };
 
-        // Small-flow steering (§3/§4.1): mice hairpin NIC-to-NIC,
-        // forwarded verbatim without touching any merge state — no
-        // flow-table slot, no pool aggregate, no merge counters. Only
-        // elephants proceed to the merge path below.
-        if let Some(classifier) = self.steer.as_mut() {
-            let (class, evicted) = classifier.classify_with_evict(now, &key);
-            if let Some(victim) = evicted {
-                // A classifier slot was churned out (aux 1 = idle).
-                let vflow = flow_id(victim.src_port, victim.dst_port);
-                self.chassis
-                    .obs
-                    .record(Span::instant(SpanCat::Evict, now, 0, vflow, 1));
+        // The packet's one table lookup. With steering every flow is
+        // tracked, and the lookup's slot also counts and classifies the
+        // packet; without it a flow is tracked from its first aggregate.
+        let hash = flow_hash(&key);
+        let slot = match self.steer {
+            Some(cfg) => {
+                let entry = self.table.entry(hash, &key, || FlowState::new(now));
+                if let Some((victim, state)) = entry.evicted {
+                    self.rescue_evicted(now, &victim, state, sink);
+                }
+                let (class, promoted) = match self.table.value_at(entry.slot) {
+                    Some(state) if entry.found => state.counter.count(now, &cfg),
+                    _ => (FlowClass::Mouse, false),
+                };
+                if promoted {
+                    self.stats.promotions += 1;
+                    self.table.protect_at(entry.slot);
+                }
+                if class == FlowClass::Mouse {
+                    // Small-flow steering (§3/§4.1): mice hairpin
+                    // NIC-to-NIC, forwarded verbatim without touching
+                    // merge state — no pool aggregate, no merge
+                    // counters. A mouse holds no aggregate: elephants
+                    // never demote, and an evicted flow's aggregate left
+                    // with its entry.
+                    self.stats.steered_mice_pkts += 1;
+                    if self.chassis.obs.is_enabled() {
+                        let flow = flow_id(key.src_port, key.dst_port);
+                        self.chassis.obs.record(Span::instant(
+                            SpanCat::Steer,
+                            now,
+                            pkt.len(),
+                            flow,
+                            1,
+                        ));
+                        self.chassis.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
+                    }
+                    match input {
+                        Ingress::Lent(pkt) => self.chassis.forward(pkt, sink),
+                        // An owned mouse leaves in its own allocation: no
+                        // copy, no pool `get`. A buffer the sink hands
+                        // back was never the pool's, so it is released,
+                        // not parked, and the pool's books stay balanced.
+                        Ingress::Owned(pkt) => drop(sink.accept(PacketBuf::adopt(pkt))),
+                    }
+                    return;
+                }
+                Some(entry.slot)
             }
-            if class == FlowClass::Mouse {
-                // Elephants never demote (a window rollover carries
-                // `elephant_pkts` over), but a flow the classifier
-                // evicted and re-tracks starts over as a mouse and may
-                // still hold an aggregate: rescue-flush it first so the
-                // flow's packets never reorder across the two paths.
-                if let Some(p) = self.table.remove(&key) {
-                    self.stats.flush_order += 1;
-                    self.finalize_flow(&key, p, sink);
-                }
-                self.stats.steered_mice_pkts += 1;
-                if self.chassis.obs.is_enabled() {
-                    let flow = flow_id(key.src_port, key.dst_port);
-                    self.chassis
-                        .obs
-                        .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 1));
-                    self.chassis.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
-                }
-                match input {
-                    Ingress::Lent(pkt) => self.chassis.forward(pkt, sink),
-                    // An owned mouse leaves in its own allocation: no
-                    // copy, no pool `get`. A buffer the sink hands back
-                    // was never the pool's, so it is released, not
-                    // parked, and the pool's books stay balanced.
-                    Ingress::Owned(pkt) => drop(sink.accept(PacketBuf::adopt(pkt))),
-                }
-                return;
-            }
-        }
+            None => self.table.find(hash, &key),
+        };
 
         // Only a packet that may still be merged is checksum-verified.
         let verdict = verdict.unwrap_or_else(|| batchparse::parse_packet(pkt).verdict);
@@ -782,7 +947,7 @@ impl MergeEngine {
                 if !checksum_ok {
                     self.stats.bad_checksum += 1;
                 }
-                if let Some(p) = self.table.remove(&key) {
+                if let Some((_, p)) = slot.and_then(|s| self.take_pending(s)) {
                     self.stats.flush_order += 1;
                     self.finalize_flow(&key, p, sink);
                 }
@@ -812,7 +977,11 @@ impl MergeEngine {
             None,
         }
         let hdrs = usize::from(facts.ip_hlen) + usize::from(facts.tcp_hlen);
-        let act = match self.table.get_mut(&key) {
+        let pending = match slot {
+            Some(slot) => self.pending_mut(slot),
+            None => None,
+        };
+        let act = match pending {
             Some(pending) => {
                 if !Self::headers_compatible(pending, &facts, pkt) {
                     // Different ACK/window/ToS/options: flush, restart —
@@ -857,7 +1026,7 @@ impl MergeEngine {
         };
         match act {
             PendingAct::Appended { full: true } => {
-                if let Some(p) = self.table.remove(&key) {
+                if let Some((_, p)) = slot.and_then(|s| self.take_pending(s)) {
                     self.stats.flush_full += 1;
                     self.finalize_flow(&key, p, sink);
                 }
@@ -866,7 +1035,9 @@ impl MergeEngine {
             PendingAct::Appended { full: false } => {
                 // The contiguous edge moved: parked segments may now
                 // coalesce (no-op while the stash is empty).
-                self.drain_stash(now, &key, sink);
+                if let Some(s) = slot {
+                    self.drain_stash(now, s, &key, sink);
+                }
                 return;
             }
             PendingAct::DropDuplicate => {
@@ -900,13 +1071,13 @@ impl MergeEngine {
                 }
                 // No stash or pool room: the historical flush-and-restart.
                 self.stats.stash_fallback_flushes += 1;
-                if let Some(p) = self.table.remove(&key) {
+                if let Some((_, p)) = slot.and_then(|s| self.take_pending(s)) {
                     self.stats.flush_order += 1;
                     self.finalize_flow(&key, p, sink);
                 }
             }
             PendingAct::FlushRestart => {
-                if let Some(p) = self.table.remove(&key) {
+                if let Some((_, p)) = slot.and_then(|s| self.take_pending(s)) {
                     self.stats.flush_order += 1;
                     self.finalize_flow(&key, p, sink);
                 }
@@ -946,27 +1117,29 @@ impl MergeEngine {
             segs: 1,
             born: now,
         };
-        let evicted = self
-            .table
-            .insert_with_deadline(key, pending, now + self.cfg.hold_ns);
-        if let Some((victim, p)) = evicted {
-            self.stats.flush_evict += 1;
-            // aux 2 = pressure: the victim held unflushed merge bytes
-            // and was rescue-flushed below, never dropped.
-            let vflow = flow_id(victim.src_port, victim.dst_port);
-            self.chassis
-                .obs
-                .record(Span::instant(SpanCat::Evict, now, p.buf.len(), vflow, 2));
-            self.finalize_flow(&victim, p, sink);
-        }
+        let slot = match slot {
+            Some(slot) => slot,
+            None => {
+                // Without steering a flow's entry comes with its first
+                // aggregate: that packet's second lookup.
+                let entry = self.table.entry(hash, &key, || FlowState::new(now));
+                if let Some((victim, state)) = entry.evicted {
+                    self.rescue_evicted(now, &victim, state, sink);
+                }
+                entry.slot
+            }
+        };
+        self.hold(slot, pending, now + self.cfg.hold_ns);
     }
 
     /// Emits every aggregate whose hold timer has expired.
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
         self.chassis.poll_tick(now);
-        while let Some((key, p)) = self.table.pop_expired(now) {
-            self.stats.flush_timeout += 1;
-            self.finalize_flow(&key, p, sink);
+        while let Some(slot) = self.table.pop_due(now) {
+            if let Some((key, p)) = self.take_pending(slot) {
+                self.stats.flush_timeout += 1;
+                self.finalize_flow(&key, p, sink);
+            }
         }
     }
 
@@ -976,16 +1149,22 @@ impl MergeEngine {
         self.table.next_deadline()
     }
 
-    /// Drains everything (shutdown, or the baseline's burst end),
-    /// delivering to `sink`.
+    /// Drains every aggregate (shutdown, or the baseline's burst end),
+    /// in slot order, delivering to `sink`. With steering the flows stay
+    /// tracked.
     pub fn flush_all_into(&mut self, sink: &mut impl PacketSink) {
-        let mut flushing = std::mem::take(&mut self.flushing);
-        self.table.drain_into(&mut flushing);
-        for (key, p) in flushing.drain(..) {
-            self.stats.flush_timeout += 1;
-            self.finalize_flow(&key, p, sink);
+        for slot in 0..self.table.slot_count() {
+            if let Some((key, p)) = self.take_pending(slot) {
+                self.stats.flush_timeout += 1;
+                self.finalize_flow(&key, p, sink);
+            }
         }
-        self.flushing = flushing;
+        if self.steer.is_none() {
+            // Without steering the table holds merge state only: a drain
+            // forgets every flow, so the baseline's burst-end drain leaves
+            // it as built.
+            self.table.clear();
+        }
         // The stash invariant (parked segments belong to live pending
         // flows only) guarantees the per-flow drains above emptied it.
         debug_assert!(self.stash.is_empty(), "stash drained with the table");
@@ -1040,6 +1219,11 @@ mod tests {
         Ipv4Repr::new(SRC, DST, IpProtocol::Tcp, seg.len())
             .build_packet(&seg)
             .unwrap()
+    }
+
+    /// Pending aggregates the engine holds.
+    fn held(eng: &MergeEngine) -> usize {
+        eng.aggs.held.iter().filter(|p| p.is_some()).count()
     }
 
     fn total_payload(pkts: &[Vec<u8>]) -> usize {
@@ -1514,9 +1698,9 @@ mod tests {
         assert_eq!(eng.stats.data_segs_in, 0, "merge path untouched");
         assert_eq!(eng.stats.passthrough, 0, "steering is its own counter");
         assert_eq!(eng.stats.flush_full + eng.stats.flush_timeout, 0);
-        assert_eq!(eng.table.len(), 0, "no merge state for mice");
+        assert_eq!(held(&eng), 0, "no merge state for mice");
         assert_eq!(eng.pool_stats().outstanding(), 0);
-        assert_eq!(eng.flows_live(), 1, "classifier tracks the mouse");
+        assert_eq!(eng.flows_live(), 1, "the table tracks the mouse");
     }
 
     /// Steering reads a mouse's headers only: a corrupted payload leaves
@@ -1564,7 +1748,7 @@ mod tests {
         assert_eq!(eng.stats.bad_checksum, 1, "an elephant is verified");
         assert_eq!(eng.stats.passthrough, 1);
         assert_eq!(out.pkts.last(), Some(&bad), "refused, forwarded verbatim");
-        assert_eq!(eng.table.len(), 0, "nothing merged");
+        assert_eq!(held(&eng), 0, "nothing merged");
     }
 
     /// A mid-flow CWR segment is not merged (GRO flushes on CWR too):
@@ -1640,7 +1824,7 @@ mod tests {
         eng.flush_all_into(&mut sink);
         assert_eq!(eng.stats.steered_mice_pkts, 7, "packets 1..7 hairpinned");
         assert_eq!(eng.stats.data_segs_in, 5, "packets 8..12 merged");
-        assert_eq!(eng.steer().unwrap().promotions, 1);
+        assert_eq!(eng.stats.promotions, 1);
         // Conservation across both paths: every payload byte came out.
         let total_out: usize = total_payload(&got.borrow());
         assert_eq!(total_out, 12 * 1460);
@@ -1655,6 +1839,47 @@ mod tests {
         assert!(tcp.verify_checksum(ip.src(), ip.dst()));
         assert_eq!(tcp.seq().0, 7 * 1460);
         assert_eq!(eng.pool_stats().outstanding(), 0);
+    }
+
+    /// With steering every pushed packet costs exactly one table lookup,
+    /// whatever it does: a new mouse, tracked mice, the promotion, the
+    /// appends, the flush-on-full, a pressure eviction that rescues an
+    /// elephant's aggregate, and an idle eviction.
+    #[test]
+    fn steering_probes_the_table_once_per_packet() {
+        let mut eng = MergeEngine::new(MergeConfig::default());
+        // One entry: every new flow evicts.
+        eng.enable_steer(SteerConfig {
+            table_capacity: 1,
+            ..SteerConfig::default()
+        });
+        let mut out = VecSink::new();
+        let mut push = |eng: &mut MergeEngine, pkt: &[u8]| {
+            let before = eng.table.lookups;
+            eng.push_into(0, pkt, &mut out);
+            assert_eq!(eng.table.lookups - before, 1, "{:?}", eng.stats);
+        };
+        // Seven mice, the promotion with its new aggregate, five
+        // appends of which the last fills it, and one more held.
+        for i in 0..14u32 {
+            push(&mut eng, &data_pkt(5000, i * 1460, 1460));
+        }
+        assert_eq!(eng.stats.steered_mice_pkts, 7);
+        assert_eq!(eng.stats.promotions, 1);
+        assert_eq!(eng.stats.flush_full, 1);
+        assert_eq!(held(&eng), 1);
+        // A new mouse finds only the protected elephant: it is evicted
+        // under pressure and its aggregate rescue-flushed.
+        push(&mut eng, &data_pkt(6000, 0, 100));
+        assert_eq!(eng.table.evicted_pressure, 1);
+        assert_eq!(eng.stats.flush_evict, 1);
+        assert_eq!(held(&eng), 0);
+        // The next evicts that idle mouse.
+        push(&mut eng, &data_pkt(6001, 0, 100));
+        assert_eq!(eng.table.evicted_idle, 1);
+        assert_eq!(eng.stats.steered_mice_pkts, 9);
+        eng.flush_all_into(&mut out);
+        assert_eq!(total_payload(&out.pkts), 14 * 1460 + 200);
     }
 
     /// Recycling sink: after a full drain nothing may be leaked from the

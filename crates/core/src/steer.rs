@@ -12,7 +12,7 @@
 //! engine (on real hardware this path never touches the CPU). Flows that
 //! cross the threshold are *elephants* and get merged.
 
-use crate::flowtable::{FlowTable, FlowTableConfig};
+use crate::flowtable::{flow_hash, FlowTable, FlowTableConfig};
 use px_wire::FlowKey;
 
 /// Classification verdict for one packet.
@@ -31,10 +31,11 @@ pub struct SteerConfig {
     pub elephant_pkts: u32,
     /// Window length in nanoseconds (counters reset each window).
     pub window_ns: u64,
-    /// Classifier table capacity (mice evicted first by LRU).
+    /// Capacity of the table that tracks every flow: the classifier's,
+    /// or a steering merge engine's one table (idle mice evicted first).
     pub table_capacity: usize,
-    /// Hard byte budget for the classifier's flow-state arena — the
-    /// per-core slab that tracks every live flow. `None` for entry-count
+    /// Hard byte budget for that table's arenas — the per-core slab
+    /// that tracks every live flow. `None` for entry-count
     /// sizing only; see [`FlowTableConfig::memory_budget`].
     pub memory_budget: Option<usize>,
 }
@@ -50,14 +51,58 @@ impl Default for SteerConfig {
     }
 }
 
-#[derive(Debug)]
-struct FlowCounter {
-    pkts: u32,
+/// One flow's windowed packet counter — the classifier's whole rule.
+/// [`FlowClassifier`] keeps one per flow in its own table; a steering
+/// merge engine keeps it in the same table slot as the flow's pending
+/// aggregate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FlowCounter {
     window_start: u64,
+    pkts: u32,
     elephant: bool,
 }
 
-/// The windowed elephant/mouse classifier.
+impl FlowCounter {
+    /// The counter a flow's first packet, at `now`, starts: that packet
+    /// is a mouse.
+    pub(crate) fn first(now: u64) -> Self {
+        FlowCounter {
+            window_start: now,
+            pkts: 1,
+            elephant: false,
+        }
+    }
+
+    /// Counts one more packet at `now`: its class, and whether it
+    /// promoted the flow.
+    ///
+    /// A flow keeps its elephant status for the rest of the window in
+    /// which it earned it (hysteresis: flapping between classes would
+    /// reorder its packets between the merge and hairpin paths), and
+    /// starts the next window with a head start, so an elephant never
+    /// demotes.
+    pub(crate) fn count(&mut self, now: u64, cfg: &SteerConfig) -> (FlowClass, bool) {
+        if now.saturating_sub(self.window_start) >= cfg.window_ns {
+            // New window: elephants must re-earn their status, but
+            // carry over a head start so steady bulk flows never flap.
+            self.window_start = now;
+            self.pkts = if self.elephant { cfg.elephant_pkts } else { 0 };
+            self.elephant = self.pkts >= cfg.elephant_pkts;
+        }
+        self.pkts = self.pkts.saturating_add(1);
+        let promoted = !self.elephant && self.pkts >= cfg.elephant_pkts;
+        self.elephant |= promoted;
+        let class = if self.elephant {
+            FlowClass::Elephant
+        } else {
+            FlowClass::Mouse
+        };
+        (class, promoted)
+    }
+}
+
+/// The windowed elephant/mouse classifier on its own table, for callers
+/// without merge state of their own (the simulated gateway, benchmarks).
 #[derive(Debug)]
 pub struct FlowClassifier {
     /// Configuration.
@@ -88,84 +133,27 @@ impl FlowClassifier {
         }
     }
 
-    /// Classifies one packet of `key` arriving at `now`.
-    ///
-    /// A flow keeps its elephant status for the rest of the window in
-    /// which it earned it (hysteresis: flapping between classes would
-    /// reorder its packets between the merge and hairpin paths).
+    /// Classifies one packet of `key` arriving at `now`, with one table
+    /// lookup. Promoted elephants move to the table's protected segment,
+    /// so under arrival churn the flow evicted to track a new one is an
+    /// idle *mouse* while any remains.
     pub fn classify(&mut self, now: u64, key: &FlowKey) -> FlowClass {
-        self.classify_with_evict(now, key).0
-    }
-
-    /// Like [`classify`](Self::classify), additionally returning the
-    /// flow the classifier table had to evict to track `key`, so the
-    /// caller can surface the eviction (observability, counters).
-    /// Promoted elephants are moved to the table's protected LRU
-    /// segment, so under arrival churn the victim is always the
-    /// longest-idle *mouse* while any remains.
-    pub fn classify_with_evict(&mut self, now: u64, key: &FlowKey) -> (FlowClass, Option<FlowKey>) {
-        let cfg = self.cfg;
-        if let Some(c) = self.table.get_mut(key) {
-            if now.saturating_sub(c.window_start) >= cfg.window_ns {
-                // New window: elephants must re-earn their status, but
-                // carry over a head start so steady bulk flows never flap.
-                c.window_start = now;
-                c.pkts = if c.elephant { cfg.elephant_pkts } else { 0 };
-                c.elephant = c.pkts >= cfg.elephant_pkts;
-            }
-            c.pkts = c.pkts.saturating_add(1);
-            let promoted = !c.elephant && c.pkts >= cfg.elephant_pkts;
-            if promoted {
-                c.elephant = true;
-            }
-            let verdict = if c.elephant {
-                FlowClass::Elephant
-            } else {
-                FlowClass::Mouse
-            };
-            if promoted {
-                self.promotions += 1;
-                self.table.protect(key);
-            }
-            match verdict {
-                FlowClass::Mouse => self.mouse_pkts += 1,
-                FlowClass::Elephant => self.elephant_pkts_seen += 1,
-            }
-            return (verdict, None);
-        }
-        let evicted = self
+        let entry = self
             .table
-            .insert(
-                *key,
-                FlowCounter {
-                    pkts: 1,
-                    window_start: now,
-                    elephant: false,
-                },
-            )
-            .map(|(k, _)| k);
-        self.mouse_pkts += 1;
-        (FlowClass::Mouse, evicted)
-    }
-
-    /// Number of tracked flows.
-    pub fn tracked(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Classifier-table evictions that hit an idle (probation) flow.
-    pub fn evicted_idle(&self) -> u64 {
-        self.table.evicted_idle
-    }
-
-    /// Classifier-table evictions forced onto a protected elephant.
-    pub fn evicted_pressure(&self) -> u64 {
-        self.table.evicted_pressure
-    }
-
-    /// Bytes reserved by the classifier's flow-state arena.
-    pub fn arena_bytes(&self) -> usize {
-        self.table.arena_bytes()
+            .entry(flow_hash(key), key, || FlowCounter::first(now));
+        let (class, promoted) = match self.table.value_at(entry.slot) {
+            Some(c) if entry.found => c.count(now, &self.cfg),
+            _ => (FlowClass::Mouse, false),
+        };
+        if promoted {
+            self.promotions += 1;
+            self.table.protect_at(entry.slot);
+        }
+        match class {
+            FlowClass::Mouse => self.mouse_pkts += 1,
+            FlowClass::Elephant => self.elephant_pkts_seen += 1,
+        }
+        class
     }
 }
 
@@ -243,7 +231,7 @@ mod tests {
         }
         assert_eq!(c.classify(100, &key(2)), FlowClass::Mouse);
         assert_eq!(c.classify(101, &key(1)), FlowClass::Elephant);
-        assert_eq!(c.tracked(), 2);
+        assert_eq!(c.table.len(), 2);
     }
 
     #[test]
@@ -282,21 +270,11 @@ mod tests {
             }
         }
         // ...then a storm of one-packet mice churns the table.
-        let mut evictions = Vec::new();
         for m in 100..200u16 {
-            let (class, evicted) = c.classify_with_evict(1000 + u64::from(m), &key(m));
-            assert_eq!(class, FlowClass::Mouse);
-            if let Some(victim) = evicted {
-                evictions.push(victim);
-            }
+            assert_eq!(c.classify(1000 + u64::from(m), &key(m)), FlowClass::Mouse);
         }
-        assert!(!evictions.is_empty(), "the storm must evict");
-        assert!(
-            !evictions.contains(&key(1)) && !evictions.contains(&key(2)),
-            "elephants survived the mouse storm"
-        );
-        assert_eq!(c.evicted_pressure(), 0);
-        assert_eq!(c.evicted_idle(), evictions.len() as u64);
+        assert_eq!(c.table.evicted_idle, 100 - 6, "the storm evicts mice");
+        assert_eq!(c.table.evicted_pressure, 0, "and never an elephant");
         // The elephants still classify as elephants afterwards.
         assert_eq!(c.classify(5000, &key(1)), FlowClass::Elephant);
         assert_eq!(c.classify(5001, &key(2)), FlowClass::Elephant);
@@ -320,13 +298,10 @@ mod tests {
             x ^= x << 17;
             let k = key((x % 64) as u16);
             let now = step * 997;
-            assert_eq!(
-                a.classify_with_evict(now, &k),
-                b.classify_with_evict(now, &k),
-                "step {step}"
-            );
+            assert_eq!(a.classify(now, &k), b.classify(now, &k), "step {step}");
         }
-        assert_eq!(a.tracked(), b.tracked());
+        assert!(a.table.evictions > 0, "the run must evict");
+        assert_eq!(a.table.queue_order(), b.table.queue_order());
         assert_eq!(a.promotions, b.promotions);
     }
 }

@@ -20,6 +20,10 @@
 //!   (48 KB at 1.5 KB each) do not fit L1d, which is why the worker
 //!   does not parse batch-front.
 //!
+//! [`prefetch_ref`] is the same hint for a flow-table bucket or slot:
+//! the worker requests the lines a packet a few places ahead will
+//! probe, once the table has outgrown the cache.
+//!
 //! [`parse_key`] is the same header walk stopped at the flow key. A
 //! steering merge engine takes it first and runs `parse_packet` only on
 //! a packet that may still be merged, so a hairpinned mouse's payload
@@ -262,6 +266,35 @@ pub fn prefetch_packet(pkt: &[u8]) {
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
 pub fn prefetch_packet(_pkt: &[u8]) {}
+
+/// Requests every cache line `value` occupies into L1 — a flow-table
+/// bucket or slot a packet a few places ahead will probe. Pure hint:
+/// no-op off x86-64, never faults, changes nothing observable.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline]
+pub fn prefetch_ref<T>(value: &T) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    let p = (value as *const T).cast::<i8>();
+    let last = std::mem::size_of::<T>().saturating_sub(1);
+    // SAFETY: `_mm_prefetch` is a performance hint with no memory-safety
+    // preconditions (it cannot fault) and reads nothing, so the padding
+    // bytes a `T` may hold are never observed; every pointer formed
+    // stays within the referent because each offset is `<= last`, and
+    // `last` covers a final line the 64-byte stride stepped over.
+    unsafe {
+        for off in (0..last).step_by(64) {
+            _mm_prefetch::<_MM_HINT_T0>(p.add(off));
+        }
+        _mm_prefetch::<_MM_HINT_T0>(p.add(last));
+    }
+}
+
+/// Requests every cache line `value` occupies into L1 (no-op on this
+/// architecture).
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+pub fn prefetch_ref<T>(_value: &T) {}
 
 #[cfg(test)]
 mod tests {

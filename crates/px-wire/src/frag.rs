@@ -109,8 +109,9 @@ struct PartialDatagram {
     total_payload: Option<usize>,
     /// Copy of the first-fragment header (offset 0), used to rebuild.
     first_header: Option<Vec<u8>>,
-    /// Sizes of every fragment as received (total lengths), in arrival
-    /// order — what the F-PMTUD daemon reports.
+    /// Sizes (total lengths) of the fragments that brought payload
+    /// bytes no earlier fragment had, in arrival order — what the
+    /// F-PMTUD daemon reports.
     fragment_sizes: Vec<usize>,
     /// Creation timestamp in caller-defined time units.
     created_at: u64,
@@ -128,7 +129,8 @@ pub enum ReassemblyResult {
     Complete {
         /// The reassembled IPv4 packet.
         packet: Vec<u8>,
-        /// Total length of every fragment, in arrival order.
+        /// Total length of every fragment that added payload bytes, in
+        /// arrival order.
         fragment_sizes: Vec<usize>,
     },
 }
@@ -177,20 +179,19 @@ impl Reassembler {
             fragment_sizes: Vec::new(),
             created_at: now,
         });
-        entry.fragment_sizes.push(pkt.total_len());
         if !pkt.more_frags() {
             entry.total_payload = Some(offset + payload.len());
         }
         if offset == 0 {
             entry.first_header = Some(bytes::range_to(packet, pkt.header_len()).to_vec());
         }
-        // Drop exact duplicates; overlapping non-identical fragments keep
-        // first-arrival bytes (BSD-style "first wins" for the overlap).
-        if !entry
-            .pieces
-            .iter()
-            .any(|(o, p)| *o == offset && p.len() == payload.len())
-        {
+        // A fragment counts — as a piece, and as a size F-PMTUD is told
+        // about — only if it brings payload bytes no earlier fragment
+        // brought: an exact duplicate or a fully overlapped copy carried
+        // no data. Partly overlapping fragments keep first-arrival bytes
+        // for the overlap (BSD-style "first wins").
+        if Self::adds_bytes(&entry.pieces, offset, payload.len()) {
+            entry.fragment_sizes.push(pkt.total_len());
             entry.pieces.push((offset, payload));
         }
 
@@ -202,6 +203,24 @@ impl Reassembler {
             }
         }
         Ok(ReassemblyResult::Incomplete)
+    }
+
+    /// Whether payload range `[offset, offset + len)` holds a byte no
+    /// piece covers.
+    fn adds_bytes(pieces: &[(usize, Vec<u8>)], offset: usize, len: usize) -> bool {
+        let end = offset + len;
+        let mut spans: Vec<(usize, usize)> =
+            pieces.iter().map(|(o, p)| (*o, *o + p.len())).collect();
+        spans.sort_unstable();
+        // `[offset, covered)` is known covered.
+        let mut covered = offset;
+        for (start, stop) in spans {
+            if covered >= end || start > covered {
+                break;
+            }
+            covered = covered.max(stop);
+        }
+        covered < end
     }
 
     fn is_complete(pieces: &[(usize, Vec<u8>)], total: usize) -> bool {
@@ -346,6 +365,39 @@ mod tests {
         }
         assert_eq!(complete, 1);
         assert_eq!(r.pending(), 0);
+    }
+
+    /// F-PMTUD hears only of fragments that carried data: an exact
+    /// duplicate and a larger copy whose bytes earlier fragments already
+    /// brought are both left out of `fragment_sizes`.
+    #[test]
+    fn duplicate_and_overlapped_fragments_are_not_reported() {
+        let p = build(5, 3000, 12, false);
+        // [0, 976), [976, 1952), [1952, 2928), [2928, 3000).
+        let small = fragment(&p, 1000).unwrap();
+        assert_eq!(small.len(), 4);
+        // [0, 1976): covered by the first three small fragments.
+        let large = fragment(&p, 2000).unwrap();
+        let fed = [
+            &small[0], &small[0], &small[1], &small[2], &large[0], &small[3],
+        ];
+        let mut r = Reassembler::new();
+        let mut results: Vec<ReassemblyResult> =
+            fed.iter().map(|f| r.push(f, 0).unwrap()).collect();
+        let Some(ReassemblyResult::Complete {
+            packet,
+            fragment_sizes,
+        }) = results.pop()
+        else {
+            panic!("the last fragment completes the datagram");
+        };
+        assert_eq!(packet, p);
+        let sizes: Vec<usize> = small.iter().map(Vec::len).collect();
+        assert_eq!(
+            fragment_sizes, sizes,
+            "one size per fragment that added bytes"
+        );
+        assert!(results.iter().all(|x| *x == ReassemblyResult::Incomplete));
     }
 
     #[test]

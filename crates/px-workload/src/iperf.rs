@@ -9,7 +9,7 @@ use px_sim::link::LinkConfig;
 use px_sim::network::Network;
 use px_sim::node::{NodeId, PortId};
 use px_sim::time::Nanos;
-use px_tcp::conn::{CcAlgo, ConnConfig};
+use px_tcp::conn::ConnConfig;
 use px_tcp::host::{Host, HostConfig, UdpFlowCfg};
 use px_tcp::udp::UdpSocket;
 use std::net::Ipv4Addr;
@@ -32,8 +32,6 @@ pub struct IperfPair {
     pub flows: usize,
     /// Test duration.
     pub duration: Nanos,
-    /// Congestion control.
-    pub cc: CcAlgo,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -67,7 +65,6 @@ impl IperfPair {
                 .with_queue(1000 * mtu),
             flows: 1,
             duration: Nanos::from_secs(30),
-            cc: CcAlgo::Reno,
             seed: 42,
         }
     }
@@ -108,10 +105,8 @@ impl IperfPair {
         {
             let client = net.node_mut::<Host>(a);
             for i in 0..self.flows {
-                let mut cfg =
-                    ConnConfig::new((A_ADDR, 40000 + i as u16), (B_ADDR, 5201), self.mtu_a)
-                        .sending(u64::MAX);
-                cfg.cc = self.cc;
+                let cfg = ConnConfig::new((A_ADDR, 40000 + i as u16), (B_ADDR, 5201), self.mtu_a)
+                    .sending(u64::MAX);
                 client.connect_at(
                     (i as u64) * 1_000_000, // staggered starts, 1 ms apart
                     cfg,
@@ -184,7 +179,6 @@ mod tests {
             link: LinkConfig::new(1_000_000_000, Nanos::from_millis(1), 1500),
             flows: 4,
             duration: Nanos::from_secs(5),
-            cc: CcAlgo::Reno,
             seed: 3,
         };
         let r = pair.run_tcp();
@@ -205,7 +199,6 @@ mod tests {
             link: LinkConfig::new(1_000_000_000, Nanos::from_micros(100), 1500),
             flows: 2,
             duration: Nanos::from_secs(2),
-            cc: CcAlgo::Reno,
             seed: 4,
         };
         let (dgrams, bytes) = pair.run_udp(20_000_000, 1000);

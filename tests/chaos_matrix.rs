@@ -35,7 +35,7 @@ use packet_express::core::engine::{
     run_engine, run_engine_on_trace, EngineConfig, EngineMode, EngineReport,
 };
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
-use packet_express::core::{FlowTableConfig, SteerConfig};
+use packet_express::core::SteerConfig;
 use packet_express::faults::FaultSpec;
 use packet_express::wire::caravan::split_bundle;
 use packet_express::wire::ipv4::CARAVAN_TOS;
@@ -314,14 +314,13 @@ fn churn_trace(seed: u64) -> Vec<(FlowKey, Vec<u8>)> {
 
 fn churn_run(cores: usize, seed: u64, trace: Vec<(FlowKey, Vec<u8>)>) -> EngineReport {
     let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, cores);
-    // Tables far smaller than the flow population: the classifier must
-    // recycle entries (idle-mouse preference) and the merge table must
-    // rescue-flush pending aggregates under pressure, mid-fault.
+    // A table far smaller than the flow population: it must recycle
+    // idle mice first, and once promoted elephants fill it, evict one
+    // under pressure and rescue-flush its pending aggregate, mid-fault.
     pipe.steer = Some(SteerConfig {
-        table_capacity: 256,
+        table_capacity: 16,
         ..SteerConfig::default()
     });
-    pipe.flow_table = Some(FlowTableConfig::with_capacity(16));
     let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
     cfg.faults = FaultSpec::chaos(seed);
     cfg.capture_output = true;

@@ -300,6 +300,58 @@ fn steady_state_hot_loops_do_not_allocate() {
         "every mouse leaves in the allocation it arrived in"
     );
 
+    // ---- the steering engine's one table at capacity. Sixteen
+    // promoted elephants, each holding an aggregate, fill it, so the
+    // probation segment is empty. Warm-up runs one eviction cycle and
+    // promotes its last mouse to refill the table with elephants; then
+    // the measured region's first new mouse evicts an elephant under
+    // pressure (its aggregate rescue-flushed), and each later one
+    // evicts the idle mouse before it.
+    const CAP: u16 = 16;
+    let mut full = MergeEngine::new(MergeConfig {
+        imtu: 9000,
+        emtu: 1500,
+        hold_ns: 50_000,
+        table_capacity: 64,
+    });
+    full.enable_steer(SteerConfig {
+        table_capacity: usize::from(CAP),
+        ..SteerConfig::default()
+    });
+    full.enable_obs(obs);
+    let mut core = CoreEngine::Merge(full);
+    let flow_pkts = |port: u16, pkts: u32| (0..pkts).map(move |i| tcp_pkt(port, i * 300, 300));
+    let warm: Vec<Vec<u8>> = (0..CAP)
+        .flat_map(|e| flow_pkts(7600 + e, 9))
+        .chain((0..4).flat_map(|m| flow_pkts(7700 + m, 1)))
+        .chain(flow_pkts(7703, 9).skip(1))
+        .collect();
+    for pkt in warm {
+        core.push_into(0, pkt, &mut recycler(&mut sunk));
+    }
+    let (_, idle_before, pressure_before, _) = core.flow_stats();
+    assert_eq!(pressure_before, 1, "warm-up ran one pressure eviction");
+    let storm: Vec<Vec<u8>> = (0..32).flat_map(|m| flow_pkts(7800 + m, 1)).collect();
+    let before = allocs();
+    for pkt in storm {
+        core.push_into(0, pkt, &mut recycler(&mut sunk));
+    }
+    assert_region_clean(before, "steering table at capacity");
+    let (live, idle, pressure, _) = core.flow_stats();
+    assert_eq!(live, u64::from(CAP));
+    assert!(pressure > pressure_before, "no pressure eviction measured");
+    assert_eq!(
+        idle - idle_before,
+        31,
+        "every later mouse evicts an idle one"
+    );
+    core.finish_into(&mut recycler(&mut sunk));
+    let CoreEngine::Merge(full) = &core else {
+        unreachable!("built as Merge")
+    };
+    assert!(full.stats.flush_evict >= 2, "aggregates rescue-flushed");
+    assert_eq!(full.pool_stats().outstanding(), 0, "pool balanced");
+
     // ---- baseline: the merge engine drained at the end of every
     // 64-packet RX burst, the way DPDK's rte_gro forwards. Eight flows
     // interleave in runs of three contiguous segments, so each burst
