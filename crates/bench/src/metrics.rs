@@ -276,10 +276,8 @@ mod tests {
         cfg.obs.slo = px_obs::SloSpec::demo();
         cfg.serve_port = Some(0);
         let report = run_engine(cfg);
-        // The armed run profiled its batches and hot flows and
-        // evaluated its objectives, and a healthy run stays green.
-        assert!(report.obs.profile.batches > 0);
-        assert!(!report.obs.profile.topk.is_empty());
+        // The armed run evaluated its objectives, and a healthy run
+        // stays green.
         assert!(report.obs.slo.evaluated() > 0);
         assert_eq!(report.obs.slo.level(), 0);
         let handle = report.serve.as_ref().expect("endpoint must bind port 0");
@@ -289,7 +287,7 @@ mod tests {
         assert_eq!(status, 200);
         validate_prometheus(&body).expect("scraped exposition must validate");
         assert!(body.contains("pxgw_pkts_in_total"));
-        // The adversarial taxonomy (DESIGN.md §17) is always exposed —
+        // The adversarial taxonomy (DESIGN.md §16) is always exposed —
         // zero-valued on a clean run, but scrapeable before any attack.
         assert!(body.contains("pxgw_dropped_inconsistent_overlap_total"));
         assert!(body.contains("pxgw_dropped_overlap_evasion_total"));

@@ -236,8 +236,7 @@ impl CaravanEngine {
     /// Accounts one emission of `p` (a bundle, or its lone datagram
     /// forwarded untouched): output size, and when observability is on
     /// the `Caravan` span (born → emitted, aux = inner datagrams, a
-    /// fresh causal link), the flow's profile, and — for real bundles —
-    /// the dwell histogram.
+    /// fresh causal link) and — for real bundles — the dwell histogram.
     fn record_emit(&mut self, p: &PendingBundle) {
         let len = p.buf.len();
         self.stats.out_sizes.record(len);
@@ -259,9 +258,6 @@ impl CaravanEngine {
                 aux: count,
                 link,
             });
-            self.chassis
-                .obs
-                .observe_flow(flow, count, len as u64, dwell);
         }
     }
 

@@ -134,8 +134,7 @@ impl Chassis {
     /// A hold-timer poll at `now`. The end-of-run drain polls with a
     /// `u64::MAX` sentinel to expire every timer; the last *real*
     /// timestamp is kept for dwell/span accounting so drained holds
-    /// don't report astronomical dwells (which also overflow the
-    /// profiler's per-flow sums in debug builds).
+    /// don't report astronomical dwells.
     pub(crate) fn poll_tick(&mut self, now: u64) {
         if now != u64::MAX {
             self.last_now = now;

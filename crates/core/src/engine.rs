@@ -42,13 +42,10 @@ use crate::chassis::Chassis;
 use crate::flowtable::{flow_hash, FlowTable};
 use crate::merge::{FlowState, MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
-use px_faults::{
-    FaultInjector, FaultPlan, FaultSpec, Heartbeats, IngressStats, PlannedFaults, StallDetector,
-};
+use px_faults::{FaultInjector, FaultPlan, FaultSpec, IngressStats, PlannedFaults};
 use px_obs::{
-    evaluate_snapshot, perfetto_json, serve, BatchObs, BatchProfile, ObsConfig, ObsReport,
-    Profiler, Recorder, Response, ServeHandle, SloSpec, SloWatchdog, Span, SpanCat, Telemetry,
-    TimeSample,
+    evaluate_snapshot, perfetto_json, serve, BatchObs, ObsConfig, ObsReport, Recorder, Response,
+    ServeHandle, SloSpec, SloWatchdog, Span, SpanCat, Telemetry, TimeSample,
 };
 use px_sim::stats::{CoreCounters, StatsRegistry};
 use px_wire::batchparse::{self, ParsedMeta};
@@ -438,10 +435,6 @@ pub struct EngineReport {
     /// What the pre-shard ingress fault pass did to the trace (all
     /// zero when faults are off).
     pub ingress_faults: IngressStats,
-    /// Worker stalls the Parallel-mode heartbeat monitor flagged.
-    /// Advisory: wall-clock dependent, so tests assert on the restart
-    /// counters, not on this.
-    pub stalls_detected: u64,
     /// Every emitted packet, in core order then emission order. Empty
     /// unless [`EngineConfig::capture_output`] was set.
     pub captured_output: Vec<Vec<u8>>,
@@ -468,16 +461,13 @@ struct Worker {
     /// Per-batch fault verdicts (the inert injector in production).
     faults: PlannedFaults,
     /// The run's configuration: the post-panic engine rebuild, the
-    /// digest / capture switches, and the mode. Only
-    /// Parallel mode has a wall clock, so only there do injected stalls
-    /// really sleep and the SLO watchdog read the wall-clock p99 — a
-    /// stall must never change what the flows carry.
+    /// digest / capture switches, and the mode. Only Parallel mode has
+    /// a wall clock, so only there does the SLO watchdog read the
+    /// wall-clock p99.
     cfg: EngineConfig,
     /// Telemetry rescued from pre-restart engines, so a restart loses
-    /// spans, histograms and profiles no more than it loses flow state.
-    /// `None` until the first restart: the first rescued [`Telemetry`]
-    /// brings the profiler's shape with it.
-    salvage: Option<Telemetry>,
+    /// spans and histograms no more than it loses flow state.
+    salvage: Telemetry,
     /// The per-core SLO watchdog, evaluated at every batch boundary.
     /// Lives on the worker (not the engine) so alert edge state and
     /// tallies survive engine restarts.
@@ -591,7 +581,7 @@ impl Worker {
             core,
             faults: PlannedFaults::new(cfg.faults),
             cfg: *cfg,
-            salvage: None,
+            salvage: Telemetry::default(),
             slo: SloWatchdog::new(cfg.obs.slo),
             captured: cfg.capture_output.then(Vec::new),
         }
@@ -629,16 +619,15 @@ impl Worker {
 
     /// The run-to-completion loop: `BATCH_PKTS`-sized bursts off the
     /// shard until it is exhausted (the tail burst may be short), each
-    /// packet buffer released as it is consumed; a heartbeat per burst
-    /// and a registry publish every `publish_every_batches`; then
-    /// exactly one idle tick — no more packets will ever arrive on this
-    /// shard, so every held flow flushes now rather than at the drain.
+    /// packet buffer released as it is consumed, and a registry publish
+    /// every `publish_every_batches`; then exactly one idle tick — no
+    /// more packets will ever arrive on this shard, so every held flow
+    /// flushes now rather than at the drain.
     /// A burst comes with the rest of the shard behind it to look into.
     fn run_shard<P: BorrowMut<Vec<u8>>>(
         &mut self,
         shard: &mut [(u64, u32, P)],
         registry: &StatsRegistry,
-        heartbeats: &Heartbeats,
     ) {
         let publish_every = if self.cfg.obs.enabled {
             self.cfg.obs.publish_every_batches
@@ -649,7 +638,6 @@ impl Worker {
             let rest = shard.get_mut(start..).unwrap_or_default();
             // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry and restart_worker an R6 entry, so R6 need not re-walk the datapath from here")
             self.run_batch(rest, batchparse::BATCH_PKTS);
-            heartbeats.beat(self.core);
             if publish_every > 0 && self.counters.batches.is_multiple_of(publish_every) {
                 self.publish_progress(registry);
             }
@@ -658,9 +646,8 @@ impl Worker {
     }
 
     /// One batch through the engine, with worker-fault injection at the
-    /// batch boundary: an injected stall sleeps (prey for the heartbeat
-    /// monitor), an injected panic unwinds and is caught right here —
-    /// after which the worker rescues its flow state, restarts its
+    /// batch boundary: an injected panic unwinds and is caught right
+    /// here — after which the worker rescues its flow state, restarts its
     /// engine in place, and reprocesses the batch it was handed: the
     /// first `n` packets of `shard`.
     fn run_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, u32, P)], n: usize) {
@@ -669,12 +656,6 @@ impl Worker {
             return;
         }
         let idx = self.counters.batches;
-        if self.cfg.mode == EngineMode::Parallel {
-            let stall_ns = self.faults.batch_stall_ns(self.core, idx);
-            if stall_ns > 0 {
-                std::thread::sleep(Duration::from_nanos(stall_ns));
-            }
-        }
         if self.faults.batch_panic(self.core, idx) {
             // A real unwind, so the catch-and-restart path exercised is
             // the one a defect in batch processing would take.
@@ -719,10 +700,7 @@ impl Worker {
     /// earlier engine instances left — at a restart and at the end.
     fn salvage_obs(&mut self) {
         let held = self.engine.chassis_mut().obs.take();
-        match &mut self.salvage {
-            Some(earlier) => earlier.merge(held),
-            None => self.salvage = Some(held),
-        }
+        self.salvage.merge(held);
     }
 
     /// Folds the engine's degradation/drop counters into the worker's —
@@ -810,17 +788,11 @@ impl Worker {
             // The Batch *span* carries only logical facts (last
             // arrival ts, packet count) so the span stream stays
             // deterministic; the batch's wall time goes to histograms
-            // and batch profiles, which are measurement-only.
+            // alone, which are measurement-only.
             let wall = t0.elapsed().as_nanos() as u64;
-            let batch_idx = self.counters.batches;
             let rec = &mut self.engine.chassis_mut().obs;
             rec.record(Span::instant(SpanCat::Batch, last_now, n, 0, 0));
             rec.observe_batch(wall, n as u64);
-            rec.observe_batch_profile(BatchProfile {
-                batch: batch_idx,
-                pkts: n as u32,
-                wall_ns: wall,
-            });
             self.check_slo(last_now, n as u64);
         }
     }
@@ -902,7 +874,7 @@ impl Worker {
     fn publish_final(mut self, registry: &StatsRegistry) -> WorkerOutput {
         registry.set_core(self.core, &self.counters);
         self.salvage_obs();
-        let obs = self.salvage.unwrap_or_default();
+        let obs = self.salvage;
         registry.merge_core_hists(self.core, &obs.hists);
         if self.cfg.serve_port.is_some() {
             // A live endpoint outliving the run keeps serving the
@@ -989,8 +961,8 @@ impl CoreDriver {
 /// What each worker hands back at the end of a run.
 struct WorkerOutput {
     digests: BTreeMap<FlowKey, FlowDigest>,
-    /// The core's spans (oldest first), histograms and profiler, with
-    /// what pre-restart engines held folded in first.
+    /// The core's spans (oldest first) and histograms, with what
+    /// pre-restart engines held folded in first.
     obs: Telemetry,
     /// The core's SLO watchdog tallies.
     slo: SloWatchdog,
@@ -1037,10 +1009,9 @@ fn run_core(
     core: usize,
     mut shard: Shard<'_>,
     registry: &StatsRegistry,
-    heartbeats: &Heartbeats,
 ) -> WorkerOutput {
     let mut w = Worker::new(cfg, core);
-    w.run_shard(&mut shard, registry, heartbeats);
+    w.run_shard(&mut shard, registry);
     w.finish();
     w.publish_final(registry)
 }
@@ -1051,8 +1022,6 @@ struct ModeOutput {
     wall_ns: u64,
     outputs: Vec<WorkerOutput>,
     series: Vec<TimeSample>,
-    /// Stall declarations from the Parallel-mode heartbeat monitor.
-    stalls_detected: u64,
     /// The live endpoint, when the run served one (Parallel mode only).
     serve: Option<ServeHandle>,
 }
@@ -1107,13 +1076,9 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
 
     let mut flow_digests: BTreeMap<FlowKey, FlowDigest> = BTreeMap::new();
     let mut per_core_spans = Vec::with_capacity(out.outputs.len());
-    // The merged profiler needs real capacities: a default-constructed
-    // one (k = 0, ring 0) would silently drop every per-core entry.
-    let mut profile = Profiler::new(cfg.obs.profile_topk, cfg.obs.profile_ring);
     let mut slo = SloWatchdog::new(cfg.obs.slo);
     let mut captured_output = Vec::new();
     for worker_out in out.outputs.drain(..) {
-        profile.merge(&worker_out.obs.profile);
         per_core_spans.push(worker_out.obs.spans);
         slo.merge(&worker_out.slo);
         captured_output.extend(worker_out.captured);
@@ -1144,7 +1109,6 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
             enabled: true,
             hists: registry.hist_aggregate(),
             per_core_spans,
-            profile,
             slo,
             time_series: out.series,
         }
@@ -1167,7 +1131,6 @@ pub fn run_engine_on_trace(cfg: EngineConfig, trace: Vec<(FlowKey, Vec<u8>)>) ->
         flow_digests,
         obs,
         ingress_faults: fault_plan.stats,
-        stalls_detected: out.stalls_detected,
         captured_output,
         serve: out.serve,
     }
@@ -1237,7 +1200,6 @@ fn run_parallel(
     mut trace: Vec<(FlowKey, Vec<u8>)>,
     registry: &Arc<StatsRegistry>,
 ) -> ModeOutput {
-    let cores = cfg.pipe.cores;
     let shards = shard_trace(cfg, &mut trace);
     // Live endpoint before the clock starts: serving runs on its own
     // thread against the shared registry, so scrapes never touch the
@@ -1247,9 +1209,8 @@ fn run_parallel(
         .and_then(|port| serve_endpoint(port, Arc::clone(registry), cfg.obs.slo).ok());
     let start = Instant::now();
     let stop = AtomicBool::new(false);
-    let heartbeats = Heartbeats::new(cores);
 
-    let (outputs, wall_ns, series, stalls_detected) = std::thread::scope(|scope| {
+    let (outputs, wall_ns, series) = std::thread::scope(|scope| {
         // In-run sampler: while workers publish periodic counter
         // snapshots, this thread turns them into a throughput/yield
         // time series. Parked, so `stop` wakes it for its last sample.
@@ -1267,33 +1228,10 @@ fn run_parallel(
             })
         });
 
-        // Supervisor: workers beat a shared heartbeat once per burst; a
-        // monitor thread strike-counts the heartbeats and flags stalls.
-        // Only spawned when stall injection is armed — production runs
-        // pay nothing.
-        let monitor = (cfg.faults.enabled && cfg.faults.stall_every_batches > 0).then(|| {
-            scope.spawn(|| {
-                let mut det = StallDetector::new(heartbeats.cores(), 3);
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_micros(50));
-                    for core in det.scan(&heartbeats) {
-                        // Detection is advisory here: the worker restarts
-                        // itself on the injected-panic path, so the monitor
-                        // just forgives the core and counts the episode.
-                        det.clear(core);
-                    }
-                }
-                det.stalls_detected
-            })
-        });
-
         let workers: Vec<_> = shards
             .into_iter()
             .enumerate()
-            .map(|(core, shard)| {
-                let heartbeats = &heartbeats;
-                scope.spawn(move || run_core(cfg, core, shard, registry, heartbeats))
-            })
+            .map(|(core, shard)| scope.spawn(move || run_core(cfg, core, shard, registry)))
             .collect();
         #[allow(clippy::expect_used)]
         let outputs: Vec<_> = workers
@@ -1307,16 +1245,12 @@ fn run_parallel(
         // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a sampler panic to the harness")
         #[allow(clippy::expect_used)]
         let series = sampler.map_or_else(Vec::new, |h| h.join().expect("sampler must not panic"));
-        // px-analyze: allow(R1, reason = "run teardown, not datapath: join propagates a monitor panic to the harness")
-        #[allow(clippy::expect_used)]
-        let stalls = monitor.map_or(0, |h| h.join().expect("monitor must not panic"));
-        (outputs, wall_ns, series, stalls)
+        (outputs, wall_ns, series)
     });
     ModeOutput {
         wall_ns,
         outputs,
         series,
-        stalls_detected,
         serve: serve_handle,
     }
 }
@@ -1332,17 +1266,15 @@ fn run_deterministic(
 ) -> ModeOutput {
     let shards = shard_trace(cfg, &mut trace);
     let start = Instant::now();
-    let heartbeats = Heartbeats::new(shards.len());
     let outputs = shards
         .into_iter()
         .enumerate()
-        .map(|(core, shard)| run_core(cfg, core, shard, registry, &heartbeats))
+        .map(|(core, shard)| run_core(cfg, core, shard, registry))
         .collect();
     ModeOutput {
         wall_ns: start.elapsed().as_nanos() as u64,
         outputs,
         series: Vec::new(),
-        stalls_detected: 0,
         serve: None,
     }
 }
@@ -1421,9 +1353,8 @@ mod tests {
             }
             // Run to completion: every packet left the caller's trace.
             let registry = StatsRegistry::new(cores);
-            let heartbeats = Heartbeats::new(cores);
             for (core, shard) in shards.into_iter().enumerate() {
-                run_core(&cfg, core, shard, &registry, &heartbeats);
+                run_core(&cfg, core, shard, &registry);
             }
             assert_eq!(registry.aggregate().pkts_in, 3_000);
             assert!(trace.iter().all(|(_, pkt)| pkt.is_empty()), "{cores} cores");
@@ -1443,7 +1374,7 @@ mod tests {
             .iter_mut()
             .map(|(now, h, pkt)| (*now, *h, pkt))
             .collect();
-        let out = run_core(cfg, 0, refs, &registry, &Heartbeats::new(1));
+        let out = run_core(cfg, 0, refs, &registry);
         assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
         (registry.aggregate(), out.captured, out.obs.spans)
     }
@@ -1686,19 +1617,18 @@ mod tests {
         let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
         cfg.obs = ObsConfig::disabled();
         let registry = StatsRegistry::new(1);
-        let heartbeats = Heartbeats::new(1);
-        // An empty shard: no burst, no heartbeat, nothing emitted.
+        // An empty shard: no burst, nothing emitted.
         let mut w = Worker::new(&cfg, 0);
-        w.run_shard::<Vec<u8>>(&mut [], &registry, &heartbeats);
-        assert_eq!((w.counters.batches, heartbeats.read(0)), (0, 0));
+        w.run_shard::<Vec<u8>>(&mut [], &registry);
+        assert_eq!(w.counters.batches, 0);
         w.finish();
         assert_eq!(w.counters, CoreCounters::default());
         // A loaded one: held bundles leave at the idle tick, so the
         // drain after it has nothing left and the pool is whole.
         let mut shard = one_shard(&pipe, 3, 70, 11);
         let mut w = Worker::new(&cfg, 0);
-        w.run_shard(&mut shard, &registry, &heartbeats);
-        assert_eq!((w.counters.batches, heartbeats.read(0)), (3, 3));
+        w.run_shard(&mut shard, &registry);
+        assert_eq!(w.counters.batches, 3);
         assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
         let after_tick = w.counters.pkts_out;
         assert!(after_tick > w.counters.pkts_out_inband);
@@ -1721,7 +1651,7 @@ mod tests {
                 .map(|(now, h, pkt)| (*now, *h, pkt))
                 .collect();
             let registry = StatsRegistry::new(1);
-            let out = run_core(&cfg, 0, shard, &registry, &Heartbeats::new(1)).obs;
+            let out = run_core(&cfg, 0, shard, &registry).obs;
             assert!(!out.spans.is_empty(), "the report always gets the spans");
             let published = registry.spans_snapshot();
             assert_eq!(published[0].is_empty(), serve_port.is_none());
@@ -1793,7 +1723,6 @@ mod tests {
             .count() as u64;
         assert_eq!(restarts, r.totals.worker_restarts);
         assert_eq!(r.obs.hists.batch_ns.count(), r.totals.batches);
-        assert_eq!(r.obs.profile.batches, r.totals.batches);
     }
 
     /// Regression: a restarted worker's fresh engine used to number its

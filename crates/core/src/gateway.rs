@@ -12,7 +12,7 @@ use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::merge::{MergeConfig, MergeEngine};
 use crate::mss::raise_mss;
 use crate::split::SplitEngine;
-use crate::steer::{FlowClass, FlowClassifier, SteerConfig};
+use crate::steer::SteerConfig;
 use px_sim::node::{Ctx, Node, PortId};
 use px_sim::Nanos;
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
@@ -33,6 +33,8 @@ pub const INTERNAL_PORT: PortId = PortId(1);
 
 const POLL_TOKEN: u64 = 1;
 const ADVERT_TOKEN: u64 = 2;
+/// Merge/caravan hold-timer poll period (ns).
+const POLL_NS: u64 = 10_000;
 
 /// Gateway configuration.
 #[derive(Debug, Clone, Copy)]
@@ -43,16 +45,12 @@ pub struct GatewayConfig {
     pub emtu: usize,
     /// Delayed-merging hold time (ns); 0 disables holding.
     pub hold_ns: u64,
-    /// Rewrite MSS options on handshake packets entering the b-network.
-    pub rewrite_mss: bool,
-    /// Bundle UDP into PX-caravans (needs caravan-aware receivers).
-    pub caravan: bool,
-    /// Small-flow steering; `None` sends every flow through the merge
-    /// engine (the ablation case).
+    /// Small-flow steering of TCP; `None` sends every flow through the
+    /// merge engine (the ablation case). UDP is never steered.
     pub steer: Option<SteerConfig>,
-    /// Merge/caravan hold-timer poll period (ns).
-    pub poll_ns: u64,
-    /// Flow-table capacity for the merge and caravan engines.
+    /// Flow-table capacity for the caravan engine, and for the merge
+    /// engine when it does not steer (steering sizes that table by
+    /// [`SteerConfig`]).
     pub table_capacity: usize,
     /// This b-network's AS number, used in iMTU advertisements (§4.2).
     /// `None` disables advertising and neighbour-aware pass-through.
@@ -71,10 +69,7 @@ impl Default for GatewayConfig {
             imtu: px_wire::JUMBO_MTU,
             emtu: px_wire::LEGACY_MTU,
             hold_ns: 50_000,
-            rewrite_mss: true,
-            caravan: true,
             steer: Some(SteerConfig::default()),
-            poll_ns: 10_000,
             table_capacity: 65536,
             asn: None,
             advert_interval_ns: 5_000_000_000,
@@ -87,18 +82,15 @@ impl Default for GatewayConfig {
 pub struct PxGateway {
     /// Configuration.
     pub cfg: GatewayConfig,
-    /// TCP merge engine (eMTU → iMTU).
+    /// TCP merge engine (eMTU → iMTU), steering mice past merging when
+    /// [`GatewayConfig::steer`] is set.
     pub merge: MergeEngine,
     /// TCP split engine (iMTU → eMTU).
     pub split: SplitEngine,
     /// UDP caravan engine.
     pub caravan: CaravanEngine,
-    /// Small-flow classifier (when steering is enabled).
-    pub classifier: Option<FlowClassifier>,
     /// SYN/SYN-ACK MSS rewrites performed.
     pub mss_rewrites: u64,
-    /// Packets hairpinned past the merge engine.
-    pub hairpinned: u64,
     /// §4.2 neighbour table, fed by iMTU advertisements on the external
     /// port.
     pub neighbors: NeighborTable,
@@ -114,14 +106,18 @@ pub struct PxGateway {
 impl PxGateway {
     /// Creates a gateway.
     pub fn new(cfg: GatewayConfig) -> Self {
+        let mut merge = MergeEngine::new(MergeConfig {
+            imtu: cfg.imtu,
+            emtu: cfg.emtu,
+            hold_ns: cfg.hold_ns,
+            table_capacity: cfg.table_capacity,
+        });
+        if let Some(s) = cfg.steer {
+            merge.enable_steer(s);
+        }
         PxGateway {
             cfg,
-            merge: MergeEngine::new(MergeConfig {
-                imtu: cfg.imtu,
-                emtu: cfg.emtu,
-                hold_ns: cfg.hold_ns,
-                table_capacity: cfg.table_capacity,
-            }),
+            merge,
             split: SplitEngine::new(cfg.emtu),
             caravan: CaravanEngine::new(CaravanConfig {
                 imtu: cfg.imtu,
@@ -130,9 +126,7 @@ impl PxGateway {
                 require_consecutive_ip_id: true,
                 probe_port: FPMTUD_PORT,
             }),
-            classifier: cfg.steer.map(FlowClassifier::new),
             mss_rewrites: 0,
-            hairpinned: 0,
             neighbors: NeighborTable::new(),
             neighbor_asn: None,
             passthrough_out: 0,
@@ -221,26 +215,15 @@ impl PxGateway {
         }
         // Handshake intervention: raise the MSS the external host
         // advertised so the b-network host will send jumbo segments.
-        if self.cfg.rewrite_mss {
-            let target = (self.cfg.imtu - 40).min(usize::from(u16::MAX)) as u16;
-            if matches!(
-                raise_mss(pkt.as_mut_slice(), target),
-                crate::mss::MssRewrite::Rewritten { .. }
-            ) {
-                self.mss_rewrites += 1;
-            }
+        let target = (self.cfg.imtu - 40).min(usize::from(u16::MAX)) as u16;
+        if matches!(
+            raise_mss(pkt.as_mut_slice(), target),
+            crate::mss::MssRewrite::Rewritten { .. }
+        ) {
+            self.mss_rewrites += 1;
         }
-        // Small-flow steering: mice bypass the merge machinery entirely.
-        if let Some(cl) = &mut self.classifier {
-            if let Some(key) = px_wire::batchparse::parse_key(pkt.as_slice()) {
-                if cl.classify(ctx.now.0, &key) == FlowClass::Mouse {
-                    self.hairpinned += 1;
-                    ctx.send(INTERNAL_PORT, pkt);
-                    return;
-                }
-            }
-        }
-        // Emission goes straight from the engine's pool to the port.
+        // Emission goes straight from the engine's pool to the port;
+        // a steered mouse is forwarded by the merge engine untouched.
         let now = ctx.now.0;
         let mut to_bnet = |b: PacketBuf| {
             ctx.send(INTERNAL_PORT, b);
@@ -248,7 +231,7 @@ impl PxGateway {
         };
         let proto = Ipv4Packet::new_checked(pkt.as_slice()).map(|ip| ip.protocol());
         match proto {
-            Ok(IpProtocol::Udp) if self.cfg.caravan => {
+            Ok(IpProtocol::Udp) => {
                 self.caravan
                     .push_inbound_into(now, pkt.as_slice(), &mut to_bnet);
             }
@@ -299,7 +282,7 @@ impl PxGateway {
 
 impl Node for PxGateway {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.set_timer(Nanos(self.cfg.poll_ns), POLL_TOKEN);
+        ctx.set_timer(Nanos(POLL_NS), POLL_TOKEN);
         if self.cfg.asn.is_some() {
             self.send_advert(ctx);
             ctx.set_timer(Nanos(self.cfg.advert_interval_ns), ADVERT_TOKEN);
@@ -340,7 +323,7 @@ impl Node for PxGateway {
                         ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&probe));
                     }
                 }
-                ctx.set_timer(Nanos(self.cfg.poll_ns), POLL_TOKEN);
+                ctx.set_timer(Nanos(POLL_NS), POLL_TOKEN);
             }
         }
     }
@@ -501,7 +484,10 @@ mod tests {
         );
         net.run_until(Nanos::from_secs(6));
         let gwn = net.node_ref::<PxGateway>(gw);
-        assert!(gwn.hairpinned > 0, "short flow bypassed the merge engine");
+        assert!(
+            gwn.merge.stats.steered_mice_pkts > 0,
+            "short flow bypassed the merge engine"
+        );
         assert_eq!(gwn.merge.stats.data_segs_in, 0, "nothing entered merging");
         let client = net.node_ref::<Host>(int);
         assert_eq!(client.tcp_stats()[0].bytes_received, 20_000);

@@ -450,7 +450,7 @@ impl MergeEngine {
         self.chassis.emit(buf, sink);
     }
 
-    /// Records one merge emission's lifecycle span and flow profile:
+    /// Records one merge emission's lifecycle span:
     /// born → emitted, aux = how many segments it swallowed, link = the
     /// causal id the consuming split span will carry. Single-packet
     /// emissions (already-iMTU input, the hold-disabled ablation, stash
@@ -468,8 +468,6 @@ impl MergeEngine {
                 aux: u64::from(segs),
                 link,
             });
-            let obs = &mut self.chassis.obs;
-            obs.observe_flow(flow, u64::from(segs), len as u64, dwell);
         }
     }
 
@@ -909,17 +907,10 @@ impl MergeEngine {
                     // never demote, and an evicted flow's aggregate left
                     // with its entry.
                     self.stats.steered_mice_pkts += 1;
-                    if self.chassis.obs.is_enabled() {
-                        let flow = flow_id(key.src_port, key.dst_port);
-                        self.chassis.obs.record(Span::instant(
-                            SpanCat::Steer,
-                            now,
-                            pkt.len(),
-                            flow,
-                            1,
-                        ));
-                        self.chassis.obs.observe_flow(flow, 1, pkt.len() as u64, 0);
-                    }
+                    let flow = flow_id(key.src_port, key.dst_port);
+                    self.chassis
+                        .obs
+                        .record(Span::instant(SpanCat::Steer, now, pkt.len(), flow, 1));
                     match input {
                         Ingress::Lent(pkt) => self.chassis.forward(pkt, sink),
                         // An owned mouse leaves in its own allocation: no

@@ -181,7 +181,7 @@ impl TraceGen {
                 };
                 FlowGen {
                     key,
-                    next_seq: (i as u32) * 1_000_003,
+                    next_seq: (i as u32).wrapping_mul(1_000_003),
                     next_ip_id: i as u16,
                 }
             })

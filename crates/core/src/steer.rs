@@ -102,7 +102,7 @@ impl FlowCounter {
 }
 
 /// The windowed elephant/mouse classifier on its own table, for callers
-/// without merge state of their own (the simulated gateway, benchmarks).
+/// without merge state of their own (benchmarks).
 #[derive(Debug)]
 pub struct FlowClassifier {
     /// Configuration.

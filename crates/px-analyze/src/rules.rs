@@ -209,10 +209,9 @@ impl Default for Config {
                 "crates/px-obs/src/ring.rs",
                 "crates/px-obs/src/hist.rs",
                 "crates/px-obs/src/recorder.rs",
-                // The span record, the hot-flow sketch, and the SLO
-                // watchdog also run inline on the workers.
+                // The span record and the SLO watchdog also run inline
+                // on the workers.
                 "crates/px-obs/src/span.rs",
-                "crates/px-obs/src/profile.rs",
                 "crates/px-obs/src/slo.rs",
             ],
             r3_modules: vec![
@@ -251,7 +250,6 @@ impl Default for Config {
                 "crates/px-obs/src/hist.rs",
                 "crates/px-obs/src/recorder.rs",
                 "crates/px-obs/src/span.rs",
-                "crates/px-obs/src/profile.rs",
                 "crates/px-obs/src/slo.rs",
             ],
             // `forward_stash_leftovers` is the stash-overflow fallback

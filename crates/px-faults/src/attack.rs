@@ -17,7 +17,7 @@
 //! ever replay sequence ranges the legitimate flow has already sent (with
 //! flipped bytes), so a correct gateway can always prove the conflict
 //! against attested data. First-writer-wins races in unsent gaps are a
-//! different threat (see DESIGN.md §17) and are deliberately absent here.
+//! different threat (see DESIGN.md §16) and are deliberately absent here.
 
 use crate::rng::{splitmix64, XorShift64};
 use px_wire::ipv4::Ipv4Repr;

@@ -1,5 +1,5 @@
 //! Resource-fault injection: pool exhaustion, flow-table pressure, and
-//! worker stall/panic, behind a trait whose disabled implementation is
+//! worker panic, behind a trait whose disabled implementation is
 //! a no-op.
 //!
 //! Resource verdicts are **stateless**: a packet's fate is
@@ -63,13 +63,6 @@ pub trait FaultInjector {
     fn batch_panic(&self, _core: usize, _batch_idx: u64) -> bool {
         false
     }
-
-    /// How long (wall ns) the worker should stall at the entry of this
-    /// batch; 0 = no stall.
-    #[inline]
-    fn batch_stall_ns(&self, _core: usize, _batch_idx: u64) -> u64 {
-        0
-    }
 }
 
 /// The production injector: injects nothing, costs nothing.
@@ -129,19 +122,6 @@ impl FaultInjector for PlannedFaults {
         // so every worker processes something before its first death.
         batch_idx > 0 && (batch_idx + core as u64).is_multiple_of(self.spec.panic_every_batches)
     }
-
-    #[inline]
-    fn batch_stall_ns(&self, core: usize, batch_idx: u64) -> u64 {
-        if !self.spec.enabled || self.spec.stall_every_batches == 0 {
-            return 0;
-        }
-        if batch_idx > 0 && (batch_idx + core as u64).is_multiple_of(self.spec.stall_every_batches)
-        {
-            self.spec.stall_ns
-        } else {
-            0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +134,6 @@ mod tests {
         assert!(!n.pool_dry(1));
         assert!(!n.table_deny(2));
         assert!(!n.batch_panic(0, 100));
-        assert_eq!(n.batch_stall_ns(0, 100), 0);
     }
 
     #[test]
@@ -164,14 +143,11 @@ mod tests {
             pool_dry_ppm: 1_000_000,
             table_deny_ppm: 1_000_000,
             panic_every_batches: 1,
-            stall_every_batches: 1,
-            stall_ns: 1,
             ..FaultSpec::off()
         });
         assert!(!p.pool_dry(1));
         assert!(!p.table_deny(1));
         assert!(!p.batch_panic(0, 7));
-        assert_eq!(p.batch_stall_ns(0, 7), 0);
     }
 
     #[test]

@@ -14,15 +14,13 @@
 //!   reorder / corrupt / truncate into a packet trace *before* RSS
 //!   sharding, so the faulted trace is the same at any core count.
 //! - [`FaultInjector`] / [`NoFaults`] / [`PlannedFaults`] — resource
-//!   faults (pool exhaustion, flow-table pressure, worker stall/panic)
+//!   faults (pool exhaustion, flow-table pressure, worker panic)
 //!   decided *statelessly* per packet from a hash of the packet bytes
 //!   and the seed. A packet gets the same verdict on 1 core or 8, so
 //!   resource faults cannot perturb cross-core content identity. The
 //!   disabled injector is a single predicted branch.
 //! - [`DetBackoff`] — the jitter-free exponential backoff schedule the
 //!   F-PMTUD prober and the PMTUD client retry on.
-//! - [`Heartbeats`] / [`StallDetector`] — the supervisor primitives the
-//!   parallel engine uses to detect and restart stalled workers.
 //! - [`attack`] — seeded *adversarial* generators (vs. the merely
 //!   unreliable network the fault plan models): TCP injection/overlap
 //!   schedules, malformed caravan bundles with ground truth, and
@@ -42,11 +40,9 @@ pub mod inject;
 pub mod plan;
 pub mod rng;
 pub mod spec;
-pub mod supervisor;
 
 pub use backoff::DetBackoff;
 pub use inject::{decide_ppm, hash_bytes, FaultInjector, NoFaults, PlannedFaults};
 pub use plan::{FaultPlan, IngressStats};
 pub use rng::{splitmix64, XorShift64};
 pub use spec::{cause, FaultSpec};
-pub use supervisor::{Heartbeats, StallDetector};

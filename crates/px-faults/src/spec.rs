@@ -56,11 +56,6 @@ pub struct FaultSpec {
     /// supervisor catches it, rescues the core's flow state, and
     /// restarts the worker in place.
     pub panic_every_batches: u64,
-    /// Worker: stall (sleep) for `stall_ns` at the entry of every Nth
-    /// batch (0 = never) — what the heartbeat monitor is for.
-    pub stall_every_batches: u64,
-    /// How long an injected stall lasts, in wall nanoseconds.
-    pub stall_ns: u64,
 }
 
 impl Default for FaultSpec {
@@ -84,15 +79,13 @@ impl FaultSpec {
             pool_dry_ppm: 0,
             table_deny_ppm: 0,
             panic_every_batches: 0,
-            stall_every_batches: 0,
-            stall_ns: 0,
         }
     }
 
     /// A seed-derived chaos mix for the matrix: every rate is drawn
     /// from the seed, so seed `s` names one complete fault schedule.
-    /// Roughly half the seeds include worker panics and a quarter
-    /// include stalls; ingress rates range up to a few percent.
+    /// Roughly half the seeds include worker panics; ingress rates
+    /// range up to a few percent.
     #[must_use]
     pub fn chaos(seed: u64) -> Self {
         let d = |salt: u64, range: u64| -> u32 {
@@ -113,19 +106,7 @@ impl FaultSpec {
                 1 => 13,
                 _ => 0,
             },
-            stall_every_batches: if splitmix64(seed ^ 9).is_multiple_of(4) {
-                11
-            } else {
-                0
-            },
-            stall_ns: 200_000, // 0.2 ms: long enough for the monitor to see
         }
-    }
-
-    /// Whether this spec can inject worker-level faults.
-    #[must_use]
-    pub fn has_worker_faults(&self) -> bool {
-        self.enabled && (self.panic_every_batches > 0 || self.stall_every_batches > 0)
     }
 }
 
@@ -138,7 +119,6 @@ mod tests {
         let s = FaultSpec::off();
         assert!(!s.enabled);
         assert_eq!(s, FaultSpec::default());
-        assert!(!s.has_worker_faults());
     }
 
     #[test]

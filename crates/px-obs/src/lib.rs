@@ -20,9 +20,6 @@
 //!   time, per-packet cost, merge-aggregate dwell time, and output
 //!   packet sizes, mergeable across cores with p50/p90/p99/max
 //!   summaries.
-//! * **Continuous profiling** ([`Profiler`], [`TopK`]) — a space-saving
-//!   top-K sketch of hot flows plus a ring of per-batch wall
-//!   times, fixed footprint, alloc-free updates.
 //! * **SLO watchdog** ([`SloSpec`], [`SloWatchdog`]) — declarative
 //!   objectives evaluated at batch boundaries, edge-triggered alert
 //!   spans, deterministic where digests must be.
@@ -38,8 +35,7 @@
 //! *logical* time (trace arrival timestamps derived from packet index
 //! and offered load, or per-engine packet counters), never wall-clock,
 //! so enabling the recorder cannot perturb deterministic-mode digests.
-//! Wall-clock only ever enters the (incomparable) latency histograms
-//! and batch profiles.
+//! Wall-clock only ever enters the (incomparable) latency histograms.
 //!
 //! [`ObsConfig::disabled`] short-circuits everything to no-ops: the
 //! ring has zero capacity (no allocation at all) and every `record`/
@@ -57,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub mod hist;
-pub mod profile;
 pub mod recorder;
 pub mod ring;
 pub mod serve;
@@ -66,7 +61,6 @@ pub mod snapshot;
 pub mod span;
 
 pub use hist::{HistSet, Histo64};
-pub use profile::{BatchProfile, FlowStat, Profiler, TopK};
 pub use recorder::{ObsConfig, ObsReport, Recorder, Telemetry};
 pub use ring::Ring;
 pub use serve::{http_get, serve, Response, ServeHandle};

@@ -1,9 +1,7 @@
-//! The per-engine recorder: one span ring, one histogram set and the
-//! continuous profiler, with a disabled mode that compiles down to
-//! predicted-branch no-ops.
+//! The per-engine recorder: one span ring and one histogram set, with a
+//! disabled mode that compiles down to predicted-branch no-ops.
 
 use crate::hist::HistSet;
-use crate::profile::{BatchProfile, Profiler};
 use crate::ring::Ring;
 use crate::slo::SloSpec;
 use crate::snapshot::TimeSample;
@@ -17,12 +15,6 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Recorder ring capacity per engine, in spans.
     pub span_capacity: usize,
-    /// Continuous-profiler top-K sketch size (hot flows tracked per
-    /// core; 0 disables the sketch).
-    pub profile_topk: usize,
-    /// Continuous-profiler batch-profile ring capacity (0 disables the
-    /// per-batch wall-time ring).
-    pub profile_ring: usize,
     /// The SLO watchdog objectives evaluated at batch boundaries.
     pub slo: SloSpec,
     /// In Parallel mode, workers publish their counters to the shared
@@ -39,8 +31,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: true,
             span_capacity: 1024,
-            profile_topk: 16,
-            profile_ring: 64,
             slo: SloSpec::default(),
             publish_every_batches: 16,
             sample_interval_us: 1000,
@@ -50,13 +40,11 @@ impl Default for ObsConfig {
 
 impl ObsConfig {
     /// The all-off configuration: no ring, no histograms, no sampler,
-    /// no profiler, no watchdog.
+    /// no watchdog.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,
             span_capacity: 0,
-            profile_topk: 0,
-            profile_ring: 0,
             slo: SloSpec::off(),
             publish_every_batches: 0,
             sample_interval_us: 0,
@@ -65,28 +53,25 @@ impl ObsConfig {
 }
 
 /// Everything one recorder held, detached for report assembly: the
-/// ring's spans (oldest first), the histograms and the profiler.
+/// ring's spans (oldest first) and the histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     /// The span ring's contents, oldest first.
     pub spans: Vec<Span>,
     /// The accumulated histograms.
     pub hists: HistSet,
-    /// The continuous profiler.
-    pub profile: Profiler,
 }
 
 impl Telemetry {
-    /// Folds in what a `later` recorder of the same shape held: its
-    /// spans go after these (they are chronologically later).
+    /// Folds in what a `later` recorder held: its spans go after these
+    /// (they are chronologically later).
     pub fn merge(&mut self, later: Telemetry) {
         self.spans.extend(later.spans);
         self.hists.merge(&later.hists);
-        self.profile.merge(&later.profile);
     }
 }
 
-/// A span ring, histogram set and profiler for one engine/core.
+/// A span ring and histogram set for one engine/core.
 ///
 /// The default value is the disabled recorder (zero-capacity ring, no
 /// heap), so embedding one in an engine costs nothing until
@@ -95,14 +80,12 @@ impl Telemetry {
 pub struct Recorder {
     enabled: bool,
     spans: Ring<Span>,
-    profile: Profiler,
     hists: HistSet,
 }
 
 impl Recorder {
-    /// Builds a recorder for `cfg`, preallocating the span ring and the
-    /// profiler when enabled (so nothing on the recording path ever
-    /// allocates).
+    /// Builds a recorder for `cfg`, preallocating the span ring when
+    /// enabled (so nothing on the recording path ever allocates).
     pub fn new(cfg: ObsConfig) -> Self {
         if !cfg.enabled {
             return Self::default();
@@ -110,7 +93,6 @@ impl Recorder {
         Recorder {
             enabled: true,
             spans: Ring::with_capacity(cfg.span_capacity),
-            profile: Profiler::new(cfg.profile_topk, cfg.profile_ring),
             hists: HistSet::default(),
         }
     }
@@ -129,26 +111,6 @@ impl Recorder {
             return;
         }
         self.spans.push(span);
-    }
-
-    /// Attributes emission work to a flow in the continuous profiler's
-    /// top-K sketch. Alloc-free; no-op when disabled.
-    #[inline]
-    pub fn observe_flow(&mut self, flow: u32, pkts: u64, bytes: u64, dwell_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.profile.observe_flow(flow, pkts, bytes, dwell_ns);
-    }
-
-    /// Records one batch's wall time in the continuous profiler's
-    /// ring. Alloc-free; no-op when disabled.
-    #[inline]
-    pub fn observe_batch_profile(&mut self, p: BatchProfile) {
-        if !self.enabled {
-            return;
-        }
-        self.profile.observe_batch_profile(p);
     }
 
     /// Records one batch's wall time and derives the per-packet cost.
@@ -204,11 +166,6 @@ impl Recorder {
         self.spans.recent(n)
     }
 
-    /// The continuous profiler's current state.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profile
-    }
-
     /// Decodes the last `n` spans into a human-readable timeline, one
     /// line per span — the post-mortem dump format.
     pub fn render_recent(&self, n: usize) -> String {
@@ -235,7 +192,6 @@ impl Recorder {
         Telemetry {
             spans: rec.spans.recent(rec.spans.len()),
             hists: rec.hists,
-            profile: rec.profile,
         }
     }
 }
@@ -261,8 +217,6 @@ pub struct ObsReport {
     /// Each core's recorder contents (oldest first; spans salvaged
     /// across worker restarts come first).
     pub per_core_spans: Vec<Vec<Span>>,
-    /// The continuous profiler, merged over every core.
-    pub profile: Profiler,
     /// The SLO watchdog tallies, merged over every core.
     pub slo: crate::slo::SloWatchdog,
     /// Periodic whole-engine samples from the in-run sampler thread
@@ -311,11 +265,9 @@ mod tests {
         r.record(sp(SpanCat::Classify, 1));
         r.observe_batch(100, 32);
         r.observe_out_size(9000);
-        r.observe_flow(1, 1, 1, 1);
         assert_eq!(r.spans_recorded(), 0);
         assert_eq!(r.hists().batch_ns.count(), 0);
         assert_eq!(r.hists().out_bytes.count(), 0);
-        assert!(r.profiler().topk.is_empty());
         assert!(!r.is_enabled());
     }
 
@@ -337,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn take_detaches_spans_hists_and_profile_and_merge_appends() {
+    fn take_detaches_spans_and_hists_and_merge_appends() {
         let cfg = ObsConfig {
             span_capacity: 8,
             ..ObsConfig::default()
@@ -347,18 +299,10 @@ mod tests {
             r.record(sp(SpanCat::Batch, t));
         }
         r.observe_dwell(500);
-        r.observe_flow(crate::flow_id(5000, 80), 6, 8760, 50_000);
-        r.observe_batch_profile(BatchProfile {
-            batch: 0,
-            pkts: 32,
-            wall_ns: 4000,
-        });
         let mut first = r.take();
         assert_eq!(first.spans.len(), 8, "capacity-bounded");
         assert_eq!(first.spans.first().map(|s| s.start_ns), Some(12));
         assert_eq!(first.hists.dwell_ns.count(), 1);
-        assert_eq!(first.profile.batches, 1);
-        assert_eq!(first.profile.topk.len(), 1);
         assert!(!r.is_enabled(), "take leaves the disabled recorder");
         assert_eq!(r.spans_recorded(), 0);
         assert_eq!(r.hists().dwell_ns.count(), 0);
@@ -367,12 +311,10 @@ mod tests {
         let mut r2 = Recorder::new(cfg);
         r2.record(sp(SpanCat::Restart, 99));
         r2.observe_dwell(700);
-        r2.observe_flow(crate::flow_id(5000, 80), 1, 1460, 0);
         first.merge(r2.take());
         assert_eq!(first.spans.len(), 9);
         assert_eq!(first.spans.last().map(|s| s.cat), Some(SpanCat::Restart));
         assert_eq!(first.hists.dwell_ns.count(), 2);
-        assert_eq!(first.profile.topk.top()[0].pkts, 7);
     }
 
     #[test]

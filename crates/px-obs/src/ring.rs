@@ -1,7 +1,5 @@
 //! The one fixed-capacity ring behind the recorder: a `Ring` of
-//! [`Span`](crate::Span)s for the telemetry records, a `Ring` of
-//! [`BatchProfile`](crate::BatchProfile)s for the profiler's recent
-//! batches.
+//! [`Span`](crate::Span)s for the telemetry records.
 //!
 //! One ring per core, preallocated when observability is enabled, so
 //! the recording path ([`Ring::push`]) is a bounds-checked store plus

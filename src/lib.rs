@@ -31,7 +31,7 @@ pub use px_wire as wire;
 pub use px_sim as sim;
 
 /// Observability: the span recorder, log₂ latency/size histograms,
-/// profiler, SLO watchdog and Prometheus/JSON metrics export.
+/// SLO watchdog and Prometheus/JSON metrics export.
 /// Re-export of [`px_obs`].
 pub use px_obs as obs;
 

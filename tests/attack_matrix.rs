@@ -1,5 +1,5 @@
 //! The attack matrix — the adversarial-robustness contract of the PXGW
-//! datapath, proven over seeded attack schedules (DESIGN.md §17).
+//! datapath, proven over seeded attack schedules (DESIGN.md §16).
 //!
 //! Where `chaos_matrix` models an *unreliable* network, this matrix
 //! models a *hostile* one: an on-path injector replaying TCP ranges

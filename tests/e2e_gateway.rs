@@ -117,8 +117,42 @@ fn mixed_flows_with_steering_stay_intact() {
     assert_eq!(total, 3 * 1_000_000 + 5 * 4_000);
     assert_eq!(stats.iter().map(|s| s.integrity_errors).sum::<u64>(), 0);
     let g = net.node_ref::<PxGateway>(gw);
-    assert!(g.hairpinned > 0, "mice were hairpinned");
+    assert!(g.merge.stats.steered_mice_pkts > 0, "mice were hairpinned");
     assert!(g.merge.stats.data_segs_in > 0, "elephants were merged");
+}
+
+/// Steering is for TCP: with it on, a UDP flow's first datagrams are
+/// not hairpinned as mice but reach the caravan engine like the rest.
+#[test]
+fn steering_never_hairpins_udp() {
+    let (mut net, ext, gw, int) = topo(11, GatewayConfig::default(), Netem::none());
+    net.node_mut::<Host>(int)
+        .udp_bind(UdpSocket::bind(4433).recording());
+    net.node_mut::<Host>(ext).add_udp_flow(UdpFlowCfg {
+        local_port: 7000,
+        dst: INT,
+        dst_port: 4433,
+        rate_bps: 100_000_000,
+        payload: 1172,
+        start_ns: 0,
+        stop_ns: Nanos::from_millis(20).0,
+    });
+    net.run_until(Nanos::from_millis(200));
+    let sent = net
+        .node_ref::<Host>(ext)
+        .udp_socket(7000)
+        .unwrap()
+        .stats
+        .sent;
+    assert!(sent > 0);
+    let g = net.node_ref::<PxGateway>(gw);
+    assert_eq!(
+        g.caravan.stats.pkts_in, sent,
+        "every datagram was offered to caravan bundling"
+    );
+    assert_eq!(g.merge.stats.steered_mice_pkts, 0);
+    let sock = net.node_ref::<Host>(int).udp_socket(4433).unwrap();
+    assert_eq!(sock.stats.datagrams, sent);
 }
 
 /// UDP caravans under loss: every datagram that survives the WAN arrives

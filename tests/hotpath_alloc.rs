@@ -206,11 +206,10 @@ fn steady_state_hot_loops_do_not_allocate() {
     let mut sunk = 0u64;
 
     // The recorder is armed on every engine: the default config
-    // preallocates the span ring and the continuous profiler at enable
-    // time, so recording spans AND profile updates must add ZERO
-    // allocations to the measured regions below.
+    // preallocates the span ring at enable time, so recording spans
+    // must add ZERO allocations to the measured regions below.
     let obs = ObsConfig::default();
-    assert!(obs.span_capacity > 0 && obs.profile_topk > 0);
+    assert!(obs.span_capacity > 0);
 
     // ---- merge: contiguous 6-segment rounds on two flows, aggregates
     // emitted by the reached-iMTU check (flush_full path).
@@ -513,7 +512,7 @@ fn steady_state_hot_loops_do_not_allocate() {
 
     // Recording genuinely happened during the alloc-free regions —
     // the zero-allocation assertions above covered live recorders
-    // (spans, histograms and profiler), not disabled no-ops.
+    // (spans and histograms), not disabled no-ops.
     assert!(merge.obs().spans_recorded() > 0, "merge recorder was idle");
     assert!(split.obs.spans_recorded() > 0, "split recorder was idle");
     assert!(
