@@ -24,7 +24,7 @@
 
 use crate::chassis::{Chassis, LadderCounts};
 use crate::engine::EngineTally;
-use crate::flowtable::FlowTable;
+use crate::flowtable::{FlowTable, FlowTableConfig};
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::bytes;
@@ -158,24 +158,21 @@ pub struct CaravanEngine {
 impl CaravanEngine {
     /// Creates a caravan engine.
     pub fn new(cfg: CaravanConfig) -> Self {
+        Self::with_table(cfg, FlowTableConfig::with_capacity(cfg.table_capacity))
+    }
+
+    /// Creates a caravan engine whose bundle flow table `table` sizes
+    /// (entry ceiling + optional byte budget) in place of
+    /// `cfg.table_capacity`.
+    pub fn with_table(cfg: CaravanConfig, table: FlowTableConfig) -> Self {
         CaravanEngine {
             cfg,
-            table: FlowTable::new(cfg.table_capacity),
+            table: FlowTable::with_config(table),
             chassis: Chassis::new(cfg.imtu),
             out_ident: 1,
             view_rc: SgRc::new(),
             stats: CaravanStats::default(),
         }
-    }
-
-    /// Re-sizes the bundle flow table from a
-    /// [`FlowTableConfig`](crate::flowtable::FlowTableConfig) (entry
-    /// ceiling + optional byte budget). Must be called before any
-    /// traffic: replacing a table with pending bundles would leak
-    /// their pool buffers.
-    pub fn configure_table(&mut self, cfg: crate::flowtable::FlowTableConfig) {
-        debug_assert!(self.table.is_empty(), "reconfigure only while empty");
-        self.table = FlowTable::with_config(cfg);
     }
 
     /// What the engine driver folds per engine instance. Every caravan

@@ -14,8 +14,7 @@
 //! backward-shift deletion (no tombstones). Because the index is ours,
 //! the bucket a future packet will probe has a known address: the engine
 //! worker prefetches it, and the slot it points at, a few packets ahead
-//! ([`index_line`](FlowTable::index_line),
-//! [`slot_guess`](FlowTable::slot_guess)).
+//! (`FlowTable::index_line`, `FlowTable::slot_guess`).
 //!
 //! Eviction is CLOCK-style second chance over two FIFO segments threaded
 //! through the slab: *probation* (new and unclassified flows, evicted

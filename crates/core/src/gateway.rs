@@ -106,15 +106,16 @@ pub struct PxGateway {
 impl PxGateway {
     /// Creates a gateway.
     pub fn new(cfg: GatewayConfig) -> Self {
-        let mut merge = MergeEngine::new(MergeConfig {
+        let merge_cfg = MergeConfig {
             imtu: cfg.imtu,
             emtu: cfg.emtu,
             hold_ns: cfg.hold_ns,
             table_capacity: cfg.table_capacity,
-        });
-        if let Some(s) = cfg.steer {
-            merge.enable_steer(s);
-        }
+        };
+        let merge = match cfg.steer {
+            Some(s) => MergeEngine::steered(merge_cfg, s),
+            None => MergeEngine::new(merge_cfg),
+        };
         PxGateway {
             cfg,
             merge,

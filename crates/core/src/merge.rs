@@ -34,9 +34,10 @@
 //! The steady-state loop performs **zero heap allocations and zero
 //! payload re-scans**:
 //!
-//! * Aggregates live in pooled [`PacketBuf`]s ([`BufPool`]); appending a
-//!   contiguous segment is a single payload `memcpy` into the
-//!   already-sized buffer, and emitted buffers are recycled through the
+//! * Aggregates live in pooled [`PacketBuf`]s
+//!   ([`BufPool`](px_wire::pool::BufPool)); appending a contiguous
+//!   segment is a single payload `memcpy` into the already-sized
+//!   buffer, and emitted buffers are recycled through the
 //!   [`PacketSink`] protocol.
 //! * Each aggregate carries the running ones-complement partial sum of
 //!   its payload. A segment's payload sum is captured for free during
@@ -59,7 +60,7 @@
 //!
 //! The pool, the degradation ladder in front of aggregate creation, the
 //! recorder and the span-link sequence are the hold-engine
-//! [`Chassis`]'s, shared with the caravan engine.
+//! `Chassis`'s, shared with the caravan engine.
 
 use crate::chassis::{Chassis, LadderCounts};
 use crate::coalesce::{self, OverlapVerdict, SegStash, StashedSeg};
@@ -336,12 +337,21 @@ pub struct MergeEngine {
 }
 
 impl MergeEngine {
-    /// Creates a merge engine.
+    /// Creates a merge engine whose flow table holds
+    /// `cfg.table_capacity` flows.
     pub fn new(cfg: MergeConfig) -> Self {
+        Self::with_table(cfg, FlowTableConfig::with_capacity(cfg.table_capacity))
+    }
+
+    /// Creates a merge engine whose flow table `table` sizes (entry
+    /// ceiling + optional byte budget) in place of
+    /// `cfg.table_capacity`.
+    pub fn with_table(cfg: MergeConfig, table: FlowTableConfig) -> Self {
+        let table = FlowTable::with_config(table);
         MergeEngine {
             cfg,
-            table: FlowTable::new(cfg.table_capacity),
-            aggs: Aggregates::with_capacity(cfg.table_capacity.min(AGGS_PREALLOC)),
+            aggs: Aggregates::with_capacity(table.capacity().min(AGGS_PREALLOC)),
+            table,
             chassis: Chassis::new(cfg.imtu),
             stats: MergeStats::default(),
             steer: None,
@@ -349,27 +359,13 @@ impl MergeEngine {
         }
     }
 
-    /// Switches small-flow steering on: mice hairpin past the merge
-    /// machinery, only elephants earn merge state. The one table now
-    /// tracks every flow, so `cfg` sizes it, replacing any
-    /// [`configure_table`](Self::configure_table) sizing. Call before
-    /// feeding traffic.
-    pub fn enable_steer(&mut self, cfg: SteerConfig) {
-        self.steer = Some(cfg);
-        self.configure_table(FlowTableConfig {
-            capacity: cfg.table_capacity,
-            memory_budget: cfg.memory_budget,
-        });
-    }
-
-    /// Re-sizes the flow table from a [`FlowTableConfig`] (entry
-    /// ceiling + optional byte budget). Must be called before any
-    /// traffic: replacing a table with pending aggregates would leak
-    /// their pool buffers.
-    pub fn configure_table(&mut self, cfg: FlowTableConfig) {
-        debug_assert!(self.table.is_empty(), "reconfigure only while empty");
-        self.table = FlowTable::with_config(cfg);
-        self.aggs = Aggregates::with_capacity(self.table.capacity().min(AGGS_PREALLOC));
+    /// Creates a merge engine with small-flow steering: mice hairpin
+    /// past the merge machinery, only elephants earn merge state. The
+    /// one table tracks every flow, so `steer` sizes it.
+    pub fn steered(cfg: MergeConfig, steer: SteerConfig) -> Self {
+        let mut engine = Self::with_table(cfg, steer.table());
+        engine.steer = Some(steer);
+        engine
     }
 
     /// Bytes reserved by this engine's flow-state arenas: the table and
@@ -1672,8 +1668,7 @@ mod tests {
     /// aggregate, no merge counters.
     #[test]
     fn steering_hairpins_mice_byte_for_byte() {
-        let mut eng = MergeEngine::new(MergeConfig::default());
-        eng.enable_steer(SteerConfig::default());
+        let mut eng = MergeEngine::steered(MergeConfig::default(), SteerConfig::default());
         let got: std::cell::RefCell<Vec<Vec<u8>>> = std::cell::RefCell::new(Vec::new());
         let mut sink = |b: PacketBuf| {
             got.borrow_mut().push(b.as_slice().to_vec());
@@ -1706,8 +1701,8 @@ mod tests {
             pkt[last] ^= 0xFF;
             pkt
         };
-        let mut eng = MergeEngine::new(MergeConfig::default());
-        eng.enable_steer(SteerConfig::default()); // elephant_pkts = 8
+        // elephant_pkts = 8
+        let mut eng = MergeEngine::steered(MergeConfig::default(), SteerConfig::default());
         let mut out = VecSink::new();
 
         let mouse = corrupt(data_pkt(6000, 0, 500));
@@ -1798,8 +1793,8 @@ mod tests {
     #[test]
     fn steering_promotes_elephants_into_the_merge_path() {
         let cfg = MergeConfig::default();
-        let mut eng = MergeEngine::new(cfg);
-        eng.enable_steer(SteerConfig::default()); // elephant_pkts = 8
+        // elephant_pkts = 8
+        let mut eng = MergeEngine::steered(cfg, SteerConfig::default());
         let got: std::cell::RefCell<Vec<Vec<u8>>> = std::cell::RefCell::new(Vec::new());
         let mut sink = |b: PacketBuf| {
             got.borrow_mut().push(b.as_slice().to_vec());
@@ -1838,12 +1833,12 @@ mod tests {
     /// elephant's aggregate, and an idle eviction.
     #[test]
     fn steering_probes_the_table_once_per_packet() {
-        let mut eng = MergeEngine::new(MergeConfig::default());
         // One entry: every new flow evicts.
-        eng.enable_steer(SteerConfig {
+        let steer = SteerConfig {
             table_capacity: 1,
             ..SteerConfig::default()
-        });
+        };
+        let mut eng = MergeEngine::steered(MergeConfig::default(), steer);
         let mut out = VecSink::new();
         let mut push = |eng: &mut MergeEngine, pkt: &[u8]| {
             let before = eng.table.lookups;

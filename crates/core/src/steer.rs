@@ -40,6 +40,16 @@ pub struct SteerConfig {
     pub memory_budget: Option<usize>,
 }
 
+impl SteerConfig {
+    /// The sizing of the table that tracks every flow.
+    pub fn table(&self) -> FlowTableConfig {
+        FlowTableConfig {
+            capacity: self.table_capacity,
+            memory_budget: self.memory_budget,
+        }
+    }
+}
+
 impl Default for SteerConfig {
     fn default() -> Self {
         SteerConfig {
@@ -123,10 +133,7 @@ impl FlowClassifier {
     pub fn new(cfg: SteerConfig) -> Self {
         FlowClassifier {
             cfg,
-            table: FlowTable::with_config(FlowTableConfig {
-                capacity: cfg.table_capacity,
-                memory_budget: cfg.memory_budget,
-            }),
+            table: FlowTable::with_config(cfg.table()),
             mouse_pkts: 0,
             elephant_pkts_seen: 0,
             promotions: 0,

@@ -278,7 +278,7 @@ fn reference_validate(bundle: &[u8]) -> Option<usize> {
 /// Seeded malformed-bundle generator: valid bundles interleaved with
 /// truncations, over-claiming inner lengths (a datagram "owning" its
 /// neighbour's bytes), and under-sized length fields. `valid` and
-/// `inner_count` are ground truth from [`reference_validate`].
+/// `inner_count` are ground truth from `reference_validate`.
 pub fn caravan_attack_bundles(seed: u64, n: usize) -> Vec<AttackBundle> {
     let mut rng = XorShift64::new(seed ^ 0xCA7A_7A11);
     let mut out = Vec::with_capacity(n);

@@ -27,7 +27,7 @@
 //!   registry snapshots serialized to Prometheus text exposition
 //!   format and JSON, plus per-interval time-series samples collected
 //!   by the engine's in-run sampler thread.
-//! * **Live endpoint** ([`serve`]) — a dependency-free HTTP listener on
+//! * **Live endpoint** ([`serve()`]) — a dependency-free HTTP listener on
 //!   the control thread serving `/metrics`, `/healthz`, and
 //!   `/trace?flow=` from a running Parallel-mode engine.
 //!

@@ -5,10 +5,10 @@
 //! per-packet latency ceiling, a conversion-yield floor, a budget on
 //! consecutive batches spent on the degradation ladder, and a budget on
 //! pressure evictions. A per-core [`SloWatchdog`] evaluates the spec
-//! once per batch (at the [`process_batch`] boundary, where locks and
-//! bookkeeping legitimately live) and reports *rising edges*: a breach
-//! emits exactly one alert span when it starts, not one per batch while
-//! it persists.
+//! once per batch (at the engine worker's `process_batch` boundary,
+//! where locks and bookkeeping legitimately live) and reports *rising
+//! edges*: a breach emits exactly one alert span when it starts, not
+//! one per batch while it persists.
 //!
 //! Determinism: the yield, degrade-residency, and eviction checks are
 //! pure functions of logical datapath state, so in Deterministic mode

@@ -12,29 +12,41 @@
 //!
 //! * **zero panics, zero leaked pool buffers** — the dev-profile drain
 //!   asserts fire on any engine that forgets a buffer mid-attack;
-//! * **zero injected bytes** — the first-writer-wins per-flow byte map
-//!   of the emitted stream (what a correct TCP receiver reassembles:
-//!   below-window data never overwrites delivered bytes) must equal the
-//!   attacker-free oracle exactly. Attacker bytes may never surface
-//!   inside an attested aggregate, and may never be the first write at
-//!   any stream position;
+//! * **zero injected bytes** — the transparency oracle
+//!   (`tests/support/oracle.rs`), given each flow's attacker-free
+//!   stream as its reference, rebuilds what a correct TCP receiver
+//!   reassembles from the emitted packets (the first byte at each
+//!   sequence number: below-window data never overwrites delivered
+//!   bytes) and demands it equal that reference exactly. Attacker bytes
+//!   may never surface inside an attested aggregate, and may never be
+//!   the first write at any stream position;
 //! * **typed accounting** — injections surface as
-//!   `dropped_inconsistent_overlap`, never as silent stream damage;
-//! * **digest parity** — the byte-map fingerprint is identical across
-//!   all core counts.
+//!   `dropped_inconsistent_overlap`, never as silent stream damage: the
+//!   oracle counts every attacker packet that left neither verbatim nor
+//!   inside the delivered stream against the typed drop counters;
+//! * **stream parity** — the delivered streams are identical across all
+//!   core counts.
+//!
+//! A further TCP case sends flows whose flow-table hashes all share one
+//! home bucket (`flow_hash` is unkeyed, so a sender that picks its
+//! source addresses can find them) through the engine, and holds them
+//! to the same oracle.
 //!
 //! Seed count: `ATTACK_SEEDS` (default 10 in-tree; CI runs 200).
 
+mod support;
+
 use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
 use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode, EngineReport};
+use packet_express::core::flowtable::flow_hash;
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
 use packet_express::faults::attack::{self, SpoofReport, TcpAttackTrace, SEG_PAYLOAD};
 use packet_express::pmtud::{GuardConfig, PmtudGuard, ReportVerdict};
-use packet_express::wire::ipv4::{Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
+use packet_express::wire::ipv4::{Ipv4Repr, CARAVAN_TOS};
 use packet_express::wire::pool::PacketSink;
-use packet_express::wire::tcp::TcpSegment;
+use packet_express::wire::tcp::{SeqNum, TcpFlags, TcpRepr};
 use packet_express::wire::{FlowKey, IpProtocol, PacketBuf, UdpRepr};
-use std::collections::BTreeMap;
+use support::oracle::{Delivered, Oracle};
 
 /// A sink that copies each emission and hands the buffer back for
 /// recycling, so `pool_stats().outstanding()` measures true leaks rather than
@@ -68,69 +80,36 @@ fn attacked_run(trace: Vec<(FlowKey, Vec<u8>)>, cores: usize, seed: u64) -> Engi
     run_engine_on_trace(cfg, trace)
 }
 
-/// First-writer-wins per-flow sequence-space byte maps of the emitted
-/// stream — the receiver's view. A flow lives on exactly one core and
-/// capture preserves per-core emission order, so "first" is
-/// well-defined; a below-window retransmission (which a receiver
-/// discards) cannot overwrite bytes delivered before it.
-fn receiver_maps(report: &EngineReport) -> BTreeMap<(u16, u16), BTreeMap<u32, u8>> {
-    let mut maps: BTreeMap<(u16, u16), BTreeMap<u32, u8>> = BTreeMap::new();
-    for pkt in &report.captured_output {
-        let Ok(ip) = Ipv4Packet::new_checked(&pkt[..]) else {
-            panic!("unparsable emitted packet");
-        };
-        assert_eq!(ip.protocol(), IpProtocol::Tcp, "TCP-only trace");
-        let seg = TcpSegment::new_checked(ip.payload()).expect("emitted TCP parses");
-        assert!(
-            seg.verify_checksum(ip.src(), ip.dst()),
-            "emitted packet has a bad TCP checksum"
-        );
-        let seq = seg.seq().0;
-        let payload = seg.payload();
-        let map = maps.entry((seg.src_port(), seg.dst_port())).or_default();
-        for (i, &b) in payload.iter().enumerate() {
-            map.entry(seq.wrapping_add(i as u32)).or_insert(b);
-        }
-    }
-    maps
+/// The Fig. 5 iMTU every run of this matrix uses.
+const IMTU: usize = 9000;
+
+/// The oracle for `input`, an attack trace's packets or the clean
+/// schedule of the same seed, with each flow's attacker-free stream as
+/// its reference.
+fn attack_oracle<'t>(
+    input: &'t [(FlowKey, Vec<u8>)],
+    trace: &TcpAttackTrace,
+    seed: u64,
+) -> Oracle<'t> {
+    let len = (trace.segs_per_flow * SEG_PAYLOAD) as u64;
+    (0..FLOWS).fold(Oracle::new(input, IMTU), |oracle, f| {
+        let stream: Vec<u8> = (0..len)
+            .map(|off| trace.oracle_byte(seed, f, off))
+            .collect();
+        let (key, isn) = (trace.flow_key(seed, f), trace.flow_isn(seed, f));
+        oracle.with_reference(key, isn, &stream)
+    })
 }
 
-/// The attacker-free oracle: every flow's full pattern, keyed like
-/// [`receiver_maps`].
-fn oracle_maps(trace: &TcpAttackTrace, seed: u64) -> BTreeMap<(u16, u16), BTreeMap<u32, u8>> {
-    let mut maps = BTreeMap::new();
-    for f in 0..FLOWS {
-        let key = trace.flow_key(seed, f);
-        let isn = trace.flow_isn(seed, f);
-        let mut map = BTreeMap::new();
-        for off in 0..(trace.segs_per_flow * SEG_PAYLOAD) as u64 {
-            map.insert(
-                isn.wrapping_add(off as u32),
-                trace.oracle_byte(seed, f, off),
-            );
-        }
-        maps.insert((key.src_port, key.dst_port), map);
-    }
-    maps
-}
-
-/// FNV-1a over the canonical map iteration — the cross-core digest.
-fn fingerprint(maps: &BTreeMap<(u16, u16), BTreeMap<u32, u8>>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for ((sp, dp), map) in maps {
-        eat(&sp.to_be_bytes());
-        eat(&dp.to_be_bytes());
-        for (&seq, &b) in map {
-            eat(&seq.to_be_bytes());
-            eat(&[b]);
-        }
-    }
-    h
+/// The oracle's verdict on one run, which must also have emitted only
+/// TCP segments with valid checksums (the trace holds nothing else).
+fn delivered(oracle: &Oracle<'_>, r: &EngineReport, context: &str) -> Delivered {
+    let got = oracle.assert(&r.captured_output, &r.totals, context);
+    assert!(
+        got.udp.is_empty() && got.opaque.is_empty(),
+        "{context}: non-TCP or corrupt output"
+    );
+    got
 }
 
 /// The TCP leg: injection replays, overlap stabs, duplicates, and
@@ -147,20 +126,17 @@ fn tcp_injection_never_reaches_the_receiver() {
             "seed {seed}: generator sent no attacks"
         );
         dup_attacks += trace.benign_dups;
-        let oracle = oracle_maps(&trace, seed);
-        let oracle_print = fingerprint(&oracle);
+        let oracle = attack_oracle(&trace.pkts, &trace, seed);
+        let mut reference: Option<Delivered> = None;
         for cores in CORE_COUNTS {
             let r = attacked_run(trace.pkts.clone(), cores, seed);
-            let got = receiver_maps(&r);
-            assert_eq!(
-                fingerprint(&got),
-                oracle_print,
-                "seed {seed} cores {cores}: receiver stream diverged from the \
-                 attacker-free oracle (attacks {}, drops {})",
-                trace.attack_pkts,
-                r.totals.dropped_inconsistent_overlap
+            let context = format!(
+                "seed {seed} cores {cores} (attacks {}, drops {})",
+                trace.attack_pkts, r.totals.dropped_inconsistent_overlap
             );
-            assert_eq!(got, oracle, "seed {seed} cores {cores}: map mismatch");
+            let got = delivered(&oracle, &r, &context);
+            let want = reference.get_or_insert_with(|| got.clone());
+            assert!(got == *want, "{context}: streams differ across core counts");
             assert_eq!(
                 r.totals.backpressure_drops, 0,
                 "seed {seed} cores {cores}: attack forced packet loss"
@@ -182,12 +158,60 @@ fn tcp_injection_never_reaches_the_receiver() {
 fn clean_trace_still_matches_oracle_at_every_core_count() {
     let trace = attack::tcp_clean_trace(99, FLOWS, SEGS_PER_FLOW);
     let attack_view = attack::tcp_attack_trace(99, FLOWS, SEGS_PER_FLOW);
-    let oracle = oracle_maps(&attack_view, 99);
+    let oracle = attack_oracle(&trace, &attack_view, 99);
     for cores in CORE_COUNTS {
         let r = attacked_run(trace.clone(), cores, 99);
-        assert_eq!(receiver_maps(&r), oracle, "{cores} cores");
+        delivered(&oracle, &r, &format!("{cores} cores"));
         assert_eq!(r.totals.dropped_inconsistent_overlap, 0);
         assert_eq!(r.totals.dropped_overlap_evasion, 0);
+    }
+}
+
+/// Flows whose flow hashes share the low 17 bits — one home bucket in
+/// the 2^17-bucket index of a Fig. 5 engine's 64 K-entry table, and in
+/// any smaller one — each sending `COLLIDING_SEGS` in-order eMTU
+/// segments, round-robin, so every lookup walks the probe run. The
+/// engine must stay transparent and account for every packet at every
+/// core count; a colliding population costs lookups, never bytes.
+#[test]
+fn colliding_flows_stay_transparent_at_every_core_count() {
+    const COLLIDING_FLOWS: usize = 32;
+    const COLLIDING_SEGS: usize = 12;
+    let keys = support::colliding_keys(17, COLLIDING_FLOWS);
+    assert!(keys.iter().all(|k| flow_hash(k) & 0x1_FFFF == 0x1_FFFF));
+    let mut trace = Vec::with_capacity(COLLIDING_FLOWS * COLLIDING_SEGS);
+    for seg in 0..COLLIDING_SEGS {
+        for (f, key) in keys.iter().enumerate() {
+            let off = seg * SEG_PAYLOAD;
+            let payload: Vec<u8> = (off..off + SEG_PAYLOAD)
+                .map(|i| (i as u8) ^ (f as u8))
+                .collect();
+            let tcp = TcpRepr {
+                src_port: key.src_port,
+                dst_port: key.dst_port,
+                seq: SeqNum((f as u32) << 24).add(off),
+                ack: SeqNum(1),
+                flags: TcpFlags::ACK,
+                window: 8192,
+                options: vec![],
+            }
+            .build_segment(key.src_ip, key.dst_ip, &payload);
+            let ip = Ipv4Repr::new(key.src_ip, key.dst_ip, IpProtocol::Tcp, tcp.len());
+            trace.push((*key, ip.build_packet(&tcp).expect("eMTU segment fits")));
+        }
+    }
+    let oracle = Oracle::new(&trace, IMTU);
+    let mut reference: Option<Delivered> = None;
+    for cores in CORE_COUNTS {
+        let r = attacked_run(trace.clone(), cores, 0);
+        let context = format!("{cores} cores");
+        let got = delivered(&oracle, &r, &context);
+        assert_eq!(r.totals.pkts_in, trace.len() as u64, "{context}");
+        assert_eq!(r.totals.backpressure_drops, 0, "{context}");
+        assert_eq!(r.totals.dropped_inconsistent_overlap, 0, "{context}");
+        assert!(r.totals.jumbo_out_inband > 0, "{context}: nothing merged");
+        let want = reference.get_or_insert_with(|| got.clone());
+        assert!(got == *want, "{context}: streams differ across core counts");
     }
 }
 

@@ -3,10 +3,16 @@
 //! (pooling, cached checksums, sink emit) is provably bit-identical on
 //! the wire: any change to merge/split/caravan output bytes, packet
 //! boundaries, or per-flow ordering shifts the folded FNV and fails
-//! here.
+//! here. The per-flow digests are folded from the captured output by
+//! the transparency oracle's [`Digests`] — the fold the engine ran in
+//! its datapath when these values were pinned — and every run must
+//! also pass the oracle against its input trace.
 
-use packet_express::core::engine::{run_engine, EngineConfig, EngineMode};
-use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
+mod support;
+
+use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode};
+use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
+use support::oracle::{jumbo_at, Digests, Oracle};
 
 /// Folds a full engine report (per-flow digests + byte/packet totals)
 /// into one order-independent-of-nothing FNV-1a value: flows are walked
@@ -16,7 +22,14 @@ fn fold_report(workload: WorkloadKind, cores: usize) -> u64 {
     pipe.seed = 0xDE7E_3311;
     pipe.trace_pkts = 10_000;
     pipe.n_flows = 128;
-    let report = run_engine(EngineConfig::new(pipe, EngineMode::Deterministic));
+    let trace = TraceGen::new(workload, pipe.n_flows, pipe.emtu, pipe.mean_run, pipe.seed)
+        .generate(pipe.trace_pkts);
+    let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
+    cfg.capture_output = true;
+    let report = run_engine_on_trace(cfg, trace.clone());
+    let context = format!("{workload:?} @{cores} cores");
+    Oracle::new(&trace, pipe.imtu).assert(&report.captured_output, &report.totals, &context);
+    let digests = Digests::of(&report.captured_output, jumbo_at(&pipe));
 
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -27,7 +40,7 @@ fn fold_report(workload: WorkloadKind, cores: usize) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    for (key, d) in &report.flow_digests {
+    for (key, d) in &digests.flows {
         mix(u64::from(key.src_port));
         mix(u64::from(key.dst_port));
         mix(d.pkts);

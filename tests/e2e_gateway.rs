@@ -232,8 +232,11 @@ fn fpmtud_port_constants_agree() {
     );
 }
 
-/// §3's interference claim, measured: a mouse flow completes faster when
-/// steering hairpins it past the merge engine's hold timer.
+/// §3's interference setting: a mouse flow beside a busy elephant is
+/// delivered in full whether or not steering hairpins it past the merge
+/// engine's hold timer (the latency comparison is
+/// `mouse_latency_measured` below). The elephant ramps to line rate in
+/// a few milliseconds, so 30 ms of it is as busy as 10 s.
 #[test]
 fn steering_improves_mouse_completion_time() {
     let run = |steer: Option<SteerConfig>| {
@@ -242,7 +245,7 @@ fn steering_improves_mouse_completion_time() {
             hold_ns: 500_000, // pronounced hold to make the effect visible
             ..Default::default()
         };
-        let (mut net, ext, _gw, int) = topo(9, cfg, Netem::none());
+        let (mut net, ext, gw, int) = topo(9, cfg, Netem::none());
         // A long-running elephant download keeps the merge engine busy.
         net.node_mut::<Host>(ext).listen(
             80,
@@ -251,36 +254,39 @@ fn steering_improves_mouse_completion_time() {
         net.node_mut::<Host>(int).connect_at(
             0,
             ConnConfig::new((INT, 40000), (EXT, 80), 9000),
-            Some(Nanos::from_secs(9).0),
+            Some(Nanos::from_millis(30).0),
         );
-        // The mouse: an 8 KB response starting at t = 2 s.
+        // The mouse: an 8 KB response starting once the elephant runs
+        // at line rate.
         net.node_mut::<Host>(ext).listen(
             81,
             ConnConfig::new((EXT, 81), (INT, 0), 1500).sending(8_000),
         );
         net.node_mut::<Host>(int).connect_at(
-            Nanos::from_secs(2).0,
+            Nanos::from_millis(10).0,
             ConnConfig::new((INT, 41000), (EXT, 81), 9000),
-            Some(Nanos::from_secs(9).0),
+            Some(Nanos::from_millis(30).0),
         );
-        net.run_until(Nanos::from_secs(10));
+        net.run_until(Nanos::from_millis(30));
         let stats = net.node_ref::<Host>(int).tcp_stats();
         let mouse = stats.iter().find(|s| s.local_port == 41000).unwrap();
+        let elephant = stats.iter().find(|s| s.local_port == 40000).unwrap();
         assert_eq!(mouse.bytes_received, 8_000);
-        // Completion proxy: retransmit-free byte delivery is equal, so we
-        // compare how much hold latency the mouse absorbed through the
-        // gateway using the elephant-busy window; measure via the merge
-        // engine instead: with steering the mouse never entered it.
-        mouse.bytes_received
+        assert_eq!(mouse.integrity_errors + elephant.integrity_errors, 0);
+        // Busy: over a gigabit per second on average (≈ 3 Gbit/s).
+        assert!(elephant.bytes_received > 4_000_000, "{elephant:?}");
+        let merge = &net.node_ref::<PxGateway>(gw).merge.stats;
+        (merge.steered_mice_pkts, merge.data_segs_in)
     };
-    let _ = run(None);
-    let _ = run(Some(SteerConfig {
+    let (steered, merged) = run(None);
+    assert_eq!(steered, 0);
+    assert!(merged > 0, "the elephant went through the merge engine");
+    let (steered, merged) = run(Some(SteerConfig {
         elephant_pkts: 64,
         ..Default::default()
     }));
-    // Structural assertions live in the unit tests; here we only assert
-    // both configurations deliver the mouse fully (the latency comparison
-    // is exercised by `mouse_latency_measured` below).
+    assert!(steered > 0, "the mouse was hairpinned");
+    assert!(merged > 0, "the elephant was promoted and merged");
 }
 
 /// Direct latency measurement: time-to-last-byte of the mouse flow, with

@@ -10,10 +10,22 @@
 //!   stalls are keyed by per-core batch ordinal;
 //! * the engine's steady-state conversion-yield accounting matches the
 //!   legacy modeled pipeline exactly, packet for packet.
+//!
+//! Output is compared through the transparency oracle's per-flow
+//! [`Digests`] of the captured packets, and each run's output is also
+//! held to its input trace by the [`Oracle`].
 
-use packet_express::core::engine::{run_engine, EngineConfig, EngineMode};
-use packet_express::core::pipeline::{run_pipeline, PipelineConfig, SystemVariant, WorkloadKind};
-use packet_express::faults::FaultSpec;
+mod support;
+
+use packet_express::core::engine::{
+    run_engine, run_engine_on_trace, EngineConfig, EngineMode, EngineReport,
+};
+use packet_express::core::pipeline::{
+    run_pipeline, PipelineConfig, SystemVariant, TraceGen, WorkloadKind,
+};
+use packet_express::faults::{FaultPlan, FaultSpec};
+use packet_express::wire::FlowKey;
+use support::oracle::{jumbo_at, Digests, Oracle};
 
 /// A fixed-seed config whose seed does NOT depend on the core count
 /// (unlike `PipelineConfig::fig5`, which varies the seed per sweep
@@ -26,23 +38,45 @@ fn pinned(workload: WorkloadKind, cores: usize) -> PipelineConfig {
     pipe
 }
 
-fn engine(
+/// The trace every pinned run consumes, whatever its core count.
+fn pinned_trace(workload: WorkloadKind) -> Vec<(FlowKey, Vec<u8>)> {
+    let pipe = pinned(workload, 1);
+    TraceGen::new(workload, pipe.n_flows, pipe.emtu, pipe.mean_run, pipe.seed)
+        .generate(pipe.trace_pkts)
+}
+
+/// A captured run of the pinned trace, with `faults` armed, held to
+/// its (faulted) input by the oracle.
+fn checked_run(
     workload: WorkloadKind,
     cores: usize,
     mode: EngineMode,
-) -> packet_express::core::engine::EngineReport {
-    run_engine(EngineConfig::new(pinned(workload, cores), mode))
+    faults: FaultSpec,
+) -> EngineReport {
+    let trace = pinned_trace(workload);
+    let input = FaultPlan::new(faults).apply_ingress_keyed(trace.clone());
+    let mut cfg = EngineConfig::new(pinned(workload, cores), mode);
+    cfg.faults = faults;
+    cfg.capture_output = true;
+    let r = run_engine_on_trace(cfg, trace);
+    let context = format!("{workload:?} @{cores} {mode:?}");
+    Oracle::new(&input, cfg.pipe.imtu).assert(&r.captured_output, &r.totals, &context);
+    r
+}
+
+fn engine(workload: WorkloadKind, cores: usize, mode: EngineMode) -> EngineReport {
+    checked_run(workload, cores, mode, FaultSpec::off())
+}
+
+fn digests(r: &EngineReport) -> Digests {
+    Digests::of(&r.captured_output, jumbo_at(&pinned(WorkloadKind::Tcp, 1)))
 }
 
 /// Digest-equality assertion with a recorder post-mortem: on
 /// mismatch, both runs' per-core span timelines are printed so the
 /// diverging core and packet are identifiable without a rerun.
-fn assert_digests_match(
-    a: &packet_express::core::engine::EngineReport,
-    b: &packet_express::core::engine::EngineReport,
-    context: &str,
-) {
-    if a.flow_digests != b.flow_digests {
+fn assert_digests_match(a: &EngineReport, b: &EngineReport, context: &str) {
+    if digests(a) != digests(b) {
         eprintln!("--- digest mismatch ({context}); recorder timelines follow ---");
         eprintln!("run A:\n{}", a.obs.dump_recent(64));
         eprintln!("run B:\n{}", b.obs.dump_recent(64));
@@ -54,7 +88,7 @@ fn assert_digests_match(
 fn deterministic_output_is_identical_across_core_counts() {
     for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
         let reference = engine(workload, 1, EngineMode::Deterministic);
-        assert!(!reference.flow_digests.is_empty());
+        assert!(!digests(&reference).flows.is_empty());
         for cores in [2usize, 4, 8] {
             let run = engine(workload, cores, EngineMode::Deterministic);
             assert_digests_match(
@@ -110,12 +144,7 @@ fn parallel_matches_deterministic_under_chaos_faults() {
     assert_eq!(faults.panic_every_batches, 13);
     for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
         for cores in [1usize, 2, 4] {
-            let run = |mode| {
-                let mut cfg = EngineConfig::new(pinned(workload, cores), mode);
-                cfg.faults = faults;
-                cfg.capture_output = true;
-                run_engine(cfg)
-            };
+            let run = |mode| checked_run(workload, cores, mode, faults);
             let det = run(EngineMode::Deterministic);
             let par = run(EngineMode::Parallel);
             let context = format!("{workload:?} @{cores} under chaos");
@@ -137,7 +166,7 @@ fn parallel_matches_deterministic_under_chaos_faults() {
 fn parallel_runs_are_repeatable() {
     let a = engine(WorkloadKind::Tcp, 4, EngineMode::Parallel);
     let b = engine(WorkloadKind::Tcp, 4, EngineMode::Parallel);
-    assert_eq!(a.flow_digests, b.flow_digests);
+    assert_digests_match(&a, &b, "TCP @4 parallel reruns");
     assert_eq!(a.totals, b.totals);
 }
 

@@ -18,6 +18,12 @@
 //!    payloads) is bit-identical across 1/2/4/8-core shardings of the
 //!    same packet stream.
 //!
+//! The digests are the transparency oracle's [`Digests`], folded
+//! outside the engine: each core's [`CoreDriver`] lends every emitted
+//! packet to the fold ([`CoreDriver::on_emit`]), which allocates nothing
+//! for a flow it has seen, so the zero-allocation window covers the
+//! fold too.
+//!
 //! The trace is never materialised: each run re-streams the generator
 //! from the same seed, so the soak's memory high-water mark is the
 //! engine state under test plus one window of prebuilt batches.
@@ -34,14 +40,19 @@
 //! Everything lives in ONE `#[test]` so no concurrent test thread can
 //! perturb the allocation counter.
 
-use packet_express::core::engine::{CoreDriver, FlowDigest};
+mod support;
+
+use packet_express::core::engine::CoreDriver;
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
 use packet_express::core::SteerConfig;
 use packet_express::wire::{FlowKey, RssHasher};
 use packet_express::workload::internet::{is_elephant, InternetConfig, InternetModel};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
+use support::oracle::{jumbo_at, Digests, FlowDigest};
 
 struct CountingAlloc;
 
@@ -184,7 +195,19 @@ fn pump(
 
 fn run_soak(n_flows: usize, cores: usize) -> RunResult {
     let (pipe, budget) = soak_pipe(n_flows, cores);
-    let mut drivers: Vec<CoreDriver> = (0..cores).map(|c| CoreDriver::new(&pipe, c)).collect();
+    let folds: Vec<Rc<RefCell<Digests>>> = (0..cores)
+        .map(|_| Rc::new(RefCell::new(Digests::new(jumbo_at(&pipe)))))
+        .collect();
+    let mut drivers: Vec<CoreDriver> = folds
+        .iter()
+        .enumerate()
+        .map(|(c, fold)| {
+            let mut driver = CoreDriver::new(&pipe, c);
+            let fold = Rc::clone(fold);
+            driver.on_emit(move |pkt| fold.borrow_mut().add(pkt));
+            driver
+        })
+        .collect();
     let rss = RssHasher::symmetric();
     let mut model = soak_model(n_flows);
 
@@ -285,13 +308,13 @@ fn run_soak(n_flows: usize, cores: usize) -> RunResult {
     // comes home (finish debug-asserts pool_outstanding == 0).
     let mut digests: BTreeMap<FlowKey, FlowDigest> = BTreeMap::new();
     let (mut pkts_in, mut flows_live, mut steered_mice) = (0u64, 0u64, 0u64);
-    for d in &mut drivers {
+    for (d, fold) in drivers.iter_mut().zip(&folds) {
         d.finish();
         let c = d.counters();
         pkts_in += c.pkts_in;
         flows_live += c.flows_live;
         steered_mice += c.steered_mice_pkts;
-        for (k, v) in d.digests() {
+        for (k, v) in &fold.borrow().flows {
             let prev = digests.insert(*k, *v);
             assert!(prev.is_none(), "flow {k:?} appeared on two cores");
         }
@@ -327,8 +350,8 @@ fn million_flow_soak_holds_budget_yield_and_determinism() {
         let r = run_soak(n_flows, cores);
 
         // Gate 2: zero allocations per packet in the frozen window —
-        // classifier hits, merge appends, pool recycling, digest
-        // updates all run on preallocated state.
+        // classifier hits, merge appends, pool recycling, and the
+        // digest fold behind the hand-off all run on preallocated state.
         assert_eq!(
             r.window_allocs, 0,
             "{cores}-core frozen window allocated ({} allocs / {WINDOW_PKTS} pkts)",

@@ -22,7 +22,8 @@
 //! run wraps to the front of the array and every removal's backward
 //! shift crosses its end.
 
-use packet_express::core::flowtable::flow_hash;
+mod support;
+
 use packet_express::core::{FlowTable, FlowTableConfig};
 use packet_express::wire::FlowKey;
 use proptest::prelude::*;
@@ -48,20 +49,7 @@ fn key(i: u16) -> FlowKey {
 /// index of up to 64 K buckets their home is the last bucket.
 fn colliding_keys() -> &'static [FlowKey] {
     static KEYS_AT_END: OnceLock<Vec<FlowKey>> = OnceLock::new();
-    KEYS_AT_END.get_or_init(|| {
-        (0u32..)
-            .map(|i| {
-                FlowKey::tcp(
-                    Ipv4Addr::from(0x0a00_0000 + i),
-                    40_000,
-                    Ipv4Addr::new(10, 99, 0, 1),
-                    5201,
-                )
-            })
-            .filter(|k| flow_hash(k) & 0xFFFF == 0xFFFF)
-            .take(usize::from(KEYS))
-            .collect()
-    })
+    KEYS_AT_END.get_or_init(|| support::colliding_keys(16, usize::from(KEYS)))
 }
 
 #[derive(Debug, Clone, Copy)]

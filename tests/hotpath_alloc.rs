@@ -258,13 +258,15 @@ fn steady_state_hot_loops_do_not_allocate() {
     // promotes at eight). Each mouse is keyed from its headers and
     // leaves in the `Vec` it arrived in — no allocation, no pool `get`,
     // and the sink sees the input's own address.
-    let mut steered = MergeEngine::new(MergeConfig {
-        imtu: 9000,
-        emtu: 1500,
-        hold_ns: 50_000,
-        table_capacity: 64,
-    });
-    steered.enable_steer(SteerConfig::default());
+    let mut steered = MergeEngine::steered(
+        MergeConfig {
+            imtu: 9000,
+            emtu: 1500,
+            hold_ns: 50_000,
+            table_capacity: 64,
+        },
+        SteerConfig::default(),
+    );
     steered.enable_obs(obs);
     let mut core = CoreEngine::Merge(steered);
     const MICE: u16 = batchparse::BATCH_PKTS as u16;
@@ -307,16 +309,18 @@ fn steady_state_hot_loops_do_not_allocate() {
     // pressure (its aggregate rescue-flushed), and each later one
     // evicts the idle mouse before it.
     const CAP: u16 = 16;
-    let mut full = MergeEngine::new(MergeConfig {
-        imtu: 9000,
-        emtu: 1500,
-        hold_ns: 50_000,
-        table_capacity: 64,
-    });
-    full.enable_steer(SteerConfig {
-        table_capacity: usize::from(CAP),
-        ..SteerConfig::default()
-    });
+    let mut full = MergeEngine::steered(
+        MergeConfig {
+            imtu: 9000,
+            emtu: 1500,
+            hold_ns: 50_000,
+            table_capacity: 64,
+        },
+        SteerConfig {
+            table_capacity: usize::from(CAP),
+            ..SteerConfig::default()
+        },
+    );
     full.enable_obs(obs);
     let mut core = CoreEngine::Merge(full);
     let flow_pkts = |port: u16, pkts: u32| (0..pkts).map(move |i| tcp_pkt(port, i * 300, 300));
@@ -532,8 +536,7 @@ fn steady_state_hot_loops_do_not_allocate() {
     pipe.trace_pkts = ENGINE_PKTS;
     let trace = TraceGen::new(pipe.workload, pipe.n_flows, pipe.emtu, pipe.mean_run, 7)
         .generate(ENGINE_PKTS);
-    let mut cfg = EngineConfig::new(pipe, EngineMode::Parallel);
-    cfg.digests = false;
+    let cfg = EngineConfig::new(pipe, EngineMode::Parallel);
     assert!(cfg.obs.enabled, "the shipped telemetry stays on");
     let before = allocs();
     ALL_THREADS.store(true, Ordering::Relaxed);

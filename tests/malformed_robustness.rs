@@ -85,8 +85,7 @@ fn run_all_engines(pkt: &[u8]) {
     merge.enable_obs(obs);
     // The steering engine keys from the headers first and checksums only
     // what may merge: the same packet through that order too.
-    let mut steered = MergeEngine::new(MergeConfig::default());
-    steered.enable_steer(SteerConfig::default());
+    let mut steered = MergeEngine::steered(MergeConfig::default(), SteerConfig::default());
     steered.enable_obs(obs);
     let mut split = SplitEngine::new(1500);
     split.enable_obs(obs);
