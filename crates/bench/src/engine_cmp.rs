@@ -64,15 +64,25 @@ pub fn run(scale: Scale) -> Vec<Row> {
     rows
 }
 
-/// Renders the side-by-side table.
+/// Renders the side-by-side table for this host.
 pub fn render(rows: &[Row]) -> String {
+    render_on(
+        rows,
+        std::thread::available_parallelism().map_or(1, usize::from),
+    )
+}
+
+/// The table on a host with `cpus` CPUs: a row with more workers than
+/// that is tagged `oversubscribed`, since its this-host TP then times
+/// threads sharing CPUs, not scaling.
+fn render_on(rows: &[Row], cpus: usize) -> String {
     let mut out = String::new();
     out.push_str("Engine — modeled PXGW vs real threaded datapath (PX variant, 800 flows)\n");
     out.push_str("  wl  | cores | modeled TP  | this-host TP | model CY | engine CY | agree\n");
     out.push_str("  ----+-------+-------------+--------------+----------+-----------+------\n");
     for r in rows {
         out.push_str(&format!(
-            "  {:3} | {:5} | {:>11} | {:>12} | {:>8} | {:>9} | {}\n",
+            "  {:3} | {:5} | {:>11} | {:>12} | {:>8} | {:>9} | {}{}\n",
             r.workload,
             r.cores,
             crate::fmt_bps(r.modeled_bps),
@@ -84,6 +94,11 @@ pub fn render(rows: &[Row]) -> String {
             } else {
                 "NO"
             },
+            if r.cores > cpus {
+                "  oversubscribed"
+            } else {
+                ""
+            },
         ));
     }
     out.push_str(
@@ -91,7 +106,9 @@ pub fn render(rows: &[Row]) -> String {
          engine's wall-clock in this process. Yields come from the same output\n  \
          packets and must agree exactly.",
     );
-    out.push('\n');
+    out.push_str(&format!(
+        "\n  This host has {cpus} CPU(s); rows with more cores are oversubscribed.\n"
+    ));
     out
 }
 
@@ -117,5 +134,26 @@ mod tests {
             );
             assert!(r.measured_bps > 0.0);
         }
+    }
+
+    #[test]
+    fn rows_beyond_the_host_cpus_are_tagged_oversubscribed() {
+        let row = |cores| Row {
+            workload: "TCP",
+            cores,
+            modeled_bps: 1e9,
+            measured_bps: 1e9,
+            modeled_cy: 0.9,
+            engine_cy: 0.9,
+            pkts_out_model: 7,
+            pkts_out_engine: 7,
+        };
+        let table = render_on(&[row(1), row(2), row(4)], 2);
+        let tagged: Vec<bool> = table
+            .lines()
+            .filter(|l| l.starts_with("  TCP"))
+            .map(|l| l.ends_with("yes  oversubscribed"))
+            .collect();
+        assert_eq!(tagged, [false, false, true], "{table}");
     }
 }

@@ -15,7 +15,7 @@
 //! on one: it holds nothing and has no ladder, so sharing would make
 //! this code branch on its caller.
 
-use px_faults::{cause, hash_bytes, FaultInjector, FaultSpec, PlannedFaults};
+use px_faults::{cause, hash_bytes, FaultSpec, PlannedFaults};
 use px_obs::{Recorder, Span, SpanCat};
 use px_wire::pool::{BufPool, PacketSink};
 use px_wire::PacketBuf;
@@ -58,11 +58,9 @@ pub(crate) struct Chassis {
     /// The last causal link id a `Merge` / `Caravan` span took; the
     /// next takes this plus one. Deterministic: driven purely by
     /// emission order, never by wall clock. A driver starts it at a
-    /// per-core base (the parallel engine uses `(core + 1) << 48`, so
+    /// per-core base (the threaded engine uses `(core + 1) << 48`, so
     /// merge→split links from different cores never collide and stay
-    /// nonzero — 0 means "unlinked" in the trace export), and a worker
-    /// restart starts the replacement engine at its predecessor's
-    /// value, so no id is ever issued twice.
+    /// nonzero — 0 means "unlinked" in the trace export).
     pub(crate) last_link: u64,
 }
 

@@ -39,7 +39,7 @@ use crate::chassis::Chassis;
 use crate::flowtable::{flow_hash, FlowTable, FlowTableConfig};
 use crate::merge::{FlowState, MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
-use px_faults::{FaultInjector, FaultPlan, FaultSpec, IngressStats, PlannedFaults};
+use px_faults::{FaultPlan, FaultSpec, IngressStats};
 use px_obs::{
     evaluate_snapshot, perfetto_json, serve, BatchObs, ObsConfig, ObsReport, Recorder, Response,
     ServeHandle, SloSpec, SloWatchdog, Span, SpanCat, Telemetry, TimeSample,
@@ -384,21 +384,16 @@ struct Worker {
     /// Whether the engine carries an active recorder (cached so the
     /// batch loop skips the per-batch `Instant` reads when off).
     obs_on: bool,
-    /// This worker's core index — the key for injected worker faults.
+    /// This worker's core index: its registry slot and span-link block.
     core: usize,
-    /// Per-batch fault verdicts (the inert injector in production).
-    faults: PlannedFaults,
-    /// The run's configuration: the post-panic engine rebuild, the
-    /// live-endpoint switch, and the mode. Only Parallel mode has
-    /// a wall clock, so only there does the SLO watchdog read the
+    /// The run's configuration: the publish interval, the
+    /// live-endpoint switch, and the mode. Only Parallel mode has a
+    /// wall clock, so only there does the SLO watchdog read the
     /// wall-clock p99.
     cfg: EngineConfig,
-    /// Telemetry rescued from pre-restart engines, so a restart loses
-    /// spans and histograms no more than it loses flow state.
-    salvage: Telemetry,
     /// The per-core SLO watchdog, evaluated at every batch boundary.
-    /// Lives on the worker (not the engine) so alert edge state and
-    /// tallies survive engine restarts.
+    /// Lives on the worker because it reads the worker's counters as
+    /// well as the engine's state.
     slo: SloWatchdog,
     /// Where emitted packets' bytes go besides the counters:
     /// [`Tap::Off`] keeps the hot path allocation-free.
@@ -504,9 +499,15 @@ impl PacketSink for Accountant<'_> {
 
 impl Worker {
     fn new(cfg: &EngineConfig, core: usize) -> Self {
+        let mut engine = CoreEngine::for_pipe(&cfg.pipe);
+        let chassis = engine.chassis_mut();
+        if cfg.obs.enabled {
+            chassis.obs = Recorder::new(cfg.obs);
+        }
+        chassis.set_faults(cfg.faults);
         // Causal span links: core c's emissions get link ids in the
         // (c + 1) << 48 block, unique across cores; 0 stays "unlinked".
-        let engine = Self::build_engine(cfg, ((core as u64) + 1) << 48);
+        chassis.last_link = ((core as u64) + 1) << 48;
         Worker {
             obs_on: engine.chassis().obs.is_enabled(),
             engine,
@@ -515,9 +516,7 @@ impl Worker {
             // "reached iMTU" when one more eMTU payload would not fit.
             jumbo_at: cfg.pipe.imtu - (cfg.pipe.emtu - 40) + 1,
             core,
-            faults: PlannedFaults::new(cfg.faults),
             cfg: *cfg,
-            salvage: Telemetry::default(),
             slo: SloWatchdog::new(cfg.obs.slo),
             tap: if cfg.capture_output {
                 Tap::Capture(Vec::new())
@@ -527,25 +526,10 @@ impl Worker {
         }
     }
 
-    /// The engine a core runs — at start, and again after every
-    /// injected panic — numbering its span links on from `last_link`.
-    /// Obs, faults and links are armed on the chassis.
-    fn build_engine(cfg: &EngineConfig, last_link: u64) -> CoreEngine {
-        let mut engine = CoreEngine::for_pipe(&cfg.pipe);
-        let chassis = engine.chassis_mut();
-        if cfg.obs.enabled {
-            chassis.obs = Recorder::new(cfg.obs);
-        }
-        chassis.set_faults(cfg.faults);
-        chassis.last_link = last_link;
-        engine
-    }
-
     /// The engine and the sink its emissions are accounted through,
     /// borrowed side by side. `inband` is false for everything but
-    /// packet-arrival emissions: rescued, idle-ticked and drained
-    /// packets still reach the tap, but steady-state conversion metrics
-    /// exclude them.
+    /// packet-arrival emissions: idle-ticked and drained packets still
+    /// reach the tap, but steady-state conversion metrics exclude them.
     fn engine_and_sink(&mut self, inband: bool) -> (&mut CoreEngine, Accountant<'_>) {
         let acct = Accountant {
             counters: &mut self.counters,
@@ -575,87 +559,13 @@ impl Worker {
         };
         for start in (0..shard.len()).step_by(batchparse::BATCH_PKTS) {
             let rest = shard.get_mut(start..).unwrap_or_default();
-            // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry and restart_worker an R6 entry, so R6 need not re-walk the datapath from here")
-            self.run_batch(rest, batchparse::BATCH_PKTS);
+            // px-analyze: allow(R6, reason = "the burst path has its own gates: process_batch is an R1/R3 emission entry, so R6 need not re-walk the datapath from here")
+            self.process_batch(rest, batchparse::BATCH_PKTS);
             if publish_every > 0 && self.counters.batches.is_multiple_of(publish_every) {
                 self.publish_progress(registry);
             }
         }
         self.quiesce();
-    }
-
-    /// One batch through the engine, with worker-fault injection at the
-    /// batch boundary: an injected panic unwinds and is caught right
-    /// here — after which the worker rescues its flow state, restarts its
-    /// engine in place, and reprocesses the batch it was handed: the
-    /// first `n` packets of `shard`.
-    fn run_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, u32, P)], n: usize) {
-        if !self.faults.spec.enabled {
-            self.process_batch(shard, n);
-            return;
-        }
-        let idx = self.counters.batches;
-        if self.faults.batch_panic(self.core, idx) {
-            // A real unwind, so the catch-and-restart path exercised is
-            // the one a defect in batch processing would take.
-            #[allow(clippy::panic)]
-            // px-analyze: allow(R1, reason = "deliberate injected fault: the panic is caught on this same line and drives the restart path under test")
-            let caught = std::panic::catch_unwind(|| panic!("injected worker fault"));
-            if caught.is_err() {
-                let now = shard.first().map_or(0, |(t, _, _)| *t);
-                self.restart_worker(idx, now);
-            }
-        }
-        self.process_batch(shard, n);
-    }
-
-    /// Post-panic self-healing: flushes (rescues) every held aggregate
-    /// out of the wedged engine so no flow loses bytes, absorbs its
-    /// counters and telemetry, then stands up a fresh engine in
-    /// place — the worker never leaves the RSS shard map. Panic- and
-    /// alloc-free on its own tokens (px-analyze R6).
-    fn restart_worker(&mut self, batch_idx: u64, now: u64) {
-        let out_before = self.counters.pkts_out;
-        let (engine, mut acct) = self.engine_and_sink(false);
-        engine.finish_into(&mut acct);
-        let rescued = self.counters.pkts_out - out_before;
-        self.absorb_engine_stats();
-        // The successor numbers its span links on from this engine's
-        // last, so no id in the salvaged stream is ever issued twice.
-        let last_link = self.engine.chassis().last_link;
-        // px-analyze: allow(R6, reason = "salvage hand-off once per restart, not per packet: copying the span ring out and folding it into the carried telemetry allocates")
-        self.salvage_obs();
-        self.counters.worker_restarts += 1;
-        // px-analyze: allow(R6, R8, reason = "standing up the replacement engine and re-arming its recorder allocates and seeds debug tracking by design: the rescue flush above ran alloc-free, and a rebuild that cannot allocate has nothing left to degrade to")
-        self.engine = Self::build_engine(&self.cfg, last_link);
-        // A Restart crossing in the trace: aux carries the number of
-        // rescue-flushed packets, len the batch ordinal.
-        let at_batch = batch_idx as usize;
-        let restart = Span::instant(SpanCat::Restart, now, at_batch, 0, rescued);
-        self.engine.chassis_mut().obs.record(restart);
-    }
-
-    /// Detaches the engine's telemetry and folds it behind whatever
-    /// earlier engine instances left — at a restart and at the end.
-    fn salvage_obs(&mut self) {
-        let held = self.engine.chassis_mut().obs.take();
-        self.salvage.merge(held);
-    }
-
-    /// Folds the engine's degradation/drop counters into the worker's —
-    /// called exactly once per engine *instance* (at restart or at
-    /// finish), so the sums stay correct across restarts.
-    fn absorb_engine_stats(&mut self) {
-        // The monotonic counters fold per engine instance; the
-        // flows_live gauge is sampled only at finish (a restarted
-        // engine's surviving flows would otherwise double-count).
-        let folded = CoreCounters {
-            flows_live: 0,
-            ..self.engine.tally().counters
-        };
-        // Qualified, so px-analyze's name-keyed call graph sees this
-        // `merge` and not the allocating telemetry ones (R6).
-        CoreCounters::merge(&mut self.counters, &folded);
     }
 
     /// This core's shard is exhausted: flush every held aggregate on
@@ -766,17 +676,20 @@ impl Worker {
         }
     }
 
+    /// Drains the engine and folds its degradation, drop and flow-state
+    /// counters into the worker's, once, at the end of the run. The
+    /// drain emptied the merge/bundle tables, so the `flows_live` gauge
+    /// folded here is the classifier's tracked-flow population — the
+    /// gauge the flow-scale soak reads.
     fn finish(&mut self) {
         let (engine, mut acct) = self.engine_and_sink(false);
         engine.finish_into(&mut acct);
-        self.absorb_engine_stats();
-        // The drain emptied the merge/bundle tables, so what remains
-        // live is the classifier's tracked-flow population — the gauge
-        // the flow-scale soak reads.
-        self.counters.flows_live += self.engine.tally().counters.flows_live;
+        // Qualified, so px-analyze's name-keyed call graph sees this
+        // `merge` and not the allocating telemetry ones.
+        CoreCounters::merge(&mut self.counters, &self.engine.tally().counters);
         // Every pool buffer must be home after a full drain — a nonzero
-        // count here is a leak (an aggregate forgotten by a degrade or
-        // restart path, exactly what the chaos matrix exists to catch).
+        // count here is a leak (an aggregate forgotten by a degrade
+        // path, exactly what the chaos matrix exists to catch).
         debug_assert_eq!(
             self.pool_outstanding(),
             0,
@@ -808,12 +721,9 @@ impl Worker {
 
     /// Publishes counters, merges histograms, and detaches the
     /// recorder — the worker's end-of-run handoff to the registry.
-    /// Spans rescued from pre-restart engines come first (they are
-    /// chronologically earlier).
     fn publish_final(mut self, registry: &StatsRegistry) -> WorkerOutput {
         registry.set_core(self.core, &self.counters);
-        self.salvage_obs();
-        let obs = self.salvage;
+        let obs = self.engine.chassis_mut().obs.take();
         registry.merge_core_hists(self.core, &obs.hists);
         if self.cfg.serve_port.is_some() {
             // A live endpoint outliving the run keeps serving the
@@ -858,8 +768,8 @@ impl CoreDriver {
     }
 
     /// Lends the bytes of every packet this driver emits from now on —
-    /// drained and rescued packets included — to `f`, in emission
-    /// order. Nothing is copied, and the hand-off allocates nothing.
+    /// drained packets included — to `f`, in emission order. Nothing is
+    /// copied, and the hand-off allocates nothing.
     pub fn on_emit(&mut self, f: impl FnMut(&[u8]) + 'static) {
         self.worker.tap = Tap::Call(Box::new(f));
     }
@@ -874,7 +784,7 @@ impl CoreDriver {
             (now, hash, pkt)
         }));
         let n = self.staged.len();
-        self.worker.run_batch(&mut self.staged, n);
+        self.worker.process_batch(&mut self.staged, n);
     }
 
     /// Drains every held aggregate and folds the engine's counters in.
@@ -902,8 +812,7 @@ impl CoreDriver {
 
 /// What each worker hands back at the end of a run.
 struct WorkerOutput {
-    /// The core's spans (oldest first) and histograms, with what
-    /// pre-restart engines held folded in first.
+    /// The core's spans (oldest first) and histograms.
     obs: Telemetry,
     /// The core's SLO watchdog tallies.
     slo: SloWatchdog,
@@ -1514,7 +1423,7 @@ mod tests {
         cfg.obs = ObsConfig::disabled();
         let mut w = Worker::new(&cfg, 0);
         let mut batch = one_shard(&pipe, 2, 50, 7);
-        w.run_batch(&mut batch, 50);
+        w.process_batch(&mut batch, 50);
         w.quiesce();
         // The idle tick emptied the engine: the drain has nothing left.
         let after_quiesce = w.counters.pkts_out;
@@ -1639,90 +1548,29 @@ mod tests {
         assert_every_emission_is_a_flow_packet(&r);
     }
 
+    /// Each core numbers its span links in its own `(core + 1) << 48`
+    /// block, so no id repeats within a core's stream or across cores.
     #[test]
-    fn injected_worker_panic_restarts_and_loses_no_flow_state() {
-        let mut cfg = captured(small_pipe(WorkloadKind::Tcp, 2), EngineMode::Deterministic);
-        cfg.faults = FaultSpec {
-            enabled: true,
-            seed: 1,
-            panic_every_batches: 5,
-            ..FaultSpec::off()
-        };
-        let r = run_engine(cfg);
-        assert!(r.totals.worker_restarts > 0, "panic schedule never fired");
-        assert_eq!(r.totals.pkts_in, 4_000);
-        // Rescue-flushing on restart means every held packet still
-        // leaves — nothing is lost with the engine.
-        assert_every_emission_is_a_flow_packet(&r);
-        // Restarts are observable: Restart spans in the salvaged span
-        // stream, one per restart — and the histograms the dead engines
-        // held were salvaged with them.
-        let restarts = r
-            .obs
-            .per_core_spans
-            .iter()
-            .flatten()
-            .filter(|s| s.cat == SpanCat::Restart)
-            .count() as u64;
-        assert_eq!(restarts, r.totals.worker_restarts);
-        assert_eq!(r.obs.hists.batch_ns.count(), r.totals.batches);
-    }
-
-    /// Regression: a restarted worker's fresh engine used to number its
-    /// span links from 1 again under the same per-core base, so the
-    /// salvaged stream carried each id once per engine instance and the
-    /// trace bound split arrows to the wrong merge.
-    #[test]
-    fn span_links_stay_distinct_across_worker_restarts() {
+    fn span_links_are_distinct_per_core() {
         for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
             let mut pipe = PipelineConfig::fig5(SystemVariant::Px, workload, 2);
             pipe.trace_pkts = 4_000;
             pipe.n_flows = 64;
             let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
             cfg.obs.span_capacity = 1 << 14;
-            cfg.faults = FaultSpec {
-                enabled: true,
-                seed: 1,
-                panic_every_batches: 5,
-                ..FaultSpec::off()
-            };
             let r = run_engine(cfg);
             for (core, spans) in r.obs.per_core_spans.iter().enumerate() {
-                let restarts = spans.iter().filter(|s| s.cat == SpanCat::Restart).count();
-                assert!(
-                    restarts >= 2,
-                    "{workload:?} core {core}: {restarts} restarts"
-                );
                 let links: Vec<u64> = spans
                     .iter()
                     .filter(|s| matches!(s.cat, SpanCat::Merge | SpanCat::Caravan))
                     .map(|s| s.link)
                     .collect();
-                assert!(links.len() > restarts, "{workload:?} core {core}");
+                assert!(links.len() > 1, "{workload:?} core {core}");
                 let distinct: std::collections::BTreeSet<u64> = links.iter().copied().collect();
                 assert_eq!(distinct.len(), links.len(), "{workload:?} core {core}");
                 assert!(links.iter().all(|l| l >> 48 == core as u64 + 1));
             }
         }
-    }
-
-    #[test]
-    fn injected_panic_schedule_is_deterministic() {
-        let run = || {
-            let mut cfg = captured(small_pipe(WorkloadKind::Udp, 4), EngineMode::Deterministic);
-            cfg.faults = FaultSpec {
-                enabled: true,
-                seed: 9,
-                panic_every_batches: 7,
-                ..FaultSpec::off()
-            };
-            run_engine(cfg)
-        };
-        let a = run();
-        let b = run();
-        assert!(a.totals.worker_restarts > 0);
-        assert_eq!(a.totals, b.totals);
-        assert!(a.captured_output == b.captured_output);
     }
 
     #[test]

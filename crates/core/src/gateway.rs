@@ -183,11 +183,20 @@ impl PxGateway {
     }
 
     /// Returns true when the packet was an iMTU advertisement (consumed).
+    /// An advertisement has the shape [`send_advert`](Self::send_advert)
+    /// builds: UDP to [`ADVERT_PORT`] from 169.254/16 to the limited
+    /// broadcast, which no router forwards, so it can only have come off
+    /// the border link. Only a gateway with an ASN takes part in peering
+    /// and ingests it. Every other datagram, to port 3199 or not, is
+    /// transit traffic for the datapath.
     fn try_ingest_advert(&mut self, now_ns: u64, pkt: &[u8]) -> bool {
         let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
             return false;
         };
-        if ip.protocol() != IpProtocol::Udp {
+        if ip.protocol() != IpProtocol::Udp
+            || !ip.src().is_link_local()
+            || ip.dst() != Ipv4Addr::BROADCAST
+        {
             return false;
         }
         let Ok(udp) = UdpDatagram::new_checked(ip.payload()) else {
@@ -196,7 +205,7 @@ impl PxGateway {
         if udp.dst_port() != ADVERT_PORT {
             return false;
         }
-        if let Ok(advert) = ImtuAdvert::parse(udp.payload()) {
+        if let (Some(_), Ok(advert)) = (self.cfg.asn, ImtuAdvert::parse(udp.payload())) {
             self.neighbors.ingest(now_ns, advert);
             self.neighbor_asn = Some(advert.asn);
         }

@@ -13,11 +13,19 @@
 //! b-network keep their MSS: the external host's own 1500 B interface
 //! already limits its segments, and a large advertised MSS from the
 //! internal host is harmless (senders use `min(own limit, peer MSS)`).
+//!
+//! A SYN signed with TCP-MD5 (RFC 2385) or TCP-AO (RFC 5925) is left as
+//! it came: its MAC covers the options, so a raised MSS would fail the
+//! receiver's check and the session (typically BGP) would never come up.
 
 use px_wire::checksum;
 use px_wire::ipv4::Ipv4Packet;
 use px_wire::tcp::TcpSegment;
 use px_wire::IpProtocol;
+
+/// TCP option kinds whose MAC covers the segment, options included:
+/// TCP-MD5 (RFC 2385) and TCP-AO (RFC 5925).
+const SIGNED_OPTION_KINDS: [u8; 2] = [19, 29];
 
 /// The result of an MSS rewrite attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,12 +42,16 @@ pub enum MssRewrite {
     /// target; left alone (never *lower* a peer's MSS on the inbound
     /// path — it would only cost performance).
     AlreadyLarge(u16),
+    /// The packet is a SYN carrying a TCP-MD5 or TCP-AO option; left
+    /// untouched, since a rewrite would break its MAC.
+    Signed,
     /// The packet is not a SYN, or carries no MSS option; untouched.
     NotApplicable,
 }
 
 /// Rewrites the MSS option of a SYN/SYN-ACK IPv4+TCP packet *in place*,
-/// raising it to `target_mss` (never lowering). Both the TCP checksum and
+/// raising it to `target_mss` (never lowering) unless the segment is
+/// signed (see [`MssRewrite::Signed`]). Both the TCP checksum and
 /// (unchanged) IP header are kept valid; the TCP checksum is patched
 /// incrementally (RFC 1624), exactly as a hardware datapath would.
 pub fn raise_mss(packet: &mut [u8], target_mss: u16) -> MssRewrite {
@@ -58,17 +70,17 @@ pub fn raise_mss(packet: &mut [u8], target_mss: u16) -> MssRewrite {
     }
     let tcp_hlen = tcp.header_len();
 
-    // Locate the MSS option (kind 2, len 4) within the options block.
+    // Walk the whole options block before writing anything: the first
+    // MSS option (kind 2, len 4) is the one to raise, and a signing
+    // option anywhere forbids touching the segment at all.
     let opt_start = ip_hlen + 20;
     let opt_end = ip_hlen + tcp_hlen;
+    let mut mss_at = None;
     let mut i = opt_start;
     while i < opt_end {
         match packet[i] {
             0 => break,
-            1 => {
-                i += 1;
-                continue;
-            }
+            1 => i += 1,
             kind => {
                 if i + 1 >= opt_end {
                     break;
@@ -77,23 +89,29 @@ pub fn raise_mss(packet: &mut [u8], target_mss: u16) -> MssRewrite {
                 if len < 2 || i + len > opt_end {
                     break;
                 }
-                if kind == 2 && len == 4 {
-                    let old = u16::from_be_bytes([packet[i + 2], packet[i + 3]]);
-                    if old >= target_mss {
-                        return MssRewrite::AlreadyLarge(old);
-                    }
-                    packet[i + 2..i + 4].copy_from_slice(&target_mss.to_be_bytes());
-                    patch_tcp_checksum(packet, ip_hlen, i + 2, old, target_mss);
-                    return MssRewrite::Rewritten {
-                        old,
-                        new: target_mss,
-                    };
+                if SIGNED_OPTION_KINDS.contains(&kind) {
+                    return MssRewrite::Signed;
+                }
+                if kind == 2 && len == 4 && mss_at.is_none() {
+                    mss_at = Some(i + 2);
                 }
                 i += len;
             }
         }
     }
-    MssRewrite::NotApplicable
+    let Some(at) = mss_at else {
+        return MssRewrite::NotApplicable;
+    };
+    let old = u16::from_be_bytes([packet[at], packet[at + 1]]);
+    if old >= target_mss {
+        return MssRewrite::AlreadyLarge(old);
+    }
+    packet[at..at + 2].copy_from_slice(&target_mss.to_be_bytes());
+    patch_tcp_checksum(packet, ip_hlen, at, old, target_mss);
+    MssRewrite::Rewritten {
+        old,
+        new: target_mss,
+    }
 }
 
 /// Incrementally patches the TCP checksum after a 16-bit word at absolute
@@ -128,10 +146,17 @@ mod tests {
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 7);
 
     fn syn_packet(mss: Option<u16>, syn: bool) -> Vec<u8> {
+        syn_with(mss, syn, Vec::new())
+    }
+
+    /// A SYN(-ACK) with `extra` options after MSS, SACK-permitted and
+    /// window scale.
+    fn syn_with(mss: Option<u16>, syn: bool, extra: Vec<TcpOption>) -> Vec<u8> {
         let mut options = vec![TcpOption::SackPermitted, TcpOption::WindowScale(7)];
         if let Some(m) = mss {
             options.insert(0, TcpOption::Mss(m));
         }
+        options.extend(extra);
         let repr = TcpRepr {
             src_port: 443,
             dst_port: 55000,
@@ -208,6 +233,31 @@ mod tests {
         assert_eq!(raise_mss(&mut pkt, 8960), MssRewrite::NotApplicable);
         let mut junk = vec![0u8; 10];
         assert_eq!(raise_mss(&mut junk, 8960), MssRewrite::NotApplicable);
+    }
+
+    /// A signed SYN comes out byte-identical: TCP-MD5 (kind 19, an
+    /// 18-byte option) and TCP-AO (kind 29, key ids plus a 12-byte MAC).
+    #[test]
+    fn leaves_signed_syns_alone() {
+        let md5 = TcpOption::Unknown(19, vec![0xA5; 16]);
+        let ao = TcpOption::Unknown(29, [vec![7, 7], vec![0x5A; 12]].concat());
+        for signature in [md5, ao] {
+            let orig = syn_with(Some(1460), true, vec![signature.clone()]);
+            let mut pkt = orig.clone();
+            assert_eq!(
+                raise_mss(&mut pkt, 8960),
+                MssRewrite::Signed,
+                "{signature:?}"
+            );
+            assert_eq!(pkt, orig, "{signature:?}");
+        }
+        // The same SYN without a signature is still raised.
+        let mut plain = syn_with(Some(1460), true, vec![TcpOption::Timestamps(1, 0)]);
+        assert!(matches!(
+            raise_mss(&mut plain, 8960),
+            MssRewrite::Rewritten { old: 1460, .. }
+        ));
+        assert!(checksums_ok(&plain));
     }
 
     /// Exhaustive-ish: rewriting must match a full checksum recomputation

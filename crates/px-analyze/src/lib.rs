@@ -21,8 +21,8 @@
 //!   sites (`record`, `observe*`, `push` in `px-obs`) and their callees
 //!   perform no heap allocation.
 //! * **R6 recovery discipline** — fault-handling functions (`degrade*`,
-//!   `on_fault*`, `restart_worker*`, in any module) and everything they
-//!   reach are both panic-free and alloc-free.
+//!   `on_fault*`, in any module) and everything they reach are both
+//!   panic-free and alloc-free.
 //! * **R7 copy-freedom** — the split engine's emission paths never
 //!   re-copy payload bytes; they emit scatter-gather views.
 //! * **R8 determinism** — no wall-clock reads, OS randomness, or

@@ -154,7 +154,7 @@ pub struct Config {
     /// sites; the drain/render side may allocate freely.
     pub r5_modules: Vec<&'static str>,
     /// Function-name prefixes of R6 fault-handling/recovery paths. R6
-    /// applies in *every* module — degradation and self-healing code
+    /// applies in *every* module — degradation and recovery code
     /// runs while the system is already in trouble, wherever it lives —
     /// and enforces both the R1 panic set and the R3 allocation set.
     pub r6_fn_prefixes: Vec<&'static str>,
@@ -257,15 +257,13 @@ impl Default for Config {
             // `on_report` is the F-PMTUD guard's spoof-classification
             // path — both run precisely when an adversary is pushing,
             // so they get the degraded-path panic/alloc discipline.
-            // `run_shard` is the worker's run-to-completion loop: it is
-            // where a worker catches an injected panic and heals in
-            // place, and nothing stands behind it (no dispatcher to
-            // re-feed a core that died), so the whole loop is held to
-            // the recovery bar.
+            // `run_shard` is the worker's run-to-completion loop, and
+            // nothing stands behind it: no dispatcher re-feeds a core
+            // and no supervisor restarts one, so the whole loop is held
+            // to the recovery bar.
             r6_fn_prefixes: vec![
                 "degrade",
                 "on_fault",
-                "restart_worker",
                 "run_shard",
                 "forward_stash_leftovers",
                 "on_report",
@@ -1095,8 +1093,8 @@ mod tests {
     fn call_site_waiver_severs_transitive_propagation() {
         // The R6 waiver on the call line documents that the rebuild may
         // allocate — the callee's internals are then out of scope.
-        let src = "fn restart_worker(&mut self) {\n\
-                       // px-analyze: allow(R6, reason = \"post-panic rebuild allocates outside the degraded path\")\n\
+        let src = "fn on_fault_rebuild(&mut self) {\n\
+                       // px-analyze: allow(R6, reason = \"the rebuild allocates outside the degraded path\")\n\
                        rebuild();\n\
                    }\n\
                    fn rebuild() { let v = Vec::new(); }";

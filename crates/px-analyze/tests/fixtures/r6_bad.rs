@@ -1,6 +1,6 @@
-// R6 fixture: fault-handling functions (`degrade*`, `on_fault*`,
-// `restart_worker*`) must be panic-free AND alloc-free in ANY module —
-// this file is analyzed under a cold-module path and must still flag.
+// R6 fixture: fault-handling functions (`degrade*`, `on_fault*`) must
+// be panic-free AND alloc-free in ANY module — this file is analyzed
+// under a cold-module path and must still flag.
 
 struct Gw {
     spare: Option<Vec<u8>>,
@@ -23,10 +23,10 @@ impl Gw {
         drop(buf);
     }
 
-    fn restart_worker_in_place(&mut self) {
+    fn on_fault_rebuild(&mut self) {
         let scratch: Vec<u8> = Vec::new();
         drop(scratch);
-        panic!("restart failed");
+        panic!("rebuild failed");
     }
 }
 

@@ -30,7 +30,7 @@ impl Gw {
         self.degraded = false;
     }
 
-    fn restart_worker(&mut self, returned: Buf) {
+    fn on_fault_rearm(&mut self, returned: Buf) {
         // Re-arming the spare from a returned buffer: no allocation.
         self.spare = Some(returned);
     }

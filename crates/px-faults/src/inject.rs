@@ -1,14 +1,11 @@
-//! Resource-fault injection: pool exhaustion, flow-table pressure, and
-//! worker panic, behind a trait whose disabled implementation is
-//! a no-op.
+//! Resource-fault injection: pool exhaustion and flow-table pressure.
 //!
-//! Resource verdicts are **stateless**: a packet's fate is
+//! Verdicts are **stateless**: a packet's fate is
 //! `splitmix64(seed ⊕ salt ⊕ key)` where `key` hashes the packet
 //! bytes. No draw-stream state means the same packet gets the same
 //! verdict whatever core, batch, or interleaving it arrives through —
 //! the property the chaos matrix's cross-core digest identity depends
-//! on. Worker faults are keyed by `(core, batch index)` instead; they
-//! move *when* flushes happen, never *what* the flows carry.
+//! on.
 
 use crate::rng::splitmix64;
 use crate::spec::FaultSpec;
@@ -40,40 +37,9 @@ pub fn decide_ppm(seed: u64, salt: u64, key: u64, ppm: u32) -> bool {
     splitmix64(seed ^ salt ^ key) % 1_000_000 < u64::from(ppm)
 }
 
-/// The resource-fault interface the engines consult. Every method
-/// defaults to "no fault", so [`NoFaults`] is the empty impl and any
-/// caller holding a disabled [`PlannedFaults`] pays one predicted
-/// branch.
-pub trait FaultInjector {
-    /// Should the buffer pool pretend to be dry for this acquisition?
-    /// `key` hashes the packet triggering it.
-    #[inline]
-    fn pool_dry(&self, _key: u64) -> bool {
-        false
-    }
-
-    /// Should the flow table deny this insertion?
-    #[inline]
-    fn table_deny(&self, _key: u64) -> bool {
-        false
-    }
-
-    /// Should the worker panic at the entry of this batch?
-    #[inline]
-    fn batch_panic(&self, _core: usize, _batch_idx: u64) -> bool {
-        false
-    }
-}
-
-/// The production injector: injects nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 /// A [`FaultSpec`]-driven injector. `Copy` and stateless, so engines
-/// embed it by value; with `spec.enabled == false` it behaves exactly
-/// like [`NoFaults`].
+/// embed it by value; with `spec.enabled == false` every verdict is
+/// "no fault" for the cost of one predicted branch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlannedFaults {
     /// The spec verdicts are drawn from.
@@ -87,23 +53,26 @@ impl PlannedFaults {
         PlannedFaults { spec }
     }
 
-    /// The inert injector (same behavior as [`NoFaults`]).
+    /// The inert injector: every verdict is "no fault".
     #[must_use]
     pub const fn off() -> Self {
         PlannedFaults {
             spec: FaultSpec::off(),
         }
     }
-}
 
-impl FaultInjector for PlannedFaults {
+    /// Should the buffer pool pretend to be dry for this acquisition?
+    /// `key` hashes the packet triggering it.
     #[inline]
-    fn pool_dry(&self, key: u64) -> bool {
+    #[must_use]
+    pub fn pool_dry(&self, key: u64) -> bool {
         self.spec.enabled && decide_ppm(self.spec.seed, SALT_POOL_DRY, key, self.spec.pool_dry_ppm)
     }
 
+    /// Should the flow table deny this insertion?
     #[inline]
-    fn table_deny(&self, key: u64) -> bool {
+    #[must_use]
+    pub fn table_deny(&self, key: u64) -> bool {
         self.spec.enabled
             && decide_ppm(
                 self.spec.seed,
@@ -112,16 +81,6 @@ impl FaultInjector for PlannedFaults {
                 self.spec.table_deny_ppm,
             )
     }
-
-    #[inline]
-    fn batch_panic(&self, core: usize, batch_idx: u64) -> bool {
-        if !self.spec.enabled || self.spec.panic_every_batches == 0 {
-            return false;
-        }
-        // Offset by core so cores fail at different points; skip batch 0
-        // so every worker processes something before its first death.
-        batch_idx > 0 && (batch_idx + core as u64).is_multiple_of(self.spec.panic_every_batches)
-    }
 }
 
 #[cfg(test)]
@@ -129,25 +88,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_faults_is_inert() {
-        let n = NoFaults;
-        assert!(!n.pool_dry(1));
-        assert!(!n.table_deny(2));
-        assert!(!n.batch_panic(0, 100));
-    }
-
-    #[test]
-    fn disabled_planned_faults_match_no_faults() {
+    fn disabled_planned_faults_are_inert() {
         let p = PlannedFaults::new(FaultSpec {
             enabled: false,
             pool_dry_ppm: 1_000_000,
             table_deny_ppm: 1_000_000,
-            panic_every_batches: 1,
             ..FaultSpec::off()
         });
         assert!(!p.pool_dry(1));
         assert!(!p.table_deny(1));
-        assert!(!p.batch_panic(0, 7));
     }
 
     #[test]
@@ -187,20 +136,6 @@ mod tests {
             .count();
         // Independent verdicts agree about half the time, not always.
         assert!((350..650).contains(&agree), "{agree}");
-    }
-
-    #[test]
-    fn batch_panics_follow_the_schedule() {
-        let p = PlannedFaults::new(FaultSpec {
-            enabled: true,
-            panic_every_batches: 5,
-            ..FaultSpec::off()
-        });
-        let fired: Vec<u64> = (0..20).filter(|&b| p.batch_panic(0, b)).collect();
-        assert_eq!(fired, vec![5, 10, 15]);
-        // Core offset shifts the schedule.
-        assert!(p.batch_panic(1, 4));
-        assert!(!p.batch_panic(1, 5));
     }
 
     #[test]

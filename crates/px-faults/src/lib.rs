@@ -13,12 +13,11 @@
 //!   the stateful ingress applier that injects drop / duplicate /
 //!   reorder / corrupt / truncate into a packet trace *before* RSS
 //!   sharding, so the faulted trace is the same at any core count.
-//! - [`FaultInjector`] / [`NoFaults`] / [`PlannedFaults`] — resource
-//!   faults (pool exhaustion, flow-table pressure, worker panic)
-//!   decided *statelessly* per packet from a hash of the packet bytes
-//!   and the seed. A packet gets the same verdict on 1 core or 8, so
-//!   resource faults cannot perturb cross-core content identity. The
-//!   disabled injector is a single predicted branch.
+//! - [`PlannedFaults`] — resource faults (pool exhaustion, flow-table
+//!   pressure) decided *statelessly* per packet from a hash of the
+//!   packet bytes and the seed. A packet gets the same verdict on 1
+//!   core or 8, so resource faults cannot perturb cross-core content
+//!   identity. The disabled injector is a single predicted branch.
 //! - [`DetBackoff`] — the jitter-free exponential backoff schedule the
 //!   F-PMTUD prober and the PMTUD client retry on.
 //! - [`attack`] — seeded *adversarial* generators (vs. the merely
@@ -42,7 +41,7 @@ pub mod rng;
 pub mod spec;
 
 pub use backoff::DetBackoff;
-pub use inject::{decide_ppm, hash_bytes, FaultInjector, NoFaults, PlannedFaults};
+pub use inject::{decide_ppm, hash_bytes, PlannedFaults};
 pub use plan::{FaultPlan, IngressStats};
 pub use rng::{splitmix64, XorShift64};
 pub use spec::{cause, FaultSpec};

@@ -27,9 +27,8 @@ pub mod cause {
 /// way `ObsConfig` does; [`FaultSpec::off`] is the all-zero spec every
 /// production path carries (one predicted branch per decision).
 ///
-/// Rates are parts-per-million of packets. Worker faults are keyed by
-/// batch index (`every N batches`), not wall clock, so they replay
-/// bit-identically.
+/// Rates are parts-per-million of packets, drawn from the seed alone
+/// (never the wall clock), so a schedule replays bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Master switch. When false every injector call is a predicted
@@ -52,10 +51,6 @@ pub struct FaultSpec {
     pub pool_dry_ppm: u32,
     /// Resource: deny the flow-table insertion at aggregate creation.
     pub table_deny_ppm: u32,
-    /// Worker: panic at the entry of every Nth batch (0 = never). The
-    /// supervisor catches it, rescues the core's flow state, and
-    /// restarts the worker in place.
-    pub panic_every_batches: u64,
 }
 
 impl Default for FaultSpec {
@@ -78,14 +73,13 @@ impl FaultSpec {
             truncate_ppm: 0,
             pool_dry_ppm: 0,
             table_deny_ppm: 0,
-            panic_every_batches: 0,
         }
     }
 
     /// A seed-derived chaos mix for the matrix: every rate is drawn
     /// from the seed, so seed `s` names one complete fault schedule.
-    /// Roughly half the seeds include worker panics; ingress rates
-    /// range up to a few percent.
+    /// Ingress rates range up to a few percent, resource rates up to
+    /// five.
     #[must_use]
     pub fn chaos(seed: u64) -> Self {
         let d = |salt: u64, range: u64| -> u32 {
@@ -101,11 +95,6 @@ impl FaultSpec {
             truncate_ppm: d(5, 10_000),
             pool_dry_ppm: d(6, 50_000),
             table_deny_ppm: d(7, 50_000),
-            panic_every_batches: match splitmix64(seed ^ 8) % 4 {
-                0 => 7,
-                1 => 13,
-                _ => 0,
-            },
         }
     }
 }
@@ -130,7 +119,6 @@ mod tests {
 
     #[test]
     fn chaos_rates_stay_in_their_bands() {
-        let mut with_panic = 0usize;
         for seed in 0..256u64 {
             let s = FaultSpec::chaos(seed);
             assert!(s.drop_ppm < 30_000);
@@ -140,11 +128,6 @@ mod tests {
             assert!(s.truncate_ppm < 10_000);
             assert!(s.pool_dry_ppm < 50_000);
             assert!(s.table_deny_ppm < 50_000);
-            if s.panic_every_batches > 0 {
-                with_panic += 1;
-            }
         }
-        // About half the seeds exercise the restart path.
-        assert!((64..192).contains(&with_panic), "{with_panic}");
     }
 }

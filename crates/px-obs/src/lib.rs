@@ -11,7 +11,7 @@
 //!   integer bumps. Intervals (a merge aggregate's dwell, a caravan
 //!   bundle's fill window) and instants (classifier verdict, steer,
 //!   split emission, eviction, typed drop, batch boundary, degrade
-//!   edges, restart, SLO alert) share the record; merge/caravan
+//!   edges, SLO alert) share the record; merge/caravan
 //!   emissions carry a causal link the consuming split spans repeat.
 //!   [`Recorder::drain`] renders the last N as a post-mortem timeline,
 //!   [`perfetto_json`] exports whole runs for Perfetto.
@@ -42,8 +42,7 @@
 //! `observe_*` call is a single predicted branch.
 //!
 //! [`Recorder::take`] hands everything one recorder held onward as one
-//! [`Telemetry`] value — the engine's end-of-run report assembly and
-//! its salvage across a worker restart are the same hand-off.
+//! [`Telemetry`] value, the engine's end-of-run report hand-off.
 //!
 //! px-analyze rule **R5** statically audits this crate's recording
 //! paths (`record`, `observe*`, `push`) for allocation, the same way

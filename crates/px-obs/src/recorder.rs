@@ -62,15 +62,6 @@ pub struct Telemetry {
     pub hists: HistSet,
 }
 
-impl Telemetry {
-    /// Folds in what a `later` recorder held: its spans go after these
-    /// (they are chronologically later).
-    pub fn merge(&mut self, later: Telemetry) {
-        self.spans.extend(later.spans);
-        self.hists.merge(&later.hists);
-    }
-}
-
 /// A span ring and histogram set for one engine/core.
 ///
 /// The default value is the disabled recorder (zero-capacity ring, no
@@ -184,9 +175,9 @@ impl Recorder {
         rendered
     }
 
-    /// Detaches everything recorded, for report assembly or salvage
-    /// across a restart. The recorder is left disabled: both callers
-    /// drop the engine that held it, so nothing is re-armed for them.
+    /// Detaches everything recorded, for report assembly. The recorder
+    /// is left disabled: the run that held it is over, so nothing is
+    /// re-armed.
     pub fn take(&mut self) -> Telemetry {
         let rec = std::mem::take(self);
         Telemetry {
@@ -214,8 +205,7 @@ pub struct ObsReport {
     pub enabled: bool,
     /// Histograms merged over every core.
     pub hists: HistSet,
-    /// Each core's recorder contents (oldest first; spans salvaged
-    /// across worker restarts come first).
+    /// Each core's recorder contents, oldest first.
     pub per_core_spans: Vec<Vec<Span>>,
     /// The SLO watchdog tallies, merged over every core.
     pub slo: crate::slo::SloWatchdog,
@@ -289,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn take_detaches_spans_and_hists_and_merge_appends() {
+    fn take_detaches_spans_and_hists() {
         let cfg = ObsConfig {
             span_capacity: 8,
             ..ObsConfig::default()
@@ -299,22 +289,13 @@ mod tests {
             r.record(sp(SpanCat::Batch, t));
         }
         r.observe_dwell(500);
-        let mut first = r.take();
+        let first = r.take();
         assert_eq!(first.spans.len(), 8, "capacity-bounded");
         assert_eq!(first.spans.first().map(|s| s.start_ns), Some(12));
         assert_eq!(first.hists.dwell_ns.count(), 1);
         assert!(!r.is_enabled(), "take leaves the disabled recorder");
         assert_eq!(r.spans_recorded(), 0);
         assert_eq!(r.hists().dwell_ns.count(), 0);
-
-        // What a restarted engine's recorder held folds in after it.
-        let mut r2 = Recorder::new(cfg);
-        r2.record(sp(SpanCat::Restart, 99));
-        r2.observe_dwell(700);
-        first.merge(r2.take());
-        assert_eq!(first.spans.len(), 9);
-        assert_eq!(first.spans.last().map(|s| s.cat), Some(SpanCat::Restart));
-        assert_eq!(first.hists.dwell_ns.count(), 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! merge aggregate from first segment to emission, a caravan bundle's
 //! fill window — or, with `dur_ns == 0`, marks an instant: a classifier
 //! verdict, a steering decision, a typed drop, a batch boundary, a
-//! degrade-ladder edge, a worker-restart crossing.
+//! degrade-ladder edge.
 //! Spans carry **logical time only** (trace arrival timestamps or
 //! per-engine packet counters), so recording them in Deterministic mode
 //! cannot perturb digests and span streams are bit-identical across
@@ -23,8 +23,8 @@
 
 /// What a span records.
 ///
-/// The discriminants are stable (they appear in exported traces) and
-/// the names double as Perfetto categories.
+/// The names double as Perfetto categories. Exports carry the names,
+/// never the discriminants, which only number [`SpanCat::ALL`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum SpanCat {
@@ -54,25 +54,22 @@ pub enum SpanCat {
     /// recorded per degraded packet, not per episode (`aux` = cause:
     /// 1 pool exhaustion, 2 table denial; DESIGN.md §12).
     Degrade = 6,
-    /// A worker-restart crossing (`aux` = packets rescue-flushed from
-    /// the dead worker's table, `len` = the batch index the fault hit).
-    Restart = 7,
     /// An SLO watchdog alert (`aux` = breach bitmask, see
     /// [`crate::slo`]).
-    Slo = 8,
+    Slo = 7,
     /// A typed drop (`aux` = one of [`drop_reason`]).
-    Drop = 9,
+    Drop = 8,
     /// A worker finished one batch (`len` = packets in the batch,
     /// `start_ns` = the last packet's logical arrival). The batch's
     /// wall time goes to the histograms only.
-    Batch = 10,
+    Batch = 9,
     /// The engine entered degraded (passthrough) mode: an aggregate
     /// could not be created, so packets are forwarded unmerged instead
     /// of dropped (`aux` = cause, as for [`SpanCat::Degrade`]).
-    DegradeEnter = 11,
+    DegradeEnter = 10,
     /// The pressure subsided: an aggregate creation succeeded again and
     /// the engine resumed merging.
-    DegradeExit = 12,
+    DegradeExit = 11,
 }
 
 /// Why a [`SpanCat::Drop`] span's packet was dropped (its `aux`).
@@ -89,7 +86,7 @@ pub mod drop_reason {
 
 impl SpanCat {
     /// Every category, in discriminant order.
-    pub const ALL: [SpanCat; 13] = [
+    pub const ALL: [SpanCat; 12] = [
         SpanCat::Classify,
         SpanCat::Steer,
         SpanCat::Merge,
@@ -97,7 +94,6 @@ impl SpanCat {
         SpanCat::Split,
         SpanCat::Evict,
         SpanCat::Degrade,
-        SpanCat::Restart,
         SpanCat::Slo,
         SpanCat::Drop,
         SpanCat::Batch,
@@ -115,7 +111,6 @@ impl SpanCat {
             SpanCat::Split => "split",
             SpanCat::Evict => "evict",
             SpanCat::Degrade => "degrade",
-            SpanCat::Restart => "restart",
             SpanCat::Slo => "slo",
             SpanCat::Drop => "drop",
             SpanCat::Batch => "batch",

@@ -32,7 +32,7 @@
 //! source addresses can find them) through the engine, and holds them
 //! to the same oracle.
 //!
-//! Seed count: `ATTACK_SEEDS` (default 10 in-tree; CI runs 200).
+//! Seed count: `ATTACK_SEEDS` (default 10 in-tree; CI runs 5000).
 
 mod support;
 

@@ -3,16 +3,20 @@
 //! transparent*: byte streams and datagram boundaries survive any mix of
 //! merging, splitting, MSS rewriting, loss, and reordering.
 
+use packet_express::core::advert::{ImtuAdvert, ADVERT_PORT};
 use packet_express::core::gateway::{GatewayConfig, PxGateway, EXTERNAL_PORT, INTERNAL_PORT};
 use packet_express::core::steer::SteerConfig;
 use packet_express::sim::link::LinkConfig;
 use packet_express::sim::netem::Netem;
 use packet_express::sim::network::Network;
-use packet_express::sim::node::{NodeId, PortId};
+use packet_express::sim::node::{Ctx, Node, NodeId, PortId};
 use packet_express::sim::Nanos;
 use packet_express::tcp::conn::{CcAlgo, ConnConfig};
 use packet_express::tcp::host::{Host, HostConfig, UdpFlowCfg};
 use packet_express::tcp::udp::UdpSocket;
+use packet_express::wire::ipv4::Ipv4Repr;
+use packet_express::wire::{IpProtocol, PacketBuf, UdpRepr};
+use std::any::Any;
 use std::net::Ipv4Addr;
 
 const EXT: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
@@ -333,4 +337,86 @@ fn mouse_latency_measured() {
         with <= without,
         "steered mouse finished at {with} ms vs {without} ms unsteered"
     );
+}
+
+/// A link end that sends fixed packets at start and keeps every packet
+/// it receives, byte for byte.
+#[derive(Default)]
+struct Wire {
+    send: Vec<Vec<u8>>,
+    got: Vec<Vec<u8>>,
+}
+
+impl Node for Wire {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for pkt in self.send.drain(..) {
+            ctx.send(PortId(0), PacketBuf::from_payload(&pkt));
+        }
+    }
+    fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, pkt: PacketBuf) {
+        self.got.push(pkt.as_slice().to_vec());
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// An IPv4 UDP packet from `EXT:src_port` to `INT:dst_port`.
+fn udp_to_int(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+    let dg = UdpRepr { src_port, dst_port }
+        .build_datagram(EXT, INT, payload)
+        .unwrap();
+    Ipv4Repr::new(EXT, INT, IpProtocol::Udp, dg.len())
+        .build_packet(&dg)
+        .unwrap()
+}
+
+/// Port 3199 carries iMTU advertisements only in their own shape, from
+/// 169.254/16 to the limited broadcast. An external host's UDP to an
+/// inside host's port 3199 is transit traffic: it crosses the gateway
+/// byte for byte, with or without an ASN configured, even when its
+/// payload parses as an advertisement.
+#[test]
+fn transit_udp_to_the_advert_port_is_delivered() {
+    let advert = ImtuAdvert {
+        asn: 64999,
+        imtu: 9000,
+        seq: 1,
+        ttl_secs: 15,
+    };
+    let mut sent = vec![
+        udp_to_int(5000, ADVERT_PORT, b"transit, not an advertisement"),
+        udp_to_int(5001, ADVERT_PORT, &advert.to_bytes()),
+    ];
+    sent.sort();
+    for asn in [None, Some(64512)] {
+        let mut net = Network::new(1);
+        let ext = net.add_node(Wire {
+            send: sent.clone(),
+            got: Vec::new(),
+        });
+        let gw = net.add_node(PxGateway::new(GatewayConfig {
+            asn,
+            ..Default::default()
+        }));
+        let int = net.add_node(Wire::default());
+        net.connect(
+            (ext, PortId(0)),
+            (gw, EXTERNAL_PORT),
+            LinkConfig::new(10_000_000_000, Nanos::from_micros(100), 1500),
+        );
+        net.connect(
+            (gw, INTERNAL_PORT),
+            (int, PortId(0)),
+            LinkConfig::new(40_000_000_000, Nanos::from_micros(20), 9000),
+        );
+        net.run_until(Nanos::from_millis(10));
+        assert_eq!(net.node_ref::<PxGateway>(gw).neighbor_asn, None, "{asn:?}");
+        let mut got = net.node_ref::<Wire>(int).got.clone();
+        got.sort();
+        assert_eq!(got, sent, "asn {asn:?}");
+    }
 }

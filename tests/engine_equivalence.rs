@@ -6,8 +6,9 @@
 //!   happen at trace timestamps, so scheduling cannot leak into output;
 //! * Parallel mode (one OS thread per core, each running its own shard
 //!   to completion) produces the same content as Deterministic mode —
-//!   with the chaos fault schedule armed too, whose worker restarts and
-//!   stalls are keyed by per-core batch ordinal;
+//!   with the chaos fault schedule armed too, whose ingress faults are
+//!   applied before sharding and whose resource faults are keyed by
+//!   packet bytes;
 //! * the engine's steady-state conversion-yield accounting matches the
 //!   legacy modeled pipeline exactly, packet for packet.
 //!
@@ -135,20 +136,21 @@ fn parallel_threads_match_deterministic_content() {
 
 #[test]
 fn parallel_matches_deterministic_under_chaos_faults() {
-    // A chaos schedule that restarts workers (a panic every 13
-    // batches). Restarts are keyed by (core, per-core batch ordinal),
-    // so a driver that shifted burst boundaries between modes would
-    // restart different engines at different packets and the captured
-    // bytes would diverge.
+    // A chaos schedule: ingress faults rewrite the global trace and
+    // resource faults degrade hold creations, keyed by packet bytes.
+    // Both modes must see the same faults and deliver the same bytes.
     let faults = FaultSpec::chaos(17);
-    assert_eq!(faults.panic_every_batches, 13);
     for workload in [WorkloadKind::Tcp, WorkloadKind::Udp] {
         for cores in [1usize, 2, 4] {
             let run = |mode| checked_run(workload, cores, mode, faults);
             let det = run(EngineMode::Deterministic);
             let par = run(EngineMode::Parallel);
             let context = format!("{workload:?} @{cores} under chaos");
-            assert!(det.totals.worker_restarts > 0, "{context}: no restart");
+            assert!(
+                det.ingress_faults.total() > 0,
+                "{context}: no ingress fault"
+            );
+            assert!(det.totals.degraded_pkts > 0, "{context}: no resource fault");
             assert_digests_match(&det, &par, &context);
             assert_eq!(det.totals, par.totals, "{context}: counters diverged");
             assert_eq!(det.per_core, par.per_core, "{context}: per-core split");
