@@ -137,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_beyond_the_host_cpus_are_tagged_oversubscribed() {
+    fn rows_beyond_the_host_cpus_are_marked_oversubscribed() {
         let row = |cores| Row {
             workload: "TCP",
             cores,

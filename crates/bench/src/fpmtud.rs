@@ -85,7 +85,7 @@ pub fn probe_pair(a: usize, b: usize) -> Row {
     let hops = hops_for(a, b);
 
     // F-PMTUD: one probe, sized to the first-hop MTU, DF clear.
-    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, DAEMON_ADDR, hops[0].mtu));
+    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, hops[0].mtu), DAEMON_ADDR);
     let daemon = FpmtudDaemon::new(DAEMON_ADDR);
     let (mut net, p, _) = build_path(101, prober, daemon, &hops, false);
     net.run_until(Nanos::from_secs(10));

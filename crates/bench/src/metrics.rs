@@ -287,12 +287,11 @@ mod tests {
         assert_eq!(status, 200);
         validate_prometheus(&body).expect("scraped exposition must validate");
         assert!(body.contains("pxgw_pkts_in_total"));
-        // The adversarial taxonomy (DESIGN.md §16) is always exposed —
-        // zero-valued on a clean run, but scrapeable before any attack.
+        // The datapath's adversarial drops (DESIGN.md §16) are always
+        // exposed — zero-valued on a clean run, but scrapeable before any
+        // attack.
         assert!(body.contains("pxgw_dropped_inconsistent_overlap_total"));
         assert!(body.contains("pxgw_dropped_overlap_evasion_total"));
-        assert!(body.contains("pxgw_pmtud_spoof_rejected_total"));
-        assert!(body.contains("pxgw_pmtu_floor_clamps_total"));
 
         // A healthy run under the demo objectives answers 200 with an
         // ok verdict; breaches would flip it to 503.

@@ -30,6 +30,7 @@ use px_sim::stats::{CoreCounters, SizeHistogram};
 use px_wire::bytes;
 use px_wire::caravan::{iter_bundle, MAX_INNER};
 use px_wire::checksum;
+use px_wire::fpmtud::FPMTUD_PORT;
 use px_wire::ipv4::{self, Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
 use px_wire::pool::{PacketSink, PoolStats, SgPacket, SgRc};
 use px_wire::udp::UdpDatagram;
@@ -48,8 +49,6 @@ pub struct CaravanConfig {
     /// Only bundle datagrams whose IP IDs are consecutive (UDP_GRO
     /// compatibility mode used in the paper's evaluation).
     pub require_consecutive_ip_id: bool,
-    /// Destination port whose packets bypass bundling (F-PMTUD probes).
-    pub probe_port: u16,
 }
 
 impl Default for CaravanConfig {
@@ -59,7 +58,6 @@ impl Default for CaravanConfig {
             hold_ns: 50_000,
             table_capacity: 65536,
             require_consecutive_ip_id: true,
-            probe_port: crate::gateway::FPMTUD_PORT,
         }
     }
 }
@@ -318,7 +316,7 @@ impl CaravanEngine {
                 return None;
             }
             let udp = UdpDatagram::new_checked(ip.payload()).ok()?;
-            if udp.dst_port() == self.cfg.probe_port {
+            if udp.dst_port() == FPMTUD_PORT {
                 return None; // F-PMTUD probes pass through untouched
             }
             let ip_hlen = ip.header_len();
@@ -679,7 +677,7 @@ mod tests {
         let mut eng = CaravanEngine::new(cfg);
         let dg = UdpRepr {
             src_port: 9,
-            dst_port: cfg.probe_port,
+            dst_port: FPMTUD_PORT,
         }
         .build_datagram(SRC, DST, &[0u8; 100])
         .unwrap();

@@ -131,7 +131,6 @@ impl CoreEngine {
                     hold_ns: cfg.hold_ns,
                     table_capacity: table.capacity,
                     require_consecutive_ip_id: true,
-                    probe_port: crate::gateway::FPMTUD_PORT,
                 };
                 CoreEngine::Caravan(CaravanEngine::with_table(caravan, table))
             }

@@ -6,11 +6,18 @@
 //! leaving is split/unbundled back to eMTU size. Everything else —
 //! ICMP, F-PMTUD probes, control segments — passes through untouched,
 //! in order, which is what makes the gateway *transparent*.
+//!
+//! Two control channels end at the external port. iMTU adverts are
+//! believed only from on-link (IP TTL 255, RFC 5082) and for at most
+//! three advert intervals. F-PMTUD reports are believed only from the
+//! probed destination, with the probe's nonce
+//! ([`crate::pmtud_client`]).
 
 use crate::advert::{BorderPolicy, ImtuAdvert, NeighborTable, ADVERT_PORT};
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::merge::{MergeConfig, MergeEngine};
 use crate::mss::raise_mss;
+use crate::pmtud_client::{PmtudClient, ProberConfig};
 use crate::split::SplitEngine;
 use crate::steer::SteerConfig;
 use px_sim::node::{Ctx, Node, PortId};
@@ -21,15 +28,14 @@ use px_wire::{IpProtocol, PacketBuf, UdpRepr};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
-/// Well-known UDP port of the F-PMTUD daemon (§4.2: "a dummy UDP packet
-/// … to the destination node with a well-known port"). PXGWs never merge
-/// packets addressed to it. Single source of truth: [`px_wire::fpmtud`].
-pub const FPMTUD_PORT: u16 = px_wire::fpmtud::FPMTUD_PORT;
-
 /// The gateway's external-facing port.
 pub const EXTERNAL_PORT: PortId = PortId(0);
 /// The gateway's b-network-facing port.
 pub const INTERNAL_PORT: PortId = PortId(1);
+
+/// The IP TTL of an iMTU advert, sent and required: only an on-link
+/// sender can deliver a packet with TTL 255 (GTSM, RFC 5082).
+const ADVERT_IP_TTL: u8 = 255;
 
 const POLL_TOKEN: u64 = 1;
 const ADVERT_TOKEN: u64 = 2;
@@ -99,7 +105,7 @@ pub struct PxGateway {
     /// Jumbo packets forwarded untranslated thanks to a neighbour advert.
     pub passthrough_out: u64,
     /// The resident F-PMTUD client, when enabled.
-    pub pmtud: Option<crate::pmtud_client::PmtudClient>,
+    pub pmtud: Option<PmtudClient>,
     advert_seq: u32,
 }
 
@@ -125,23 +131,19 @@ impl PxGateway {
                 hold_ns: cfg.hold_ns,
                 table_capacity: cfg.table_capacity,
                 require_consecutive_ip_id: true,
-                probe_port: FPMTUD_PORT,
             }),
             mss_rewrites: 0,
             neighbors: NeighborTable::new(),
             neighbor_asn: None,
             passthrough_out: 0,
             pmtud: cfg.pmtud_addr.map(|a| {
-                crate::pmtud_client::PmtudClient::with_retry(
-                    a,
-                    cfg.imtu,
-                    crate::pmtud_client::PmtudRetryConfig {
-                        // Blackhole clamp: a destination that answers no
-                        // probe splits at the safe static eMTU.
-                        fallback_pmtu: cfg.emtu,
-                        ..Default::default()
-                    },
-                )
+                PmtudClient::new(ProberConfig {
+                    timeout_ns: 100_000_000, // 100 ms of simulated time
+                    // Blackhole clamp: a destination that answers no
+                    // probe splits at the safe static eMTU.
+                    fallback_pmtu: cfg.emtu,
+                    ..ProberConfig::new(a, cfg.imtu)
+                })
             }),
             advert_seq: 0,
         }
@@ -156,6 +158,12 @@ impl PxGateway {
         }
     }
 
+    /// The validity this gateway gives its adverts, and the most it
+    /// believes of a neighbour's: three refresh intervals.
+    fn advert_ttl_secs(&self) -> u16 {
+        (3 * self.cfg.advert_interval_ns / 1_000_000_000).clamp(1, u64::from(u16::MAX)) as u16
+    }
+
     fn send_advert(&mut self, ctx: &mut Ctx<'_>) {
         let Some(asn) = self.cfg.asn else { return };
         self.advert_seq += 1;
@@ -163,7 +171,7 @@ impl PxGateway {
             asn,
             imtu: self.cfg.imtu as u32,
             seq: self.advert_seq,
-            ttl_secs: (3 * self.cfg.advert_interval_ns / 1_000_000_000).max(1) as u16,
+            ttl_secs: self.advert_ttl_secs(),
         };
         // Link-local style announcement: the adjacent gateway (if any)
         // picks it up off the shared border link.
@@ -176,7 +184,8 @@ impl PxGateway {
         .build_datagram(src, dst, &advert.to_bytes()) else {
             return;
         };
-        let ip = Ipv4Repr::new(src, dst, IpProtocol::Udp, dg.len());
+        let mut ip = Ipv4Repr::new(src, dst, IpProtocol::Udp, dg.len());
+        ip.ttl = ADVERT_IP_TTL;
         if let Ok(pkt) = ip.build_packet(&dg) {
             ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&pkt));
         }
@@ -186,9 +195,11 @@ impl PxGateway {
     /// An advertisement has the shape [`send_advert`](Self::send_advert)
     /// builds: UDP to [`ADVERT_PORT`] from 169.254/16 to the limited
     /// broadcast, which no router forwards, so it can only have come off
-    /// the border link. Only a gateway with an ASN takes part in peering
-    /// and ingests it. Every other datagram, to port 3199 or not, is
-    /// transit traffic for the datapath.
+    /// the border link. It is ingested only when its IP TTL is 255, which
+    /// no off-link sender can deliver, and only by a gateway with an ASN
+    /// (which takes part in peering); its `ttl_secs` is capped at what
+    /// this gateway gives its own adverts. Every other datagram, to port
+    /// 3199 or not, is transit traffic for the datapath.
     fn try_ingest_advert(&mut self, now_ns: u64, pkt: &[u8]) -> bool {
         let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
             return false;
@@ -205,7 +216,11 @@ impl PxGateway {
         if udp.dst_port() != ADVERT_PORT {
             return false;
         }
-        if let (Some(_), Ok(advert)) = (self.cfg.asn, ImtuAdvert::parse(udp.payload())) {
+        if ip.ttl() != ADVERT_IP_TTL {
+            return true;
+        }
+        if let (Some(_), Ok(mut advert)) = (self.cfg.asn, ImtuAdvert::parse(udp.payload())) {
+            advert.ttl_secs = advert.ttl_secs.min(self.advert_ttl_secs());
             self.neighbors.ingest(now_ns, advert);
             self.neighbor_asn = Some(advert.asn);
         }
@@ -219,7 +234,7 @@ impl PxGateway {
             return;
         }
         if let Some(client) = &mut self.pmtud {
-            if client.try_ingest(pkt.as_slice()) {
+            if client.ingest(ctx.now.0, pkt.as_slice()).is_some() {
                 return;
             }
         }
@@ -266,12 +281,13 @@ impl PxGateway {
         let mut split_mtu = self.cfg.emtu;
         if let Some(client) = &mut self.pmtud {
             if let Ok(ip) = Ipv4Packet::new_checked(pkt.as_slice()) {
-                let dst = ip.dst();
-                if let Some(probe) = client.maybe_probe(ctx.now.0, dst) {
-                    ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&probe));
-                }
-                if let Some(pmtu) = client.pmtu_for(dst) {
-                    split_mtu = pmtu.clamp(crate::pmtud_client::MIN_PLAUSIBLE_PMTU, self.cfg.imtu);
+                match client.pmtu_for(ip.dst()) {
+                    Some(pmtu) => split_mtu = pmtu,
+                    None => {
+                        if let Some(probe) = client.probe_dst(ctx.now.0, ip.dst(), ctx.rng) {
+                            ctx.send(EXTERNAL_PORT, PacketBuf::from_payload(&probe));
+                        }
+                    }
                 }
             }
         }
@@ -355,6 +371,7 @@ mod tests {
     use px_tcp::conn::ConnConfig;
     use px_tcp::host::{Host, HostConfig, UdpFlowCfg};
     use px_tcp::udp::UdpSocket;
+    use px_wire::fpmtud::FPMTUD_PORT;
     use std::net::Ipv4Addr;
 
     const EXT: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1); // legacy network
@@ -527,5 +544,60 @@ mod tests {
         let sock = net.node_ref::<Host>(int).udp_socket(FPMTUD_PORT).unwrap();
         assert!(sock.stats.datagrams > 0);
         assert_eq!(sock.stats.bundles, 0);
+    }
+
+    /// An advert as the neighbour AS 64513 sends it, arriving with IP
+    /// TTL `ip_ttl` and claiming `ttl_secs` of validity.
+    fn advert_pkt(ip_ttl: u8, ttl_secs: u16) -> Vec<u8> {
+        let (src, dst) = (Ipv4Addr::new(169, 254, 251, 255), Ipv4Addr::BROADCAST);
+        let advert = ImtuAdvert {
+            asn: 64513,
+            imtu: 9000,
+            seq: 1,
+            ttl_secs,
+        };
+        let dg = UdpRepr {
+            src_port: ADVERT_PORT,
+            dst_port: ADVERT_PORT,
+        }
+        .build_datagram(src, dst, &advert.to_bytes())
+        .unwrap();
+        let mut ip = Ipv4Repr::new(src, dst, IpProtocol::Udp, dg.len());
+        ip.ttl = ip_ttl;
+        ip.build_packet(&dg).unwrap()
+    }
+
+    fn peering_gateway() -> PxGateway {
+        PxGateway::new(GatewayConfig {
+            asn: Some(64512),
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn an_advert_from_off_link_is_consumed_but_not_believed() {
+        let mut gw = peering_gateway();
+        // One router hop away: TTL 254 on arrival.
+        assert!(gw.try_ingest_advert(0, &advert_pkt(254, 15)));
+        assert_eq!(gw.border_policy(0), BorderPolicy::Translate);
+        assert_eq!(gw.neighbor_asn, None);
+        // The same advert from on-link is believed.
+        assert!(gw.try_ingest_advert(0, &advert_pkt(255, 15)));
+        assert_eq!(
+            gw.border_policy(0),
+            BorderPolicy::PassThrough { up_to: 9000 }
+        );
+    }
+
+    #[test]
+    fn an_advert_expires_after_three_intervals_whatever_it_claims() {
+        let mut gw = peering_gateway();
+        let lifetime = 3 * gw.cfg.advert_interval_ns;
+        assert!(gw.try_ingest_advert(0, &advert_pkt(255, u16::MAX)));
+        assert_eq!(
+            gw.border_policy(lifetime),
+            BorderPolicy::PassThrough { up_to: 9000 }
+        );
+        assert_eq!(gw.border_policy(lifetime + 1), BorderPolicy::Translate);
     }
 }

@@ -1,4 +1,5 @@
-//! The PXGW-resident F-PMTUD client (§4.2's second mechanism).
+//! The F-PMTUD prober (§4.2's second mechanism): the one implementation
+//! the PXGW runs and px-pmtud's sim node wraps.
 //!
 //! "Another approach is to find the path MTU directly over an end-to-end
 //! path" — here the *gateway* is the prober: for each external
@@ -14,43 +15,68 @@
 //!   to the discovered PMTU*, extending the large-MTU path segment with
 //!   no explicit peering configuration.
 //!
-//! Destinations that never answer keep the static eMTU — the safe
-//! default.
+//! Destinations that never answer fall back to the configured PMTU (the
+//! gateway's static eMTU) once every retry has timed out.
+//!
+//! The report channel is plain UDP from the Internet, so a report is
+//! believed only when it is addressed to us, comes **from the probed
+//! destination**, echoes that probe's 64-bit **nonce**, and claims only
+//! sizes in `1..=probe size`. Anything else that parses as a report is
+//! consumed and counted in [`PmtudClient::spoof_rejected`], and the
+//! probe stays outstanding so a racing forgery cannot lock out the
+//! genuine answer. An attested claim below [`PMTU_FLOOR`] clamps to it.
+//! The first attested report for a destination sets its PMTU at once
+//! (the paper's one round trip); a later one that would shrink it must
+//! be confirmed (see [`SHRINK_CONFIRMS`]).
 
-use px_faults::DetBackoff;
+use px_faults::{splitmix64, DetBackoff};
 use px_wire::fpmtud::{parse_report, probe_payload, FPMTUD_PORT};
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
 use px_wire::udp::UdpDatagram;
 use px_wire::{IpProtocol, UdpRepr};
+use rand::RngCore;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
-/// Floor for discovered PMTUs (RFC 791 minimum reassembly size region —
-/// anything below this is treated as a bogus report).
-pub const MIN_PLAUSIBLE_PMTU: usize = 576;
+/// The lowest PMTU the prober ever holds: the IPv4 minimum reassembly
+/// size (RFC 791). An attested claim below it clamps to it.
+pub const PMTU_FLOOR: usize = 576;
 
-/// Retry/backoff policy for the resident client.
+/// Attested reports in one ±12.5 % band needed before a shrink of an
+/// established estimate takes effect; each confirmed step shrinks the
+/// estimate by at most half.
+pub const SHRINK_CONFIRMS: u32 = 2;
+
+/// Probes per destination (the first and its retries) before it is
+/// declared an F-PMTUD blackhole.
+pub const MAX_TRIES: u32 = 3;
+
+/// Prober configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PmtudRetryConfig {
+pub struct ProberConfig {
+    /// Our address: the probe source, where reports come back.
+    pub addr: Ipv4Addr,
+    /// Probe size: the first-hop MTU (§4.2 sends "a dummy UDP packet
+    /// sized to the eMTU of the next hop"), the iMTU for the gateway so
+    /// jumbo-capable paths can be discovered.
+    pub probe_size: usize,
     /// Timeout before the first retry; each further retry doubles it
     /// (deterministic exponential backoff, no jitter).
     pub timeout_ns: u64,
-    /// Cap for the doubling timeout.
-    pub backoff_max_ns: u64,
-    /// Probes per destination before giving up.
-    pub max_tries: u32,
-    /// PMTU cached for a destination whose probes all time out —
-    /// blackhole detection clamping to the safe static eMTU. `0`
-    /// disables the fallback (unknown stays unknown).
+    /// PMTU cached for a destination whose probes all time out — the
+    /// safe static eMTU. `0` leaves such a destination unknown.
     pub fallback_pmtu: usize,
 }
 
-impl Default for PmtudRetryConfig {
-    fn default() -> Self {
-        PmtudRetryConfig {
-            timeout_ns: 100_000_000, // 100 ms of simulated time
-            backoff_max_ns: 800_000_000,
-            max_tries: 3,
+impl ProberConfig {
+    /// The standard schedule: 2 s first timeout, doubling per retry, no
+    /// fallback.
+    #[must_use]
+    pub fn new(addr: Ipv4Addr, probe_size: usize) -> Self {
+        ProberConfig {
+            addr,
+            probe_size,
+            timeout_ns: 2_000_000_000,
             fallback_pmtu: 0,
         }
     }
@@ -60,68 +86,109 @@ impl Default for PmtudRetryConfig {
 #[derive(Debug)]
 struct PendingProbe {
     dst: Ipv4Addr,
+    /// The nonce the report must echo.
+    nonce: u64,
+    sent_ns: u64,
     /// Absolute (sim) time after which the probe counts as lost.
     deadline_ns: u64,
-    /// Probes sent to this destination so far (this one included).
-    tries: u32,
+    /// The round's schedule; its attempt count is the probes sent to
+    /// this destination in this round.
     backoff: DetBackoff,
 }
 
-/// The gateway's per-destination PMTU learner.
+/// What the prober knows about one destination.
+#[derive(Debug, Default)]
+struct Destination {
+    pmtu: Option<usize>,
+    /// A shrink awaiting confirmation: (claimed band, attested reports
+    /// seen so far agreeing with it).
+    held_shrink: Option<(usize, u32)>,
+}
+
+/// What [`PmtudClient::ingest`] made of a report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Attested, and applied to its destination's estimate.
+    Accepted {
+        /// The destination's PMTU estimate after this report.
+        pmtu: usize,
+        /// The fragment sizes the daemon reported.
+        sizes: Vec<usize>,
+        /// Time from the answered probe to its report.
+        elapsed_ns: u64,
+    },
+    /// Failed a check; counted in [`PmtudClient::spoof_rejected`].
+    Rejected,
+}
+
+/// The per-destination F-PMTUD prober.
 #[derive(Debug)]
 pub struct PmtudClient {
-    /// The gateway's own address (probe source; reports come back here).
-    pub addr: Ipv4Addr,
-    /// Probe size — the iMTU, so jumbo-capable paths can be discovered.
-    pub probe_size: usize,
-    /// Retry schedule and blackhole fallback.
-    pub retry: PmtudRetryConfig,
-    cache: HashMap<Ipv4Addr, usize>,
+    /// Configuration.
+    pub cfg: ProberConfig,
+    dests: HashMap<Ipv4Addr, Destination>,
     // BTreeMap: `tick` walks this, and retry emission order must be
     // deterministic.
     pending: BTreeMap<u32, PendingProbe>,
-    probed: HashMap<Ipv4Addr, ()>,
+    /// Drawn from the caller's RNG by the first
+    /// [`probe_dst`](Self::probe_dst).
+    nonce_seed: Option<u64>,
     next_id: u32,
     ident: u16,
     /// Probes emitted (first tries and retries).
     pub probes_sent: u64,
-    /// Reports consumed.
+    /// Attested reports consumed.
     pub reports_received: u64,
-    /// Retry probes among `probes_sent`.
-    pub retries_sent: u64,
+    /// Reports consumed without effect: unknown probe id, wrong nonce,
+    /// wrong source, or a size outside `1..=probe size`.
+    pub spoof_rejected: u64,
+    /// Attested claims below [`PMTU_FLOOR`], clamped up to it.
+    pub floor_clamps: u64,
     /// Destinations clamped to the fallback PMTU after exhausting
     /// every retry.
     pub blackholes_detected: u64,
 }
 
-impl PmtudClient {
-    /// Creates a client probing with `probe_size`-byte probes from
-    /// `addr`, using the default retry schedule (no fallback).
-    pub fn new(addr: Ipv4Addr, probe_size: usize) -> Self {
-        Self::with_retry(addr, probe_size, PmtudRetryConfig::default())
-    }
+/// Two largest-fragment claims belong to the same shrink band when they
+/// differ by at most 12.5 % — generous enough to absorb the ≤ 8-byte
+/// fragment-boundary rounding, tight enough that a forged 600 B claim
+/// cannot "confirm" a genuine 1500 B one.
+fn same_band(a: usize, b: usize) -> bool {
+    a.abs_diff(b) * 8 <= a.max(b)
+}
 
-    /// [`new`](Self::new) with an explicit retry/backoff policy.
-    pub fn with_retry(addr: Ipv4Addr, probe_size: usize, retry: PmtudRetryConfig) -> Self {
+impl PmtudClient {
+    /// Creates a prober.
+    pub fn new(cfg: ProberConfig) -> Self {
         PmtudClient {
-            addr,
-            probe_size,
-            retry,
-            cache: HashMap::new(),
+            cfg,
+            dests: HashMap::new(),
             pending: BTreeMap::new(),
-            probed: HashMap::new(),
+            nonce_seed: None,
             next_id: 1,
             ident: 0x9d00,
             probes_sent: 0,
             reports_received: 0,
-            retries_sent: 0,
+            spoof_rejected: 0,
+            floor_clamps: 0,
             blackholes_detected: 0,
         }
     }
 
-    /// The discovered PMTU towards `dst`, if known.
+    /// The PMTU towards `dst`, if known.
     pub fn pmtu_for(&self, dst: Ipv4Addr) -> Option<usize> {
-        self.cache.get(&dst).copied()
+        self.dests.get(&dst).and_then(|d| d.pmtu)
+    }
+
+    /// In-flight probes.
+    pub fn pending_probes(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// The earliest report deadline among in-flight probes: when
+    /// [`tick`](Self::tick) next has work.
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.pending.values().map(|p| p.deadline_ns).min()
     }
 
     /// Builds one probe packet for `dst` and registers it as pending.
@@ -130,19 +197,20 @@ impl PmtudClient {
         now_ns: u64,
         dst: Ipv4Addr,
         mut backoff: DetBackoff,
-        tries: u32,
     ) -> Option<Vec<u8>> {
         let id = self.next_id;
-        self.next_id += 1;
-        let payload = probe_payload(id, self.probe_size);
+        self.next_id = self.next_id.wrapping_add(1).max(1);
+        // `| 1` keeps the nonce nonzero: a zeroed field never matches.
+        let nonce = splitmix64(self.nonce_seed.unwrap_or_default() ^ u64::from(id)) | 1;
+        let payload = probe_payload(id, nonce, self.cfg.probe_size);
         let dg = UdpRepr {
             src_port: FPMTUD_PORT,
             dst_port: FPMTUD_PORT,
         }
-        .build_datagram(self.addr, dst, &payload)
+        .build_datagram(self.cfg.addr, dst, &payload)
         .ok()?;
-        let mut ip = Ipv4Repr::new(self.addr, dst, IpProtocol::Udp, dg.len());
-        ip.dont_frag = false;
+        let mut ip = Ipv4Repr::new(self.cfg.addr, dst, IpProtocol::Udp, dg.len());
+        ip.dont_frag = false; // the whole point: let routers fragment it
         ip.ident = self.ident;
         self.ident = self.ident.wrapping_add(1);
         let pkt = ip.build_packet(&dg).ok()?;
@@ -151,8 +219,9 @@ impl PmtudClient {
             id,
             PendingProbe {
                 dst,
+                nonce,
+                sent_ns: now_ns,
                 deadline_ns,
-                tries,
                 backoff,
             },
         );
@@ -160,27 +229,34 @@ impl PmtudClient {
         Some(pkt)
     }
 
-    /// Returns a probe packet for `dst` if it has not been probed yet.
-    pub fn maybe_probe(&mut self, now_ns: u64, dst: Ipv4Addr) -> Option<Vec<u8>> {
-        if self.probed.contains_key(&dst) {
+    /// Starts a probe round towards `dst` and returns the probe to put
+    /// on the wire, or `None` while a probe to `dst` is in flight. The
+    /// nonce seed is drawn from `rng` the first time a probe is built.
+    /// The gateway calls this for each outbound packet to a destination
+    /// with no PMTU yet; a further round to a known destination is a
+    /// re-validation, whose report passes the confirm-before-shrink rule.
+    pub fn probe_dst(
+        &mut self,
+        now_ns: u64,
+        dst: Ipv4Addr,
+        rng: &mut impl RngCore,
+    ) -> Option<Vec<u8>> {
+        if self.pending.values().any(|p| p.dst == dst) {
             return None;
         }
-        self.probed.insert(dst, ());
-        let backoff = DetBackoff::new(
-            self.retry.timeout_ns,
-            self.retry.backoff_max_ns.max(self.retry.timeout_ns),
-        );
-        self.build_probe(now_ns, dst, backoff, 1)
+        self.nonce_seed.get_or_insert_with(|| rng.next_u64());
+        let timeout = self.cfg.timeout_ns;
+        let backoff = DetBackoff::new(timeout, timeout << (MAX_TRIES - 1));
+        self.build_probe(now_ns, dst, backoff)
     }
 
     /// Drives the retry clock: re-sends probes whose report deadline
     /// passed (with the doubled timeout), and — once a destination has
-    /// exhausted `max_tries` — declares it an F-PMTUD blackhole,
+    /// used [`MAX_TRIES`] probes — declares it an F-PMTUD blackhole,
     /// clamping its PMTU to the configured fallback. Returns the retry
-    /// probes to put on the wire, in deterministic order. Call from the
-    /// gateway's periodic poll timer — this is what lets a destination
-    /// that went dark *between* packets resolve on a deadline instead
-    /// of on traffic.
+    /// probes to put on the wire, in deterministic order. Call from a
+    /// periodic timer: this is what lets a destination that went dark
+    /// *between* packets resolve on a deadline instead of on traffic.
     pub fn tick(&mut self, now_ns: u64) -> Vec<Vec<u8>> {
         let due: Vec<u32> = self
             .pending
@@ -193,132 +269,180 @@ impl PmtudClient {
             let Some(p) = self.pending.remove(&id) else {
                 continue;
             };
-            if p.tries < self.retry.max_tries {
-                if let Some(pkt) = self.build_probe(now_ns, p.dst, p.backoff, p.tries + 1) {
-                    self.retries_sent += 1;
-                    out.push(pkt);
+            if p.backoff.attempts() < MAX_TRIES {
+                out.extend(self.build_probe(now_ns, p.dst, p.backoff));
+            } else if self.cfg.fallback_pmtu > 0 {
+                let d = self.dests.entry(p.dst).or_default();
+                if d.pmtu.is_none() {
+                    d.pmtu = Some(self.cfg.fallback_pmtu);
+                    self.blackholes_detected += 1;
                 }
-            } else if self.retry.fallback_pmtu > 0 {
-                // Blackhole: every probe died. Clamp to the safe
-                // static eMTU so the split engine has a firm answer.
-                self.cache.insert(p.dst, self.retry.fallback_pmtu);
-                self.blackholes_detected += 1;
             }
         }
         out
     }
 
-    /// In-flight probes (tests and diagnostics).
-    pub fn pending_probes(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Consumes an inbound packet if it is a report addressed to us;
-    /// returns whether it was consumed.
-    pub fn try_ingest(&mut self, pkt: &[u8]) -> bool {
-        let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
-            return false;
-        };
-        if ip.dst() != self.addr || ip.protocol() != IpProtocol::Udp {
-            return false;
+    /// Judges and consumes `pkt` if it is a report addressed to us;
+    /// `None` when it is not one (forward it).
+    pub fn ingest(&mut self, now_ns: u64, pkt: &[u8]) -> Option<Verdict> {
+        let ip = Ipv4Packet::new_checked(pkt).ok()?;
+        if ip.dst() != self.cfg.addr || ip.protocol() != IpProtocol::Udp {
+            return None;
         }
-        let Ok(udp) = UdpDatagram::new_checked(ip.payload()) else {
-            return false;
-        };
+        let udp = UdpDatagram::new_checked(ip.payload()).ok()?;
         if udp.dst_port() != FPMTUD_PORT {
-            return false;
+            return None;
         }
-        let Some((id, sizes)) = parse_report(udp.payload()) else {
-            return false;
+        let (id, nonce, sizes) = parse_report(udp.payload())?;
+        let attested = self.pending.get(&id).is_some_and(|p| {
+            p.dst == ip.src()
+                && p.nonce == nonce
+                && !sizes.is_empty()
+                && sizes.iter().all(|&s| s > 0 && s <= self.cfg.probe_size)
+        });
+        let Some(p) = attested.then(|| self.pending.remove(&id)).flatten() else {
+            self.spoof_rejected += 1;
+            return Some(Verdict::Rejected);
         };
-        let Some(p) = self.pending.remove(&id) else {
-            return true; // a report, but stale/unknown — still consume it
-        };
-        if let Some(&pmtu) = sizes.iter().max() {
-            if pmtu >= MIN_PLAUSIBLE_PMTU {
-                self.cache.insert(p.dst, pmtu);
-                self.reports_received += 1;
-            }
+        self.reports_received += 1;
+        let mut claimed = sizes.iter().copied().max().unwrap_or(PMTU_FLOOR);
+        if claimed < PMTU_FLOOR {
+            self.floor_clamps += 1;
+            claimed = PMTU_FLOOR;
         }
-        true
+        let pmtu = self.dests.entry(p.dst).or_default().on_report(claimed);
+        Some(Verdict::Accepted {
+            pmtu,
+            sizes,
+            elapsed_ns: now_ns.saturating_sub(p.sent_ns),
+        })
     }
+}
 
-    /// Number of destinations with a discovered PMTU.
-    pub fn known(&self) -> usize {
-        self.cache.len()
+impl Destination {
+    /// Applies an attested, floored claim and returns the estimate.
+    /// The first one sets it; growth is taken at once, since an attested
+    /// report only describes fragments that really crossed the path; a
+    /// shrink waits for [`SHRINK_CONFIRMS`] agreeing reports and then
+    /// steps down at most half-way.
+    fn on_report(&mut self, claimed: usize) -> usize {
+        let pmtu = match self.pmtu {
+            Some(pmtu) if claimed < pmtu => pmtu,
+            _ => {
+                self.held_shrink = None;
+                return *self.pmtu.insert(claimed);
+            }
+        };
+        let confirms = match self.held_shrink {
+            Some((band, n)) if same_band(band, claimed) => n + 1,
+            _ => 1,
+        };
+        if confirms < SHRINK_CONFIRMS {
+            self.held_shrink = Some((claimed, confirms));
+            return pmtu;
+        }
+        let stepped = claimed.max(pmtu / 2).max(PMTU_FLOOR);
+        self.held_shrink = (stepped > claimed).then_some((claimed, SHRINK_CONFIRMS - 1));
+        *self.pmtu.insert(stepped)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use px_wire::fpmtud::report_payload;
+    use px_wire::fpmtud::{answer_probe, report_payload};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     const GW: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 5);
 
-    fn report_pkt(from: Ipv4Addr, to: Ipv4Addr, id: u32, sizes: &[usize]) -> Vec<u8> {
+    fn udp_pkt(from: Ipv4Addr, to: Ipv4Addr, dport: u16, payload: &[u8]) -> Vec<u8> {
         let dg = UdpRepr {
             src_port: FPMTUD_PORT,
-            dst_port: FPMTUD_PORT,
+            dst_port: dport,
         }
-        .build_datagram(from, to, &report_payload(id, sizes))
+        .build_datagram(from, to, payload)
         .unwrap();
         Ipv4Repr::new(from, to, IpProtocol::Udp, dg.len())
             .build_packet(&dg)
             .unwrap()
     }
 
+    /// What the daemon at `from` sends back for `probe`, given the
+    /// fragment sizes it saw.
+    fn answer(probe: &[u8], from: Ipv4Addr, sizes: &[usize]) -> Vec<u8> {
+        let ip = Ipv4Packet::new_checked(probe).unwrap();
+        let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+        let report = answer_probe(udp.payload(), sizes).unwrap();
+        udp_pkt(from, ip.src(), FPMTUD_PORT, &report)
+    }
+
+    fn rng() -> SmallRng {
+        SmallRng::seed_from_u64(7)
+    }
+
+    fn client(timeout_ns: u64, fallback_pmtu: usize) -> PmtudClient {
+        PmtudClient::new(ProberConfig {
+            timeout_ns,
+            fallback_pmtu,
+            ..ProberConfig::new(GW, 9000)
+        })
+    }
+
+    /// Probes `dst` again and answers with `sizes`: the estimate after.
+    fn round(c: &mut PmtudClient, sizes: &[usize]) -> Option<usize> {
+        let probe = c.probe_dst(0, DST, &mut rng()).expect("no probe in flight");
+        c.ingest(0, &answer(&probe, DST, sizes));
+        c.pmtu_for(DST)
+    }
+
     #[test]
     fn probe_once_then_learn_from_report() {
-        let mut c = PmtudClient::new(GW, 9000);
-        let probe = c.maybe_probe(0, DST).expect("first sight probes");
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        let probe = c.probe_dst(0, DST, &mut rng()).expect("first probe");
         assert_eq!(probe.len(), 9000);
         assert!(
-            c.maybe_probe(0, DST).is_none(),
-            "probe once per destination"
+            c.probe_dst(0, DST, &mut rng()).is_none(),
+            "one probe in flight per destination"
         );
         assert_eq!(c.pmtu_for(DST), None);
         // The daemon saw three fragments, largest 1400.
-        let report = report_pkt(DST, GW, 1, &[1400, 1400, 720]);
-        assert!(c.try_ingest(&report));
+        let got = c.ingest(5, &answer(&probe, DST, &[1400, 1400, 720]));
+        assert_eq!(
+            got,
+            Some(Verdict::Accepted {
+                pmtu: 1400,
+                sizes: vec![1400, 1400, 720],
+                elapsed_ns: 5,
+            })
+        );
         assert_eq!(c.pmtu_for(DST), Some(1400));
-        assert_eq!(c.known(), 1);
         assert_eq!(c.pending_probes(), 0);
     }
 
     #[test]
     fn jumbo_path_discovered() {
-        let mut c = PmtudClient::new(GW, 9000);
-        c.maybe_probe(0, DST);
-        let report = report_pkt(DST, GW, 1, &[9000]);
-        c.try_ingest(&report);
-        assert_eq!(c.pmtu_for(DST), Some(9000), "jumbo-capable path learned");
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        assert_eq!(round(&mut c, &[9000]), Some(9000), "jumbo path learned");
     }
 
     #[test]
     fn retries_follow_deterministic_backoff_then_clamp_to_fallback() {
-        let retry = PmtudRetryConfig {
-            timeout_ns: 100,
-            backoff_max_ns: 800,
-            max_tries: 3,
-            fallback_pmtu: 1500,
-        };
-        let mut c = PmtudClient::with_retry(GW, 9000, retry);
-        assert!(c.maybe_probe(0, DST).is_some());
+        let mut c = client(100, 1500);
+        assert!(c.probe_dst(0, DST, &mut rng()).is_some());
         // Deadline 100: nothing due before it.
         assert!(c.tick(99).is_empty());
         // First retry fires at 100; its own deadline doubles (200 ns
         // later, at 300).
-        let r1 = c.tick(100);
-        assert_eq!(r1.len(), 1);
-        assert_eq!(c.retries_sent, 1);
+        assert_eq!(c.tick(100).len(), 1);
+        assert_eq!(c.probes_sent, 2);
         assert!(c.tick(299).is_empty(), "doubled timeout not yet expired");
-        let r2 = c.tick(300);
-        assert_eq!(r2.len(), 1);
+        assert_eq!(c.tick(300).len(), 1);
         assert_eq!(c.probes_sent, 3);
-        // Third (= max) try: deadline 300 + 400 = 700. When it dies the
+        // Third (= last) try: deadline 300 + 400 = 700. When it dies the
         // destination is declared a blackhole and clamps to the eMTU.
+        assert_eq!(c.next_deadline(), Some(700));
         assert!(c.tick(699).is_empty());
         assert!(c.tick(700).is_empty(), "no fourth probe");
         assert_eq!(c.blackholes_detected, 1);
@@ -326,8 +450,8 @@ mod tests {
         assert_eq!(c.pending_probes(), 0);
         // A second client with the same schedule retries at the same
         // instants — the backoff carries no jitter.
-        let mut d = PmtudClient::with_retry(GW, 9000, retry);
-        d.maybe_probe(0, DST);
+        let mut d = client(100, 1500);
+        d.probe_dst(0, DST, &mut rng());
         assert_eq!(d.tick(100).len(), 1);
         assert_eq!(d.tick(300).len(), 1);
         d.tick(700);
@@ -336,17 +460,10 @@ mod tests {
 
     #[test]
     fn late_report_beats_the_retry_schedule() {
-        let retry = PmtudRetryConfig {
-            timeout_ns: 100,
-            backoff_max_ns: 800,
-            max_tries: 3,
-            fallback_pmtu: 1500,
-        };
-        let mut c = PmtudClient::with_retry(GW, 9000, retry);
-        c.maybe_probe(0, DST);
-        c.tick(100); // retry (probe id 2) in flight
-        let report = report_pkt(DST, GW, 2, &[1400]);
-        assert!(c.try_ingest(&report));
+        let mut c = client(100, 1500);
+        c.probe_dst(0, DST, &mut rng());
+        let retry = c.tick(100).pop().expect("retry in flight");
+        assert!(c.ingest(150, &answer(&retry, DST, &[1400])).is_some());
         assert_eq!(c.pmtu_for(DST), Some(1400));
         // The answered probe left the pending set: no further retries,
         // no blackhole verdict.
@@ -357,44 +474,111 @@ mod tests {
 
     #[test]
     fn no_fallback_means_unknown_stays_unknown() {
-        let retry = PmtudRetryConfig {
-            timeout_ns: 100,
-            backoff_max_ns: 100,
-            max_tries: 1,
-            fallback_pmtu: 0,
-        };
-        let mut c = PmtudClient::with_retry(GW, 9000, retry);
-        c.maybe_probe(0, DST);
-        assert!(c.tick(100).is_empty());
+        let mut c = client(100, 0);
+        c.probe_dst(0, DST, &mut rng());
+        for now in [100, 300, 700] {
+            c.tick(now);
+        }
+        assert_eq!(c.pending_probes(), 0);
         assert_eq!(c.blackholes_detected, 0);
         assert_eq!(c.pmtu_for(DST), None);
     }
 
     #[test]
-    fn bogus_and_foreign_reports_handled() {
-        let mut c = PmtudClient::new(GW, 9000);
-        c.maybe_probe(0, DST);
-        // Implausibly small sizes are ignored (attack/bug resilience).
-        let tiny = report_pkt(DST, GW, 1, &[64]);
-        assert!(c.try_ingest(&tiny));
-        assert_eq!(c.pmtu_for(DST), None);
-        // Unknown probe id: consumed but not cached.
-        c.maybe_probe(0, Ipv4Addr::new(9, 9, 9, 9));
-        let stale = report_pkt(DST, GW, 999, &[1500]);
-        assert!(c.try_ingest(&stale));
-        // Not addressed to us: not consumed.
-        let other = report_pkt(DST, Ipv4Addr::new(1, 2, 3, 4), 2, &[1500]);
-        assert!(!c.try_ingest(&other));
-        // Ordinary traffic: not consumed.
-        let dg = UdpRepr {
-            src_port: 1,
-            dst_port: 80,
+    fn reports_that_fail_a_check_are_consumed_and_change_nothing() {
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        let probe = c.probe_dst(0, DST, &mut rng()).unwrap();
+        let (id, nonce) = {
+            let ip = Ipv4Packet::new_checked(&probe[..]).unwrap();
+            let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+            px_wire::fpmtud::parse_probe(udp.payload()).unwrap()
+        };
+        let forged = |from, id, nonce, sizes: &[usize]| {
+            udp_pkt(from, GW, FPMTUD_PORT, &report_payload(id, nonce, sizes))
+        };
+        let forgeries = [
+            forged(DST, 999, nonce, &[1500]),                      // unknown id
+            forged(DST, id, 0, &[1500]),                           // guessed id, no nonce
+            forged(DST, id, nonce ^ 2, &[1500]),                   // wrong nonce
+            forged(Ipv4Addr::new(9, 9, 9, 9), id, nonce, &[1500]), // wrong source
+            forged(DST, id, nonce, &[1500, 9001]),                 // larger than the probe
+            forged(DST, id, nonce, &[1500, 0]),                    // a zero size
+            forged(DST, id, nonce, &[]),                           // no sizes
+        ];
+        for f in &forgeries {
+            assert_eq!(c.ingest(0, f), Some(Verdict::Rejected), "not believed");
         }
-        .build_datagram(DST, GW, b"hello")
-        .unwrap();
-        let plain = Ipv4Repr::new(DST, GW, IpProtocol::Udp, dg.len())
-            .build_packet(&dg)
-            .unwrap();
-        assert!(!c.try_ingest(&plain));
+        assert_eq!(c.spoof_rejected, forgeries.len() as u64);
+        assert_eq!(c.pmtu_for(DST), None);
+        assert_eq!(
+            c.pending_probes(),
+            1,
+            "the genuine report is not locked out"
+        );
+        // Not addressed to us, or not a report: not consumed.
+        let other = udp_pkt(DST, Ipv4Addr::new(1, 2, 3, 4), FPMTUD_PORT, b"FPMR");
+        assert_eq!(c.ingest(0, &other), None);
+        assert_eq!(c.ingest(0, &udp_pkt(DST, GW, 80, b"hello")), None);
+        // The genuine report still lands.
+        assert!(matches!(
+            c.ingest(0, &answer(&probe, DST, &[1400])),
+            Some(Verdict::Accepted { pmtu: 1400, .. })
+        ));
+    }
+
+    #[test]
+    fn nonces_are_distinct_and_nonzero_and_the_seed_is_drawn_once() {
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        let mut r = rng();
+        let nonce_of = |pkt: &[u8]| {
+            let ip = Ipv4Packet::new_checked(pkt).unwrap();
+            let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+            px_wire::fpmtud::parse_probe(udp.payload()).unwrap().1
+        };
+        let a = nonce_of(&c.probe_dst(0, DST, &mut r).unwrap());
+        let b = nonce_of(&c.probe_dst(0, Ipv4Addr::new(9, 9, 9, 9), &mut r).unwrap());
+        assert_ne!(a, b);
+        assert_ne!(a, 0);
+        assert_ne!(b, 0);
+        let mut fresh = rng();
+        fresh.next_u64();
+        assert_eq!(r.next_u64(), fresh.next_u64(), "one draw for two probes");
+    }
+
+    #[test]
+    fn floor_is_absolute() {
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        assert_eq!(round(&mut c, &[8]), Some(PMTU_FLOOR), "first report clamps");
+        for _ in 0..8 {
+            round(&mut c, &[8]);
+            assert_eq!(c.pmtu_for(DST), Some(PMTU_FLOOR));
+        }
+        assert_eq!(c.floor_clamps, 9);
+    }
+
+    #[test]
+    fn a_confirmed_shrink_steps_down_half_way_per_report() {
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        assert_eq!(round(&mut c, &[9000]), Some(9000), "establishing report");
+        // A shrink claim is held…
+        assert_eq!(round(&mut c, &[1500, 1500, 996]), Some(9000));
+        // …the confirming report applies it (9000/2 = 4500 rate limit,
+        // then 4500/2 ≥ 1500 ⇒ two more rounds to land).
+        assert_eq!(round(&mut c, &[1500]), Some(4500));
+        assert_eq!(round(&mut c, &[1500]), Some(2250));
+        assert_eq!(round(&mut c, &[1500]), Some(1500));
+        assert_eq!(c.reports_received, 5);
+    }
+
+    #[test]
+    fn a_single_shrink_is_held_and_a_disagreeing_one_restarts_the_count() {
+        let mut c = PmtudClient::new(ProberConfig::new(GW, 9000));
+        round(&mut c, &[9000]);
+        assert_eq!(round(&mut c, &[1500]), Some(9000), "held, not applied");
+        // A very different claim restarts the confirmation count.
+        assert_eq!(round(&mut c, &[700]), Some(9000));
+        // A report at the estimate dissolves the held claim.
+        assert_eq!(round(&mut c, &[9000]), Some(9000));
+        assert_eq!(round(&mut c, &[700]), Some(9000));
     }
 }

@@ -254,8 +254,9 @@ impl Default for Config {
             ],
             // `forward_stash_leftovers` is the stash-overflow fallback
             // (a flow already under reordering or attack pressure) and
-            // `on_report` is the F-PMTUD guard's spoof-classification
-            // path — both run precisely when an adversary is pushing,
+            // `on_report` is the F-PMTUD prober's estimate update from
+            // an attested report — both run precisely when an adversary
+            // is pushing,
             // so they get the degraded-path panic/alloc discipline.
             // `run_shard` is the worker's run-to-completion loop, and
             // nothing stands behind it: no dispatcher re-feeds a core

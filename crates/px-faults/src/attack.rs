@@ -4,7 +4,7 @@
 //! corruption), this module models a *hostile* one: an on-path injector
 //! replaying TCP ranges with altered bytes, a sender smuggling data
 //! through overlapping segments, a peer emitting malformed caravan
-//! bundles, and an off-path spoofer forging F-PMTUD shrink reports.
+//! bundles, and an off-path spoofer forging F-PMTUD reports.
 //!
 //! Everything is a pure function of a seed — no wall clock, no global
 //! RNG — so `tests/attack_matrix.rs` can replay the identical assault
@@ -327,23 +327,45 @@ pub fn caravan_attack_bundles(seed: u64, n: usize) -> Vec<AttackBundle> {
 /// One forged (or replayed) F-PMTUD report aimed at a prober.
 #[derive(Debug, Clone)]
 pub struct SpoofReport {
+    /// The source address the forgery carries.
+    pub src: Ipv4Addr,
     /// The probe id the forgery claims to answer.
     pub probe_id: u32,
     /// The attacker's nonce guess (uniformly random — off-path).
     pub nonce: u64,
-    /// The claimed fragment sizes: tiny, to talk the PMTU down.
+    /// The claimed fragment sizes: tiny, to talk the PMTU down, or up
+    /// to 65 535, to talk it up past the path and black-hole it.
     pub sizes: Vec<usize>,
 }
 
-/// A stream of `n` off-path spoofed shrink reports against probe ids
+/// A stream of `n` off-path spoofed reports against probe ids
 /// `1..=max_probe_id`. Nonces are 64-bit guesses; ids cycle through the
-/// plausible window an attacker could infer.
-pub fn spoof_report_stream(seed: u64, n: usize, max_probe_id: u32) -> Vec<SpoofReport> {
+/// plausible window an attacker could infer. Half the forgeries spoof
+/// the `probed` destination's address, the rest come from random
+/// sources; half claim a shrink to 68–667 B, the rest a growth to
+/// 1 500–65 535 B.
+pub fn spoof_report_stream(
+    seed: u64,
+    n: usize,
+    max_probe_id: u32,
+    probed: Ipv4Addr,
+) -> Vec<SpoofReport> {
     let mut rng = XorShift64::new(seed ^ 0x5F00_F5F0);
     (0..n)
         .map(|_| {
-            let claimed = 68 + (rng.next_u64() % 600) as usize;
+            let r = rng.next_u64();
+            let claimed = if r & 1 == 0 {
+                68 + (rng.next_u64() % 600) as usize
+            } else {
+                1500 + (rng.next_u64() % 64_036) as usize
+            };
+            let src = if r & 2 == 0 {
+                probed
+            } else {
+                Ipv4Addr::from(rng.next_u64() as u32)
+            };
             SpoofReport {
+                src,
                 probe_id: 1 + (rng.next_u64() % u64::from(max_probe_id)) as u32,
                 nonce: rng.next_u64(),
                 sizes: vec![claimed, claimed / 2],
@@ -433,15 +455,26 @@ mod tests {
     }
 
     #[test]
-    fn spoof_stream_is_deterministic_and_tiny() {
-        let a = spoof_report_stream(5, 50, 8);
-        let b = spoof_report_stream(5, 50, 8);
+    fn spoof_stream_is_deterministic_and_covers_both_directions() {
+        let probed = Ipv4Addr::new(198, 51, 100, 5);
+        let a = spoof_report_stream(5, 50, 8, probed);
+        let b = spoof_report_stream(5, 50, 8, probed);
         assert_eq!(a.len(), 50);
+        assert!(a.iter().zip(&b).all(|(x, y)| x.src == y.src
+            && x.probe_id == y.probe_id
+            && x.nonce == y.nonce
+            && x.sizes == y.sizes));
+        let max = |r: &SpoofReport| r.sizes[0];
         assert!(a
             .iter()
-            .zip(&b)
-            .all(|(x, y)| x.probe_id == y.probe_id && x.nonce == y.nonce && x.sizes == y.sizes));
-        assert!(a.iter().all(|r| r.sizes.iter().all(|&s| s < 700)));
+            .all(|r| max(r) < 700 || (1500..=65_535).contains(&max(r))));
+        assert!(a.iter().any(|r| max(r) < 700), "no shrink claims");
+        assert!(
+            a.iter().any(|r| max(r) > 9000),
+            "no growth past a jumbo probe"
+        );
+        assert!(a.iter().any(|r| r.src == probed), "no spoofed source");
+        assert!(a.iter().any(|r| r.src != probed), "no foreign source");
         assert!(a.iter().all(|r| (1..=8).contains(&r.probe_id)));
     }
 }

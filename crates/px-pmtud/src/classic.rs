@@ -11,10 +11,9 @@
 //! — RFC 2923's "TCP problems with path MTU discovery", the paper's §3
 //! motivation for F-PMTUD.
 
-use crate::fpmtud::ECHO_MAGIC;
-use crate::ECHO_PORT;
 use px_sim::node::{Ctx, Node, PortId};
 use px_sim::Nanos;
+use px_wire::fpmtud::{ECHO_MAGIC, ECHO_PORT};
 use px_wire::icmpv4::Icmpv4Message;
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
 use px_wire::udp::UdpDatagram;

@@ -12,21 +12,22 @@
 //!
 //! because the largest surviving fragment is exactly as big as the
 //! narrowest link allowed. One RTT, no ICMP, works through blackholes.
+//!
+//! The prober is [`px_core::pmtud_client::PmtudClient`], the one the
+//! PXGW runs; [`FpmtudProber`] drives it as a sim node towards a single
+//! destination. The daemon's rule is [`px_wire::fpmtud::answer_probe`],
+//! shared with the host stack's built-in daemon.
 
-use crate::{ECHO_PORT, FPMTUD_PORT};
-use px_faults::{splitmix64, DetBackoff};
+pub use px_core::pmtud_client::ProberConfig;
+use px_core::pmtud_client::{PmtudClient, Verdict};
 use px_sim::node::{Ctx, Node, PortId};
 use px_sim::Nanos;
-pub use px_wire::fpmtud::{
-    parse_report, parse_report_tagged, probe_nonce, probe_payload, probe_payload_tagged,
-    report_payload, report_payload_tagged, ECHO_MAGIC, PROBE_MAGIC, REPORT_MAGIC,
-};
+use px_wire::fpmtud::{answer_probe, ECHO_MAGIC, ECHO_PORT, FPMTUD_PORT};
 use px_wire::frag::{Reassembler, ReassemblyResult};
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
 use px_wire::udp::UdpDatagram;
 use px_wire::{IpProtocol, PacketBuf, UdpRepr};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// The outcome of one probe.
@@ -120,15 +121,9 @@ impl FpmtudDaemon {
         };
         match udp.dst_port() {
             FPMTUD_PORT => {
-                let pl = udp.payload();
-                if pl.len() < 8 || pl[0..4] != PROBE_MAGIC {
+                let Some(report) = answer_probe(udp.payload(), &sizes) else {
                     return;
-                }
-                let probe_id = u32::from_be_bytes(pl[4..8].try_into().unwrap());
-                // Echo the probe's attestation nonce (0 for legacy
-                // untagged probes; untagged receivers parse the tagged
-                // report unchanged since the nonce trails the size list).
-                let report = report_payload_tagged(probe_id, probe_nonce(pl), &sizes);
+                };
                 self.reports_sent += 1;
                 self.send_udp(ctx, ip.src(), FPMTUD_PORT, udp.src_port(), &report);
             }
@@ -172,191 +167,84 @@ impl Node for FpmtudDaemon {
     }
 }
 
-/// Prober configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ProberConfig {
-    /// Our address.
-    pub addr: Ipv4Addr,
-    /// Destination (daemon) address.
-    pub dst: Ipv4Addr,
-    /// Probe size: the eMTU of our first hop (§4.2 sends "a dummy UDP
-    /// packet sized to the eMTU of the next hop").
-    pub probe_size: usize,
-    /// Timeout for the *first* probe; each retry doubles it
-    /// (deterministic exponential backoff, no jitter).
-    pub timeout: Nanos,
-    /// Max probes before giving up (covers probe/report loss).
-    pub max_tries: u32,
-    /// Cap for the doubling retry timeout.
-    pub backoff_max: Nanos,
-    /// PMTU to clamp to when every retry times out (blackhole
-    /// detection). `0` keeps the plain [`ProbeOutcome::TimedOut`].
-    pub fallback_pmtu: usize,
-    /// Hard lower bound on the discovered PMTU: a report claiming a
-    /// largest fragment below this clamps to it (and is counted) rather
-    /// than being believed — spoofed-shrink damage control.
-    pub pmtu_floor: usize,
-    /// Seed the per-probe attestation nonces are derived from. Probes
-    /// carry the nonce, the daemon echoes it, and a report whose nonce
-    /// does not match is rejected as a spoof.
-    pub nonce_seed: u64,
-}
-
-impl ProberConfig {
-    /// The standard schedule: 2 s first timeout, doubling to a 16 s
-    /// cap, three tries, no fallback (unknown stays unknown).
-    #[must_use]
-    pub fn new(addr: Ipv4Addr, dst: Ipv4Addr, probe_size: usize) -> Self {
-        ProberConfig {
-            addr,
-            dst,
-            probe_size,
-            timeout: Nanos::from_secs(2),
-            max_tries: 3,
-            backoff_max: Nanos::from_secs(16),
-            fallback_pmtu: 0,
-            pmtu_floor: 576,
-            nonce_seed: 0x5058_4757_F9A7_0001, // deterministic default
-        }
-    }
-}
-
-/// The F-PMTUD prober.
+/// An F-PMTUD prober node: one [`PmtudClient`] probing one destination
+/// from simulation start, recording how that ended.
 pub struct FpmtudProber {
-    /// Configuration.
-    pub cfg: ProberConfig,
-    next_id: u32,
-    /// Outstanding probes: id → (send time, expected attestation nonce).
-    sent_at: HashMap<u32, (Nanos, u64)>,
-    tries: u32,
-    ident: u16,
-    started_at: Nanos,
-    backoff: DetBackoff,
+    dst: Ipv4Addr,
+    prober: PmtudClient,
     /// Result, once known.
     pub outcome: Option<ProbeOutcome>,
-    /// Reports rejected for a wrong or missing attestation nonce.
-    pub spoof_rejected: u64,
-    /// Discoveries clamped up to [`ProberConfig::pmtu_floor`].
-    pub floor_clamps: u64,
 }
 
 impl FpmtudProber {
-    /// Creates a prober; it fires its first probe at simulation start.
-    pub fn new(cfg: ProberConfig) -> Self {
+    /// Creates a prober towards `dst`; it fires its first probe at
+    /// simulation start.
+    pub fn new(cfg: ProberConfig, dst: Ipv4Addr) -> Self {
         FpmtudProber {
-            cfg,
-            next_id: 1,
-            sent_at: HashMap::new(),
-            tries: 0,
-            ident: 0x7700,
-            started_at: Nanos::ZERO,
-            backoff: DetBackoff::new(cfg.timeout.0, cfg.backoff_max.0.max(cfg.timeout.0)),
+            dst,
+            prober: PmtudClient::new(cfg),
             outcome: None,
-            spoof_rejected: 0,
-            floor_clamps: 0,
         }
     }
 
-    fn send_probe(&mut self, ctx: &mut Ctx<'_>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.tries += 1;
-        // `| 1` keeps the nonce nonzero: 0 is the untagged-probe marker.
-        let nonce = splitmix64(self.cfg.nonce_seed ^ u64::from(id)) | 1;
-        let payload = probe_payload_tagged(id, nonce, self.cfg.probe_size);
-        let dg = UdpRepr {
-            src_port: FPMTUD_PORT,
-            dst_port: FPMTUD_PORT,
+    fn probes_sent(&self) -> u32 {
+        self.prober.probes_sent as u32
+    }
+
+    /// Sends `probes` and wakes up at the next report deadline.
+    fn send(&self, ctx: &mut Ctx<'_>, probes: impl IntoIterator<Item = Vec<u8>>) {
+        for probe in probes {
+            ctx.send(PortId(0), PacketBuf::from_payload(&probe));
         }
-        .build_datagram(self.cfg.addr, self.cfg.dst, &payload)
-        .expect("probe fits UDP");
-        let mut ip = Ipv4Repr::new(self.cfg.addr, self.cfg.dst, IpProtocol::Udp, dg.len());
-        ip.dont_frag = false; // the whole point: let routers fragment it
-        ip.ident = self.ident;
-        self.ident = self.ident.wrapping_add(1);
-        let pkt = ip.build_packet(&dg).expect("probe fits IP");
-        self.sent_at.insert(id, (ctx.now, nonce));
-        ctx.send(PortId(0), PacketBuf::from_payload(&pkt));
-        // Deterministic exponential backoff: 1× timeout for the first
-        // probe, 2× for the second, … capped at `backoff_max`.
-        ctx.set_timer(Nanos(self.backoff.next_delay()), u64::from(id));
+        if let Some(deadline) = self.prober.next_deadline() {
+            ctx.set_timer(Nanos(deadline.saturating_sub(ctx.now.0)), 0);
+        }
     }
 }
 
 impl Node for FpmtudProber {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.started_at = ctx.now;
-        self.send_probe(ctx);
+        let probe = self.prober.probe_dst(ctx.now.0, self.dst, ctx.rng);
+        self.send(ctx, probe);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: PacketBuf) {
         if self.outcome.is_some() {
             return;
         }
-        let bytes = pkt.as_slice();
-        let Ok(ip) = Ipv4Packet::new_checked(bytes) else {
-            return;
-        };
-        if ip.protocol() != IpProtocol::Udp || ip.dst() != self.cfg.addr {
-            return;
-        }
-        let Ok(udp) = UdpDatagram::new_checked(ip.payload()) else {
-            return;
-        };
-        let Some((id, nonce, sizes)) = parse_report_tagged(udp.payload()) else {
-            return;
-        };
-        let Some(&(sent, expected)) = self.sent_at.get(&id) else {
-            return;
-        };
-        if nonce != expected {
-            // Forged (or mangled) report: the nonce never left this
-            // prober and the daemon echoes it verbatim. Keep the probe
-            // outstanding so the genuine report is not locked out.
-            self.spoof_rejected += 1;
-            return;
-        }
-        self.sent_at.remove(&id);
-        let mut pmtu = sizes.iter().copied().max().unwrap_or(0);
-        if pmtu < self.cfg.pmtu_floor {
-            // Even an attested report never drags the PMTU below the
-            // floor — a lying daemon degrades us only so far.
-            self.floor_clamps += 1;
-            pmtu = self.cfg.pmtu_floor;
-        }
-        self.outcome = Some(ProbeOutcome::Discovered {
+        if let Some(Verdict::Accepted {
             pmtu,
-            elapsed: ctx.now - sent,
-            fragment_sizes: sizes,
-            probes_sent: self.tries,
-        });
+            sizes,
+            elapsed_ns,
+            ..
+        }) = self.prober.ingest(ctx.now.0, pkt.as_slice())
+        {
+            self.outcome = Some(ProbeOutcome::Discovered {
+                pmtu,
+                elapsed: Nanos(elapsed_ns),
+                fragment_sizes: sizes,
+                probes_sent: self.probes_sent(),
+            });
+        }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         if self.outcome.is_some() {
             return;
         }
-        let id = token as u32;
-        if self.sent_at.remove(&id).is_none() {
-            return; // already answered
-        }
-        if self.tries >= self.cfg.max_tries {
-            // Blackhole detection: the destination never answered any
-            // probe. With a fallback configured, clamp to it (the safe
-            // static eMTU) rather than reporting nothing.
-            self.outcome = Some(if self.cfg.fallback_pmtu > 0 {
-                ProbeOutcome::BlackholedToFallback {
-                    pmtu: self.cfg.fallback_pmtu,
-                    probes_sent: self.tries,
-                }
-            } else {
-                ProbeOutcome::TimedOut {
-                    probes_sent: self.tries,
-                }
-            });
+        let retries = self.prober.tick(ctx.now.0);
+        if self.prober.pending_probes() > 0 {
+            self.send(ctx, retries);
             return;
         }
-        self.send_probe(ctx);
+        // Blackhole: the destination never answered any probe. With a
+        // fallback configured the prober clamped to it (the safe static
+        // eMTU) rather than reporting nothing.
+        let probes_sent = self.probes_sent();
+        self.outcome = Some(match self.prober.pmtu_for(self.dst) {
+            Some(pmtu) => ProbeOutcome::BlackholedToFallback { pmtu, probes_sent },
+            None => ProbeOutcome::TimedOut { probes_sent },
+        });
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -373,7 +261,7 @@ mod tests {
     use crate::topology::{build_path, true_pmtu, Hop, DAEMON_ADDR, PROBER_ADDR};
 
     fn run(hops: &[Hop], blackholes: bool) -> ProbeOutcome {
-        let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, DAEMON_ADDR, hops[0].mtu));
+        let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, hops[0].mtu), DAEMON_ADDR);
         let daemon = FpmtudDaemon::new(DAEMON_ADDR);
         let (mut net, p, _d) = build_path(7, prober, daemon, hops, blackholes);
         net.run_until(Nanos::from_secs(10));
@@ -461,16 +349,5 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn report_wire_roundtrip() {
-        let sizes = vec![996, 996, 996, 532];
-        let bytes = report_payload(42, &sizes);
-        assert_eq!(parse_report(&bytes), Some((42, sizes)));
-        assert_eq!(parse_report(&bytes[..5]), None);
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert_eq!(parse_report(&bad), None);
     }
 }

@@ -7,16 +7,16 @@
 //!   one DF-clear UDP probe sized to the first-hop MTU; routers fragment
 //!   it en route; the daemon at the destination reports every fragment's
 //!   size back; the PMTU is the largest fragment (or the whole probe).
-//!   One round trip, no ICMP dependence, immune to blackholes.
+//!   One round trip, no ICMP dependence, immune to blackholes. The
+//!   prober node wraps `px_core::pmtud_client`, the hardened prober the
+//!   PXGW ships (nonce, source and size checks, a 576 B floor,
+//!   confirm-before-shrink), so the two cannot drift apart.
 //! * [`classic`] — RFC 1191 PMTUD: DF probes + ICMP *fragmentation
 //!   needed* feedback. Fails forever against ICMP blackholes — the
 //!   motivating failure.
 //! * [`plpmtud`] — RFC 4821-style packetization-layer search (what
 //!   Scamper implements): DF probes acknowledged by the destination,
 //!   binary search over sizes, timeout-driven — correct but slow.
-//! * [`guard`] — hardening for F-PMTUD's report channel: per-probe
-//!   nonce attestation, an absolute PMTU floor, and hysteretic
-//!   confirm-before-shrink against spoofed reports.
 //! * [`survey`] — the 389k-server fragmented-request survey, reproduced
 //!   over a synthetic population with the same packet-level code path.
 //! * [`topology`] — helpers that build multi-router WAN paths with
@@ -27,18 +27,8 @@
 
 pub mod classic;
 pub mod fpmtud;
-pub mod guard;
 pub mod plpmtud;
 pub mod survey;
 pub mod topology;
 
 pub use fpmtud::{FpmtudDaemon, FpmtudProber, ProbeOutcome};
-pub use guard::{GuardConfig, GuardStats, PmtudGuard, ReportVerdict};
-
-/// Well-known UDP port of the F-PMTUD daemon (single source of truth in
-/// [`px_wire::fpmtud`], shared with PXGW and daemon-capable hosts).
-pub const FPMTUD_PORT: u16 = px_wire::fpmtud::FPMTUD_PORT;
-
-/// UDP echo port the daemon serves for DF-probe acknowledgments
-/// (PLPMTUD and the classic prober's verification step).
-pub const ECHO_PORT: u16 = px_wire::fpmtud::ECHO_PORT;

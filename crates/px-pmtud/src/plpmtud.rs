@@ -12,10 +12,9 @@
 //! is ambiguous between congestion and MTU (the very ambiguity §3 calls
 //! out). That timeout tax is where the paper's 368× gap comes from.
 
-use crate::fpmtud::ECHO_MAGIC;
-use crate::ECHO_PORT;
 use px_sim::node::{Ctx, Node, PortId};
 use px_sim::Nanos;
+use px_wire::fpmtud::{ECHO_MAGIC, ECHO_PORT};
 use px_wire::ipv4::{Ipv4Packet, Ipv4Repr};
 use px_wire::udp::UdpDatagram;
 use px_wire::{IpProtocol, PacketBuf, UdpRepr};

@@ -438,8 +438,7 @@ impl Host {
         // F-PMTUD daemon: report how the probe arrived (whole, or as
         // which fragment sizes) back to the prober.
         if self.cfg.fpmtud_daemon && dg.dst_port() == px_wire::fpmtud::FPMTUD_PORT {
-            if let Some(probe_id) = px_wire::fpmtud::parse_probe(dg.payload()) {
-                let report = px_wire::fpmtud::report_payload(probe_id, &frag_sizes);
+            if let Some(report) = px_wire::fpmtud::answer_probe(dg.payload(), &frag_sizes) {
                 self.fpmtud_reports += 1;
                 let (dst, sport) = (ip.src(), dg.src_port());
                 self.send_udp(ctx, px_wire::fpmtud::FPMTUD_PORT, dst, sport, &report);

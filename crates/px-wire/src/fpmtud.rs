@@ -1,11 +1,18 @@
-//! The F-PMTUD wire format (paper §4.2): probe and report payloads, plus
-//! the protocol's well-known ports.
+//! The F-PMTUD wire format (paper §4.2): probe and report payloads, the
+//! daemon's rule that turns one into the other, and the protocol's
+//! well-known ports.
 //!
-//! This lives in `px-wire` because three independent components speak it:
-//! the standalone prober/daemon nodes in `px-pmtud`, the PXGW (which must
-//! recognise probes to exempt them from caravan bundling, and can itself
-//! probe destinations to learn per-path split sizes), and hosts that run
-//! the daemon alongside their regular stacks.
+//! This lives in `px-wire` because three components speak it: the
+//! prober (`px_core::pmtud_client`, which the PXGW runs and px-pmtud's
+//! sim node wraps), the PXGW datapath (which must recognise probes to
+//! exempt them from caravan bundling), and the daemons (px-pmtud's
+//! standalone node and the host stack's built-in one).
+//!
+//! There is one format. A probe is `magic(4) id(4) nonce(8)` plus zero
+//! padding up to the probe size; a report is `magic(4) id(4) nonce(8)
+//! count(2)` followed by `count` big-endian 16-bit fragment sizes. The
+//! report echoes the probe's nonce, which is what lets the prober tell
+//! an answer from a forgery.
 
 /// Well-known UDP port of the F-PMTUD daemon ("a dummy UDP packet … to
 /// the destination node with a well-known port").
@@ -22,29 +29,13 @@ pub const REPORT_MAGIC: [u8; 4] = *b"FPMR";
 /// Magic prefix of an echo-ack payload (served on [`ECHO_PORT`]).
 pub const ECHO_MAGIC: [u8; 4] = *b"FPME";
 
-/// Builds a probe payload: magic + probe id + zero padding so the whole
-/// IP packet is `probe_size` bytes (20 B IP + 8 B UDP + payload).
-pub fn probe_payload(probe_id: u32, probe_size: usize) -> Vec<u8> {
-    let udp_payload_len = probe_size.saturating_sub(20 + 8).max(8);
-    let mut p = vec![0u8; udp_payload_len];
-    p[0..4].copy_from_slice(&PROBE_MAGIC);
-    p[4..8].copy_from_slice(&probe_id.to_be_bytes());
-    p
-}
+/// Bytes before a report's size list: magic, id, nonce, count.
+const REPORT_HEADER: usize = 18;
 
-/// Parses a probe payload, returning its id.
-pub fn parse_probe(data: &[u8]) -> Option<u32> {
-    if data.len() < 8 || data[0..4] != PROBE_MAGIC {
-        return None;
-    }
-    Some(u32::from_be_bytes(data[4..8].try_into().ok()?))
-}
-
-/// Builds a nonce-tagged probe payload. The 8-byte nonce occupies probe
-/// bytes 8..16, which untagged probes leave as zero padding, so daemons
-/// that predate the tag parse these probes unchanged. The payload is
-/// floored at 16 bytes so the nonce always fits.
-pub fn probe_payload_tagged(probe_id: u32, nonce: u64, probe_size: usize) -> Vec<u8> {
+/// Builds a probe payload: magic + probe id + nonce + zero padding so
+/// the whole IP packet is `probe_size` bytes (20 B IP + 8 B UDP +
+/// payload). The payload is floored at 16 bytes so the nonce always fits.
+pub fn probe_payload(probe_id: u32, nonce: u64, probe_size: usize) -> Vec<u8> {
     let udp_payload_len = probe_size.saturating_sub(20 + 8).max(16);
     let mut p = vec![0u8; udp_payload_len];
     p[0..4].copy_from_slice(&PROBE_MAGIC);
@@ -53,20 +44,24 @@ pub fn probe_payload_tagged(probe_id: u32, nonce: u64, probe_size: usize) -> Vec
     p
 }
 
-/// Extracts the nonce from a probe payload. Untagged (short or
-/// zero-padded) probes yield nonce 0.
-pub fn probe_nonce(data: &[u8]) -> u64 {
+/// Parses a probe payload into (probe id, nonce).
+pub fn parse_probe(data: &[u8]) -> Option<(u32, u64)> {
     if data.len() < 16 || data[0..4] != PROBE_MAGIC {
-        return 0;
+        return None;
     }
-    u64::from_be_bytes(data[8..16].try_into().unwrap_or([0; 8]))
+    Some((
+        crate::bytes::be32(data, 4),
+        u64::from_be_bytes(data[8..16].try_into().ok()?),
+    ))
 }
 
-/// Serializes a fragment-size report: magic + probe id + count + sizes.
-pub fn report_payload(probe_id: u32, sizes: &[usize]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10 + sizes.len() * 2);
+/// Serializes a fragment-size report: magic + probe id + nonce + count
+/// + sizes.
+pub fn report_payload(probe_id: u32, nonce: u64, sizes: &[usize]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(REPORT_HEADER + sizes.len() * 2);
     out.extend_from_slice(&REPORT_MAGIC);
     out.extend_from_slice(&probe_id.to_be_bytes());
+    out.extend_from_slice(&nonce.to_be_bytes());
     out.extend_from_slice(&(sizes.len() as u16).to_be_bytes());
     for &s in sizes {
         out.extend_from_slice(&(s.min(65535) as u16).to_be_bytes());
@@ -74,42 +69,30 @@ pub fn report_payload(probe_id: u32, sizes: &[usize]) -> Vec<u8> {
     out
 }
 
-/// Parses a report payload into (probe id, fragment sizes).
-pub fn parse_report(data: &[u8]) -> Option<(u32, Vec<usize>)> {
-    if data.len() < 10 || data[0..4] != REPORT_MAGIC {
+/// Parses a report payload into (probe id, nonce, fragment sizes).
+pub fn parse_report(data: &[u8]) -> Option<(u32, u64, Vec<usize>)> {
+    if data.len() < REPORT_HEADER || data[0..4] != REPORT_MAGIC {
         return None;
     }
-    let id = u32::from_be_bytes(data[4..8].try_into().ok()?);
-    let n = usize::from(u16::from_be_bytes(data[8..10].try_into().ok()?));
-    if data.len() < 10 + 2 * n {
+    let id = crate::bytes::be32(data, 4);
+    let nonce = u64::from_be_bytes(data[8..16].try_into().ok()?);
+    let n = usize::from(crate::bytes::be16(data, 16));
+    if data.len() < REPORT_HEADER + 2 * n {
         return None;
     }
     let sizes = (0..n)
-        .map(|i| usize::from(crate::bytes::be16(data, 10 + 2 * i)))
+        .map(|i| usize::from(crate::bytes::be16(data, REPORT_HEADER + 2 * i)))
         .collect();
-    Some((id, sizes))
-}
-
-/// Serializes a nonce-tagged report: the untagged layout with the
-/// 8-byte nonce appended after the size list. [`parse_report`] tolerates
-/// trailing bytes, so untagged receivers parse tagged reports unchanged.
-pub fn report_payload_tagged(probe_id: u32, nonce: u64, sizes: &[usize]) -> Vec<u8> {
-    let mut out = report_payload(probe_id, sizes);
-    out.extend_from_slice(&nonce.to_be_bytes());
-    out
-}
-
-/// Parses a report and its nonce tag. Untagged reports (no trailing
-/// nonce) yield nonce 0, which tagged receivers reject as unattested.
-pub fn parse_report_tagged(data: &[u8]) -> Option<(u32, u64, Vec<usize>)> {
-    let (id, sizes) = parse_report(data)?;
-    let tail = 10 + 2 * sizes.len();
-    let nonce = if data.len() >= tail + 8 {
-        u64::from_be_bytes(data[tail..tail + 8].try_into().ok()?)
-    } else {
-        0
-    };
     Some((id, nonce, sizes))
+}
+
+/// The daemon rule: the report answering `probe` (a probe's UDP
+/// payload), which arrived as fragments of `fragment_sizes` bytes (one
+/// size when it arrived whole). It echoes the probe's id and nonce.
+/// `None` when `probe` is not a probe.
+pub fn answer_probe(probe: &[u8], fragment_sizes: &[usize]) -> Option<Vec<u8>> {
+    let (id, nonce) = parse_probe(probe)?;
+    Some(report_payload(id, nonce, fragment_sizes))
 }
 
 #[cfg(test)]
@@ -118,10 +101,10 @@ mod tests {
 
     #[test]
     fn probe_roundtrip_and_size() {
-        let p = probe_payload(77, 1500);
+        let p = probe_payload(77, 0xDEAD_BEEF_CAFE_F00D, 1500);
         assert_eq!(p.len(), 1500 - 28);
-        assert_eq!(parse_probe(&p), Some(77));
-        assert_eq!(parse_probe(&p[..7]), None);
+        assert_eq!(parse_probe(&p), Some((77, 0xDEAD_BEEF_CAFE_F00D)));
+        assert_eq!(parse_probe(&p[..15]), None);
         let mut bad = p.clone();
         bad[0] = b'X';
         assert_eq!(parse_probe(&bad), None);
@@ -130,44 +113,28 @@ mod tests {
     #[test]
     fn report_roundtrip() {
         let sizes = vec![996, 996, 532];
-        let r = report_payload(9, &sizes);
-        assert_eq!(parse_report(&r), Some((9, sizes)));
-        assert_eq!(parse_report(&r[..9]), None);
+        let r = report_payload(9, 0x1234_5678_9ABC_DEF0, &sizes);
+        assert_eq!(parse_report(&r), Some((9, 0x1234_5678_9ABC_DEF0, sizes)));
+        assert_eq!(parse_report(&r[..REPORT_HEADER - 1]), None);
+        // A count that claims more sizes than the payload holds.
+        assert_eq!(parse_report(&r[..r.len() - 1]), None);
+        let mut bad = r.clone();
+        bad[0] = b'X';
+        assert_eq!(parse_report(&bad), None);
     }
 
     #[test]
-    fn tiny_probe_still_carries_id() {
-        let p = probe_payload(1, 10); // below headers: floor at 8 bytes
-        assert_eq!(p.len(), 8);
-        assert_eq!(parse_probe(&p), Some(1));
+    fn tiny_probe_still_carries_id_and_nonce() {
+        let p = probe_payload(1, 7, 10); // below headers: floor at 16 bytes
+        assert_eq!(p.len(), 16);
+        assert_eq!(parse_probe(&p), Some((1, 7)));
     }
 
     #[test]
-    fn tagged_probe_is_backward_compatible() {
-        let p = probe_payload_tagged(42, 0xDEAD_BEEF_CAFE_F00D, 1500);
-        assert_eq!(p.len(), 1500 - 28);
-        assert_eq!(parse_probe(&p), Some(42));
-        assert_eq!(probe_nonce(&p), 0xDEAD_BEEF_CAFE_F00D);
-        // Untagged probes read back as nonce 0.
-        assert_eq!(probe_nonce(&probe_payload(42, 1500)), 0);
-        // Tiny tagged probes still carry the full nonce.
-        let tiny = probe_payload_tagged(1, 7, 10);
-        assert_eq!(tiny.len(), 16);
-        assert_eq!(probe_nonce(&tiny), 7);
-    }
-
-    #[test]
-    fn tagged_report_is_backward_compatible() {
-        let sizes = vec![996, 532];
-        let r = report_payload_tagged(9, 0x1234_5678_9ABC_DEF0, &sizes);
-        // Untagged parser ignores the trailing nonce.
-        assert_eq!(parse_report(&r), Some((9, sizes.clone())));
-        assert_eq!(
-            parse_report_tagged(&r),
-            Some((9, 0x1234_5678_9ABC_DEF0, sizes.clone()))
-        );
-        // Untagged reports parse with nonce 0.
-        let plain = report_payload(9, &sizes);
-        assert_eq!(parse_report_tagged(&plain), Some((9, 0, sizes)));
+    fn daemon_rule_echoes_id_and_nonce() {
+        let p = probe_payload(42, 0xFEED, 9000);
+        let r = answer_probe(&p, &[1500, 1500, 996]).expect("a probe");
+        assert_eq!(parse_report(&r), Some((42, 0xFEED, vec![1500, 1500, 996])));
+        assert_eq!(answer_probe(&r, &[1500]), None, "a report is no probe");
     }
 }

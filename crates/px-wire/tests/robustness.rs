@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use px_wire::caravan::split_bundle;
 use px_wire::ethernet::EthernetFrame;
-use px_wire::fpmtud::{parse_probe, parse_report};
+use px_wire::fpmtud::{answer_probe, parse_probe, parse_report};
 use px_wire::frag::Reassembler;
 use px_wire::gtpu::GtpuRepr;
 use px_wire::icmpv4::Icmpv4Message;
@@ -42,6 +42,7 @@ proptest! {
         let _ = split_bundle(&data);
         let _ = parse_probe(&data);
         let _ = parse_report(&data);
+        let _ = answer_probe(&data, &[data.len()]);
     }
 
     /// The reassembler never panics and never fabricates completions from

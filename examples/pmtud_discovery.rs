@@ -67,7 +67,7 @@ fn main() {
     );
 
     // 3. F-PMTUD.
-    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, DAEMON_ADDR, 9000));
+    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, 9000), DAEMON_ADDR);
     let (mut net, p, _) = build_path(3, prober, FpmtudDaemon::new(DAEMON_ADDR), &path, true);
     net.run_until(Nanos::from_secs(10));
     match net.node_ref::<FpmtudProber>(p).outcome.clone().unwrap() {

@@ -5,7 +5,7 @@
 //! models a *hostile* one: an on-path injector replaying TCP ranges
 //! with altered bytes, overlapping-segment smuggling, malformed caravan
 //! bundles with over- and under-claiming length fields, and an off-path
-//! spoofer forging F-PMTUD shrink reports. Every attack schedule is a
+//! spoofer forging F-PMTUD reports. Every attack schedule is a
 //! pure function of its seed ([`px_faults::attack`]), so each one
 //! replays bit-identically at 1, 2, 4, and 8 cores. Per seed × core
 //! count the gates are:
@@ -40,12 +40,17 @@ use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
 use packet_express::core::engine::{run_engine_on_trace, EngineConfig, EngineMode, EngineReport};
 use packet_express::core::flowtable::flow_hash;
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, WorkloadKind};
+use packet_express::core::pmtud_client::{PmtudClient, ProberConfig, Verdict, PMTU_FLOOR};
 use packet_express::faults::attack::{self, SpoofReport, TcpAttackTrace, SEG_PAYLOAD};
-use packet_express::pmtud::{GuardConfig, PmtudGuard, ReportVerdict};
-use packet_express::wire::ipv4::{Ipv4Repr, CARAVAN_TOS};
+use packet_express::wire::fpmtud::{answer_probe, report_payload, FPMTUD_PORT};
+use packet_express::wire::ipv4::{Ipv4Packet, Ipv4Repr, CARAVAN_TOS};
 use packet_express::wire::pool::PacketSink;
 use packet_express::wire::tcp::{SeqNum, TcpFlags, TcpRepr};
+use packet_express::wire::udp::UdpDatagram;
 use packet_express::wire::{FlowKey, IpProtocol, PacketBuf, UdpRepr};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::net::Ipv4Addr;
 use support::oracle::{Delivered, Oracle};
 
 /// A sink that copies each emission and hands the buffer back for
@@ -266,53 +271,116 @@ fn caravan_unpacker_survives_malformed_bundles() {
     }
 }
 
-/// The F-PMTUD leg: off-path spoof streams against the guard. The
-/// estimate never dips below the floor, never moves on a forged
-/// report, and recovers after a suspected spoof episode.
+/// A report datagram from `from` to `to` carrying `payload`.
+fn report_pkt(from: Ipv4Addr, to: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+    let dg = UdpRepr {
+        src_port: FPMTUD_PORT,
+        dst_port: FPMTUD_PORT,
+    }
+    .build_datagram(from, to, payload)
+    .expect("report fits UDP");
+    Ipv4Repr::new(from, to, IpProtocol::Udp, dg.len())
+        .build_packet(&dg)
+        .expect("report fits IP")
+}
+
+/// The daemon at the probe's destination answering it with `sizes`.
+fn answer(probe: &[u8], sizes: &[usize]) -> Vec<u8> {
+    let ip = Ipv4Packet::new_checked(probe).expect("probe parses");
+    let udp = UdpDatagram::new_checked(ip.payload()).expect("probe parses");
+    let report = answer_probe(udp.payload(), sizes).expect("a probe");
+    report_pkt(ip.dst(), ip.src(), &report)
+}
+
+/// The F-PMTUD leg: off-path spoof streams, as packets, against the
+/// prober the gateway ships. No forged report moves an estimate, and an
+/// estimate never leaves [floor, probe size]; genuine reports still land
+/// during and after the storm, and attested-but-absurd shrink claims
+/// clamp at the floor and walk down half a step at a time.
 #[test]
 fn pmtud_guard_holds_the_floor_under_spoof_streams() {
+    const GW: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+    const PROBE: usize = 9000;
+    let dsts: Vec<Ipv4Addr> = (1..=4).map(|i| Ipv4Addr::new(198, 51, 100, i)).collect();
     for seed in 0..seed_count() {
-        let mut g = PmtudGuard::new(GuardConfig::new(9000, 0x9A4D ^ seed));
-        // Establish a genuine estimate first.
-        let (id, nonce) = g.next_probe();
+        let mut c = PmtudClient::new(ProberConfig::new(GW, PROBE));
+        let mut rng = SmallRng::seed_from_u64(0x9A4D ^ seed);
+        let in_band = |c: &PmtudClient| {
+            dsts.iter()
+                .filter_map(|&d| c.pmtu_for(d))
+                .all(|p| (PMTU_FLOOR..=PROBE).contains(&p))
+        };
+        // Establish a genuine estimate for the first destination…
+        let probe = c.probe_dst(0, dsts[0], &mut rng).expect("first probe");
         assert!(matches!(
-            g.on_report(id, nonce, &[9000]),
-            ReportVerdict::Accepted { pmtu: 9000 }
+            c.ingest(0, &answer(&probe, &[1400, 1400, 700])),
+            Some(Verdict::Accepted { pmtu: 1400, .. })
         ));
-        // Keep a window of outstanding probes for the attacker to aim at.
-        let live: Vec<(u32, u64)> = (0..4).map(|_| g.next_probe()).collect();
-        let spoofs: Vec<SpoofReport> = attack::spoof_report_stream(seed, 500, 8);
+        // …and keep a window of outstanding probes, one per destination,
+        // for the attacker to aim at.
+        let live: Vec<Vec<u8>> = dsts
+            .iter()
+            .map(|&d| c.probe_dst(0, d, &mut rng).expect("no probe in flight"))
+            .collect();
+        let spoofs: Vec<SpoofReport> = attack::spoof_report_stream(seed, 500, 8, dsts[1]);
         for s in &spoofs {
-            g.on_report(s.probe_id, s.nonce, &s.sizes);
-            assert!(g.pmtu() >= 576, "seed {seed}: floor breached");
+            let pkt = report_pkt(s.src, GW, &report_payload(s.probe_id, s.nonce, &s.sizes));
+            assert_eq!(
+                c.ingest(0, &pkt),
+                Some(Verdict::Rejected),
+                "seed {seed}: a forged report was believed"
+            );
+            assert_eq!(
+                c.pmtu_for(dsts[0]),
+                Some(1400),
+                "seed {seed}: estimate moved"
+            );
+            assert!(
+                dsts[1..].iter().all(|&d| c.pmtu_for(d).is_none()),
+                "seed {seed}: a forgery set an estimate"
+            );
+            assert!(in_band(&c), "seed {seed}: estimate left its band");
         }
+        assert_eq!(c.spoof_rejected, 500, "seed {seed}: spoof not counted");
         assert_eq!(
-            g.pmtu(),
-            9000,
-            "seed {seed}: a forged report moved the estimate"
+            c.pending_probes(),
+            dsts.len(),
+            "seed {seed}: probe locked out"
         );
-        assert_eq!(
-            g.stats.spoof_rejected, 500,
-            "seed {seed}: spoof not counted"
-        );
-        // Genuine reports still work after the storm.
-        let (id, nonce) = live[0];
-        assert!(matches!(
-            g.on_report(id, nonce, &[9000]),
-            ReportVerdict::Accepted { pmtu: 9000 }
-        ));
+        // Genuine reports still work after the storm: growth is taken
+        // at once, and a first report sets its destination at once.
+        for (i, probe) in live.iter().enumerate() {
+            let got = c.ingest(0, &answer(probe, &[PROBE]));
+            assert!(
+                matches!(got, Some(Verdict::Accepted { pmtu: PROBE, .. })),
+                "seed {seed} dst {i}: {got:?}"
+            );
+        }
         // Attested-but-absurd shrink claims are each clamped at the
         // floor and walk the estimate down half a step at a time…
         for _ in 0..4 {
-            let (id, nonce) = g.next_probe();
-            g.on_report(id, nonce, &[64]);
-            assert!(g.pmtu() >= 576, "seed {seed}: floor breached");
+            let probe = c
+                .probe_dst(0, dsts[0], &mut rng)
+                .expect("no probe in flight");
+            c.ingest(0, &answer(&probe, &[64]));
+            assert!(in_band(&c), "seed {seed}: floor breached");
         }
-        assert_eq!(g.stats.floor_clamps, 4, "seed {seed}: clamp not counted");
-        assert!(g.pmtu() < 9000, "seed {seed}: confirmed shrink not applied");
+        assert_eq!(c.floor_clamps, 4, "seed {seed}: clamp not counted");
+        let walked = c.pmtu_for(dsts[0]).expect("known");
+        assert!(walked < PROBE, "seed {seed}: confirmed shrink not applied");
+        assert!(
+            walked >= PROBE / 8,
+            "seed {seed}: more than half a step per report"
+        );
         // …and one genuine attested report restores the true estimate.
-        let (id, nonce) = g.next_probe();
-        g.on_report(id, nonce, &[9000]);
-        assert_eq!(g.pmtu(), 9000, "seed {seed}: no recovery after the episode");
+        let probe = c
+            .probe_dst(0, dsts[0], &mut rng)
+            .expect("no probe in flight");
+        c.ingest(0, &answer(&probe, &[PROBE]));
+        assert_eq!(
+            c.pmtu_for(dsts[0]),
+            Some(PROBE),
+            "seed {seed}: no recovery after the episode"
+        );
     }
 }

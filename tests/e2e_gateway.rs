@@ -226,16 +226,6 @@ fn cubic_flows_through_gateway() {
     assert_eq!(c.integrity_errors, 0);
 }
 
-/// The well-known-port constants of px-core and px-pmtud must agree, or
-/// gateways would bundle F-PMTUD probes.
-#[test]
-fn fpmtud_port_constants_agree() {
-    assert_eq!(
-        packet_express::core::gateway::FPMTUD_PORT,
-        packet_express::pmtud::FPMTUD_PORT
-    );
-}
-
 /// §3's interference setting: a mouse flow beside a busy elephant is
 /// delivered in full whether or not steering hairpins it past the merge
 /// engine's hold timer (the latency comparison is

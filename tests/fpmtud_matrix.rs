@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn run_fpmtud(hops: &[Hop], blackhole: bool, seed: u64) -> ProbeOutcome {
-    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, DAEMON_ADDR, hops[0].mtu));
+    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, hops[0].mtu), DAEMON_ADDR);
     let (mut net, p, _) = build_path(
         seed,
         prober,
@@ -149,9 +149,9 @@ fn unanswered_probes_back_off_then_clamp_to_emtu_fallback() {
     use std::net::Ipv4Addr;
     let hops = [Hop::new(9000, 100), Hop::new(1500, 100)];
     let dark = Ipv4Addr::new(203, 0, 113, 99); // nobody answers here
-    let mut cfg = ProberConfig::new(PROBER_ADDR, dark, hops[0].mtu);
+    let mut cfg = ProberConfig::new(PROBER_ADDR, hops[0].mtu);
     cfg.fallback_pmtu = 1500;
-    let prober = FpmtudProber::new(cfg);
+    let prober = FpmtudProber::new(cfg, dark);
     let (mut net, p, _) = build_path(9, prober, FpmtudDaemon::new(DAEMON_ADDR), &hops, false);
     // Doubling schedule: retries at 2 s and 6 s, final timeout at
     // 14 s. A flat 2 s schedule would give up at 6 s — at 7 s the
@@ -175,7 +175,7 @@ fn unanswered_probes_back_off_then_clamp_to_emtu_fallback() {
         other => panic!("{other:?}"),
     }
     // Without a fallback the same schedule ends in a plain timeout.
-    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, dark, hops[0].mtu));
+    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, hops[0].mtu), dark);
     let (mut net, p, _) = build_path(10, prober, FpmtudDaemon::new(DAEMON_ADDR), &hops, false);
     net.run_until(Nanos::from_secs(15));
     assert_eq!(

@@ -454,7 +454,6 @@ fn steady_state_hot_loops_do_not_allocate() {
         hold_ns: 50_000,
         table_capacity: 64,
         require_consecutive_ip_id: true,
-        probe_port: 9999,
     };
     let mut caravan = CaravanEngine::new(caravan_cfg);
     caravan.enable_obs(obs);

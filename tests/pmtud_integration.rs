@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn fpmtud_on(hops: &[Hop], blackhole: bool, seed: u64) -> ProbeOutcome {
-    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, DAEMON_ADDR, hops[0].mtu));
+    let prober = FpmtudProber::new(ProberConfig::new(PROBER_ADDR, hops[0].mtu), DAEMON_ADDR);
     let daemon = FpmtudDaemon::new(DAEMON_ADDR);
     let (mut net, p, _) = build_path(seed, prober, daemon, hops, blackhole);
     net.run_until(Nanos::from_secs(20));
@@ -139,11 +139,10 @@ fn fpmtud_works_through_a_pxgw() {
     // prober(9000) — gw — daemon(9000-capable b-network): the probe goes
     // *into* the b-network over a 1500 link, so PMTU = 1500.
     let mut net = Network::new(77);
-    let prober = net.add_node(FpmtudProber::new(ProberConfig::new(
-        PROBER_ADDR,
+    let prober = net.add_node(FpmtudProber::new(
+        ProberConfig::new(PROBER_ADDR, 9000),
         DAEMON_ADDR,
-        9000,
-    )));
+    ));
     let gw = net.add_node(PxGateway::new(GatewayConfig {
         steer: None,
         ..Default::default()

@@ -432,7 +432,6 @@ proptest! {
             hold_ns: 10_000,
             table_capacity: 1024,
             require_consecutive_ip_id: true,
-            probe_port: 9999,
         });
         let mut sent = Vec::new();
         let mut outputs = VecSink::new();
