@@ -114,32 +114,33 @@ impl NeighborTable {
     /// The policy towards `asn` for a border whose own iMTU is
     /// `own_imtu`, evaluated at `now_ns` (expired adverts mean legacy).
     pub fn policy(&self, now_ns: u64, asn: u32, own_imtu: u32) -> BorderPolicy {
-        match self.entries.get(&asn) {
-            Some(e) => {
-                let age_ns = now_ns.saturating_sub(e.received_at_ns);
-                if age_ns > u64::from(e.advert.ttl_secs) * 1_000_000_000 {
-                    return BorderPolicy::Translate;
-                }
-                // Forward untranslated up to the *smaller* of the two
-                // iMTUs (the neighbour may be larger than us; our own
-                // packets are already bounded by our iMTU).
-                BorderPolicy::PassThrough {
-                    up_to: e.advert.imtu.min(own_imtu),
-                }
-            }
+        match self.entries.get(&asn).filter(|e| e.live_at(now_ns)) {
+            // Forward untranslated up to the *smaller* of the two
+            // iMTUs (the neighbour may be larger than us; our own
+            // packets are already bounded by our iMTU).
+            Some(e) => BorderPolicy::PassThrough {
+                up_to: e.advert.imtu.min(own_imtu),
+            },
             None => BorderPolicy::Translate,
         }
     }
 
+    /// Whether `asn`'s latest advert is still valid at `now_ns`.
+    pub(crate) fn is_live(&self, now_ns: u64, asn: u32) -> bool {
+        self.entries.get(&asn).is_some_and(|e| e.live_at(now_ns))
+    }
+
     /// Number of live neighbours at `now_ns`.
     pub fn live_neighbors(&self, now_ns: u64) -> usize {
-        self.entries
-            .values()
-            .filter(|e| {
-                now_ns.saturating_sub(e.received_at_ns)
-                    <= u64::from(e.advert.ttl_secs) * 1_000_000_000
-            })
-            .count()
+        self.entries.values().filter(|e| e.live_at(now_ns)).count()
+    }
+}
+
+impl NeighborEntry {
+    /// Whether the advert is still valid at `now_ns`.
+    fn live_at(&self, now_ns: u64) -> bool {
+        now_ns.saturating_sub(self.received_at_ns)
+            <= u64::from(self.advert.ttl_secs) * 1_000_000_000
     }
 }
 

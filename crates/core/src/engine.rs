@@ -4,8 +4,8 @@
 //! *model* Fig. 5a/5b throughput, this module actually runs the
 //! datapath, in the shape RSS hardware gives the paper's DPDK gateway:
 //! the byte-accurate trace is sharded once with the real Toeplitz
-//! [`RssHasher`] into one flat, arrival-ordered `(timestamp, flow hash,
-//! packet)` queue per core, and each core's [`CoreEngine`] worker **owns its
+//! [`RssHasher`] into one flat, arrival-ordered `(timestamp, packet)`
+//! queue per core, and each core's [`CoreEngine`] worker **owns its
 //! shard and runs it to completion** — `for burst in shard.chunks(n)
 //! { recv → translate → send }`, then an end-of-stream idle tick, the
 //! drain, and one hand-off to the [`StatsRegistry`]. Nothing sits
@@ -36,8 +36,8 @@
 
 use crate::caravan_gw::{CaravanConfig, CaravanEngine};
 use crate::chassis::Chassis;
-use crate::flowtable::{flow_hash, FlowTable, FlowTableConfig};
-use crate::merge::{FlowState, MergeConfig, MergeEngine};
+use crate::flowtable::FlowTableConfig;
+use crate::merge::{MergeConfig, MergeEngine};
 use crate::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use px_faults::{FaultPlan, FaultSpec, IngressStats};
 use px_obs::{
@@ -45,9 +45,9 @@ use px_obs::{
     ServeHandle, SloSpec, SloWatchdog, Span, SpanCat, Telemetry, TimeSample,
 };
 use px_sim::stats::{CoreCounters, StatsRegistry};
-use px_wire::batchparse::{self, ParsedMeta};
 #[cfg(not(test))]
-use px_wire::batchparse::{prefetch_packet, prefetch_ref};
+use px_wire::batchparse::prefetch_packet;
+use px_wire::batchparse::{self, ParsedMeta};
 use px_wire::pool::PacketSink;
 use px_wire::{FlowKey, PacketBuf, RssHasher};
 use std::borrow::BorrowMut;
@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 #[cfg(test)]
-use tests::{prefetch_packet, prefetch_ref};
+use tests::prefetch_packet;
 
 /// One core's gateway datapath: the actual translation engine the
 /// pipeline model and the threaded engine both drive.
@@ -146,6 +146,22 @@ impl CoreEngine {
     /// [`PacketSink::accept`] is recycled. The merge engine takes `pkt`
     /// over: a steered mouse leaves in this allocation, uncopied, and
     /// is freed rather than recycled when the sink hands it back.
+    ///
+    /// While a PX merge engine's flow table is beyond cache, processing
+    /// trails arrival by at most [`LOOKAHEAD`](crate::merge::LOOKAHEAD)
+    /// packets: the packet waits in a fixed ring while the lines its
+    /// flow-table lookup will read are requested, and the call
+    /// processes the packet `LOOKAHEAD` arrivals back, polled and
+    /// pushed at its own `now` (Linux's listified GRO batches up to
+    /// `net.core.gro_normal_batch` = 8 packets for the same reason).
+    /// What is emitted, in which order and with which decisions, is what
+    /// processing on arrival emits; only the call a packet leaves in
+    /// moves. [`idle_tick_into`] and [`finish_into`] drain the ring
+    /// first. The lent [`MergeEngine::push_into`] is unchanged:
+    /// synchronous.
+    ///
+    /// [`idle_tick_into`]: Self::idle_tick_into
+    /// [`finish_into`]: Self::finish_into
     pub fn push_into(&mut self, now: u64, pkt: Vec<u8>, sink: &mut impl PacketSink) {
         self.push_with_meta(now, pkt, None, sink);
     }
@@ -179,10 +195,7 @@ impl CoreEngine {
                     b.flush_all_into(sink);
                 }
             }
-            CoreEngine::Merge(m) => {
-                m.poll_into(now, sink);
-                m.push_owned_into(now, pkt, meta, sink);
-            }
+            CoreEngine::Merge(m) => m.push_ahead_into(now, pkt, meta, sink),
             CoreEngine::Caravan(c) => {
                 c.poll_into(now, sink);
                 c.push_inbound_into(now, &pkt, sink);
@@ -190,7 +203,8 @@ impl CoreEngine {
         }
     }
 
-    /// Drains every held aggregate (end of trace) into `sink`.
+    /// Drains every held aggregate (end of trace) into `sink`, after
+    /// the packets waiting in the lookahead ring.
     pub fn finish_into(&mut self, sink: &mut impl PacketSink) {
         match self {
             CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.flush_all_into(sink),
@@ -204,7 +218,8 @@ impl CoreEngine {
     /// run-wide drain. This is the dead-shard fix: `pop_expired` used
     /// to be polled only on packet arrival, so a core that stopped
     /// receiving packets never flushed its expired flows. For the
-    /// baseline the tick ends the short last burst.
+    /// baseline the tick ends the short last burst. The packets waiting
+    /// in the lookahead ring are processed first, each at its own `now`.
     pub fn idle_tick_into(&mut self, sink: &mut impl PacketSink) {
         match self {
             CoreEngine::Baseline(b) => b.flush_all_into(sink),
@@ -230,13 +245,12 @@ impl CoreEngine {
         }
     }
 
-    /// The flow table the worker's lookahead warms: a merge engine's
-    /// one table, while its live population is past what stays in
-    /// cache.
-    pub(crate) fn lookahead_table(&self) -> Option<&FlowTable<FlowState>> {
-        match self {
-            CoreEngine::Baseline(m) | CoreEngine::Merge(m) => m.lookahead_table(),
-            CoreEngine::Caravan(_) => None,
+    /// Processes the packets waiting in the lookahead ring, each at its
+    /// own `now`, into `sink`: what [`push_into`](Self::push_into) left
+    /// for later calls. A no-op when nothing waits.
+    fn drain_lookahead_into(&mut self, sink: &mut impl PacketSink) {
+        if let CoreEngine::Merge(m) = self {
+            m.drain_lookahead_into(sink);
         }
     }
 
@@ -435,14 +449,6 @@ impl Tap {
 /// at this engine's per-packet cost; more only evicts what was fetched.
 pub const PREFETCH_BYTES: usize = 4096;
 
-/// How far ahead of the worker's cursor the flow-table lookahead
-/// requests a packet's index bucket, and then its slot: the slot's
-/// address is read from the bucket, so the bucket must have landed by
-/// the time the slot is requested, and the slot by the time the packet
-/// is processed.
-const INDEX_AHEAD: usize = 8;
-const SLOT_AHEAD: usize = 4;
-
 /// The worker's [`PacketSink`]: accounts every emitted packet into the
 /// worker's counters, hands its bytes to the worker's [`Tap`], then
 /// hands the buffer back for pool recycling. This closes the allocation
@@ -548,7 +554,7 @@ impl Worker {
     /// A burst comes with the rest of the shard behind it to look into.
     fn run_shard<P: BorrowMut<Vec<u8>>>(
         &mut self,
-        shard: &mut [(u64, u32, P)],
+        shard: &mut [(u64, P)],
         registry: &StatsRegistry,
     ) {
         let publish_every = if self.cfg.obs.enabled {
@@ -569,20 +575,28 @@ impl Worker {
 
     /// This core's shard is exhausted: flush every held aggregate on
     /// its now-unreachable hold deadline instead of parking it until
-    /// the drain. Out-of-band accounting, like the drain itself.
+    /// the drain. Out-of-band accounting, like the drain itself — after
+    /// the packets still in the engine's lookahead ring, which are
+    /// processed in band, as their arrival would have been.
     fn quiesce(&mut self) {
+        self.drain_lookahead();
         let (engine, mut acct) = self.engine_and_sink(false);
         engine.idle_tick_into(&mut acct);
     }
 
+    /// Processes what the engine's lookahead ring still holds, in band:
+    /// those packets arrived in a burst.
+    fn drain_lookahead(&mut self) {
+        let (engine, mut acct) = self.engine_and_sink(true);
+        engine.drain_lookahead_into(&mut acct);
+    }
+
     /// One burst — the first `n` packets of `shard` — fed to the engine
     /// a packet at a time: verify, append, free, each while the packet
-    /// is in L1. What follows the burst in `shard` is only prefetched:
-    /// packet bytes always, and — once the flow table has outgrown the
-    /// cache — the index bucket and then the slot each packet's flow
-    /// hash points at. The hashes only steer prefetches; the engine
-    /// looks up the key it parses.
-    fn process_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, u32, P)], n: usize) {
+    /// is in L1. What follows the burst in `shard` is only prefetched,
+    /// [`PREFETCH_BYTES`] of packet bytes ahead; the flow-table lines
+    /// are the engine's own lookahead.
+    fn process_batch<P: BorrowMut<Vec<u8>>>(&mut self, shard: &mut [(u64, P)], n: usize) {
         self.counters.batches += 1;
         let batch_start = if self.obs_on {
             // px-analyze: allow(R8, reason = "wall clock feeds the batch-latency histogram only; emitted bytes and every forwarding decision derive from the simulated event clock, so replays stay bit-identical")
@@ -600,26 +614,12 @@ impl Worker {
         let cost = |pkt: &Vec<u8>| pkt.len().max(64);
         let (mut ahead, mut inflight) = (0usize, 0usize);
         for i in 0..n {
-            while let Some((_, _, next)) = shard.get(ahead).filter(|_| inflight < PREFETCH_BYTES) {
+            while let Some((_, next)) = shard.get(ahead).filter(|_| inflight < PREFETCH_BYTES) {
                 prefetch_packet(next.borrow());
                 inflight += cost(next.borrow());
                 ahead += 1;
             }
-            if let Some(table) = engine.lookahead_table() {
-                if let Some(b) = shard
-                    .get(i + INDEX_AHEAD)
-                    .and_then(|e| table.index_line(e.1))
-                {
-                    prefetch_ref(b);
-                }
-                if let Some(s) = shard
-                    .get(i + SLOT_AHEAD)
-                    .and_then(|e| table.slot_guess(e.1))
-                {
-                    prefetch_ref(s);
-                }
-            }
-            let Some((now, _, pkt)) = shard.get_mut(i) else {
+            let Some((now, pkt)) = shard.get_mut(i) else {
                 break;
             };
             // The packet leaves the trace here and is freed as soon as
@@ -681,6 +681,7 @@ impl Worker {
     /// folded here is the classifier's tracked-flow population — the
     /// gauge the flow-scale soak reads.
     fn finish(&mut self) {
+        self.drain_lookahead();
         let (engine, mut acct) = self.engine_and_sink(false);
         engine.finish_into(&mut acct);
         // Qualified, so px-analyze's name-keyed call graph sees this
@@ -749,9 +750,6 @@ impl Worker {
 /// engine run's captured output and across core counts.
 pub struct CoreDriver {
     worker: Worker,
-    /// The batch being run, each packet beside its flow hash; kept so
-    /// a warm driver allocates nothing per batch.
-    staged: Vec<(u64, u32, Vec<u8>)>,
 }
 
 impl CoreDriver {
@@ -762,7 +760,6 @@ impl CoreDriver {
         cfg.obs = ObsConfig::disabled();
         CoreDriver {
             worker: Worker::new(&cfg, core),
-            staged: Vec::new(),
         }
     }
 
@@ -774,20 +771,15 @@ impl CoreDriver {
     }
 
     /// Processes one batch of `(arrival_ns, packet)` pairs in order.
-    /// Each packet's flow hash, the worker's prefetch hint, is taken
-    /// from its headers (0 for a keyless packet).
-    pub fn run_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) {
-        self.staged.clear();
-        self.staged.extend(batch.into_iter().map(|(now, pkt)| {
-            let hash = batchparse::parse_key(&pkt).map_or(0, |k| flow_hash(&k));
-            (now, hash, pkt)
-        }));
-        let n = self.staged.len();
-        self.worker.process_batch(&mut self.staged, n);
+    pub fn run_batch(&mut self, mut batch: Vec<(u64, Vec<u8>)>) {
+        let n = batch.len();
+        self.worker.process_batch(&mut batch, n);
     }
 
-    /// Drains every held aggregate and folds the engine's counters in.
-    /// Call exactly once, after the last batch.
+    /// Processes the packets still in the engine's lookahead ring (in
+    /// band, like the batch they arrived in), drains every held
+    /// aggregate and folds the engine's counters in. Call exactly once,
+    /// after the last batch.
     pub fn finish(&mut self) {
         self.worker.finish();
     }
@@ -819,19 +811,15 @@ struct WorkerOutput {
     captured: Vec<Vec<u8>>,
 }
 
-/// One core's input: `(arrival-time, flow hash, packet)` in arrival
-/// order, each packet still where the caller's trace put it. The hash
-/// is [`flow_hash`] of the caller's key: a prefetch hint, never a
-/// lookup.
-type Shard<'t> = Vec<(u64, u32, &'t mut Vec<u8>)>;
+/// One core's input: `(arrival-time, packet)` in arrival order, each
+/// packet still where the caller's trace put it.
+type Shard<'t> = Vec<(u64, &'t mut Vec<u8>)>;
 
 /// Shards the trace per core, in arrival order, with arrival timestamps
 /// derived from the offered load — the single sharding path both modes
 /// consume. What RSS does in the NIC: after this pass every packet
-/// is queued for the one core that will ever touch it, beside the flow
-/// hash its core's table will probe (on hardware, the hash the RX
-/// descriptor carries). Queued by reference: the pass writes 24 bytes
-/// per packet and moves none.
+/// is queued for the one core that will ever touch it. Queued by
+/// reference: the pass writes 16 bytes per packet and moves none.
 fn shard_trace<'t>(cfg: &EngineConfig, trace: &'t mut [(FlowKey, Vec<u8>)]) -> Vec<Shard<'t>> {
     let rss = RssHasher::symmetric();
     let cores = cfg.pipe.cores;
@@ -844,7 +832,7 @@ fn shard_trace<'t>(cfg: &EngineConfig, trace: &'t mut [(FlowKey, Vec<u8>)]) -> V
         .collect();
     for (i, (key, pkt)) in trace.iter_mut().enumerate() {
         let now = (i as f64 * inter_arrival_ns) as u64;
-        shards[rss.queue_for(key, cores)].push((now, flow_hash(key), pkt));
+        shards[rss.queue_for(key, cores)].push((now, pkt));
     }
     shards
 }
@@ -1127,17 +1115,11 @@ mod tests {
         static HINT_OFF: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// The hints the worker calls under test: the real ones, or
+    /// The hint the worker calls under test: the real one, or
     /// nothing.
     pub(super) fn prefetch_packet(pkt: &[u8]) {
         if !HINT_OFF.get() {
             batchparse::prefetch_packet(pkt);
-        }
-    }
-
-    pub(super) fn prefetch_ref<T>(value: &T) {
-        if !HINT_OFF.get() {
-            batchparse::prefetch_ref(value);
         }
     }
 
@@ -1147,14 +1129,14 @@ mod tests {
     fn shard_trace_copying(
         cfg: &EngineConfig,
         trace: Vec<(FlowKey, Vec<u8>)>,
-    ) -> Vec<Vec<(u64, u32, Vec<u8>)>> {
+    ) -> Vec<Vec<(u64, Vec<u8>)>> {
         let rss = RssHasher::symmetric();
         let cores = cfg.pipe.cores;
         let inter_arrival_ns = 1e9 / cfg.pipe.offered_pps;
         let mut shards = vec![Vec::new(); cores];
         for (i, (key, pkt)) in trace.into_iter().enumerate() {
             let now = (i as f64 * inter_arrival_ns) as u64;
-            shards[(rss.hash(&key) as usize) % cores].push((now, flow_hash(&key), pkt));
+            shards[(rss.hash(&key) as usize) % cores].push((now, pkt));
         }
         shards
     }
@@ -1181,9 +1163,9 @@ mod tests {
             let shards = shard_trace(&cfg, &mut trace);
             assert_eq!(shards.len(), cores);
             for (core, (got, want)) in shards.iter().zip(&expect).enumerate() {
-                let got: Vec<(u64, u32, Vec<u8>)> = got
+                let got: Vec<(u64, Vec<u8>)> = got
                     .iter()
-                    .map(|(now, hash, pkt)| (*now, *hash, (**pkt).clone()))
+                    .map(|(now, pkt)| (*now, (**pkt).clone()))
                     .collect();
                 assert_eq!(&got, want, "core {core} of {cores}");
             }
@@ -1201,17 +1183,14 @@ mod tests {
     /// compiled out: counters, delivered bytes and the span stream.
     fn run_one_core(
         cfg: &EngineConfig,
-        shard: &mut [(u64, u32, Vec<u8>)],
+        shard: &mut [(u64, Vec<u8>)],
         hint: bool,
     ) -> (CoreCounters, Vec<Vec<u8>>, Vec<Span>) {
         HINT_OFF.set(!hint);
         let registry = StatsRegistry::new(1);
-        let refs = shard
-            .iter_mut()
-            .map(|(now, h, pkt)| (*now, *h, pkt))
-            .collect();
+        let refs = shard.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
         let out = run_core(cfg, 0, refs, &registry);
-        assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
+        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
         (registry.aggregate(), out.captured, out.obs.spans)
     }
 
@@ -1236,14 +1215,14 @@ mod tests {
             cfg.capture_output = true;
             cfg.obs.span_capacity = 1 << 12;
             let mut shard = one_shard(&pipe, 3, len, seed);
-            for ((_, _, pkt), kind) in shard.iter_mut().zip(&kinds) {
+            for ((_, pkt), kind) in shard.iter_mut().zip(&kinds) {
                 match kind {
                     0 => pkt.clear(),
                     1 => pkt.resize(9_000, 0x45),
                     _ => {}
                 }
             }
-            let bytes_in: usize = shard.iter().map(|(_, _, pkt)| pkt.len()).sum();
+            let bytes_in: usize = shard.iter().map(|(_, pkt)| pkt.len()).sum();
             let hinted = run_one_core(&cfg, &mut shard.clone(), true);
             let plain = run_one_core(&cfg, &mut shard, false);
             prop_assert_eq!(hinted.0.pkts_in, len as u64);
@@ -1289,48 +1268,80 @@ mod tests {
         flows: usize,
         pkts: usize,
         seed: u64,
-    ) -> Vec<(u64, u32, Vec<u8>)> {
+    ) -> Vec<(u64, Vec<u8>)> {
         TraceGen::new(pipe.workload, flows, pipe.emtu, pipe.mean_run, seed)
             .generate(pkts)
             .into_iter()
             .enumerate()
-            .map(|(i, (key, pkt))| (i as u64 * 1_000, flow_hash(&key), pkt))
+            .map(|(i, (_, pkt))| (i as u64 * 1_000, pkt))
             .collect()
     }
 
-    /// The shard's flow hash is a prefetch hint, never a lookup: hand
-    /// `run_engine_on_trace` another flow's key for every packet, so
-    /// every hint names the wrong bucket and slot, and a one-core
-    /// Deterministic run still delivers exactly what the true keys do.
-    /// The steering table tracks enough flows that the lookahead runs.
+    /// What a one-core run's worker emits, counted the way its
+    /// `Accountant` counts: every packet in order, and the in-band share.
+    struct InBand {
+        out: Vec<Vec<u8>>,
+        inband: bool,
+        pkts: u64,
+        jumbo: u64,
+        jumbo_at: usize,
+    }
+
+    impl PacketSink for InBand {
+        fn accept(&mut self, buf: PacketBuf) -> Option<PacketBuf> {
+            if self.inband {
+                self.pkts += 1;
+                self.jumbo += u64::from(buf.len() >= self.jumbo_at);
+            }
+            self.out.push(buf.as_slice().to_vec());
+            Some(buf)
+        }
+    }
+
+    /// A one-core run whose steering table outgrows the cache, so the
+    /// merge engine's lookahead ring holds packets back, emits what the
+    /// lent entry emits processing each packet on arrival — the same
+    /// bytes in the same order — and counts the same packets in band:
+    /// the worker drains the ring in band before its idle tick.
     #[test]
-    fn wrong_hints_cost_only_a_wasted_prefetch() {
+    fn a_beyond_cache_run_emits_in_band_what_processing_on_arrival_emits() {
         let mut pipe = PipelineConfig::fig5(SystemVariant::Px, WorkloadKind::Tcp, 1);
         pipe.n_flows = 40_000;
         pipe.mean_run = 2;
         pipe.steer = Some(crate::steer::SteerConfig::default());
         let trace = TraceGen::new(pipe.workload, pipe.n_flows, pipe.emtu, pipe.mean_run, 9)
             .generate(60_000);
-        // Each flow's key becomes the next flow's, cyclically.
-        let mut flows: Vec<FlowKey> = trace.iter().map(|(k, _)| *k).collect();
-        flows.sort_unstable();
-        flows.dedup();
-        let other = |k: &FlowKey| {
-            let i = flows.binary_search(k).unwrap_or(0);
-            flows[(i + 1) % flows.len()]
+        let jumbo_at = pipe.imtu - (pipe.emtu - 40) + 1;
+        let mut sync = InBand {
+            out: Vec::new(),
+            inband: true,
+            pkts: 0,
+            jumbo: 0,
+            jumbo_at,
         };
-        let wrong: Vec<(FlowKey, Vec<u8>)> = trace
-            .iter()
-            .map(|(k, pkt)| (other(k), pkt.clone()))
-            .collect();
-        assert!(trace.iter().zip(&wrong).all(|(a, b)| a.0 != b.0));
-        let run = |trace| run_engine_on_trace(captured(pipe, EngineMode::Deterministic), trace);
-        let (right, wrong) = (run(trace), run(wrong));
-        let live = right.totals.flows_live as usize;
-        let per_flow = std::mem::size_of::<crate::flowtable::Slot<FlowState>>() + 16;
+        let CoreEngine::Merge(mut m) = CoreEngine::for_pipe(&pipe) else {
+            unreachable!("a steered TCP pipe builds a merge engine");
+        };
+        let inter_arrival_ns = 1e9 / pipe.offered_pps;
+        for (i, (_, pkt)) in trace.iter().enumerate() {
+            let now = (i as f64 * inter_arrival_ns) as u64;
+            m.poll_into(now, &mut sync);
+            m.push_into(now, pkt, &mut sync);
+        }
+        sync.inband = false;
+        m.poll_into(u64::MAX, &mut sync);
+        m.flush_all_into(&mut sync);
+
+        let mut cfg = captured(pipe, EngineMode::Deterministic);
+        cfg.obs = ObsConfig::disabled();
+        let run = run_engine_on_trace(cfg, trace);
+        let live = run.totals.flows_live as usize;
+        let per_flow = std::mem::size_of::<crate::flowtable::Slot<crate::merge::FlowState>>() + 16;
         assert!(live * per_flow > 1 << 20, "{live} flows stay in cache");
-        assert_eq!(right.totals, wrong.totals);
-        assert!(right.captured_output == wrong.captured_output);
+        assert!(run.captured_output == sync.out);
+        assert_eq!(run.totals.pkts_out_inband, sync.pkts);
+        assert_eq!(run.totals.jumbo_out_inband, sync.jumbo);
+        assert!(run.totals.pkts_out > run.totals.pkts_out_inband);
     }
 
     #[test]
@@ -1486,7 +1497,7 @@ mod tests {
         let mut w = Worker::new(&cfg, 0);
         w.run_shard(&mut shard, &registry);
         assert_eq!(w.counters.batches, 3);
-        assert!(shard.iter().all(|(_, _, pkt)| pkt.is_empty()), "consumed");
+        assert!(shard.iter().all(|(_, pkt)| pkt.is_empty()), "consumed");
         let after_tick = w.counters.pkts_out;
         assert!(after_tick > w.counters.pkts_out_inband);
         assert_eq!(w.pool_outstanding(), 0);
@@ -1503,10 +1514,7 @@ mod tests {
             let mut cfg = EngineConfig::new(pipe, EngineMode::Deterministic);
             cfg.serve_port = serve_port;
             let mut owned = one_shard(&pipe, 8, 2_000, 3);
-            let shard = owned
-                .iter_mut()
-                .map(|(now, h, pkt)| (*now, *h, pkt))
-                .collect();
+            let shard = owned.iter_mut().map(|(now, pkt)| (*now, pkt)).collect();
             let registry = StatsRegistry::new(1);
             let out = run_core(&cfg, 0, shard, &registry).obs;
             assert!(!out.spans.is_empty(), "the report always gets the spans");

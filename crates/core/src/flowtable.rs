@@ -12,9 +12,9 @@
 //! 8-byte buckets, each a 32-bit hash tag plus a 32-bit slot index,
 //! probed linearly from the bucket [`flow_hash`] names and compacted by
 //! backward-shift deletion (no tombstones). Because the index is ours,
-//! the bucket a future packet will probe has a known address: the engine
-//! worker prefetches it, and the slot it points at, a few packets ahead
-//! (`FlowTable::index_line`, `FlowTable::slot_guess`).
+//! the bucket a future packet will probe has a known address: the merge
+//! engine's lookahead ring prefetches it, and the slot it points at, a
+//! few packets ahead (`FlowTable::index_line`, `FlowTable::slot_guess`).
 //!
 //! Eviction is CLOCK-style second chance over two FIFO segments threaded
 //! through the slab: *probation* (new and unclassified flows, evicted
@@ -45,8 +45,8 @@ pub const NO_DEADLINE: u64 = u64::MAX;
 
 /// Live state (slots plus their index share) past which a table no
 /// longer stays cached between two packets of one flow: half the 2 MiB
-/// per-core L2 of a current server core. Below it the worker's table
-/// lookahead would only add work.
+/// per-core L2 of a current server core. Below it the merge engine's
+/// lookahead ring would only add work.
 const CACHE_RESIDENT_BYTES: usize = 1 << 20;
 
 /// 2^64 / φ, the Fibonacci-hashing multiplier (rustc's FxHash uses it).
@@ -62,9 +62,8 @@ const MIX_K: u64 = 0xbf58_476d_1ce4_e5b9;
 /// Toeplitz RSS hash, so keys arriving at a table are diverse and a
 /// keyed (DoS-hardened) hash buys nothing; unlike `RandomState` this is
 /// reproducible across runs, which Deterministic mode requires of
-/// everything on the datapath. The engine's sharding pass computes it
-/// once per packet as a prefetch hint; the engine recomputes it from
-/// the key it parses, so a wrong hint costs a wasted prefetch only.
+/// everything on the datapath. The merge engine computes it once per
+/// packet, from the key it parses.
 #[inline]
 pub fn flow_hash(key: &FlowKey) -> u32 {
     let ips = (u64::from(u32::from(key.src_ip)) << 32) | u64::from(u32::from(key.dst_ip));

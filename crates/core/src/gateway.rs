@@ -100,7 +100,8 @@ pub struct PxGateway {
     /// §4.2 neighbour table, fed by iMTU advertisements on the external
     /// port.
     pub neighbors: NeighborTable,
-    /// ASN of the most recent advertiser across the external link.
+    /// ASN of the neighbour across the external link: the first on-link
+    /// advertiser, held until its adverts expire.
     pub neighbor_asn: Option<u32>,
     /// Jumbo packets forwarded untranslated thanks to a neighbour advert.
     pub passthrough_out: u64,
@@ -198,7 +199,10 @@ impl PxGateway {
     /// the border link. It is ingested only when its IP TTL is 255, which
     /// no off-link sender can deliver, and only by a gateway with an ASN
     /// (which takes part in peering); its `ttl_secs` is capped at what
-    /// this gateway gives its own adverts. Every other datagram, to port
+    /// this gateway gives its own adverts. The border link has one
+    /// neighbour: while the one held has a live advert, an advert with
+    /// another ASN is consumed and ignored, so a second on-link sender
+    /// cannot take over the border policy. Every other datagram, to port
     /// 3199 or not, is transit traffic for the datapath.
     fn try_ingest_advert(&mut self, now_ns: u64, pkt: &[u8]) -> bool {
         let Ok(ip) = Ipv4Packet::new_checked(pkt) else {
@@ -220,16 +224,22 @@ impl PxGateway {
             return true;
         }
         if let (Some(_), Ok(mut advert)) = (self.cfg.asn, ImtuAdvert::parse(udp.payload())) {
-            advert.ttl_secs = advert.ttl_secs.min(self.advert_ttl_secs());
-            self.neighbors.ingest(now_ns, advert);
-            self.neighbor_asn = Some(advert.asn);
+            let held = self
+                .neighbor_asn
+                .filter(|&asn| self.neighbors.is_live(now_ns, asn));
+            if held.is_none() || held == Some(advert.asn) {
+                advert.ttl_secs = advert.ttl_secs.min(self.advert_ttl_secs());
+                self.neighbors.ingest(now_ns, advert);
+                self.neighbor_asn = Some(advert.asn);
+            }
         }
         true
     }
 
     fn inbound(&mut self, ctx: &mut Ctx<'_>, mut pkt: PacketBuf) {
-        // §4.2 control plane: neighbour iMTU advertisements and F-PMTUD
-        // reports addressed to the gateway terminate here.
+        // §4.2 control plane: neighbour iMTU advertisements and every
+        // datagram to the gateway's F-PMTUD address and port terminate
+        // here; nothing behind the gateway owns that address.
         if self.try_ingest_advert(ctx.now.0, pkt.as_slice()) {
             return;
         }
@@ -549,11 +559,18 @@ mod tests {
     /// An advert as the neighbour AS 64513 sends it, arriving with IP
     /// TTL `ip_ttl` and claiming `ttl_secs` of validity.
     fn advert_pkt(ip_ttl: u8, ttl_secs: u16) -> Vec<u8> {
-        let (src, dst) = (Ipv4Addr::new(169, 254, 251, 255), Ipv4Addr::BROADCAST);
+        advert_from(64513, 9000, 1, ip_ttl, ttl_secs)
+    }
+
+    /// Advert `seq` of `imtu` from AS `asn`, arriving with IP TTL
+    /// `ip_ttl` and claiming `ttl_secs` of validity.
+    fn advert_from(asn: u32, imtu: u32, seq: u32, ip_ttl: u8, ttl_secs: u16) -> Vec<u8> {
+        let src = Ipv4Addr::new(169, 254, (asn >> 8) as u8, asn as u8);
+        let dst = Ipv4Addr::BROADCAST;
         let advert = ImtuAdvert {
-            asn: 64513,
-            imtu: 9000,
-            seq: 1,
+            asn,
+            imtu,
+            seq,
             ttl_secs,
         };
         let dg = UdpRepr {
@@ -599,5 +616,38 @@ mod tests {
             BorderPolicy::PassThrough { up_to: 9000 }
         );
         assert_eq!(gw.border_policy(lifetime + 1), BorderPolicy::Translate);
+    }
+
+    /// The border link has one neighbour: a second on-link advertiser
+    /// with another ASN is consumed and ignored while the first one's
+    /// adverts are live, and is believed once they have expired.
+    #[test]
+    fn the_border_policy_stays_with_the_first_neighbour() {
+        let mut gw = peering_gateway();
+        let lifetime = 3 * gw.cfg.advert_interval_ns;
+        assert!(gw.try_ingest_advert(0, &advert_from(64513, 9000, 1, 255, 15)));
+        assert!(gw.try_ingest_advert(1, &advert_from(64514, 4000, 1, 255, 15)));
+        assert_eq!(gw.neighbor_asn, Some(64513));
+        assert_eq!(
+            gw.border_policy(1),
+            BorderPolicy::PassThrough { up_to: 9000 }
+        );
+        assert_eq!(gw.neighbors.live_neighbors(1), 1, "not even recorded");
+        // The first neighbour's refresh is still believed.
+        let refresh = lifetime / 2;
+        assert!(gw.try_ingest_advert(refresh, &advert_from(64513, 8000, 2, 255, 15)));
+        assert_eq!(
+            gw.border_policy(refresh),
+            BorderPolicy::PassThrough { up_to: 8000 }
+        );
+        // Once its adverts have expired, another neighbour may take over.
+        let later = refresh + lifetime + 1;
+        assert_eq!(gw.border_policy(later), BorderPolicy::Translate);
+        assert!(gw.try_ingest_advert(later, &advert_from(64514, 4000, 1, 255, 15)));
+        assert_eq!(gw.neighbor_asn, Some(64514));
+        assert_eq!(
+            gw.border_policy(later),
+            BorderPolicy::PassThrough { up_to: 4000 }
+        );
     }
 }

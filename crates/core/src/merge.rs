@@ -55,6 +55,13 @@
 //!   table tracks every flow: its slot holds the classifier counter and
 //!   the handle of the flow's pending aggregate, and classify, append,
 //!   flush and re-arm all act on that slot.
+//! * Once the table has outgrown the cache, a packet handed over through
+//!   the owned entry waits in a [`LOOKAHEAD`]-packet ring while the
+//!   lines its lookup will read are requested: its bytes on arrival,
+//!   its index bucket half the ring later, the slot that bucket names
+//!   three quarters in. Packets leave the ring oldest first, each
+//!   polled and pushed at its own arrival time, so the ring moves when
+//!   output leaves and nothing else.
 //! * Hold-timer expiry pops the flow table's deadline heap instead of
 //!   scanning every pending aggregate per poll tick.
 //!
@@ -69,7 +76,7 @@ use crate::flowtable::{flow_hash, FlowTable, FlowTableConfig, NO_DEADLINE};
 use crate::steer::{FlowClass, FlowCounter, SteerConfig};
 use px_obs::{drop_reason, flow_id, ObsConfig, Recorder, Span, SpanCat};
 use px_sim::stats::{CoreCounters, SizeHistogram};
-use px_wire::batchparse::{self, ParsedMeta, SegFacts, Verdict};
+use px_wire::batchparse::{self, prefetch_packet, prefetch_ref, ParsedMeta, SegFacts, Verdict};
 use px_wire::bytes;
 use px_wire::checksum;
 use px_wire::ipv4::Ipv4Packet;
@@ -310,6 +317,109 @@ enum Ingress<'a> {
     Owned(Vec<u8>),
 }
 
+/// Packets the owned entry holds between arrival and processing while
+/// the flow table is beyond cache. A packet's bucket is requested four
+/// packets after its bytes, its slot two after that, and it is
+/// processed two later — about one DRAM round trip apart at this
+/// engine's per-packet cost. Linux's listified GRO holds up to
+/// `net.core.gro_normal_batch` = 8 packets per call for the same reason.
+pub const LOOKAHEAD: usize = 8;
+
+/// What the push body reads off a packet's headers before it touches
+/// the flow table: the flow key, the key's table hash (0 for a keyless
+/// packet), and the merge verdict when the caller's or an unsteered
+/// engine's parse produced it — a steered engine verifies only packets
+/// that may still be merged. A pure function of the packet's bytes.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    key: Option<FlowKey>,
+    hash: u32,
+    verdict: Option<Verdict>,
+}
+
+impl Head {
+    /// `pkt`'s head, from the caller's `meta` when there is one.
+    fn of(pkt: &[u8], meta: Option<&ParsedMeta>, steered: bool) -> Self {
+        let (key, verdict) = match meta {
+            Some(meta) => (meta.key, Some(meta.verdict)),
+            None if steered => (batchparse::parse_key(pkt), None),
+            None => {
+                let meta = batchparse::parse_packet(pkt);
+                (meta.key, Some(meta.verdict))
+            }
+        };
+        Head {
+            key,
+            hash: key.as_ref().map_or(0, flow_hash),
+            verdict,
+        }
+    }
+}
+
+/// A packet waiting in the lookahead ring, with its arrival time and —
+/// once it is half the ring deep, or from the caller's parse — its head.
+#[derive(Debug)]
+struct Waiting {
+    now: u64,
+    pkt: Vec<u8>,
+    head: Option<Head>,
+}
+
+/// The lookahead ring: up to [`LOOKAHEAD`] packets in arrival order, in
+/// a fixed array, so holding one allocates nothing.
+#[derive(Debug)]
+struct Lookahead {
+    ring: [Option<Waiting>; LOOKAHEAD],
+    /// The oldest packet's index.
+    first: usize,
+    len: usize,
+}
+
+impl Lookahead {
+    fn new() -> Self {
+        Lookahead {
+            ring: std::array::from_fn(|_| None),
+            first: 0,
+            len: 0,
+        }
+    }
+
+    /// Queues `w` behind the rest; a full ring first gives up its
+    /// oldest packet, which is returned.
+    fn enqueue_newest(&mut self, w: Waiting) -> Option<Waiting> {
+        let due = if self.len == LOOKAHEAD {
+            self.dequeue_oldest()
+        } else {
+            None
+        };
+        if let Some(slot) = self.ring.get_mut((self.first + self.len) % LOOKAHEAD) {
+            *slot = Some(w);
+            self.len += 1;
+        }
+        due
+    }
+
+    /// Takes the oldest packet out.
+    fn dequeue_oldest(&mut self) -> Option<Waiting> {
+        if self.len == 0 {
+            return None;
+        }
+        let w = self.ring.get_mut(self.first).and_then(Option::take);
+        self.first = (self.first + 1) % LOOKAHEAD;
+        self.len -= 1;
+        w
+    }
+
+    /// The packet that arrived `age` pushes before the newest.
+    fn waiting_at(&mut self, age: usize) -> Option<&mut Waiting> {
+        if age >= self.len {
+            return None;
+        }
+        let at = (self.first + self.len - 1 - age) % LOOKAHEAD;
+        self.ring.get_mut(at).and_then(Option::as_mut)
+    }
+}
+
 /// The merge engine. Feed packets with [`MergeEngine::push_into`], poll
 /// hold timers with [`MergeEngine::poll_into`], and drain at shutdown
 /// with [`MergeEngine::flush_all_into`].
@@ -334,6 +444,10 @@ pub struct MergeEngine {
     /// Fixed-capacity parking lot for out-of-order segments (empty on
     /// the in-order hot path: one predicted branch).
     stash: SegStash,
+    /// Owned packets not yet processed: empty unless the table is
+    /// beyond cache and the engine driver's entry left some. Every
+    /// public method that emits drains it first.
+    ahead: Lookahead,
 }
 
 impl MergeEngine {
@@ -356,6 +470,7 @@ impl MergeEngine {
             stats: MergeStats::default(),
             steer: None,
             stash: SegStash::new(coalesce::STASH_CAP, coalesce::STASH_PER_FLOW),
+            ahead: Lookahead::new(),
         }
     }
 
@@ -377,12 +492,6 @@ impl MergeEngine {
     /// Flows currently occupying state: the table's entries.
     pub fn flows_live(&self) -> usize {
         self.table.len()
-    }
-
-    /// The table, while its live population is past what stays in
-    /// cache: what the worker's lookahead warms.
-    pub(crate) fn lookahead_table(&self) -> Option<&FlowTable<FlowState>> {
-        Some(&self.table).filter(|t| t.beyond_cache())
     }
 
     /// What the engine driver folds per engine instance. With steering,
@@ -803,12 +912,18 @@ impl MergeEngine {
     /// packets ready to forward into the b-network to `sink` (possibly
     /// none while an aggregate is being held).
     ///
+    /// Synchronous: the packet is processed before the call returns,
+    /// whatever the table's size (after any packets the engine driver's
+    /// entry left in the lookahead ring). Does not poll hold timers.
+    ///
     /// Parses the packet itself; batch callers that already ran
     /// [`batchparse::parse_batch_with`] should use
     /// [`push_parsed_into`](Self::push_parsed_into) to skip the repeat
     /// header walk.
     pub fn push_into(&mut self, now: u64, pkt: &[u8], sink: &mut impl PacketSink) {
-        self.push_packet(now, Ingress::Lent(pkt), None, sink);
+        self.drain_lookahead_into(sink);
+        let head = Head::of(pkt, None, self.steer.is_some());
+        self.push_packet(now, Ingress::Lent(pkt), head, sink);
     }
 
     /// [`push_into`](Self::push_into) with the parse already done: the
@@ -824,12 +939,15 @@ impl MergeEngine {
         meta: &ParsedMeta,
         sink: &mut impl PacketSink,
     ) {
-        self.push_packet(now, Ingress::Lent(pkt), Some(meta), sink);
+        self.drain_lookahead_into(sink);
+        let head = Head::of(pkt, Some(meta), self.steer.is_some());
+        self.push_packet(now, Ingress::Lent(pkt), head, sink);
     }
 
     /// [`push_into`](Self::push_into) (or, with `meta`,
     /// [`push_parsed_into`](Self::push_parsed_into)) for a packet the
-    /// caller hands over: a steered mouse leaves in this allocation.
+    /// caller hands over, without the hold-timer poll: a steered mouse
+    /// leaves in this allocation. The baseline's entry.
     pub(crate) fn push_owned_into(
         &mut self,
         now: u64,
@@ -837,32 +955,95 @@ impl MergeEngine {
         meta: Option<&ParsedMeta>,
         sink: &mut impl PacketSink,
     ) {
-        self.push_packet(now, Ingress::Owned(pkt), meta, sink);
+        let head = Head::of(&pkt, meta, self.steer.is_some());
+        self.push_packet(now, Ingress::Owned(pkt), head, sink);
     }
 
-    /// The one push body, for lent and owned input alike.
+    /// [`poll_into`](Self::poll_into) then
+    /// [`push_owned_into`](Self::push_owned_into), both at `now` — the
+    /// engine driver's entry — through the lookahead ring while the
+    /// table is beyond cache. Then the packet is queued, the ring
+    /// requests what its older packets' lookups will read, and the
+    /// packet [`LOOKAHEAD`] arrivals back is polled and pushed at its
+    /// own `now`: processing trails arrival by at most `LOOKAHEAD`
+    /// packets, in arrival order, with what it emits unchanged. Once
+    /// the table is back in cache the ring drains and each packet is
+    /// processed on arrival.
+    pub(crate) fn push_ahead_into(
+        &mut self,
+        now: u64,
+        pkt: Vec<u8>,
+        meta: Option<&ParsedMeta>,
+        sink: &mut impl PacketSink,
+    ) {
+        if !self.table.beyond_cache() {
+            self.drain_lookahead_into(sink);
+            self.poll_due(now, sink);
+            self.push_owned_into(now, pkt, meta, sink);
+            return;
+        }
+        prefetch_packet(&pkt);
+        let steered = self.steer.is_some();
+        let head = meta.map(|meta| Head::of(&pkt, Some(meta), steered));
+        let due = self.ahead.enqueue_newest(Waiting { now, pkt, head });
+        // Half the ring back the packet's bytes have landed: read its
+        // key and request the bucket its lookup starts at.
+        if let Some(w) = self.ahead.waiting_at(LOOKAHEAD / 2) {
+            let head = *w
+                .head
+                .get_or_insert_with(|| Head::of(&w.pkt, None, steered));
+            if let Some(bucket) = head.key.and(self.table.index_line(head.hash)) {
+                prefetch_ref(bucket);
+            }
+        }
+        // Three quarters back the bucket has landed: request the slot
+        // it names.
+        let deeper = self.ahead.waiting_at(LOOKAHEAD * 3 / 4);
+        if let Some(head) = deeper.and_then(|w| w.head).filter(|h| h.key.is_some()) {
+            if let Some(slot) = self.table.slot_guess(head.hash) {
+                prefetch_ref(slot);
+            }
+        }
+        if let Some(w) = due {
+            self.push_waiting(w, sink);
+        }
+    }
+
+    /// Processes every packet in the lookahead ring, oldest first, each
+    /// at its own arrival time. A no-op when the ring is empty.
+    pub(crate) fn drain_lookahead_into(&mut self, sink: &mut impl PacketSink) {
+        while let Some(w) = self.ahead.dequeue_oldest() {
+            self.push_waiting(w, sink);
+        }
+    }
+
+    /// One packet out of the ring: the poll and the push body its
+    /// arrival would have run, with the head the ring read.
+    fn push_waiting(&mut self, w: Waiting, sink: &mut impl PacketSink) {
+        let head = w
+            .head
+            .unwrap_or_else(|| Head::of(&w.pkt, None, self.steer.is_some()));
+        self.poll_due(w.now, sink);
+        self.push_packet(w.now, Ingress::Owned(w.pkt), head, sink);
+    }
+
+    /// The one push body, for lent and owned input alike, given the
+    /// packet's head. With steering on, the head carries only the key
+    /// and the checksum scan waits until the packet may still be
+    /// merged: a mouse is never summed. Without steering one walk
+    /// yields both.
     fn push_packet(
         &mut self,
         now: u64,
         input: Ingress<'_>,
-        parsed: Option<&ParsedMeta>,
+        head: Head,
         sink: &mut impl PacketSink,
     ) {
         let pkt: &[u8] = match &input {
             Ingress::Lent(pkt) => pkt,
             Ingress::Owned(pkt) => pkt,
         };
-        // With steering on, the key comes from the headers alone and the
-        // checksum scan waits until the packet may still be merged: a
-        // mouse is never summed. Without steering one walk yields both.
-        let (key, verdict) = match parsed {
-            Some(meta) => (meta.key, Some(meta.verdict)),
-            None if self.steer.is_some() => (batchparse::parse_key(pkt), None),
-            None => {
-                let meta = batchparse::parse_packet(pkt);
-                (meta.key, Some(meta.verdict))
-            }
-        };
+        let Head { key, hash, verdict } = head;
         self.stats.pkts_in += 1;
         let keyed_flow = key.as_ref().map(|k| flow_id(k.src_port, k.dst_port));
         self.chassis.arrive(now, pkt.len(), keyed_flow);
@@ -880,7 +1061,6 @@ impl MergeEngine {
         // The packet's one table lookup. With steering every flow is
         // tracked, and the lookup's slot also counts and classifies the
         // packet; without it a flow is tracked from its first aggregate.
-        let hash = flow_hash(&key);
         let slot = match self.steer {
             Some(cfg) => {
                 let entry = self.table.entry(hash, &key, || FlowState::new(now));
@@ -1119,8 +1299,15 @@ impl MergeEngine {
         self.hold(slot, pending, now + self.cfg.hold_ns);
     }
 
-    /// Emits every aggregate whose hold timer has expired.
+    /// Emits every aggregate whose hold timer has expired, after the
+    /// packets waiting in the lookahead ring.
     pub fn poll_into(&mut self, now: u64, sink: &mut impl PacketSink) {
+        self.drain_lookahead_into(sink);
+        self.poll_due(now, sink);
+    }
+
+    /// The poll body: hold-timer expiry at `now`.
+    fn poll_due(&mut self, now: u64, sink: &mut impl PacketSink) {
         self.chassis.poll_tick(now);
         while let Some(slot) = self.table.pop_due(now) {
             if let Some((key, p)) = self.take_pending(slot) {
@@ -1137,9 +1324,10 @@ impl MergeEngine {
     }
 
     /// Drains every aggregate (shutdown, or the baseline's burst end),
-    /// in slot order, delivering to `sink`. With steering the flows stay
-    /// tracked.
+    /// in slot order, delivering to `sink`, after the packets waiting in
+    /// the lookahead ring. With steering the flows stay tracked.
     pub fn flush_all_into(&mut self, sink: &mut impl PacketSink) {
+        self.drain_lookahead_into(sink);
         for slot in 0..self.table.slot_count() {
             if let Some((key, p)) = self.take_pending(slot) {
                 self.stats.flush_timeout += 1;

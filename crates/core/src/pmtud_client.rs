@@ -21,11 +21,14 @@
 //! The report channel is plain UDP from the Internet, so a report is
 //! believed only when it is addressed to us, comes **from the probed
 //! destination**, echoes that probe's 64-bit **nonce**, and claims only
-//! sizes in `1..=probe size`. Anything else that parses as a report is
-//! consumed and counted in [`PmtudClient::spoof_rejected`], and the
-//! probe stays outstanding so a racing forgery cannot lock out the
-//! genuine answer. An attested claim below [`PMTU_FLOOR`] clamps to it.
-//! The first attested report for a destination sets its PMTU at once
+//! sizes in `1..=probe size`. Any other UDP datagram to our address and
+//! the F-PMTUD port — a report that fails a check, or one that does not
+//! parse as a report at all — is consumed and counted in
+//! [`PmtudClient::spoof_rejected`]: the port is the prober's own, and
+//! nothing behind the gateway owns its address. The probe stays
+//! outstanding so a racing forgery cannot lock out the genuine answer.
+//! An attested claim below [`PMTU_FLOOR`] clamps to it. The first
+//! attested report for a destination sets its PMTU at once
 //! (the paper's one round trip); a later one that would shrink it must
 //! be confirmed (see [`SHRINK_CONFIRMS`]).
 
@@ -117,7 +120,8 @@ pub enum Verdict {
         /// Time from the answered probe to its report.
         elapsed_ns: u64,
     },
-    /// Failed a check; counted in [`PmtudClient::spoof_rejected`].
+    /// Not a report, or failed a check; counted in
+    /// [`PmtudClient::spoof_rejected`].
     Rejected,
 }
 
@@ -139,7 +143,8 @@ pub struct PmtudClient {
     pub probes_sent: u64,
     /// Attested reports consumed.
     pub reports_received: u64,
-    /// Reports consumed without effect: unknown probe id, wrong nonce,
+    /// Datagrams to our F-PMTUD port consumed without effect: not a
+    /// report, or a report with an unknown probe id, a wrong nonce, a
     /// wrong source, or a size outside `1..=probe size`.
     pub spoof_rejected: u64,
     /// Attested claims below [`PMTU_FLOOR`], clamped up to it.
@@ -282,8 +287,8 @@ impl PmtudClient {
         out
     }
 
-    /// Judges and consumes `pkt` if it is a report addressed to us;
-    /// `None` when it is not one (forward it).
+    /// Judges and consumes `pkt` if it is a UDP datagram to our address
+    /// and the F-PMTUD port; `None` when it is not one (forward it).
     pub fn ingest(&mut self, now_ns: u64, pkt: &[u8]) -> Option<Verdict> {
         let ip = Ipv4Packet::new_checked(pkt).ok()?;
         if ip.dst() != self.cfg.addr || ip.protocol() != IpProtocol::Udp {
@@ -293,7 +298,10 @@ impl PmtudClient {
         if udp.dst_port() != FPMTUD_PORT {
             return None;
         }
-        let (id, nonce, sizes) = parse_report(udp.payload())?;
+        let Some((id, nonce, sizes)) = parse_report(udp.payload()) else {
+            self.spoof_rejected += 1;
+            return Some(Verdict::Rejected);
+        };
         let attested = self.pending.get(&id).is_some_and(|p| {
             p.dst == ip.src()
                 && p.nonce == nonce
@@ -504,6 +512,7 @@ mod tests {
             forged(DST, id, nonce, &[1500, 9001]),                 // larger than the probe
             forged(DST, id, nonce, &[1500, 0]),                    // a zero size
             forged(DST, id, nonce, &[]),                           // no sizes
+            udp_pkt(DST, GW, FPMTUD_PORT, b"FPMR"),                // not a report
         ];
         for f in &forgeries {
             assert_eq!(c.ingest(0, f), Some(Verdict::Rejected), "not believed");
@@ -515,7 +524,7 @@ mod tests {
             1,
             "the genuine report is not locked out"
         );
-        // Not addressed to us, or not a report: not consumed.
+        // Not addressed to our address and port: not consumed.
         let other = udp_pkt(DST, Ipv4Addr::new(1, 2, 3, 4), FPMTUD_PORT, b"FPMR");
         assert_eq!(c.ingest(0, &other), None);
         assert_eq!(c.ingest(0, &udp_pkt(DST, GW, 80, b"hello")), None);

@@ -192,8 +192,9 @@ fn pmtud_client_discovers_a_jumbo_path() {
 
 /// Forged reports cannot raise the split MTU past a 1400 B hop: each of
 /// the [`Forger`]'s reports reaches the gateway before the daemon's
-/// genuine one, and each is consumed without effect, so the gateway
-/// still learns ≤ 1400 B and the transfer completes intact.
+/// genuine one, and each is consumed without effect — none is forwarded
+/// into the b-network — so the gateway still learns ≤ 1400 B and the
+/// transfer completes intact.
 #[test]
 fn forged_report_cannot_raise_the_split_mtu() {
     let (mut net, bhost, gw, ext) = topo(1400, 1500, true, true);
@@ -204,8 +205,10 @@ fn forged_report_cannot_raise_the_split_mtu() {
     let st = net.node_ref::<Host>(ext).tcp_stats()[0];
     assert_eq!(st.bytes_received, 300_000, "transfer completes");
     assert_eq!(st.integrity_errors, 0);
-    // The untagged report no longer parses as a report (it is transit
-    // UDP); the other three are judged and rejected.
-    assert_eq!(client.spoof_rejected, 3);
+    // The untagged report does not parse as a report; it is consumed
+    // with the three that parse and fail a check.
+    assert_eq!(client.spoof_rejected, 4);
     assert_eq!(client.reports_received, 1);
+    // Nothing addressed to the gateway reached the b-host.
+    assert_eq!(net.node_ref::<Host>(bhost).misdelivered, 0);
 }

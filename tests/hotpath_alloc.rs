@@ -29,7 +29,7 @@ use packet_express::core::caravan_gw::{CaravanConfig, CaravanEngine};
 use packet_express::core::engine::{
     run_engine_on_trace, CoreEngine, EngineConfig, EngineMode, GRO_BURST_PKTS,
 };
-use packet_express::core::merge::{MergeConfig, MergeEngine};
+use packet_express::core::merge::{MergeConfig, MergeEngine, LOOKAHEAD};
 use packet_express::core::pipeline::{PipelineConfig, SystemVariant, TraceGen, WorkloadKind};
 use packet_express::core::split::SplitEngine;
 use packet_express::core::steer::SteerConfig;
@@ -299,6 +299,52 @@ fn steady_state_hot_loops_do_not_allocate() {
     assert_eq!(
         seen.addrs, input_addrs,
         "every mouse leaves in the allocation it arrived in"
+    );
+
+    // ---- the same entry once the steering table has outgrown the
+    // cache: 16 000 tracked mice put it there, so every packet waits in
+    // the merge engine's lookahead ring before it is processed. Waiting
+    // allocates nothing, and a mouse that waited still leaves in the
+    // `Vec` it arrived in: the sink sees the ring's last eight warm-up
+    // mice, then the measured ones, each at its input's address.
+    const TRACKED: u16 = 16_000;
+    let mut core = CoreEngine::Merge(MergeEngine::steered(
+        MergeConfig {
+            imtu: 9000,
+            emtu: 1500,
+            hold_ns: 50_000,
+            table_capacity: 64,
+        },
+        SteerConfig::default(),
+    ));
+    core.enable_obs(obs);
+    let warm: Vec<Vec<u8>> = (0..TRACKED).map(|port| tcp_pkt(port, 0, 64)).collect();
+    let mut expect: Vec<usize> = warm[warm.len() - LOOKAHEAD..]
+        .iter()
+        .map(|p| p.as_ptr() as usize)
+        .collect();
+    for pkt in warm {
+        core.push_into(0, pkt, &mut recycler(&mut sunk));
+    }
+    assert_eq!(
+        core.flow_stats().0,
+        u64::from(TRACKED) - LOOKAHEAD as u64,
+        "the last warm-up mice wait in the ring, untracked yet"
+    );
+    let measured: Vec<Vec<u8>> = (0..4 * MICE).map(|port| tcp_pkt(port, 64, 64)).collect();
+    expect.extend(measured.iter().map(|p| p.as_ptr() as usize));
+    let mut seen = AddrSink {
+        addrs: Vec::with_capacity(expect.len()),
+    };
+    let before = allocs();
+    for pkt in measured {
+        core.push_into(1_000, pkt, &mut seen);
+    }
+    core.finish_into(&mut seen);
+    assert_region_clean(before, "steered mice beyond cache");
+    assert_eq!(
+        seen.addrs, expect,
+        "every mouse leaves in the allocation it arrived in, in order"
     );
 
     // ---- the steering engine's one table at capacity. Sixteen
